@@ -3,14 +3,18 @@
 Three channels are measured on every node: action (Gini for discrete
 actions, variance for continuous ones, per-dimension normalised variance
 sum for vector actions), return variance, and the normalised sum of
-per-feature derivative variances.  A split's quality on a channel is the
-population-weighted impurity reduction; the hybrid quality combines the
-three, each normalised by its impurity at the root.
+per-feature derivative variances.  ``node_stats`` gathers each channel of a
+node once and derives from it the impurities, the leaf predictions and the
+node's share of the training losses.  A split's quality on a channel is the
+population-weighted impurity reduction; ``hybrid_quality`` combines the
+three, each normalised by its impurity at the root, for split search and
+leaf priority alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,23 +42,39 @@ class SplitCandidate:
     right_idx: np.ndarray  # members with state[feature] >= threshold
 
 
-def gini(action_counts) -> float:
-    """Gini impurity 1 - sum(p^2) from a label -> count map."""
-    counts = np.asarray(list(action_counts.values()), dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+class NodeStats(NamedTuple):
+    """Per-channel statistics of one node's members."""
+
+    impurity: ImpurityTriple
+    action: object                 # modal label, mean, or per-dimension mean
+    value: float                   # mean return
+    deriv: np.ndarray | None       # mean derivative; None when no member has one
+    n_deriv: int
+    # summed squared errors about the predictions, per channel: the
+    # misclassified count for discrete actions, per-dimension sums for vectors
+    loss_terms: tuple
+
+
+def _mean_var(x):
+    """Mean and population variance along the first axis, from the first two
+    moments."""
+    m = x.mean(axis=0)
+    return m, np.maximum((x * x).mean(axis=0) - m * m, 0.0)
+
+
+def scaled_sum(var, sigma) -> float:
+    """Sum of per-dimension values scaled by 1/sigma, skipping sigma == 0."""
+    sigma = np.asarray(sigma, dtype=float)
+    mask = sigma > 0
+    return float(np.sum(var[mask] / sigma[mask]))
 
 
 def variance(values) -> float:
     """Population variance; equals the half mean squared pairwise difference."""
-    x = np.asarray(values, dtype=float)
+    x = np.asarray(values, dtype=float).ravel()
     if x.size == 0:
         return 0.0
-    m = x.mean()
-    return float(max(np.mean(x * x) - m * m, 0.0))
+    return float(_mean_var(x)[1])
 
 
 def derivative_impurity(derivs, sigma) -> float:
@@ -68,33 +88,24 @@ def derivative_impurity(derivs, sigma) -> float:
         return 0.0
     if D.ndim == 1:
         D = D[:, None]
-    sigma = np.asarray(sigma, dtype=float)
-    mean = D.mean(axis=0)
-    var = np.maximum((D * D).mean(axis=0) - mean * mean, 0.0)
-    mask = sigma > 0
-    return float(np.sum(var[mask] / sigma[mask]))
+    return scaled_sum(_mean_var(D)[1], sigma)
 
 
-def partition_quality(parent_impurity, left, right) -> float:
-    """Impurity reduction of a two-way partition, weighted by populations."""
-    (i0, n0), (i1, n1) = left, right
-    n = n0 + n1
-    return float(parent_impurity - (i0 * n0 + i1 * n1) / n)
-
-
-def hybrid_quality(q_triple, root_impurity: ImpurityTriple, theta) -> float:
+def hybrid_quality(q_triple, root_impurity: ImpurityTriple, theta):
     """Combine per-channel qualities, root-normalised and theta-weighted.
 
-    Channels whose root impurity is zero contribute nothing.
+    Each entry of ``q_triple`` is a scalar or an array of candidates; the
+    result has the same shape (a float for scalars).  Channels whose root
+    impurity or weight is zero contribute nothing.  A leaf's growth priority
+    is ``n * hybrid_quality(impurity)``.
     """
     theta = validate_theta(theta)
     roots = root_impurity.as_array()
-    q = np.asarray(q_triple, dtype=float)
-    out = 0.0
+    out = np.zeros(np.shape(q_triple[0]))
     for c in range(3):
-        if roots[c] > 0:
-            out += theta[c] * q[c] / roots[c]
-    return float(out)
+        if roots[c] > 0 and theta[c] > 0:
+            out += theta[c] * np.asarray(q_triple[c], dtype=float) / roots[c]
+    return float(out) if out.ndim == 0 else out
 
 
 def validate_theta(theta) -> np.ndarray:
@@ -108,24 +119,46 @@ def validate_theta(theta) -> np.ndarray:
     return theta
 
 
-def node_impurity(data, idx) -> ImpurityTriple:
-    """All three impurities of the sample set ``idx`` of an augmented dataset."""
+def node_stats(data, idx) -> NodeStats:
+    """Statistics of the non-empty sample set ``idx`` of an augmented
+    dataset, gathering each channel's members once."""
     n = idx.size
-    if n == 0:
-        return ImpurityTriple(0.0, 0.0, 0.0)
+
+    def moments(x):
+        m, var = _mean_var(x)
+        return m, var, np.sum((x - m) ** 2, axis=0)
+
     if data.action_kind == DISCRETE:
-        codes = data.action_codes[idx]
-        counts = np.bincount(codes, minlength=data.action_labels.size).astype(float)
+        counts = np.bincount(data.action_codes[idx],
+                             minlength=data.action_labels.size).astype(float)
         p = counts / n
         ia = float(1.0 - np.sum(p * p))
-    elif data.action_kind == CONTINUOUS_SCALAR:
-        ia = variance(data.actions[idx])
+        k = int(np.argmax(counts))
+        action = data.action_labels[k]
+        action = action.item() if hasattr(action, "item") else action
+        a_sq = float(n - counts[k])
     else:
-        ia = derivative_impurity(data.actions[idx], data.action_sigma)
-    iv = variance(data.V[idx])
-    mask = data.has_deriv[idx]
-    id_ = derivative_impurity(data.D[idx][mask], data.sigma)
-    return ImpurityTriple(ia, iv, id_)
+        action, var, a_sq = moments(data.actions[idx])
+        if data.action_kind == CONTINUOUS_SCALAR:
+            ia, action, a_sq = float(var), float(action), float(a_sq)
+        else:
+            ia = scaled_sum(var, data.action_sigma)
+    value, var_v, v_sq = moments(data.V[idx])
+    D = data.D[idx][data.has_deriv[idx]]
+    if D.shape[0] > 0:
+        deriv, var_d, d_sq = moments(D)
+        id_ = scaled_sum(var_d, data.sigma)
+    else:
+        deriv, id_, d_sq = None, 0.0, np.zeros(data.d)
+    return NodeStats(ImpurityTriple(ia, float(var_v), id_), action, float(value),
+                     deriv, D.shape[0], (a_sq, float(v_sq), d_sq))
+
+
+def node_impurity(data, idx) -> ImpurityTriple:
+    """All three impurities of the sample set ``idx`` of an augmented dataset."""
+    if idx.size == 0:
+        return ImpurityTriple(0.0, 0.0, 0.0)
+    return node_stats(data, idx).impurity
 
 
 def best_split(data, idx, root_impurity: ImpurityTriple, theta,
@@ -142,7 +175,6 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
     n = idx.size
     if n < 2 * min_leaf or n < 2:
         return None
-    roots = root_impurity.as_array()
 
     best = None  # (q_star, feature, tau, triple, pos, sidx)
     for f in range(data.d):
@@ -170,10 +202,7 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
         qv = _moment_quality(data.V[sidx], pos, nl, nr, n)
         qd = _deriv_quality(data, sidx, pos)
 
-        q_star = np.zeros(pos.size)
-        for c, qc in enumerate((qa, qv, qd)):
-            if roots[c] > 0 and theta[c] > 0:
-                q_star += theta[c] * qc / roots[c]
+        q_star = hybrid_quality((qa, qv, qd), root_impurity, theta)
 
         k = int(np.argmax(q_star))
         if q_star[k] > 0 and (best is None or q_star[k] > best[0]):

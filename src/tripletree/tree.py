@@ -1,15 +1,17 @@
 """The partition tree: best-first growth, prediction, transition statistics,
 loss evaluation, and JSON serialisation.
 
-Growth repeatedly picks the leaf with the highest population-weighted,
-root-normalised, theta-weighted impurity and applies the best axis-aligned
-split found for it, stopping at the leaf budget or when no leaf admits a
-split with positive hybrid quality.  After growth the tree is immutable and
-every query is read-only.
+Growth keeps the leaves in a max-priority queue keyed on the
+population-weighted, root-normalised, theta-weighted impurity (computed once,
+when a leaf is created; ties go to the earliest-created leaf).  It pops the
+best leaf and applies the best axis-aligned split found for it, stopping at
+the leaf budget or when no leaf admits a split with positive hybrid quality.
+After growth the tree is immutable and every query is read-only.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -19,8 +21,8 @@ import numpy as np
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
                       AugmentedDataset)
 from .errors import ParameterError
-from .impurity import (ImpurityTriple, best_split, node_impurity,
-                       validate_theta)
+from .impurity import (ImpurityTriple, best_split, hybrid_quality, node_stats,
+                       scaled_sum, validate_theta)
 
 SERIAL_VERSION = 1
 
@@ -70,6 +72,7 @@ class Leaf:
     n_deriv: int
     density: float
     members: np.ndarray | None = None
+    loss_terms: tuple | None = None  # growth only: NodeStats.loss_terms
     transitions: dict | None = None  # dest leaf id (None = episode end) -> (P, T)
 
 
@@ -122,33 +125,16 @@ class TripleTree:
         return [self.leaves[k] for k in sorted(self.leaves)]
 
 
-def leaf_priority(leaf: Leaf, theta, root_impurity: ImpurityTriple) -> float:
-    """Population-weighted, root-normalised, theta-weighted leaf impurity."""
-    roots = root_impurity.as_array()
-    imps = leaf.impurity.as_array()
-    theta = np.asarray(theta, dtype=float)
-    total = 0.0
-    for c in range(3):
-        if roots[c] > 0:
-            total += theta[c] * imps[c] / roots[c]
-    return leaf.n * total
+def select_best_leaf(queue: list) -> int | None:
+    """Pop the id of the leaf with the highest growth priority, the
+    earliest-created on ties, from a heap of ``(-priority, leaf_id)``.
 
-
-def select_best_leaf(leaves: dict, theta, root_impurity: ImpurityTriple,
-                     splittable=None) -> int | None:
-    """Leaf id maximising the growth priority, earliest-created on ties.
-
-    ``splittable`` optionally restricts the choice; returns None when no
-    leaf is eligible, which signals growth termination.
+    Returns None, leaving the heap as it is, when it is empty or its best
+    priority is not positive: no leaf can then yield a positive-quality split.
     """
-    best_id, best_p = None, -np.inf
-    for lid in sorted(leaves):
-        if splittable is not None and lid not in splittable:
-            continue
-        p = leaf_priority(leaves[lid], theta, root_impurity)
-        if p > best_p:
-            best_id, best_p = lid, p
-    return best_id
+    if not queue or queue[0][0] >= 0:
+        return None
+    return heapq.heappop(queue)[1]
 
 
 def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
@@ -167,49 +153,48 @@ def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
     if data.n == 0:
         raise ParameterError("cannot grow a tree on an empty dataset")
 
-    all_idx = np.arange(data.n)
-    root_imp = node_impurity(data, all_idx)
+    root_leaf = _make_leaf(data, 0, Box.unbounded(data.d), np.arange(data.n),
+                           parent_deriv=np.zeros(data.d))
+    root_imp = root_leaf.impurity
     tree = TripleTree(
-        nodes=[], leaves={}, theta=theta, gamma=data.gamma,
-        sigma=data.sigma.copy(), feature_range=data.feature_range.copy(),
-        medians=data.medians.copy(), feature_names=list(data.feature_names),
-        action_kind=data.action_kind, root_impurity=root_imp,
-        n_samples=data.n,
+        nodes=[Node(leaf_id=0)], leaves={0: root_leaf}, theta=theta,
+        gamma=data.gamma, sigma=data.sigma.copy(),
+        feature_range=data.feature_range.copy(), medians=data.medians.copy(),
+        feature_names=list(data.feature_names), action_kind=data.action_kind,
+        root_impurity=root_imp, n_samples=data.n,
         action_labels=(list(data.action_labels) if data.action_labels is not None
                        else None),
         action_sigma=(data.action_sigma.copy() if data.action_sigma is not None
-                      else None))
+                      else None),
+        _leaf_node={0: 0})
 
-    acc = _LossAccumulator(data, tree)
-    root_leaf = _make_leaf(data, tree, 0, Box.unbounded(data.d), all_idx,
-                           parent_deriv=np.zeros(data.d))
-    tree.nodes.append(Node(leaf_id=0))
-    tree.leaves[0] = root_leaf
-    tree._leaf_node[0] = 0
-    acc.add(root_leaf)
+    queue: list = []
+
+    def enqueue(leaf):
+        priority = leaf.n * hybrid_quality(leaf.impurity.as_array(), root_imp,
+                                           theta)
+        heapq.heappush(queue, (-priority, leaf.id))
+
+    # summed squared errors of the current leaves: the training losses
+    sq = root_leaf.loss_terms
+    enqueue(root_leaf)
     if snapshot_cb is not None:
-        snapshot_cb(tree, 1, acc.losses())
+        snapshot_cb(tree, 1, _losses(tree, sq, data.n, root_leaf.n_deriv))
 
     next_id = 1
-    unsplittable: set = set()
     while len(tree.leaves) < max_leaves:
-        lid = select_best_leaf(tree.leaves, theta, root_imp,
-                               splittable=set(tree.leaves) - unsplittable)
+        lid = select_best_leaf(queue)
         if lid is None:
             break
         leaf = tree.leaves[lid]
-        if leaf_priority(leaf, theta, root_imp) <= 0:
-            break  # no remaining leaf can yield a positive-quality split
         cand = best_split(data, leaf.members, root_imp, theta, min_leaf=min_leaf)
         if cand is None:
-            unsplittable.add(lid)
-            continue
+            continue  # unsplittable: the leaf stays out of the queue
 
         lbox, rbox = leaf.box.split(cand.feature, cand.threshold)
-        parent_deriv = leaf.deriv_pred
-        left = _make_leaf(data, tree, next_id, lbox, cand.left_idx, parent_deriv)
-        right = _make_leaf(data, tree, next_id + 1, rbox, cand.right_idx,
-                           parent_deriv)
+        left = _make_leaf(data, next_id, lbox, cand.left_idx, leaf.deriv_pred)
+        right = _make_leaf(data, next_id + 1, rbox, cand.right_idx,
+                           leaf.deriv_pred)
         node_i = tree._leaf_node.pop(lid)
         li, ri = len(tree.nodes), len(tree.nodes) + 1
         tree.nodes.append(Node(leaf_id=left.id))
@@ -224,39 +209,27 @@ def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
         tree.split_log.append((lid, cand.feature, cand.threshold))
         next_id += 2
 
-        acc.remove(leaf)
-        acc.add(left)
-        acc.add(right)
+        sq = tuple(t - p + a + b for t, p, a, b in
+                   zip(sq, leaf.loss_terms, left.loss_terms, right.loss_terms))
+        enqueue(left)
+        enqueue(right)
         if snapshot_cb is not None:
-            snapshot_cb(tree, len(tree.leaves), acc.losses())
+            snapshot_cb(tree, len(tree.leaves),
+                        _losses(tree, sq, data.n, root_leaf.n_deriv))
     return tree
 
 
-def _make_leaf(data, tree, leaf_id, box, members, parent_deriv) -> Leaf:
-    imp = node_impurity(data, members)
-    if data.action_kind == DISCRETE:
-        counts = np.bincount(data.action_codes[members],
-                             minlength=data.action_labels.size)
-        action = data.action_labels[int(np.argmax(counts))]
-        action = action.item() if hasattr(action, "item") else action
-    elif data.action_kind == CONTINUOUS_SCALAR:
-        action = float(data.actions[members].mean())
-    else:
-        action = data.actions[members].mean(axis=0)
-    value = float(data.V[members].mean())
-    mask = data.has_deriv[members]
-    n_deriv = int(mask.sum())
-    if n_deriv > 0:
-        deriv = data.D[members][mask].mean(axis=0)
-        low_conf = False
-    else:
-        deriv = np.asarray(parent_deriv, dtype=float).copy()
-        low_conf = True
-    return Leaf(id=leaf_id, box=box, n=members.size, impurity=imp,
-                action_pred=action, value_pred=value, deriv_pred=deriv,
-                deriv_low_confidence=low_conf, n_deriv=n_deriv,
-                density=_leaf_density(box, members.size, tree.feature_range),
-                members=members)
+def _make_leaf(data, leaf_id, box, members, parent_deriv) -> Leaf:
+    stats = node_stats(data, members)
+    low_conf = stats.deriv is None
+    deriv = (np.asarray(parent_deriv, dtype=float).copy() if low_conf
+             else stats.deriv)
+    return Leaf(id=leaf_id, box=box, n=members.size, impurity=stats.impurity,
+                action_pred=stats.action, value_pred=stats.value,
+                deriv_pred=deriv, deriv_low_confidence=low_conf,
+                n_deriv=stats.n_deriv,
+                density=_leaf_density(box, members.size, data.feature_range),
+                members=members, loss_terms=stats.loss_terms)
 
 
 def _leaf_density(box, n, feature_range) -> float:
@@ -266,78 +239,6 @@ def _leaf_density(box, n, feature_range) -> float:
     norm = np.where(widths > 0, lengths / np.where(widths > 0, widths, 1.0), 1.0)
     volume = float(np.prod(norm))
     return n / max(volume, 1e-300)
-
-
-class _LossAccumulator:
-    """Running training-loss totals maintained across growth steps."""
-
-    def __init__(self, data, tree):
-        self.data = data
-        self.tree = tree
-        self.n = data.n
-        self.m_total = int(data.has_deriv.sum())
-        self.action_err = 0.0
-        self.action_sq = None
-        if data.action_kind == CONTINUOUS_VECTOR:
-            self.action_sq = np.zeros(data.actions.shape[1])
-        self.value_sq = 0.0
-        self.deriv_sq = np.zeros(data.d)
-
-    def _leaf_terms(self, leaf):
-        data = self.data
-        members = leaf.members
-        if data.action_kind == DISCRETE:
-            counts = np.bincount(data.action_codes[members],
-                                 minlength=data.action_labels.size)
-            a_err = float(members.size - counts.max())
-            a_sq = None
-        elif data.action_kind == CONTINUOUS_SCALAR:
-            a = data.actions[members]
-            a_err = float(np.sum((a - a.mean()) ** 2))
-            a_sq = None
-        else:
-            a = data.actions[members]
-            a_err = 0.0
-            a_sq = np.sum((a - a.mean(axis=0)) ** 2, axis=0)
-        v = data.V[members]
-        v_sq = float(np.sum((v - v.mean()) ** 2))
-        mask = data.has_deriv[members]
-        if mask.any():
-            dd = data.D[members][mask]
-            d_sq = np.sum((dd - dd.mean(axis=0)) ** 2, axis=0)
-        else:
-            d_sq = np.zeros(data.d)
-        return a_err, a_sq, v_sq, d_sq
-
-    def add(self, leaf, sign=1.0):
-        a_err, a_sq, v_sq, d_sq = self._leaf_terms(leaf)
-        self.action_err += sign * a_err
-        if a_sq is not None:
-            self.action_sq += sign * a_sq
-        self.value_sq += sign * v_sq
-        self.deriv_sq += sign * d_sq
-
-    def remove(self, leaf):
-        self.add(leaf, sign=-1.0)
-
-    def losses(self):
-        data = self.data
-        if data.action_kind == DISCRETE:
-            a_loss = self.action_err / self.n
-        elif data.action_kind == CONTINUOUS_SCALAR:
-            a_loss = float(np.sqrt(max(self.action_err, 0.0) / self.n))
-        else:
-            rms = np.sqrt(np.maximum(self.action_sq, 0.0) / self.n)
-            keep = data.action_sigma > 0
-            a_loss = float(np.sum(rms[keep] / data.action_sigma[keep]))
-        v_loss = float(np.sqrt(max(self.value_sq, 0.0) / self.n))
-        if self.m_total > 0:
-            rms = np.sqrt(np.maximum(self.deriv_sq, 0.0) / self.m_total)
-            keep = self.tree.sigma > 0
-            d_loss = float(np.sum(rms[keep] / self.tree.sigma[keep]))
-        else:
-            d_loss = 0.0
-        return (float(a_loss), v_loss, d_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -445,35 +346,37 @@ def evaluate_losses(tree: TripleTree, data: AugmentedDataset):
     ids = sorted(tree.leaves)
     pos = {lid: k for k, lid in enumerate(ids)}
     rows = np.array([pos[int(a)] for a in assign])
+    leaves = [tree.leaves[lid] for lid in ids]
 
     if tree.action_kind == DISCRETE:
-        preds = np.asarray([tree.leaves[lid].action_pred for lid in ids],
-                           dtype=object)
+        preds = np.asarray([leaf.action_pred for leaf in leaves], dtype=object)
         actual = np.asarray([a for a in data.actions], dtype=object)
-        a_loss = float(np.mean(preds[rows] != actual))
-    elif tree.action_kind == CONTINUOUS_SCALAR:
-        preds = np.array([tree.leaves[lid].action_pred for lid in ids])
-        a_loss = float(np.sqrt(np.mean((preds[rows] - data.actions) ** 2)))
+        a_sq = float(np.sum(preds[rows] != actual))
     else:
-        preds = np.stack([tree.leaves[lid].action_pred for lid in ids])
-        err = preds[rows] - data.actions
-        rms = np.sqrt(np.mean(err * err, axis=0))
-        keep = tree.action_sigma > 0
-        a_loss = float(np.sum(rms[keep] / tree.action_sigma[keep]))
-
-    v_preds = np.array([tree.leaves[lid].value_pred for lid in ids])
-    v_loss = float(np.sqrt(np.mean((v_preds[rows] - data.V) ** 2)))
-
+        preds = np.array([leaf.action_pred for leaf in leaves], dtype=float)
+        a_sq = np.sum((preds[rows] - data.actions) ** 2, axis=0)
+    v_preds = np.array([leaf.value_pred for leaf in leaves])
+    v_sq = np.sum((v_preds[rows] - data.V) ** 2)
     mask = data.has_deriv
-    if mask.any():
-        d_preds = np.stack([tree.leaves[lid].deriv_pred for lid in ids])
-        err = d_preds[rows[mask]] - data.D[mask]
-        rms = np.sqrt(np.mean(err * err, axis=0))
-        keep = tree.sigma > 0
-        d_loss = float(np.sum(rms[keep] / tree.sigma[keep]))
+    d_preds = np.stack([leaf.deriv_pred for leaf in leaves])
+    d_sq = np.sum((d_preds[rows[mask]] - data.D[mask]) ** 2, axis=0)
+    return _losses(tree, (a_sq, v_sq, d_sq), data.n, int(mask.sum()))
+
+
+def _losses(tree, sq, n, m):
+    """Losses from the summed squared errors ``sq`` (the misclassified count
+    for discrete actions) over n samples, m of which have a derivative."""
+    a_sq, v_sq, d_sq = sq
+    if tree.action_kind == DISCRETE:
+        a_loss = a_sq / n
+    elif tree.action_kind == CONTINUOUS_SCALAR:
+        a_loss = np.sqrt(max(a_sq, 0.0) / n)
     else:
-        d_loss = 0.0
-    return (a_loss, v_loss, d_loss)
+        a_loss = scaled_sum(np.sqrt(np.maximum(a_sq, 0.0) / n),
+                            tree.action_sigma)
+    d_loss = (scaled_sum(np.sqrt(np.maximum(d_sq, 0.0) / m), tree.sigma)
+              if m > 0 else 0.0)
+    return (float(a_loss), float(np.sqrt(max(v_sq, 0.0) / n)), d_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +451,7 @@ def serialize(tree: TripleTree) -> bytes:
 
 
 def deserialize(payload: bytes) -> TripleTree:
+    """Decode ``serialize`` output; any malformed payload raises ParameterError."""
     try:
         doc = json.loads(payload.decode("utf-8") if isinstance(payload, bytes)
                          else payload)
@@ -557,15 +461,35 @@ def deserialize(payload: bytes) -> TripleTree:
         raise ParameterError(
             f"unsupported tree payload version {doc.get('version')!r}"
             if isinstance(doc, dict) else "corrupt tree payload")
+    try:
+        tree = _decode(doc)
+    except ParameterError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(
+            f"corrupt tree payload: {type(exc).__name__}: {exc}") from None
+    _check_structure(tree)
+    return tree
+
+
+def _array(value, shape) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        raise ParameterError(
+            f"tree payload array has shape {out.shape}, expected {shape}")
+    return out
+
+
+def _decode(doc) -> TripleTree:
     meta = doc["meta"]
     d = int(meta["d"])
     tree = TripleTree(
         nodes=[], leaves={},
-        theta=np.asarray(meta["theta"], dtype=float),
+        theta=_array(meta["theta"], (3,)),
         gamma=float(meta["gamma"]),
-        sigma=np.asarray(meta["sigma"], dtype=float),
-        feature_range=np.asarray(meta["ranges"], dtype=float),
-        medians=np.asarray(meta["medians"], dtype=float),
+        sigma=_array(meta["sigma"], (d,)),
+        feature_range=_array(meta["ranges"], (d, 2)),
+        medians=_array(meta["medians"], (d,)),
         feature_names=list(meta["feature_names"]),
         action_kind=meta["action_kind"],
         root_impurity=ImpurityTriple(*meta["root_impurity"]),
@@ -576,10 +500,10 @@ def deserialize(payload: bytes) -> TripleTree:
     for i, entry in enumerate(doc["nodes"]):
         if "leaf" in entry:
             rec = entry["leaf"]
-            lower = np.array([(-np.inf if a is None else a)
-                              for a, _ in rec["box"]])
-            upper = np.array([(np.inf if b is None else b)
-                              for _, b in rec["box"]])
+            lower = _array([(-np.inf if a is None else a)
+                            for a, _ in rec["box"]], (d,))
+            upper = _array([(np.inf if b is None else b)
+                            for _, b in rec["box"]], (d,))
             preds = rec["preds"]
             action = preds["action"]
             if tree.action_kind == CONTINUOUS_VECTOR:
@@ -592,10 +516,12 @@ def deserialize(payload: bytes) -> TripleTree:
                 id=int(rec["id"]), box=Box(lower, upper), n=int(rec["n"]),
                 impurity=ImpurityTriple(*rec["impurity"]),
                 action_pred=action, value_pred=float(preds["value"]),
-                deriv_pred=np.asarray(preds["deriv"], dtype=float),
+                deriv_pred=_array(preds["deriv"], (d,)),
                 deriv_low_confidence=bool(preds["deriv_low_confidence"]),
                 n_deriv=int(rec["n_deriv"]), density=float(rec["density"]),
                 transitions=trans)
+            if leaf.id in tree.leaves:
+                raise ParameterError(f"tree payload repeats leaf id {leaf.id}")
             tree.nodes.append(Node(leaf_id=leaf.id))
             tree.leaves[leaf.id] = leaf
             tree._leaf_node[leaf.id] = i
@@ -604,9 +530,32 @@ def deserialize(payload: bytes) -> TripleTree:
                                    threshold=float(entry["tau"]),
                                    left=int(entry["left"]),
                                    right=int(entry["right"])))
-    if d != tree.d:
-        raise ParameterError("tree payload dimension mismatch")
     return tree
+
+
+def _check_structure(tree: TripleTree) -> None:
+    """Every node reached exactly once from node 0, and split nodes test a
+    feature the tree has, so queries cannot loop or index out of range."""
+    if not tree.nodes:
+        raise ParameterError("tree payload has no nodes")
+    seen = [False] * len(tree.nodes)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if not 0 <= i < len(tree.nodes):
+            raise ParameterError(f"tree payload child index {i} out of range")
+        if seen[i]:
+            raise ParameterError(f"tree payload node {i} is reached twice")
+        seen[i] = True
+        node = tree.nodes[i]
+        if node.leaf_id is None:
+            if not 0 <= node.feature < tree.d:
+                raise ParameterError(
+                    f"tree payload node {i} splits on feature {node.feature}")
+            stack += [node.right, node.left]
+    if not all(seen):
+        raise ParameterError(
+            f"tree payload node {seen.index(False)} is unreachable")
 
 
 def fit(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,

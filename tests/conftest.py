@@ -149,12 +149,17 @@ def make_episode(rng, T, d, policy=None, terminal=True):
                    terminal=terminal)
 
 
-@pytest.fixture(scope="session")
-def road_fixture():
-    """A small road task setup shared by module tests (fast to build)."""
+def road_setup():
+    """A small road task setup: (config, policy, traces, augmented data)."""
     from tripletree import road_env as road
     cfg = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0)
     policy = road.dp_solve(cfg, tolerance=1e-6)
     data = road.generate_dataset(cfg, policy, 3000, 100, seed=0)
     aug = augment(data, cfg.gamma)
     return cfg, policy, data, aug
+
+
+@pytest.fixture(scope="session")
+def road_fixture():
+    """``road_setup`` shared by module tests (fast to build)."""
+    return road_setup()

@@ -1,10 +1,15 @@
-"""Regenerate the committed SVG golden files (review diffs before committing)."""
+"""Regenerate the committed golden files (review diffs before committing).
+
+Run from the repository root: ``PYTHONPATH=src python -m tests.make_goldens``.
+"""
 
 import os
 
 from tripletree import viz
 from tripletree.viz import PlaneSpec
 
+from .conftest import road_setup
+from .test_tree import ROAD_DIGEST, road_tree_digests
 from .test_viz import GOLDEN_DIR, quad_tree
 
 
@@ -29,6 +34,9 @@ def main():
         fh.write(viz.render_svg(viz.quiver(tree, mode="direct"),
                                 {"title": "quiver"},
                                 overlays=overlay).encode())
+
+    with open(ROAD_DIGEST, "w") as fh:
+        fh.write(road_tree_digests(road_setup()[3]))
     print(f"goldens written to {GOLDEN_DIR}")
 
 

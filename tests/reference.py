@@ -32,6 +32,23 @@ def pairwise_deriv_impurity(D, sigma):
     return total
 
 
+def gini(action_counts) -> float:
+    """Gini impurity 1 - sum(p^2) from a label -> count map."""
+    counts = np.asarray(list(action_counts.values()), dtype=float)
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
+def partition_quality(parent_impurity, left, right) -> float:
+    """Impurity reduction of a two-way partition, weighted by populations."""
+    (i0, n0), (i1, n1) = left, right
+    n = n0 + n1
+    return float(parent_impurity - (i0 * n0 + i1 * n1) / n)
+
+
 def gini_of_labels(labels) -> float:
     labels = list(labels)
     n = len(labels)

@@ -186,6 +186,8 @@ def test_exit_codes(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run(["inspect", "--tree", str(bad)]) in (1, 2)
+    bad.write_text('{"version": 1}')
+    assert run(["predict", "--tree", str(bad), "--state", "1,0"]) in (1, 2)
     capsys.readouterr()
 
 

@@ -6,15 +6,15 @@ from tripletree.errors import ParameterError
 from tripletree.impurity import ImpurityTriple
 
 from .conftest import synthetic_aug
-from .reference import (exhaustive_best_split, pairwise_deriv_impurity,
-                        pairwise_variance)
+from .reference import (exhaustive_best_split, gini, pairwise_deriv_impurity,
+                        pairwise_variance, partition_quality)
 
 
 def test_gini_examples():
-    assert imp.gini({"a": 10}) == 0.0
-    assert imp.gini({"a": 5, "b": 5}) == pytest.approx(0.5)
-    assert imp.gini({"a": 3, "b": 1}) == pytest.approx(0.375)
-    assert imp.gini({}) == 0.0
+    assert gini({"a": 10}) == 0.0
+    assert gini({"a": 5, "b": 5}) == pytest.approx(0.5)
+    assert gini({"a": 3, "b": 1}) == pytest.approx(0.375)
+    assert gini({}) == 0.0
 
 
 def test_variance_examples():
@@ -53,12 +53,12 @@ def test_zero_sigma_feature_dropped():
 
 
 def test_partition_quality_examples():
-    parent = imp.gini({"a": 2, "b": 2})
-    assert imp.partition_quality(parent, (0.0, 2), (0.0, 2)) == pytest.approx(0.5)
-    half = imp.gini({"a": 1, "b": 1})
-    assert imp.partition_quality(parent, (half, 2), (half, 2)) == pytest.approx(0.0)
+    parent = gini({"a": 2, "b": 2})
+    assert partition_quality(parent, (0.0, 2), (0.0, 2)) == pytest.approx(0.5)
+    half = gini({"a": 1, "b": 1})
+    assert partition_quality(parent, (half, 2), (half, 2)) == pytest.approx(0.0)
     pv = imp.variance([0.0, 0.0, 1.0, 1.0])
-    assert imp.partition_quality(pv, (0.0, 2), (0.0, 2)) == pytest.approx(0.25)
+    assert partition_quality(pv, (0.0, 2), (0.0, 2)) == pytest.approx(0.25)
 
 
 def test_hybrid_quality():
@@ -75,6 +75,12 @@ def test_hybrid_quality():
     root0 = ImpurityTriple(0.0, 2.0, 0.0)
     assert imp.hybrid_quality((1.0, 1.0, 1.0), root0, [1, 1, 1]) == \
         pytest.approx(0.5)
+    # arrays of candidates combine elementwise, like the scalars
+    q = (np.array([0.25, 0.5]), np.array([1.0, 2.0]), np.array([1.0, 4.0]))
+    got = imp.hybrid_quality(q, root, [0.2, 0.6, 0.2])
+    assert got.shape == (2,)
+    assert got[0] == imp.hybrid_quality((0.25, 1.0, 1.0), root, [0.2, 0.6, 0.2])
+    assert got[1] == imp.hybrid_quality((0.5, 2.0, 4.0), root, [0.2, 0.6, 0.2])
 
 
 def test_theta_validation():
@@ -183,7 +189,7 @@ def test_split_concavity_per_channel():
             counts = {}
             for lab in labels[ix]:
                 counts[lab] = counts.get(lab, 0) + 1
-            return imp.gini(counts)
+            return gini(counts)
 
         g = gini_of(np.arange(n))
         assert (gini_of(left) * cut + gini_of(right) * (n - cut)) / n <= g + 1e-12

@@ -1,12 +1,23 @@
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletree import dataset as ds
+from tripletree import impurity as imp
 from tripletree import tree as tr
 from tripletree.errors import ParameterError
+from tripletree.impurity import ImpurityTriple
 
 from .conftest import synthetic_aug
 from .reference import ReferenceActionTree
+
+ROAD_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
+                           "road_tree.sha256")
 
 
 def _labelled_aug(rng, n=80, d=2, classes=3):
@@ -294,15 +305,76 @@ def test_best_first_growth_is_prefix_consistent():
     assert large.split_log[:len(small.split_log)] == small.split_log
 
 
-def test_select_best_leaf_tie_breaks_by_creation_order():
-    rng = np.random.default_rng(14)
-    data = _labelled_aug(rng, n=60)
-    tree = tr.grow(data, [1, 1, 1], max_leaves=6)
-    chosen = tr.select_best_leaf(tree.leaves, tree.theta, tree.root_impurity)
-    priorities = {lid: tr.leaf_priority(leaf, tree.theta, tree.root_impurity)
-                  for lid, leaf in tree.leaves.items()}
-    best = max(priorities.values())
-    assert chosen == min(lid for lid, p in priorities.items() if p == best)
+def _reselect_split_log(data, theta, max_leaves, min_leaf):
+    """Growth with the selection rule spelled out: every step rescans all
+    leaves not yet found unsplittable and takes the first maximum priority
+    by leaf id."""
+    theta = np.asarray(theta, dtype=float)
+    roots = imp.node_impurity(data, np.arange(data.n)).as_array()
+
+    def priority(idx):
+        imps = imp.node_impurity(data, idx).as_array()
+        return idx.size * sum(theta[c] * imps[c] / roots[c]
+                              for c in range(3) if roots[c] > 0)
+
+    members = {0: np.arange(data.n)}
+    unsplittable, log, next_id = set(), [], 1
+    while len(members) < max_leaves:
+        best_id, best_p = None, -np.inf
+        for lid in sorted(members):
+            p = -np.inf if lid in unsplittable else priority(members[lid])
+            if p > best_p:
+                best_id, best_p = lid, p
+        if best_id is None or best_p <= 0:
+            break
+        cand = imp.best_split(data, members[best_id], ImpurityTriple(*roots),
+                              theta, min_leaf=min_leaf)
+        if cand is None:
+            unsplittable.add(best_id)
+            continue
+        del members[best_id]
+        members[next_id], members[next_id + 1] = cand.left_idx, cand.right_idx
+        log.append((best_id, cand.feature, cand.threshold))
+        next_id += 2
+    return log
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_growth_order_matches_brute_force_reselection(source):
+    # Copies of one block, shifted apart on feature 0.  With a return that is
+    # constant per copy, splitting the copies apart pays on the value channel
+    # and leaves each copy's leaves exactly tied with their twins; repeated
+    # labels and values tie leaves within a block too.
+    n = source.draw(st.integers(2, 10))
+
+    def draw_rows(elements, width=None):
+        row = elements if width is None else st.lists(elements, min_size=width,
+                                                      max_size=width)
+        return source.draw(st.lists(row, min_size=n, max_size=n))
+
+    d = source.draw(st.integers(1, 2))
+    copies = source.draw(st.sampled_from([1, 2, 2, 3, 4]))
+    small = st.integers(0, 3)
+    block = np.array(draw_rows(small, d), dtype=float)
+    shift = np.zeros(d)
+    shift[0] = 10.0
+    if source.draw(st.booleans()):
+        V = np.repeat(np.arange(copies), n)
+    else:
+        V = draw_rows(small) * copies
+    data = synthetic_aug(
+        states=np.concatenate([block + k * shift for k in range(copies)]),
+        actions=draw_rows(st.integers(0, 2)) * copies, V=V,
+        D=np.array(draw_rows(small, d) * copies, dtype=float),
+        has_deriv=draw_rows(st.booleans()) * copies)
+    theta = source.draw(st.sampled_from([(1, 1, 1), (0.2, 0.6, 0.2),
+                                         (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    max_leaves = source.draw(st.integers(3, 24))
+    min_leaf = source.draw(st.integers(1, 3))
+    tree = tr.grow(data, theta, max_leaves, min_leaf=min_leaf)
+    assert tree.split_log == _reselect_split_log(data, theta, max_leaves,
+                                                 min_leaf)
 
 
 def test_leaf_with_only_terminal_members_inherits_derivative():
@@ -329,6 +401,24 @@ def test_density_uses_range_clipped_volume():
     left = tree.leaves[tr.leaf_of(tree, [0.0, 0.0])]
     frac = (tau - data.feature_range[f, 0]) / widths[f]
     assert left.density == pytest.approx(left.n / frac)
+
+
+def road_tree_digests(aug) -> str:
+    """sha256 of a 60-leaf road fit's ``serialize()`` bytes and of the repr of
+    its growth loss rows, one ``<hex>  <what>`` line each."""
+    rows = []
+    tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=60,
+                  snapshot_cb=lambda t, n, losses: rows.append((n,) + losses))
+    assert tree.n_leaves == 60
+    return (f"{hashlib.sha256(tr.serialize(tree)).hexdigest()}  tree.json\n"
+            f"{hashlib.sha256(repr(rows).encode()).hexdigest()}  losses.repr\n")
+
+
+def test_road_fit_is_byte_identical_to_recorded_digest(road_fixture):
+    # the digest pins every float growth produces; tests/make_goldens.py
+    # rewrites it when a change to the outputs is intended
+    with open(ROAD_DIGEST) as fh:
+        assert road_tree_digests(road_fixture[3]) == fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +452,45 @@ def test_deserialize_rejects_bad_payloads():
         tr.deserialize(b"not json")
     with pytest.raises(ParameterError):
         tr.deserialize(b'{"version": 99, "meta": {}, "nodes": []}')
+
+
+def _mangled(edit):
+    """A valid three-leaf tree payload with ``edit`` applied to its JSON."""
+    rng = np.random.default_rng(30)
+    doc = json.loads(tr.serialize(tr.fit(_labelled_aug(rng, n=40), [1, 1, 1],
+                                         max_leaves=3)))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _set(path, value):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("payload", [
+    b'{"version": 1}',
+    _mangled(_set(["nodes", 0, "left"], 0)),      # split node points at itself
+    _mangled(_set(["nodes", 0, "right"], 99)),    # child out of range
+    _mangled(_set(["nodes", 0, "right"], -1)),
+    _mangled(_set(["nodes", 0, "f"], 7)),         # feature out of range
+    _mangled(_set(["nodes", 0, "tau"], "x")),     # ill-typed
+    _mangled(_set(["meta", "theta"], None)),
+    _mangled(_set(["nodes"], [])),
+    _mangled(lambda doc: doc["nodes"][0].pop("left")),
+    _mangled(lambda doc: doc["nodes"].append(doc["nodes"][-1])),  # unreachable
+    _mangled(lambda doc: doc["nodes"][-1]["leaf"].update(
+        id=doc["nodes"][-2]["leaf"]["id"])),                     # repeated id
+], ids=["version-only", "self-loop", "child-out-of-range", "negative-child",
+        "feature-out-of-range", "ill-typed-threshold", "ill-typed-meta",
+        "no-nodes", "missing-child", "unreachable-node", "repeated-leaf-id"])
+def test_deserialize_rejects_malformed_structure(payload):
+    with pytest.raises(ParameterError):
+        tr.deserialize(payload)
 
 
 def test_grow_respects_min_leaf_everywhere():
