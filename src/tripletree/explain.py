@@ -4,6 +4,11 @@ actions and value conditions, and temporal explanations of action changes.
 Counterfactual targets are chosen by a two-stage comparison over candidate
 points projected onto eligible leaf regions: fewest changed features first,
 then smallest range-normalised Euclidean change, then lowest leaf id.
+
+The candidate leaves' boxes are stacked into one (L, d) ``Box``, so each
+query projects onto all of them, and ranks them, in one array pass.  A
+temporal query then tests the ranked candidates for purity in order, each
+against every leaf box at once, and stops at the first pure one.
 """
 
 from __future__ import annotations
@@ -57,29 +62,29 @@ def _project_into_leaf(state, box: Box, feature_range) -> np.ndarray:
     """Projection that lands strictly inside the half-open leaf region.
 
     The upper side of a box is open, so a clamp onto it is nudged inward by
-    a sliver proportional to the feature's data range.
+    a sliver proportional to the feature's data range.  A stacked (L, d) box
+    gives the (L, d) projections onto each of its boxes.
     """
-    s = np.asarray(state, dtype=float).copy()
+    s = np.asarray(state, dtype=float)
     widths = feature_range[:, 1] - feature_range[:, 0]
-    for f in range(s.size):
-        if s[f] < box.lower[f]:
-            s[f] = box.lower[f]
-        elif s[f] >= box.upper[f] and np.isfinite(box.upper[f]):
-            eps = 1e-9 * (widths[f] if widths[f] > 0 else 1.0)
-            cand = box.upper[f] - eps
-            if cand >= box.upper[f]:
-                cand = np.nextafter(box.upper[f], -np.inf)
-            s[f] = max(cand, box.lower[f])
-    return s
+    eps = 1e-9 * np.where(widths > 0, widths, 1.0)
+    cand = box.upper - eps
+    cand = np.where(cand >= box.upper, np.nextafter(box.upper, -np.inf), cand)
+    nudged = np.where(box.lower > cand, box.lower, cand)
+    inside = np.where((s >= box.upper) & np.isfinite(box.upper), nudged, s)
+    return np.where(s < box.lower, box.lower, inside)
 
 
 def _change_metrics(state, point, feature_range):
+    """Changed-feature mask, changed count and range-normalised squared
+    change of a projected point, or of each row of stacked points."""
     state = np.asarray(state, dtype=float)
-    changed = np.nonzero(point != state)[0]
+    changed = point != state
     widths = feature_range[:, 1] - feature_range[:, 0]
     w = np.where(widths > 0, widths, 1.0)
     delta = (point - state) / w
-    return changed, int(changed.size), float(np.sum(delta * delta))
+    return changed, np.count_nonzero(changed, axis=-1), np.sum(delta * delta,
+                                                             axis=-1)
 
 
 def _changed_bounds(state, box: Box, changed) -> list:
@@ -100,18 +105,31 @@ def _actions_equal(a, b) -> bool:
     return a == b
 
 
+def _leaf_boxes(tree, ids):
+    """Sorted leaf ids as an array, and their boxes stacked in that order."""
+    ids = np.array(sorted(ids), dtype=np.int64)
+    return ids, Box.stack(tree.leaves[lid].box for lid in ids.tolist())
+
+
+def _ranked(tree, state, ids, boxes):
+    """Candidate order of the leaves ``ids`` with stacked ``boxes``: fewest
+    changed features, then smallest normalised L2 change, then lowest id.
+
+    Returns the order and each leaf's projected point and changed mask.
+    """
+    points = _project_into_leaf(state, boxes, tree.feature_range)
+    changed, l0, l2 = _change_metrics(state, points, tree.feature_range)
+    return np.lexsort((ids, l2, l0)), points, changed
+
+
 def _select_minimal(tree, state, eligible_ids):
-    """Lexicographic (changed count, normalised L2, leaf id) minimisation."""
+    """Lexicographic (changed count, normalised L2, leaf id) minimisation:
+    the winning leaf id, its projected point and its changed features."""
     state = np.asarray(state, dtype=float)
-    best = None
-    for lid in sorted(eligible_ids):
-        box = tree.leaves[lid].box
-        point = _project_into_leaf(state, box, tree.feature_range)
-        changed, l0, l2 = _change_metrics(state, point, tree.feature_range)
-        key = (l0, l2, lid)
-        if best is None or key < best[0]:
-            best = (key, lid, point, changed)
-    return best
+    ids, boxes = _leaf_boxes(tree, eligible_ids)
+    order, points, changed = _ranked(tree, state, ids, boxes)
+    i = order[0]
+    return int(ids[i]), points[i], np.nonzero(changed[i])[0]
 
 
 def counterfactual_action(tree: TripleTree, state, foil) -> Explanation:
@@ -125,7 +143,7 @@ def counterfactual_action(tree: TripleTree, state, foil) -> Explanation:
     if not eligible:
         return Explanation(kind="counterfactual_action", foil=foil,
                            query_action=pred, foil_unreachable=True)
-    _, lid, point, changed = _select_minimal(tree, state, eligible)
+    lid, point, changed = _select_minimal(tree, state, eligible)
     return Explanation(
         kind="counterfactual_action",
         bounds=_changed_bounds(state, tree.leaves[lid].box, changed),
@@ -151,17 +169,12 @@ def counterfactual_value(tree: TripleTree, state, condition) -> Explanation:
     if not eligible:
         return Explanation(kind="counterfactual_value", foil=(op, threshold),
                            query_action=pred, foil_unreachable=True)
-    _, lid, point, changed = _select_minimal(tree, state, eligible)
+    lid, point, changed = _select_minimal(tree, state, eligible)
     return Explanation(
         kind="counterfactual_value",
         bounds=_changed_bounds(state, tree.leaves[lid].box, changed),
         foil=(op, threshold), target_leaf=lid, foil_point=point,
         changed_features=[int(f) for f in changed], query_action=pred)
-
-
-def mbb_intersects(lo, hi, box: Box) -> bool:
-    """Whether the closed box [lo, hi] meets a half-open leaf region."""
-    return bool(np.all(lo < box.upper) and np.all(hi >= box.lower))
 
 
 def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
@@ -180,23 +193,20 @@ def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
     if _actions_equal(a_t, a_n):
         raise ParameterError("actions at s_t and s_next do not differ")
 
-    foil_ids = [lid for lid, leaf in tree.leaves.items()
-                if _actions_equal(leaf.action_pred, a_n)]
+    ids, boxes = _leaf_boxes(tree, tree.leaves)
+    is_foil = np.array([_actions_equal(tree.leaves[lid].action_pred, a_n)
+                        for lid in ids.tolist()])
+    foil_ids = ids[is_foil]
+    order, points, changed = _ranked(
+        tree, s_t, foil_ids, Box(boxes.lower[is_foil], boxes.upper[is_foil]))
+    # the first candidate in rank order whose box with s_next is pure wins
     best = None
-    for lid in sorted(foil_ids):
-        box = tree.leaves[lid].box
-        point = _project_into_leaf(s_t, box, tree.feature_range)
-        lo = np.minimum(point, s_next)
-        hi = np.maximum(point, s_next)
-        pure = all(_actions_equal(leaf.action_pred, a_n)
-                   for leaf in tree.leaves.values()
-                   if mbb_intersects(lo, hi, leaf.box))
-        if not pure:
-            continue
-        changed, l0, l2 = _change_metrics(s_t, point, tree.feature_range)
-        key = (l0, l2, lid)
-        if best is None or key < best[0]:
-            best = (key, lid, point, changed)
+    for i in order.tolist():
+        hit = boxes.meets(np.minimum(points[i], s_next),
+                          np.maximum(points[i], s_next))
+        if np.all(is_foil[hit]):
+            best = i
+            break
 
     if best is None:
         fallback = counterfactual_action(tree, s_t, a_n)
@@ -204,12 +214,12 @@ def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
         fallback.query_action = a_t
         fallback.unconstrained_fallback = True
         return fallback
-    _, lid, point, changed = best
+    lid, features = int(foil_ids[best]), np.nonzero(changed[best])[0]
     return Explanation(
         kind="temporal",
-        bounds=_changed_bounds(s_t, tree.leaves[lid].box, changed),
-        foil=a_n, target_leaf=lid, foil_point=point,
-        changed_features=[int(f) for f in changed], query_action=a_t)
+        bounds=_changed_bounds(s_t, tree.leaves[lid].box, features),
+        foil=a_n, target_leaf=lid, foil_point=points[best],
+        changed_features=[int(f) for f in features], query_action=a_t)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ piecewise-linear trajectories to per-leaf motion estimates.
 Edge costs are negative log probabilities, so an additive shortest path is
 the maximum-probability sequence.  Alignment runs projected gradient descent
 on interior polyline nodes, each constrained to the boundary face it was
-initialised on.
+initialised on.  Each descent step is one array pass over the (k, d)
+segments for the angles, objective and gradient, and one over the stacked
+face bounds for the projection; only the check that a node does not cross
+its face, which depends on the node before it, runs node by node.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +45,8 @@ class TrajectoryPath:
     objective: float | None = None
     objective_history: list | None = None  # accepted objective per iteration
     face_constraints: list | None = None   # per interior node: dict of face data
+    iterations: int | None = None   # accepted descent steps (not in to_json)
+    stop_reason: str | None = None  # tol | max_iters | no_descent
 
     def to_json(self) -> dict:
         return {
@@ -122,12 +128,13 @@ def zone_paths(graph: LeafGraph, start_zone: Box, end_zone: Box,
     """Most probable path for every (start, end) leaf pair intersecting the
     two zones, filtered by probability; sorted most probable first."""
     if np.any(start_zone.lower > start_zone.upper) or \
-            np.any(end_zone.lower > end_zone.upper):
-        return []  # a degenerate zone box contains nothing
-    starts = [lid for lid in graph.node_ids
-              if _zone_intersects(start_zone, graph.boxes[lid])]
-    ends = [lid for lid in graph.node_ids
-            if _zone_intersects(end_zone, graph.boxes[lid])]
+            np.any(end_zone.lower > end_zone.upper) or not graph.node_ids:
+        return []  # a degenerate zone box, or an empty graph, has no leaf
+    ids = np.array(graph.node_ids)
+    zones = Box.stack([start_zone, end_zone])
+    boxes = Box.stack(graph.boxes[lid] for lid in graph.node_ids)
+    hit = boxes.meets(zones.lower[:, None, :], zones.upper[:, None, :])
+    starts, ends = ids[hit[0]].tolist(), ids[hit[1]].tolist()
     paths = []
     for ls in starts:
         for le in ends:
@@ -136,11 +143,6 @@ def zone_paths(graph: LeafGraph, start_zone: Box, end_zone: Box,
                 paths.append(path)
     paths.sort(key=lambda p: (-p.probability, p.leaves[0], p.leaves[-1]))
     return paths
-
-
-def _zone_intersects(zone: Box, leaf_box: Box) -> bool:
-    return bool(np.all(zone.lower < leaf_box.upper)
-                and np.all(zone.upper >= leaf_box.lower))
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +156,6 @@ class _Face:
     lower: np.ndarray  # rectangle bounds; lower[feature] == upper[feature]
     upper: np.ndarray
     init: np.ndarray
-    visible_sign: float = 0.0
-
-    def project(self, p: np.ndarray) -> np.ndarray:
-        q = np.clip(p, self.lower, self.upper)
-        q[self.feature] = self.value
-        return q
 
 
 def _shared_face(a: Box, b: Box) -> _Face | None:
@@ -204,6 +200,56 @@ def _exit_face(a: Box, target: np.ndarray) -> _Face:
                  init=point)
 
 
+class _Angles(NamedTuple):
+    """Per-segment terms of the alignment objective at one set of nodes;
+    ``ok`` marks segments where neither the step nor the derivative is
+    zero, and the other arrays hold those segments only."""
+
+    ok: np.ndarray
+    u: np.ndarray
+    nu: np.ndarray
+    cos: np.ndarray
+    phi: np.ndarray
+
+
+def _angles(nodes, w, v, nv) -> _Angles:
+    """One array pass over the (k, d) segments of a polyline: each rescaled
+    step u, its norm, and its cosine and angle with the leaf derivative v.
+
+    ``np.vecdot`` reproduces ``np.dot`` and ``np.linalg.norm`` on each row
+    bit for bit, where ``einsum`` or ``(u * v).sum(1)`` round differently.
+    """
+    u = np.diff(nodes, axis=0) * w
+    nu = np.sqrt(np.vecdot(u, u))
+    ok = (nu != 0) & (nv != 0)
+    u, nu, nuv = u[ok], nu[ok], nu[ok] * nv[ok]
+    cos = np.clip(np.vecdot(u, v[ok]) / nuv, -1.0, 1.0)
+    return _Angles(ok, u, nu, cos, np.arccos(cos))
+
+
+def _objective(a: _Angles) -> float:
+    """Summed squared angles, added left to right as Python floats (``**``
+    is libm ``pow``, which can differ from ``phi * phi`` in the last bit)."""
+    total = 0.0
+    for phi in a.phi.tolist():
+        total += phi ** 2
+    return total
+
+
+def _gradient(a: _Angles, v, nv) -> np.ndarray:
+    """Objective gradient with respect to every node of the polyline."""
+    nuv = a.nu * nv[a.ok]
+    s = np.maximum(np.sqrt(np.maximum(1.0 - a.cos * a.cos, 0.0)), 1e-12)
+    du = np.zeros((a.ok.size, v.shape[1]))
+    du[a.ok] = -(2.0 * a.phi / s)[:, None] * (
+        v[a.ok] / nuv[:, None]
+        - a.cos[:, None] * a.u / (a.nu * a.nu)[:, None])
+    g = np.zeros((a.ok.size + 1, v.shape[1]))
+    g[1:] += du
+    g[:-1] -= du
+    return g
+
+
 def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
                step_size: float = 0.05, tol: float = 1e-8,
                endpoints=None) -> TrajectoryPath:
@@ -214,7 +260,9 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
     kept on that face throughout.  Gradient steps minimise the summed
     squared angle between each segment and its leaf's derivative, both
     rescaled by 1/sigma; a step that raises the objective is retried at half
-    size, so the accepted objective sequence never increases.
+    size, so the accepted objective sequence never increases.  The result
+    records the accepted steps (``iterations``) and why descent stopped
+    (``stop_reason``: ``tol``, ``max_iters`` or ``no_descent``).
     """
     seq = list(leaf_sequence)
     if any(l is END for l in seq):
@@ -234,10 +282,12 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
     p_start = (np.asarray(endpoints[0], dtype=float) if endpoints is not None
                else (boxes[0].lower + boxes[0].upper) / 2.0)
     if k == 1:
+        # no free node: the single point is already optimal
         return TrajectoryPath(leaves=seq, probability=prob,
                               expected_duration=dur,
                               nodes=p_start[None, :].copy(), objective=0.0,
-                              objective_history=[0.0], face_constraints=[])
+                              objective_history=[0.0], face_constraints=[],
+                              iterations=0, stop_reason="tol")
     p_end = (np.asarray(endpoints[1], dtype=float) if endpoints is not None
              else (boxes[-1].lower + boxes[-1].upper) / 2.0)
 
@@ -253,74 +303,50 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
     nodes[k] = p_end
     for j, face in enumerate(faces, start=1):
         nodes[j] = face.init
-    for j, face in enumerate(faces, start=1):
-        face.visible_sign = float(np.sign(nodes[j][face.feature]
-                                          - nodes[j - 1][face.feature]))
+    interior = np.arange(1, k)  # node j lies on faces[j - 1]
+    feat = np.array([f.feature for f in faces])
+    value = np.array([f.value for f in faces])
+    face_box = Box.stack(Box(f.lower, f.upper) for f in faces)
+    visible = np.sign(nodes[interior, feat] - nodes[interior - 1, feat])
 
     w = np.where(tree.sigma > 0, 1.0 / np.where(tree.sigma > 0, tree.sigma, 1.0),
                  0.0)
-    derivs = [tree.leaves[l].deriv_pred * w for l in seq]
+    v = np.stack([tree.leaves[l].deriv_pred * w for l in seq])
+    nv = np.sqrt(np.vecdot(v, v))
     sigma_back = np.where(tree.sigma > 0, tree.sigma, 0.0)
 
-    def angle_terms(ns):
-        total = 0.0
-        for j in range(1, k + 1):
-            u = (ns[j] - ns[j - 1]) * w
-            v = derivs[j - 1]
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            if nu == 0 or nv == 0:
-                continue
-            c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
-            total += float(np.arccos(c)) ** 2
-        return total
-
-    def gradients(ns):
-        g = np.zeros_like(ns)
-        for j in range(1, k + 1):
-            u = (ns[j] - ns[j - 1]) * w
-            v = derivs[j - 1]
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            if nu == 0 or nv == 0:
-                continue
-            c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
-            phi = float(np.arccos(c))
-            s = max(np.sqrt(max(1.0 - c * c, 0.0)), 1e-12)
-            du = -(2.0 * phi / s) * (v / (nu * nv) - c * u / (nu * nu))
-            g[j] += du
-            g[j - 1] -= du
-        return g
-
-    obj = angle_terms(nodes)
+    angles = _angles(nodes, w, v, nv)
+    obj = _objective(angles)
     history = [obj]
     step = float(step_size)
+    stop_reason = "max_iters"
     it = 0
     while it < max_iters:
         it += 1
-        grad = gradients(nodes)
+        grad = _gradient(angles, v, nv)[1:k]
         accepted = False
         trial_step = step
         for _ in range(40):
             trial = nodes.copy()
-            for j, face in enumerate(faces, start=1):
-                cand = nodes[j] - trial_step * grad[j] * sigma_back
-                cand = face.project(cand)
-                if face.visible_sign != 0:
-                    incoming = cand[face.feature] - trial[j - 1][face.feature]
-                    if incoming * face.visible_sign < 0:
-                        cand = nodes[j]  # reject: node would cross its face
-                trial[j] = cand
-            new_obj = angle_terms(trial)
+            trial[1:k] = np.clip(nodes[1:k] - trial_step * grad * sigma_back,
+                                 face_box.lower, face_box.upper)
+            trial[interior, feat] = value
+            _reject_crossings(trial, nodes, interior, feat, visible)
+            trial_angles = _angles(trial, w, v, nv)
+            new_obj = _objective(trial_angles)
             if new_obj <= obj:
                 accepted = True
                 break
             trial_step /= 2.0
         if not accepted:
+            stop_reason = "no_descent"
             break
         delta = obj - new_obj
-        nodes, obj = trial, new_obj
+        nodes, obj, angles = trial, new_obj, trial_angles
         history.append(obj)
         step = min(trial_step * 1.2, float(step_size))
         if delta < tol:
+            stop_reason = "tol"
             break
 
     return TrajectoryPath(
@@ -328,4 +354,23 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
         objective=obj, objective_history=history,
         face_constraints=[{"feature": f.feature, "value": f.value,
                            "lower": f.lower.copy(), "upper": f.upper.copy()}
-                          for f in faces])
+                          for f in faces],
+        iterations=len(history) - 1, stop_reason=stop_reason)
+
+
+def _reject_crossings(trial, nodes, interior, feat, visible) -> None:
+    """Put back, in place, each moved interior node that would cross its
+    face against the side it was first reached from.
+
+    Node j's crossing is measured from node j - 1 as it ends up, so the
+    rejections are decided one node after the other.
+    """
+    moved = (trial[interior, feat] - trial[interior - 1, feat]) * visible < 0
+    after_put_back = (trial[interior, feat]
+                      - nodes[interior - 1, feat]) * visible < 0
+    reject = False
+    for j, a, b in zip(interior.tolist(), moved.tolist(),
+                       after_put_back.tolist()):
+        reject = b if reject else a
+        if reject:
+            trial[j] = nodes[j]

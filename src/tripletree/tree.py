@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -29,7 +30,12 @@ SERIAL_VERSION = 1
 
 @dataclass
 class Box:
-    """Axis-aligned hyperrectangle, half-open: lower <= x < upper."""
+    """Axis-aligned hyperrectangle, half-open: lower <= x < upper.
+
+    ``lower`` and ``upper`` may also be (L, d) arrays, one row per box; the
+    queries that take a box then broadcast over the last axis and answer
+    for all L boxes at once.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -37,6 +43,19 @@ class Box:
     @classmethod
     def unbounded(cls, d: int) -> "Box":
         return cls(np.full(d, -np.inf), np.full(d, np.inf))
+
+    @classmethod
+    def stack(cls, boxes) -> "Box":
+        """The given single boxes as one (L, d) Box, in order."""
+        boxes = list(boxes)
+        return cls(np.array([b.lower for b in boxes]),
+                   np.array([b.upper for b in boxes]))
+
+    def meets(self, lo, hi):
+        """Whether the closed box [lo, hi] meets the half-open region; an
+        array over the leading axes when either side holds several boxes."""
+        return (np.all(lo < self.upper, axis=-1)
+                & np.all(hi >= self.lower, axis=-1))
 
     def contains(self, state) -> bool:
         s = np.asarray(state, dtype=float)
@@ -463,6 +482,7 @@ def deserialize(payload: bytes) -> TripleTree:
             if isinstance(doc, dict) else "corrupt tree payload")
     try:
         tree = _decode(doc)
+        _check_values(tree)
     except ParameterError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
@@ -531,6 +551,48 @@ def _decode(doc) -> TripleTree:
                                    left=int(entry["left"]),
                                    right=int(entry["right"])))
     return tree
+
+
+def _finite(*values) -> bool:
+    return bool(np.isfinite(np.concatenate(
+        [np.asarray(v, dtype=float).ravel() for v in values])).all())
+
+
+def _check_values(tree: TripleTree) -> None:
+    """Every number a query reads is finite (box sides may be infinite, but
+    not NaN), and each leaf's recorded transitions form a distribution over
+    leaves of the tree and episode end."""
+    if not _finite(tree.theta, tree.gamma, tree.sigma, tree.feature_range,
+                   tree.medians, tree.root_impurity.as_array(),
+                   [] if tree.action_sigma is None else tree.action_sigma):
+        raise ParameterError("tree payload meta holds a non-finite number")
+    if not _finite([node.threshold for node in tree.nodes
+                    if node.leaf_id is None]):
+        raise ParameterError("tree payload holds a non-finite threshold")
+    leaves = tree.ordered_leaves()
+    if not _finite([leaf.value_pred for leaf in leaves],
+                   [leaf.density for leaf in leaves],
+                   [(leaf.impurity.action, leaf.impurity.value,
+                     leaf.impurity.derivative) for leaf in leaves],
+                   [leaf.deriv_pred for leaf in leaves],
+                   [leaf.action_pred for leaf in leaves
+                    if not isinstance(leaf.action_pred, str)]) or \
+            np.isnan(np.concatenate([leaf.box.lower for leaf in leaves]
+                                    + [leaf.box.upper for leaf in leaves])).any():
+        raise ParameterError("tree payload leaf holds a non-finite number")
+    for leaf in leaves:
+        if not leaf.transitions:
+            continue  # absent or empty: no transition was observed
+        probs = [p for p, _ in leaf.transitions.values()]
+        if not all(map(math.isfinite, probs + [t for _, t in
+                                               leaf.transitions.values()])) \
+                or min(probs) < 0 or abs(math.fsum(probs) - 1.0) > 1e-9:
+            raise ParameterError(f"tree payload leaf {leaf.id} transition "
+                                 f"probabilities are not a distribution")
+        if any(dest is not None and dest not in tree.leaves
+               for dest in leaf.transitions):
+            raise ParameterError(f"tree payload leaf {leaf.id} has a "
+                                 f"transition to an unknown leaf")
 
 
 def _check_structure(tree: TripleTree) -> None:

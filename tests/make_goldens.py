@@ -9,6 +9,7 @@ from tripletree import viz
 from tripletree.viz import PlaneSpec
 
 from .conftest import road_setup
+from .test_queries import QUERY_DIGEST, road_query_digests
 from .test_tree import ROAD_DIGEST, road_tree_digests
 from .test_viz import GOLDEN_DIR, quad_tree
 
@@ -35,8 +36,11 @@ def main():
                                 {"title": "quiver"},
                                 overlays=overlay).encode())
 
+    aug = road_setup()[3]
     with open(ROAD_DIGEST, "w") as fh:
-        fh.write(road_tree_digests(road_setup()[3]))
+        fh.write(road_tree_digests(aug))
+    with open(QUERY_DIGEST, "w") as fh:
+        fh.write(road_query_digests(aug))
     print(f"goldens written to {GOLDEN_DIR}")
 
 

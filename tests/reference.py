@@ -220,3 +220,171 @@ def enumerate_simple_paths(edges, start, end):
         return [(1.0, [start])]
     walk(start, {start}, 1.0, [start])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Query-layer loops: one leaf, one feature or one segment at a time.  These
+# are the per-item forms of the array passes in ``explain`` and
+# ``trajectory``, kept as oracles that must agree with them bit for bit.
+# ---------------------------------------------------------------------------
+
+def same_action(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(np.asarray(a, dtype=float),
+                              np.asarray(b, dtype=float))
+    return a == b
+
+
+def project_into_leaf(state, box, feature_range):
+    """Clamp into the half-open box, nudging an upper-side clamp inward."""
+    s = np.asarray(state, dtype=float).copy()
+    widths = feature_range[:, 1] - feature_range[:, 0]
+    for f in range(s.size):
+        if s[f] < box.lower[f]:
+            s[f] = box.lower[f]
+        elif s[f] >= box.upper[f] and np.isfinite(box.upper[f]):
+            eps = 1e-9 * (widths[f] if widths[f] > 0 else 1.0)
+            cand = box.upper[f] - eps
+            if cand >= box.upper[f]:
+                cand = np.nextafter(box.upper[f], -np.inf)
+            s[f] = max(cand, box.lower[f])
+    return s
+
+
+def change_metrics(state, point, feature_range):
+    state = np.asarray(state, dtype=float)
+    changed = np.nonzero(point != state)[0]
+    widths = feature_range[:, 1] - feature_range[:, 0]
+    w = np.where(widths > 0, widths, 1.0)
+    delta = (point - state) / w
+    return changed, int(changed.size), float(np.sum(delta * delta))
+
+
+def select_minimal(tree, state, eligible_ids):
+    """(leaf id, point, changed features) minimising (changed count,
+    normalised L2, leaf id), one eligible leaf at a time."""
+    state = np.asarray(state, dtype=float)
+    best = None
+    for lid in sorted(eligible_ids):
+        point = project_into_leaf(state, tree.leaves[lid].box,
+                                  tree.feature_range)
+        changed, l0, l2 = change_metrics(state, point, tree.feature_range)
+        key = (l0, l2, lid)
+        if best is None or key < best[0]:
+            best = (key, lid, point, changed)
+    return None if best is None else best[1:]
+
+
+def temporal_choice(tree, s_t, s_next, foil):
+    """The minimal candidate whose bounding box with ``s_next`` meets only
+    leaves predicting ``foil``, tested leaf by leaf; None when none is."""
+    s_t = np.asarray(s_t, dtype=float)
+    s_next = np.asarray(s_next, dtype=float)
+    best = None
+    for lid in sorted(lid for lid, leaf in tree.leaves.items()
+                      if same_action(leaf.action_pred, foil)):
+        point = project_into_leaf(s_t, tree.leaves[lid].box,
+                                  tree.feature_range)
+        lo = np.minimum(point, s_next)
+        hi = np.maximum(point, s_next)
+        pure = all(same_action(leaf.action_pred, foil)
+                   for leaf in tree.leaves.values()
+                   if np.all(lo < leaf.box.upper)
+                   and np.all(hi >= leaf.box.lower))
+        if not pure:
+            continue
+        changed, l0, l2 = change_metrics(s_t, point, tree.feature_range)
+        key = (l0, l2, lid)
+        if best is None or key < best[0]:
+            best = (key, lid, point, changed)
+    return None if best is None else best[1:]
+
+
+def angle_objective(nodes, derivs, w):
+    """Summed squared angles between each segment, rescaled by ``w``, and
+    its leaf's (rescaled) derivative; zero-length segments and zero
+    derivatives add nothing."""
+    total = 0.0
+    for j in range(1, len(nodes)):
+        u = (nodes[j] - nodes[j - 1]) * w
+        v = derivs[j - 1]
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nu == 0 or nv == 0:
+            continue
+        c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
+        total += float(np.arccos(c)) ** 2
+    return total
+
+
+def angle_gradient(nodes, derivs, w):
+    """Gradient of ``angle_objective`` in the rescaled coordinates."""
+    g = np.zeros_like(nodes)
+    for j in range(1, len(nodes)):
+        u = (nodes[j] - nodes[j - 1]) * w
+        v = derivs[j - 1]
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nu == 0 or nv == 0:
+            continue
+        c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
+        phi = float(np.arccos(c))
+        s = max(np.sqrt(max(1.0 - c * c, 0.0)), 1e-12)
+        du = -(2.0 * phi / s) * (v / (nu * nv) - c * u / (nu * nu))
+        g[j] += du
+        g[j - 1] -= du
+    return g
+
+
+def reject_crossings(trial, nodes, feat, visible):
+    """Node j of ``trial`` put back to ``nodes[j]`` when it lies on the wrong
+    side of its face (feature ``feat[j - 1]``) as seen from node j - 1,
+    deciding one node after the other."""
+    trial = np.array(trial, dtype=float)
+    for j in range(1, len(trial) - 1):
+        f, sign = feat[j - 1], visible[j - 1]
+        if sign != 0 and (trial[j][f] - trial[j - 1][f]) * sign < 0:
+            trial[j] = nodes[j]
+    return trial
+
+
+def align_descent(nodes, faces, derivs, w, sigma_back, max_iters, step_size,
+                  tol):
+    """Projected gradient descent on the interior nodes, face by face.
+
+    ``faces`` are (feature, value, lower, upper) per interior node.  Returns
+    the final nodes, objective and accepted objective history.
+    """
+    nodes = np.array(nodes, dtype=float)
+    visible = [float(np.sign(nodes[j][f] - nodes[j - 1][f]))
+               for j, (f, _, _, _) in enumerate(faces, start=1)]
+
+    obj = angle_objective(nodes, derivs, w)
+    history = [obj]
+    step = float(step_size)
+    for _ in range(max_iters):
+        grad = angle_gradient(nodes, derivs, w)
+        accepted = False
+        trial_step = step
+        for _ in range(40):
+            trial = nodes.copy()
+            for j, (f, value, lo, hi) in enumerate(faces, start=1):
+                cand = nodes[j] - trial_step * grad[j] * sigma_back
+                cand = np.clip(cand, lo, hi)
+                cand[f] = value
+                sign = visible[j - 1]
+                if sign != 0 and (cand[f] - trial[j - 1][f]) * sign < 0:
+                    cand = nodes[j]
+                trial[j] = cand
+            new_obj = angle_objective(trial, derivs, w)
+            if new_obj <= obj:
+                accepted = True
+                break
+            trial_step /= 2.0
+        if not accepted:
+            break
+        delta = obj - new_obj
+        nodes, obj = trial, new_obj
+        history.append(obj)
+        step = min(trial_step * 1.2, float(step_size))
+        if delta < tol:
+            break
+    return nodes, obj, history

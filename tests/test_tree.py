@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -485,12 +486,75 @@ def _set(path, value):
     _mangled(lambda doc: doc["nodes"].append(doc["nodes"][-1])),  # unreachable
     _mangled(lambda doc: doc["nodes"][-1]["leaf"].update(
         id=doc["nodes"][-2]["leaf"]["id"])),                     # repeated id
+    _mangled(_set(["nodes", 0, "tau"], float("nan"))),
+    _mangled(_set(["nodes", 2, "tau"], float("inf"))),
+    _mangled(_set(["nodes", 1, "leaf", "preds", "value"], float("nan"))),
+    _mangled(_set(["nodes", 1, "leaf", "preds", "action"], float("inf"))),
+    _mangled(_set(["nodes", 1, "leaf", "preds", "deriv"], [float("-inf"), 0])),
+    _mangled(_set(["nodes", 1, "leaf", "impurity"], [0.5, float("nan"), 1])),
+    _mangled(_set(["nodes", 1, "leaf", "density"], float("inf"))),
+    _mangled(_set(["nodes", 1, "leaf", "box"], [[float("nan"), None],
+                                                [None, None]])),
+    _mangled(_set(["meta", "sigma"], [1.0, float("nan")])),
+    _mangled(_set(["nodes", 3, "leaf", "transitions"],
+                  [[1, -0.5, 1.0], [4, 1.5, 1.0]])),   # sums to 1
+    _mangled(_set(["nodes", 1, "leaf", "transitions"], [[4, 0.5, 1.0]])),
+    _mangled(_set(["nodes", 1, "leaf", "transitions"],
+                  [[4, 1.0, float("nan")]])),
+    _mangled(_set(["nodes", 1, "leaf", "transitions"], [[7, 1.0, 1.0]])),
 ], ids=["version-only", "self-loop", "child-out-of-range", "negative-child",
         "feature-out-of-range", "ill-typed-threshold", "ill-typed-meta",
-        "no-nodes", "missing-child", "unreachable-node", "repeated-leaf-id"])
+        "no-nodes", "missing-child", "unreachable-node", "repeated-leaf-id",
+        "nan-threshold", "inf-threshold", "nan-value", "inf-action",
+        "inf-deriv", "nan-impurity", "inf-density", "nan-box-side",
+        "nan-sigma", "negative-probability", "probabilities-sum-to-half",
+        "nan-duration", "transition-to-unknown-leaf"])
 def test_deserialize_rejects_malformed_structure(payload):
     with pytest.raises(ParameterError):
         tr.deserialize(payload)
+
+
+def test_deserialize_accepts_absent_and_empty_transitions():
+    for trans in (None, []):
+        tree = tr.deserialize(_mangled(
+            _set(["nodes", 1, "leaf", "transitions"], trans)))
+        assert tree.leaves[1].transitions == (None if trans is None else {})
+
+
+def _number_paths(node, path=()):
+    """Key paths of every number in a decoded JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in items:
+        yield from _number_paths(child, path + (key,))
+
+
+VALID_DOC = json.loads(_mangled(lambda doc: None))
+NUMBER_PATHS = list(_number_paths(VALID_DOC))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(path=st.sampled_from(NUMBER_PATHS),
+       value=st.sampled_from([float("nan"), float("inf"), -1]))
+def test_deserialize_of_one_bad_number_loads_or_raises_quickly(path, value):
+    doc = json.loads(json.dumps(VALID_DOC))
+    _set(list(path), value)(doc)
+    t0 = time.perf_counter()
+    try:
+        tree = tr.deserialize(json.dumps(doc).encode())
+    except ParameterError:
+        tree = None
+    if tree is not None:
+        # a loaded tree answers point queries without looping or raising
+        for leaf in tree.leaves.values():
+            tr.predict(tree, leaf.box.center(tree.feature_range))
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_grow_respects_min_leaf_everywhere():
