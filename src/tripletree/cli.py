@@ -263,6 +263,14 @@ def _path_doc(path: tj.TrajectoryPath | None):
     return None if path is None else path.to_json()
 
 
+def _overlays(paths) -> list:
+    """SVG overlays of the aligned paths' first two coordinates."""
+    return [{"type": "path",
+             "nodes": [[float(a), float(b)] for a, b in p.nodes[:, :2]],
+             "probability": p.probability}
+            for p in paths if p.nodes is not None]
+
+
 def cmd_simulate(args) -> int:
     tree = _load_tree(args.tree)
     graph = tj.build_leaf_graph(tree)
@@ -279,10 +287,7 @@ def cmd_simulate(args) -> int:
         if args.align:
             paths = [tj.align_path(tree, p.leaves, **align_opts) for p in paths]
         doc = {"paths": [_path_doc(p) for p in paths]}
-        overlays = [{"type": "path",
-                     "nodes": [[float(a), float(b)] for a, b in p.nodes[:, :2]],
-                     "probability": p.probability}
-                    for p in paths if p.nodes is not None]
+        overlays = _overlays(paths)
         print(f"{len(paths)} zone paths with probability >= {args.min_prob:g}")
     else:
         if args.start_leaf is not None:
@@ -305,11 +310,7 @@ def cmd_simulate(args) -> int:
             if args.align:
                 path = tj.align_path(tree, path.leaves, **align_opts)
             doc = {"path": _path_doc(path)}
-            if path.nodes is not None:
-                overlays = [{"type": "path",
-                             "nodes": [[float(a), float(b)]
-                                       for a, b in path.nodes[:, :2]],
-                             "probability": path.probability}]
+            overlays = _overlays([path])
             print(f"path {path.leaves} probability {path.probability:.4g} "
                   f"expected duration {path.expected_duration:.4g}")
     _write(args.out, _json_bytes(doc))

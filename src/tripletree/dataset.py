@@ -261,11 +261,8 @@ def _load_csv(text: str, action_kind: str | None) -> TraceDataset:
     m = len(action_cols)
     width = 3 + d + m + 1
 
-    episodes: list[Episode] = []
-    cur_ep = None
-    cur = None  # [states, actions, rewards, terminal]
-    prev_t = None
-    raw_actions: list = []
+    states, actions, rewards, starts, terminals = [], [], [], [], []
+    cur_ep = prev_t = None
     for idx, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -282,103 +279,28 @@ def _load_csv(text: str, action_kind: str | None) -> TraceDataset:
             raise TraceFormatError(f"row {idx}: {exc}") from None
         if term not in ("0", "1"):
             raise TraceFormatError(f"row {idx}: terminal flag must be 0 or 1")
-        a_raw = row[3 + d:3 + d + m]
         if cur_ep is None or ep_id != cur_ep:
             if cur_ep is not None and ep_id < cur_ep:
                 raise TraceFormatError(f"row {idx}: episodes out of order")
-            if cur is not None:
-                episodes.append(_finish_episode(cur))
-            cur_ep, cur, prev_t = ep_id, [[], [], [], False], None
             if t != 0:
                 raise TraceFormatError(f"row {idx}: episode {ep_id} must start at t=0")
-        elif prev_t is None or t != prev_t + 1:
+            cur_ep = ep_id
+            starts.append(len(states))
+            terminals.append(False)
+        elif t != prev_t + 1:
             raise TraceFormatError(f"row {idx}: non-consecutive t within episode {ep_id}")
         prev_t = t
-        cur[0].append(s)
-        cur[1].append(a_raw[0] if m == 1 else a_raw)
-        cur[2].append(r)
-        cur[3] = term == "1"
-        raw_actions.append((idx, a_raw))
-    if cur is not None:
-        episodes.append(_finish_episode(cur))
-    if not episodes:
+        states.append(s)
+        actions.append(row[3 + d] if m == 1 else row[3 + d:3 + d + m])
+        rewards.append(r)
+        terminals[-1] = term == "1"
+    if not states:
         raise TraceFormatError("CSV trace has no data rows")
-
-    kind, episodes = _resolve_actions(episodes, m, action_kind, raw_actions)
-    return TraceDataset(episodes=episodes, action_kind=kind,
-                        feature_names=feature_names)
-
-
-def _finish_episode(cur) -> Episode:
-    states, actions, rewards, terminal = cur
-    return Episode(states=np.asarray(states, dtype=float),
-                   actions=np.asarray(actions, dtype=object),
-                   rewards=np.asarray(rewards, dtype=float),
-                   terminal=terminal)
-
-
-def _resolve_actions(episodes, m, action_kind, raw_actions):
-    """Decide the action kind and coerce per-episode action arrays."""
-    if m > 1:
-        if action_kind not in (None, CONTINUOUS_VECTOR):
-            raise TraceFormatError(
-                f"multiple action columns are incompatible with {action_kind!r}")
-        out = []
-        for ep in episodes:
-            try:
-                acts = np.asarray([[float(v) for v in row] for row in ep.actions])
-            except (TypeError, ValueError):
-                bad = _first_bad_action(raw_actions)
-                raise TraceFormatError(
-                    f"row {bad}: vector action entries must be numeric") from None
-            out.append(Episode(ep.states, acts, ep.rewards, ep.terminal))
-        return CONTINUOUS_VECTOR, out
-
-    numeric = []
-    for ep in episodes:
-        flags = []
-        for a in ep.actions:
-            try:
-                float(a)
-                flags.append(True)
-            except (TypeError, ValueError):
-                flags.append(False)
-        numeric.append(flags)
-    all_numeric = all(all(f) for f in numeric)
-    any_numeric = any(any(f) for f in numeric)
-    if not all_numeric and any_numeric:
-        bad = _first_mixed_row(raw_actions)
-        raise TraceFormatError(
-            f"row {bad}: non-numeric action label mixed with numeric actions")
-
-    kind = action_kind or DISCRETE
-    if kind in (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR) and not all_numeric:
-        bad = _first_mixed_row(raw_actions)
-        raise TraceFormatError(f"row {bad}: continuous actions must be numeric")
-    out = []
-    for ep in episodes:
-        if all_numeric:
-            acts = np.asarray([float(a) for a in ep.actions])
-            if kind == CONTINUOUS_VECTOR:
-                acts = acts.reshape(-1, 1)
-        else:
-            acts = np.asarray([str(a) for a in ep.actions], dtype=object)
-        out.append(Episode(ep.states, acts, ep.rewards, ep.terminal))
-    return kind, out
-
-
-def _first_bad_action(raw_actions):
-    for idx, vals in raw_actions:
-        for v in vals:
-            try:
-                float(v)
-            except (TypeError, ValueError):
-                return idx
-    return "?"
-
-
-def _first_mixed_row(raw_actions):
-    return _first_bad_action(raw_actions)
+    # error messages name the file row of sample k, blank rows included
+    return _assemble(
+        states, actions, rewards, starts, terminals, m, action_kind,
+        feature_names,
+        lambda k: [i for i, row in enumerate(rows[1:], start=2) if row][k])
 
 
 def _load_json(text: str, action_kind: str | None) -> TraceDataset:
@@ -388,20 +310,17 @@ def _load_json(text: str, action_kind: str | None) -> TraceDataset:
         raise TraceFormatError(f"invalid JSON trace: {exc}") from None
     if not isinstance(payload, list) or not payload:
         raise TraceFormatError("JSON trace must be a non-empty array of episodes")
-    episodes = []
-    raw_actions = []
+    states, actions, rewards, starts, terminals = [], [], [], [], []
     d = None
     vector = None
-    row = 0
     for i, ep in enumerate(payload):
         if not isinstance(ep, dict) or "steps" not in ep:
             raise TraceFormatError(f"episode {i}: expected object with 'steps'")
         steps = ep["steps"]
         if not steps:
             raise TraceFormatError(f"episode {i} is empty")
-        states, actions, rewards = [], [], []
+        starts.append(len(states))
         for j, step in enumerate(steps):
-            row += 1
             try:
                 s = [float(v) for v in step["s"]]
                 r = float(step["r"])
@@ -421,22 +340,76 @@ def _load_json(text: str, action_kind: str | None) -> TraceDataset:
                 raise TraceFormatError(
                     f"episode {i} step {j}: mixed scalar and vector actions")
             states.append(s)
-            actions.append(list(a) if is_vec else a)
+            actions.append(a)
             rewards.append(r)
-            raw_actions.append((row, list(a) if is_vec else [a]))
-        episodes.append(Episode(np.asarray(states, dtype=float),
-                                np.asarray(actions, dtype=object),
-                                np.asarray(rewards, dtype=float),
-                                bool(ep.get("terminal", False))))
-    m = len(raw_actions[0][1]) if vector else 1
+        terminals.append(bool(ep.get("terminal", False)))
+    m = len(actions[0]) if vector else 1
     if vector:
-        for idx, vals in raw_actions:
-            if len(vals) != m:
+        for k, a in enumerate(actions):
+            if len(a) != m:
                 raise TraceFormatError(
-                    f"record {idx}: action vector length {len(vals)}, expected {m}")
-    kind, episodes = _resolve_actions(episodes, m, action_kind, raw_actions)
-    names = [f"f{k}" for k in range(d)]
-    return TraceDataset(episodes=episodes, action_kind=kind, feature_names=names)
+                    f"record {k + 1}: action vector length {len(a)}, expected {m}")
+        if m == 1:  # as a CSV with one a1 column
+            actions = [a[0] for a in actions]
+    return _assemble(states, actions, rewards, starts, terminals, m,
+                     action_kind, [f"f{k}" for k in range(d)], lambda k: k + 1)
+
+
+def _assemble(states, actions, rewards, starts, terminals, m, action_kind,
+              feature_names, row_of) -> TraceDataset:
+    """The validated dataset from flat per-sample columns, cut into episodes
+    at ``starts`` (each episode's first sample index).  ``m`` is the action
+    width (1 for scalar actions); ``row_of(k)`` names sample k's input row
+    in error messages."""
+    kind, actions = _parse_actions(actions, m, action_kind, row_of)
+    cuts = starts[1:]
+    episodes = [Episode(*parts) for parts in zip(
+        np.split(np.asarray(states, dtype=float), cuts),
+        np.split(actions, cuts),
+        np.split(np.asarray(rewards, dtype=float), cuts), terminals)]
+    return TraceDataset(episodes=episodes, action_kind=kind,
+                        feature_names=feature_names)
+
+
+def _numeric(value) -> bool:
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _parse_actions(raw, m, action_kind, row_of):
+    """Decide the action kind and parse the flat action column once: (n, m)
+    floats for several columns, else floats when every action is numeric
+    and string labels when none is."""
+    if m > 1:
+        if action_kind not in (None, CONTINUOUS_VECTOR):
+            raise TraceFormatError(
+                f"multiple action columns are incompatible with {action_kind!r}")
+        try:
+            return CONTINUOUS_VECTOR, np.array([[float(v) for v in a]
+                                                for a in raw])
+        except (TypeError, ValueError):
+            bad = next(k for k, a in enumerate(raw)
+                       if not all(map(_numeric, a)))
+            raise TraceFormatError(
+                f"row {row_of(bad)}: vector action entries must be numeric") from None
+
+    kind = action_kind or DISCRETE
+    try:
+        values = np.array([float(a) for a in raw])
+    except (TypeError, ValueError):
+        numeric = [_numeric(a) for a in raw]
+        bad = numeric.index(False)
+        if any(numeric):
+            raise TraceFormatError(f"row {row_of(bad)}: non-numeric action "
+                                   f"label mixed with numeric actions") from None
+        if kind in (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR):
+            raise TraceFormatError(
+                f"row {row_of(bad)}: continuous actions must be numeric") from None
+        return kind, np.array([str(a) for a in raw], dtype=object)
+    return kind, values.reshape(-1, 1) if kind == CONTINUOUS_VECTOR else values
 
 
 def trace_to_csv_bytes(data: TraceDataset) -> bytes:

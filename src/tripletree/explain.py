@@ -8,7 +8,10 @@ then smallest range-normalised Euclidean change, then lowest leaf id.
 The candidate leaves' boxes are stacked into one (L, d) ``Box``, so each
 query projects onto all of them, and ranks them, in one array pass.  A
 temporal query then tests the ranked candidates for purity in order, each
-against every leaf box at once, and stops at the first pure one.
+against every leaf box at once, and stops at the first pure one.  Leaf boxes
+partition the state space as ``leaf_of`` does (grown trees by construction,
+loaded trees by the check in ``deserialize``), so the successor's own leaf
+is always pure and a temporal rule is always the minimal one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class Explanation:
     changed_features: list = field(default_factory=list)
     query_action: object = None  # prediction at the query state
     foil_unreachable: bool = False
-    unconstrained_fallback: bool = False
+    unconstrained_fallback: bool = False  # always False; render_json emits it
 
 
 def factual(tree: TripleTree, state) -> Explanation:
@@ -132,6 +135,19 @@ def _select_minimal(tree, state, eligible_ids):
     return int(ids[i]), points[i], np.nonzero(changed[i])[0]
 
 
+def _counterfactual(kind, tree, state, pred, foil, eligible) -> Explanation:
+    """The minimal change of ``state`` into one of the ``eligible`` leaves,
+    or the foil marked unreachable when there is none."""
+    if not eligible:
+        return Explanation(kind=kind, foil=foil, query_action=pred,
+                           foil_unreachable=True)
+    lid, point, changed = _select_minimal(tree, state, eligible)
+    return Explanation(
+        kind=kind, bounds=_changed_bounds(state, tree.leaves[lid].box, changed),
+        foil=foil, target_leaf=lid, foil_point=point,
+        changed_features=[int(f) for f in changed], query_action=pred)
+
+
 def counterfactual_action(tree: TripleTree, state, foil) -> Explanation:
     """Minimal state change after which the model predicts the foil action."""
     state = np.asarray(state, dtype=float)
@@ -140,15 +156,8 @@ def counterfactual_action(tree: TripleTree, state, foil) -> Explanation:
         raise ParameterError("foil equals the predicted action at this state")
     eligible = [lid for lid, leaf in tree.leaves.items()
                 if _actions_equal(leaf.action_pred, foil)]
-    if not eligible:
-        return Explanation(kind="counterfactual_action", foil=foil,
-                           query_action=pred, foil_unreachable=True)
-    lid, point, changed = _select_minimal(tree, state, eligible)
-    return Explanation(
-        kind="counterfactual_action",
-        bounds=_changed_bounds(state, tree.leaves[lid].box, changed),
-        foil=foil, target_leaf=lid, foil_point=point,
-        changed_features=[int(f) for f in changed], query_action=pred)
+    return _counterfactual("counterfactual_action", tree, state, pred, foil,
+                           eligible)
 
 
 def counterfactual_value(tree: TripleTree, state, condition) -> Explanation:
@@ -160,21 +169,12 @@ def counterfactual_value(tree: TripleTree, state, condition) -> Explanation:
     threshold = float(threshold)
     state = np.asarray(state, dtype=float)
     pred = predict(tree, state).action
-    if op == "<=":
-        eligible = [lid for lid, leaf in tree.leaves.items()
-                    if leaf.value_pred <= threshold]
-    else:
-        eligible = [lid for lid, leaf in tree.leaves.items()
-                    if leaf.value_pred >= threshold]
-    if not eligible:
-        return Explanation(kind="counterfactual_value", foil=(op, threshold),
-                           query_action=pred, foil_unreachable=True)
-    lid, point, changed = _select_minimal(tree, state, eligible)
-    return Explanation(
-        kind="counterfactual_value",
-        bounds=_changed_bounds(state, tree.leaves[lid].box, changed),
-        foil=(op, threshold), target_leaf=lid, foil_point=point,
-        changed_features=[int(f) for f in changed], query_action=pred)
+    below = op == "<="
+    eligible = [lid for lid, leaf in tree.leaves.items()
+                if (leaf.value_pred <= threshold if below
+                    else leaf.value_pred >= threshold)]
+    return _counterfactual("counterfactual_value", tree, state, pred,
+                           (op, threshold), eligible)
 
 
 def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
@@ -182,9 +182,9 @@ def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
 
     Finds the minimal perturbation of ``s_t`` whose bounding box with
     ``s_next`` touches only leaves predicting the successor's action, so
-    the reported rule covers the whole transition.  Falls back to the plain
-    counterfactual, marked non-minimal, when no candidate satisfies that
-    constraint.
+    the reported rule covers the whole transition.  Such a perturbation
+    always exists: the projection into the successor's own leaf spans a box
+    inside that leaf, and leaf boxes do not overlap.
     """
     s_t = np.asarray(s_t, dtype=float)
     s_next = np.asarray(s_next, dtype=float)
@@ -200,20 +200,9 @@ def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
     order, points, changed = _ranked(
         tree, s_t, foil_ids, Box(boxes.lower[is_foil], boxes.upper[is_foil]))
     # the first candidate in rank order whose box with s_next is pure wins
-    best = None
-    for i in order.tolist():
-        hit = boxes.meets(np.minimum(points[i], s_next),
-                          np.maximum(points[i], s_next))
-        if np.all(is_foil[hit]):
-            best = i
-            break
-
-    if best is None:
-        fallback = counterfactual_action(tree, s_t, a_n)
-        fallback.kind = "temporal"
-        fallback.query_action = a_t
-        fallback.unconstrained_fallback = True
-        return fallback
+    best = next(i for i in order.tolist()
+                if np.all(is_foil[boxes.meets(np.minimum(points[i], s_next),
+                                              np.maximum(points[i], s_next))]))
     lid, features = int(foil_ids[best]), np.nonzero(changed[best])[0]
     return Explanation(
         kind="temporal",
@@ -273,12 +262,8 @@ def render_text(tree: TripleTree, expl: Explanation) -> str:
             return f"Value would {op} {v:g} with no change in state"
         return f"Value would {op} {v:g} if {conds}"
     if expl.kind == "temporal":
-        suffix = " (non-minimal)" if expl.unconstrained_fallback else ""
-        if expl.foil_unreachable:
-            return (f"Action changed {_fmt_value(expl.query_action)} -> "
-                    f"{_fmt_value(expl.foil)} (no explaining region found)")
         return (f"Action changed {_fmt_value(expl.query_action)} -> "
-                f"{_fmt_value(expl.foil)} because {conds}{suffix}")
+                f"{_fmt_value(expl.foil)} because {conds}")
     raise ParameterError(f"unknown explanation kind {expl.kind!r}")
 
 

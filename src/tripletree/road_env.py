@@ -103,10 +103,6 @@ class GridPolicy:
         i, j = self._nearest(state)
         return self.actions[int(self.action_idx[i, j])]
 
-    def value_at(self, state) -> float:
-        i, j = self._nearest(state)
-        return float(self.value[i, j])
-
     def to_json(self) -> dict:
         return {"pos_grid": [float(v) for v in self.pos_grid],
                 "speed_grid": [float(v) for v in self.speed_grid],

@@ -137,9 +137,6 @@ class TripleTree:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
-    def leaf(self, leaf_id: int) -> Leaf:
-        return self.leaves[leaf_id]
-
     def ordered_leaves(self) -> list:
         return [self.leaves[k] for k in sorted(self.leaves)]
 
@@ -402,10 +399,6 @@ def _losses(tree, sq, n, m):
 # Serialisation
 # ---------------------------------------------------------------------------
 
-def _num(x):
-    return None if x is None else float(x)
-
-
 def _side(v):
     return None if np.isinf(v) else float(v)
 
@@ -559,8 +552,8 @@ def _finite(*values) -> bool:
 
 
 def _check_values(tree: TripleTree) -> None:
-    """Every number a query reads is finite (box sides may be infinite, but
-    not NaN), and each leaf's recorded transitions form a distribution over
+    """Every number a query reads is finite (``_check_structure`` checks box
+    sides), and each leaf's recorded transitions form a distribution over
     leaves of the tree and episode end."""
     if not _finite(tree.theta, tree.gamma, tree.sigma, tree.feature_range,
                    tree.medians, tree.root_impurity.as_array(),
@@ -576,9 +569,7 @@ def _check_values(tree: TripleTree) -> None:
                      leaf.impurity.derivative) for leaf in leaves],
                    [leaf.deriv_pred for leaf in leaves],
                    [leaf.action_pred for leaf in leaves
-                    if not isinstance(leaf.action_pred, str)]) or \
-            np.isnan(np.concatenate([leaf.box.lower for leaf in leaves]
-                                    + [leaf.box.upper for leaf in leaves])).any():
+                    if not isinstance(leaf.action_pred, str)]):
         raise ParameterError("tree payload leaf holds a non-finite number")
     for leaf in leaves:
         if not leaf.transitions:
@@ -596,25 +587,38 @@ def _check_values(tree: TripleTree) -> None:
 
 
 def _check_structure(tree: TripleTree) -> None:
-    """Every node reached exactly once from node 0, and split nodes test a
-    feature the tree has, so queries cannot loop or index out of range."""
+    """Every node reached exactly once from node 0, split nodes test a
+    feature the tree has at a threshold inside their region, and each leaf's
+    box is the region its ancestors' thresholds cut out.  Queries then
+    cannot loop or index out of range, and the leaf boxes partition the
+    space exactly as ``leaf_of`` does."""
     if not tree.nodes:
         raise ParameterError("tree payload has no nodes")
     seen = [False] * len(tree.nodes)
-    stack = [0]
+    stack = [(0, Box.unbounded(tree.d))]
     while stack:
-        i = stack.pop()
+        i, box = stack.pop()
         if not 0 <= i < len(tree.nodes):
             raise ParameterError(f"tree payload child index {i} out of range")
         if seen[i]:
             raise ParameterError(f"tree payload node {i} is reached twice")
         seen[i] = True
         node = tree.nodes[i]
-        if node.leaf_id is None:
-            if not 0 <= node.feature < tree.d:
-                raise ParameterError(
-                    f"tree payload node {i} splits on feature {node.feature}")
-            stack += [node.right, node.left]
+        if node.leaf_id is not None:
+            leaf = tree.leaves[node.leaf_id]
+            if not (np.array_equal(leaf.box.lower, box.lower)
+                    and np.array_equal(leaf.box.upper, box.upper)):
+                raise ParameterError(f"tree payload leaf {leaf.id} box "
+                                     f"disagrees with its ancestors' thresholds")
+            continue
+        f = node.feature
+        if not 0 <= f < tree.d:
+            raise ParameterError(f"tree payload node {i} splits on feature {f}")
+        if not box.lower[f] < node.threshold < box.upper[f]:
+            raise ParameterError(
+                f"tree payload node {i} threshold lies outside its region")
+        left, right = box.split(f, node.threshold)
+        stack += [(node.right, right), (node.left, left)]
     if not all(seen):
         raise ParameterError(
             f"tree payload node {seen.index(False)} is unreachable")

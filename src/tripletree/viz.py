@@ -147,6 +147,13 @@ def resolve_fixed(tree: TripleTree, plane: PlaneSpec) -> dict:
     return fixed
 
 
+def _cut(tree: TripleTree, fixed: dict) -> list:
+    """Sorted ids of the leaves whose boxes hold every fixed off-plane value."""
+    return [lid for lid in sorted(tree.leaves)
+            if all(tree.leaves[lid].box.lower[f] <= v
+                   < tree.leaves[lid].box.upper[f] for f, v in fixed.items())]
+
+
 def ice_slice(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
     """Rectangles of every leaf cut by an axis-aligned planar cross-section.
 
@@ -156,11 +163,8 @@ def ice_slice(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
     plane.validate(tree)
     fixed = resolve_fixed(tree, plane)
     rects = []
-    for lid in sorted(tree.leaves):
+    for lid in _cut(tree, fixed):
         leaf = tree.leaves[lid]
-        if not all(leaf.box.lower[f] <= v < leaf.box.upper[f]
-                   for f, v in fixed.items()):
-            continue
         box = leaf.box.clipped(tree.feature_range)
         rects.append({
             "x0": float(box.lower[plane.f_x]), "x1": float(box.upper[plane.f_x]),
@@ -194,10 +198,7 @@ def quiver(tree: TripleTree, plane: PlaneSpec | None = None,
         plane.validate(tree)
         fx, fy = plane.f_x, plane.f_y
         fixed = resolve_fixed(tree, plane)
-        ids = [lid for lid in sorted(tree.leaves)
-               if all(tree.leaves[lid].box.lower[f] <= v
-                      < tree.leaves[lid].box.upper[f]
-                      for f, v in fixed.items())]
+        ids = _cut(tree, fixed)
     arrows = []
     for lid in ids:
         leaf = tree.leaves[lid]

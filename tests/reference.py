@@ -6,7 +6,15 @@ and direct formulas, deliberately avoiding the library's vectorised paths.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+
 import numpy as np
+
+from tripletree.dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
+                                Episode, TraceDataset)
+from tripletree.errors import TraceFormatError
 
 
 def pairwise_variance(values):
@@ -388,3 +396,211 @@ def align_descent(nodes, faces, derivs, w, sigma_back, max_iters, step_size,
         if delta < tol:
             break
     return nodes, obj, history
+
+
+# ---------------------------------------------------------------------------
+# Trace loaders: the per-episode CSV and JSON parsers that ``dataset`` used
+# before its one flat column assembler, kept verbatim (names made public) as
+# the oracle the assembler must agree with on every trace, errors included.
+# ---------------------------------------------------------------------------
+
+def load_csv(text: str, action_kind: str | None) -> TraceDataset:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise TraceFormatError("empty CSV trace")
+    header = rows[0]
+    if header[:3] != ["episode", "t", "terminal"] or not header or header[-1] != "r":
+        raise TraceFormatError(
+            "CSV header must be episode,t,terminal,<features>,<a or a1..am>,r")
+    middle = header[3:-1]
+    if "a" in middle:
+        a_start = middle.index("a")
+        action_cols = ["a"]
+    else:
+        a_start = next((i for i, name in enumerate(middle) if name == "a1"), len(middle))
+        action_cols = middle[a_start:]
+        if action_cols != [f"a{k}" for k in range(1, len(action_cols) + 1)]:
+            raise TraceFormatError("action columns must be named a, or a1..am")
+    feature_names = middle[:a_start]
+    if not feature_names:
+        raise TraceFormatError("CSV trace has no state feature columns")
+    d = len(feature_names)
+    m = len(action_cols)
+    width = 3 + d + m + 1
+
+    episodes: list[Episode] = []
+    cur_ep = None
+    cur = None  # [states, actions, rewards, terminal]
+    prev_t = None
+    raw_actions: list = []
+    for idx, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise TraceFormatError(
+                f"row {idx}: expected {width} fields, got {len(row)}")
+        try:
+            ep_id = int(row[0])
+            t = int(row[1])
+            term = row[2].strip()
+            s = [float(v) for v in row[3:3 + d]]
+            r = float(row[-1])
+        except ValueError as exc:
+            raise TraceFormatError(f"row {idx}: {exc}") from None
+        if term not in ("0", "1"):
+            raise TraceFormatError(f"row {idx}: terminal flag must be 0 or 1")
+        a_raw = row[3 + d:3 + d + m]
+        if cur_ep is None or ep_id != cur_ep:
+            if cur_ep is not None and ep_id < cur_ep:
+                raise TraceFormatError(f"row {idx}: episodes out of order")
+            if cur is not None:
+                episodes.append(finish_episode(cur))
+            cur_ep, cur, prev_t = ep_id, [[], [], [], False], None
+            if t != 0:
+                raise TraceFormatError(f"row {idx}: episode {ep_id} must start at t=0")
+        elif prev_t is None or t != prev_t + 1:
+            raise TraceFormatError(f"row {idx}: non-consecutive t within episode {ep_id}")
+        prev_t = t
+        cur[0].append(s)
+        cur[1].append(a_raw[0] if m == 1 else a_raw)
+        cur[2].append(r)
+        cur[3] = term == "1"
+        raw_actions.append((idx, a_raw))
+    if cur is not None:
+        episodes.append(finish_episode(cur))
+    if not episodes:
+        raise TraceFormatError("CSV trace has no data rows")
+
+    kind, episodes = resolve_actions(episodes, m, action_kind, raw_actions)
+    return TraceDataset(episodes=episodes, action_kind=kind,
+                        feature_names=feature_names)
+
+
+def finish_episode(cur) -> Episode:
+    states, actions, rewards, terminal = cur
+    return Episode(states=np.asarray(states, dtype=float),
+                   actions=np.asarray(actions, dtype=object),
+                   rewards=np.asarray(rewards, dtype=float),
+                   terminal=terminal)
+
+
+def resolve_actions(episodes, m, action_kind, raw_actions):
+    """Decide the action kind and coerce per-episode action arrays."""
+    if m > 1:
+        if action_kind not in (None, CONTINUOUS_VECTOR):
+            raise TraceFormatError(
+                f"multiple action columns are incompatible with {action_kind!r}")
+        out = []
+        for ep in episodes:
+            try:
+                acts = np.asarray([[float(v) for v in row] for row in ep.actions])
+            except (TypeError, ValueError):
+                bad = first_bad_action(raw_actions)
+                raise TraceFormatError(
+                    f"row {bad}: vector action entries must be numeric") from None
+            out.append(Episode(ep.states, acts, ep.rewards, ep.terminal))
+        return CONTINUOUS_VECTOR, out
+
+    numeric = []
+    for ep in episodes:
+        flags = []
+        for a in ep.actions:
+            try:
+                float(a)
+                flags.append(True)
+            except (TypeError, ValueError):
+                flags.append(False)
+        numeric.append(flags)
+    all_numeric = all(all(f) for f in numeric)
+    any_numeric = any(any(f) for f in numeric)
+    if not all_numeric and any_numeric:
+        bad = first_mixed_row(raw_actions)
+        raise TraceFormatError(
+            f"row {bad}: non-numeric action label mixed with numeric actions")
+
+    kind = action_kind or DISCRETE
+    if kind in (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR) and not all_numeric:
+        bad = first_mixed_row(raw_actions)
+        raise TraceFormatError(f"row {bad}: continuous actions must be numeric")
+    out = []
+    for ep in episodes:
+        if all_numeric:
+            acts = np.asarray([float(a) for a in ep.actions])
+            if kind == CONTINUOUS_VECTOR:
+                acts = acts.reshape(-1, 1)
+        else:
+            acts = np.asarray([str(a) for a in ep.actions], dtype=object)
+        out.append(Episode(ep.states, acts, ep.rewards, ep.terminal))
+    return kind, out
+
+
+def first_bad_action(raw_actions):
+    for idx, vals in raw_actions:
+        for v in vals:
+            try:
+                float(v)
+            except (TypeError, ValueError):
+                return idx
+    return "?"
+
+
+def first_mixed_row(raw_actions):
+    return first_bad_action(raw_actions)
+
+
+def load_json(text: str, action_kind: str | None) -> TraceDataset:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"invalid JSON trace: {exc}") from None
+    if not isinstance(payload, list) or not payload:
+        raise TraceFormatError("JSON trace must be a non-empty array of episodes")
+    episodes = []
+    raw_actions = []
+    d = None
+    vector = None
+    row = 0
+    for i, ep in enumerate(payload):
+        if not isinstance(ep, dict) or "steps" not in ep:
+            raise TraceFormatError(f"episode {i}: expected object with 'steps'")
+        steps = ep["steps"]
+        if not steps:
+            raise TraceFormatError(f"episode {i} is empty")
+        states, actions, rewards = [], [], []
+        for j, step in enumerate(steps):
+            row += 1
+            try:
+                s = [float(v) for v in step["s"]]
+                r = float(step["r"])
+                a = step["a"]
+            except (KeyError, TypeError, ValueError):
+                raise TraceFormatError(
+                    f"episode {i} step {j}: malformed step record") from None
+            if d is None:
+                d = len(s)
+            elif len(s) != d:
+                raise TraceFormatError(
+                    f"episode {i} step {j}: state has {len(s)} features, expected {d}")
+            is_vec = isinstance(a, (list, tuple))
+            if vector is None:
+                vector = is_vec
+            elif vector != is_vec:
+                raise TraceFormatError(
+                    f"episode {i} step {j}: mixed scalar and vector actions")
+            states.append(s)
+            actions.append(list(a) if is_vec else a)
+            rewards.append(r)
+            raw_actions.append((row, list(a) if is_vec else [a]))
+        episodes.append(Episode(np.asarray(states, dtype=float),
+                                np.asarray(actions, dtype=object),
+                                np.asarray(rewards, dtype=float),
+                                bool(ep.get("terminal", False))))
+    m = len(raw_actions[0][1]) if vector else 1
+    if vector:
+        for idx, vals in raw_actions:
+            if len(vals) != m:
+                raise TraceFormatError(
+                    f"record {idx}: action vector length {len(vals)}, expected {m}")
+    kind, episodes = resolve_actions(episodes, m, action_kind, raw_actions)
+    names = [f"f{k}" for k in range(d)]
+    return TraceDataset(episodes=episodes, action_kind=kind, feature_names=names)

@@ -1,10 +1,15 @@
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletree import dataset as ds
 from tripletree.errors import ParameterError, TraceFormatError
+
+from . import reference as ref
 
 CSV_ONE_EP = (b"episode,t,terminal,x,y,a,r\n"
               b"0,0,0,0.0,0.5,go,1.0\n"
@@ -97,6 +102,189 @@ def test_nonfinite_state_rejected():
                                  actions=np.array(["u"], dtype=object),
                                  rewards=np.zeros(1), terminal=True)],
             action_kind=ds.DISCRETE, feature_names=["x", "y"])
+
+
+def test_json_length_one_action_vectors_load_like_one_a1_column():
+    payload = (b'[{"terminal":true,"steps":['
+               b'{"s":[0.0],"a":[0.5],"r":1.0},'
+               b'{"s":[1.0],"a":[0.25],"r":0.5}]}]')
+    csv = (b"episode,t,terminal,f0,a1,r\n"
+           b"0,0,0,0.0,0.5,1.0\n"
+           b"0,1,1,1.0,0.25,0.5\n")
+    for kind in (None, ds.CONTINUOUS_VECTOR):
+        got = ds.load_trace(payload, "json", action_kind=kind)
+        want = ds.load_trace(csv, "csv", action_kind=kind)
+        assert got.action_kind == want.action_kind
+        assert got.episodes[0].actions.dtype == np.float64
+        assert np.array_equal(got.episodes[0].actions, want.episodes[0].actions)
+    assert ds.load_trace(payload, "json").episodes[0].actions.tolist() == \
+        [0.5, 0.25]
+    forced = ds.load_trace(payload, "json", action_kind=ds.CONTINUOUS_VECTOR)
+    assert forced.episodes[0].actions.shape == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# The flat column assembler against the per-episode reference loaders
+# ---------------------------------------------------------------------------
+
+KINDS = st.sampled_from([None, ds.DISCRETE, ds.CONTINUOUS_SCALAR,
+                         ds.CONTINUOUS_VECTOR, "bogus"])
+NUMBERS = ["0.5", "1", "-2", " 3 ", "1e3", "0"]
+LABELS = ["go", "stop", ""]
+ODD = ["nan", "inf", "x"]
+
+
+def _outcome(load, text, kind):
+    """What a loader makes of a trace: the dataset's kind, names, terminals
+    and array bytes and dtypes, or the type and message of its error."""
+    try:
+        data = load(text, kind)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc).__name__, str(exc)
+
+    def plain(a):
+        return (a.dtype.str, a.shape,
+                a.tolist() if a.dtype == object else a.tobytes())
+
+    return (data.action_kind, data.feature_names,
+            [(ep.terminal, plain(ep.states), plain(ep.actions),
+              plain(ep.rewards)) for ep in data.episodes])
+
+
+def _loaders(fmt):
+    new = lambda text, kind: ds.load_trace(text, fmt, action_kind=kind)
+    return new, (ref.load_csv if fmt == "csv" else ref.load_json)
+
+
+@st.composite
+def csv_traces(draw):
+    """CSV text with a random action style and up to two faults."""
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    a_cols = (["a"] if m == 1 and draw(st.booleans())
+              else [f"a{k}" for k in range(1, m + 1)])
+    pool = draw(st.sampled_from([NUMBERS, LABELS, NUMBERS + LABELS,
+                                 NUMBERS + ODD]))
+    value = st.sampled_from(NUMBERS + (["x", "nan"] if draw(st.integers(0, 3)) == 0
+                                       else []))
+    rows = []
+    for ep in range(draw(st.integers(1, 3))):
+        T = draw(st.integers(1, 4))
+        for t in range(T):
+            term = "1" if t == T - 1 and draw(st.booleans()) else "0"
+            rows.append([str(ep), str(t), term]
+                        + [draw(value) for _ in range(d)]
+                        + [draw(st.sampled_from(pool)) for _ in range(m)]
+                        + [draw(value)])
+    header = (["episode", "t", "terminal"] + [f"x{k}" for k in range(d)]
+              + a_cols + ["r"])
+    faults = draw(st.lists(st.sampled_from(
+        ["short-row", "bad-episode", "bad-t", "bad-terminal", "reorder",
+         "t-gap", "blank-row", "bad-header", "duplicate-row",
+         "early-terminal"]), max_size=2))
+    for fault in faults:
+        k = draw(st.sampled_from([i for i, row in enumerate(rows) if row]))
+        if fault == "short-row":
+            rows[k] = rows[k][:-1]
+        elif fault == "bad-episode":
+            rows[k][0] = "e"
+        elif fault == "bad-t":
+            rows[k][1] = "1.5"
+        elif fault == "bad-terminal":
+            rows[k][2] = "2"
+        elif fault == "early-terminal":  # only the last row's flag counts
+            rows[k][2] = "1"
+        elif fault == "reorder":
+            rows.insert(k, rows.pop(-1))
+        elif fault == "t-gap":
+            rows[k][1] = str(int(rows[k][1]) + 1) if rows[k][1].isdigit() \
+                else rows[k][1]
+        elif fault == "blank-row":
+            rows.insert(k, [])
+        elif fault == "bad-header":
+            header = header[:-1] + ["reward"]
+        else:
+            rows.insert(k, list(rows[k]))
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n", faults
+
+
+JSON_SCALARS = [0.5, 1, -2, "0.5", "go", "stop", None, True, "x"]
+
+
+@st.composite
+def json_traces(draw):
+    """JSON text with scalar or vector actions and up to two faults; also
+    the payload whose length-1 action vectors are unwrapped, or None."""
+    d = draw(st.integers(0, 2))
+    m = draw(st.sampled_from([None, 1, 2, 3]))  # None: scalar actions
+    pool = draw(st.sampled_from([JSON_SCALARS[:3], JSON_SCALARS[3:6],
+                                 JSON_SCALARS]))
+    scalar = st.sampled_from(pool)
+    action = scalar if m is None else st.lists(scalar, min_size=m,
+                                               max_size=m)
+    number = st.sampled_from([0.0, 1.5, -2, "3"])
+    payload = []
+    for _ in range(draw(st.integers(1, 3))):
+        steps = [{"s": [draw(number) for _ in range(d)], "a": draw(action),
+                  "r": draw(number)} for _ in range(draw(st.integers(1, 3)))]
+        episode = {"steps": steps}
+        if draw(st.booleans()):
+            episode["terminal"] = draw(st.booleans())
+        payload.append(episode)
+    faults = draw(st.lists(st.sampled_from(
+        ["scalar-among-vectors", "vector-among-scalars", "long-vector",
+         "short-state", "empty-episode", "no-steps", "missing-reward",
+         "string-state", "not-an-object"]), max_size=2))
+    for fault in faults:
+        ep = draw(st.sampled_from([e for e in payload if isinstance(e, dict)]))
+        step = ep["steps"][draw(st.integers(0, len(ep["steps"]) - 1))] \
+            if ep.get("steps") else {}
+        if fault == "scalar-among-vectors":
+            step["a"] = 0.5
+        elif fault == "vector-among-scalars":
+            step["a"] = [0.5, 0.5]
+        elif fault == "long-vector":
+            step["a"] = [0.5] * ((m or 1) + 1)
+        elif fault == "short-state":
+            step["s"] = [0.0] * (d + 1)
+        elif fault == "empty-episode":
+            ep["steps"] = []
+        elif fault == "no-steps":
+            ep.pop("steps", None)
+        elif fault == "missing-reward":
+            step.pop("r", None)
+        elif fault == "string-state":
+            step["s"] = "x"
+        else:
+            payload.insert(draw(st.integers(0, len(payload))), 7)
+    actions = [step.get("a") for ep in payload if isinstance(ep, dict)
+               for step in ep.get("steps") or []]
+    unwrapped = None
+    if all(isinstance(a, list) and len(a) == 1 for a in actions):
+        unwrapped = json.loads(json.dumps(payload))
+        for ep in unwrapped:
+            for step in ep.get("steps") or [] if isinstance(ep, dict) else []:
+                step["a"] = step["a"][0]
+        unwrapped = json.dumps(unwrapped)
+    return json.dumps(payload), unwrapped
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=csv_traces(), kind=KINDS)
+def test_csv_loader_matches_reference(case, kind):
+    text, _ = case
+    new, old = _loaders("csv")
+    assert _outcome(new, text, kind) == _outcome(old, text, kind)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=json_traces(), kind=KINDS)
+def test_json_loader_matches_reference(case, kind):
+    # the one declared difference: length-1 action vectors load as the
+    # reference loads the same trace with each vector's entry as a scalar
+    text, unwrapped = case
+    new, old = _loaders("json")
+    assert _outcome(new, text, kind) == _outcome(old, unwrapped or text, kind)
 
 
 # ---------------------------------------------------------------------------

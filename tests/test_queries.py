@@ -208,9 +208,7 @@ def test_temporal_equals_leaf_by_leaf_purity_loop(case):
         return
     got = ex.temporal(tree, s_t, s_next)
     want = ref.temporal_choice(tree, s_t, s_next, a_n)
-    if want is None:
-        assert got.unconstrained_fallback
-        return
+    assert want is not None  # the successor's own leaf is always pure
     lid, point, changed = want
     assert not got.unconstrained_fallback
     assert got.target_leaf == lid

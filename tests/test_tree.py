@@ -473,6 +473,16 @@ def _set(path, value):
     return edit
 
 
+def _outside_region(doc):
+    """Node 2 re-split on the root's feature below the root's threshold,
+    with leaf boxes cut from the thresholds as growth would cut them: an
+    empty left leaf and a right leaf whose box overstates its region."""
+    tau = doc["nodes"][0]["tau"]
+    doc["nodes"][2].update(f=1, tau=tau / 2)
+    doc["nodes"][3]["leaf"]["box"] = [[None, None], [tau, tau / 2]]
+    doc["nodes"][4]["leaf"]["box"] = [[None, None], [tau / 2, None]]
+
+
 @pytest.mark.parametrize("payload", [
     b'{"version": 1}',
     _mangled(_set(["nodes", 0, "left"], 0)),      # split node points at itself
@@ -502,13 +512,17 @@ def _set(path, value):
     _mangled(_set(["nodes", 1, "leaf", "transitions"],
                   [[4, 1.0, float("nan")]])),
     _mangled(_set(["nodes", 1, "leaf", "transitions"], [[7, 1.0, 1.0]])),
+    _mangled(_set(["nodes", 3, "leaf", "box", 0, 1], 0.5)),
+    _mangled(_set(["nodes", 2, "tau"], 0.5)),
+    _mangled(_outside_region),
 ], ids=["version-only", "self-loop", "child-out-of-range", "negative-child",
         "feature-out-of-range", "ill-typed-threshold", "ill-typed-meta",
         "no-nodes", "missing-child", "unreachable-node", "repeated-leaf-id",
         "nan-threshold", "inf-threshold", "nan-value", "inf-action",
         "inf-deriv", "nan-impurity", "inf-density", "nan-box-side",
         "nan-sigma", "negative-probability", "probabilities-sum-to-half",
-        "nan-duration", "transition-to-unknown-leaf"])
+        "nan-duration", "transition-to-unknown-leaf", "box-side-off-threshold",
+        "threshold-moved", "threshold-outside-region"])
 def test_deserialize_rejects_malformed_structure(payload):
     with pytest.raises(ParameterError):
         tr.deserialize(payload)
