@@ -223,7 +223,10 @@ def load_trace(source, format: str, action_kind: str | None = None) -> TraceData
     """
     raw = source.read() if hasattr(source, "read") else source
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"trace is not UTF-8 text: {exc}") from None
     if format == "csv":
         return _load_csv(raw, action_kind)
     if format == "json":
@@ -306,7 +309,7 @@ def _load_csv(text: str, action_kind: str | None) -> TraceDataset:
 def _load_json(text: str, action_kind: str | None) -> TraceDataset:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise TraceFormatError(f"invalid JSON trace: {exc}") from None
     if not isinstance(payload, list) or not payload:
         raise TraceFormatError("JSON trace must be a non-empty array of episodes")
@@ -317,6 +320,8 @@ def _load_json(text: str, action_kind: str | None) -> TraceDataset:
         if not isinstance(ep, dict) or "steps" not in ep:
             raise TraceFormatError(f"episode {i}: expected object with 'steps'")
         steps = ep["steps"]
+        if not isinstance(steps, list):
+            raise TraceFormatError(f"episode {i}: 'steps' must be an array")
         if not steps:
             raise TraceFormatError(f"episode {i} is empty")
         starts.append(len(states))
@@ -325,6 +330,12 @@ def _load_json(text: str, action_kind: str | None) -> TraceDataset:
                 s = [float(v) for v in step["s"]]
                 r = float(step["r"])
                 a = step["a"]
+                for v in a if isinstance(a, list) else [a]:
+                    if isinstance(v, int):
+                        float(v)  # an integer past the float range overflows
+            except OverflowError:
+                raise TraceFormatError(f"episode {i} step {j}: number "
+                                       f"outside the float range") from None
             except (KeyError, TypeError, ValueError):
                 raise TraceFormatError(
                     f"episode {i} step {j}: malformed step record") from None
@@ -344,6 +355,8 @@ def _load_json(text: str, action_kind: str | None) -> TraceDataset:
             rewards.append(r)
         terminals.append(bool(ep.get("terminal", False)))
     m = len(actions[0]) if vector else 1
+    if m == 0:
+        raise TraceFormatError("record 1: action vector is empty")
     if vector:
         for k, a in enumerate(actions):
             if len(a) != m:

@@ -5,13 +5,14 @@ Counterfactual targets are chosen by a two-stage comparison over candidate
 points projected onto eligible leaf regions: fewest changed features first,
 then smallest range-normalised Euclidean change, then lowest leaf id.
 
-The candidate leaves' boxes are stacked into one (L, d) ``Box``, so each
-query projects onto all of them, and ranks them, in one array pass.  A
-temporal query then tests the ranked candidates for purity in order, each
-against every leaf box at once, and stops at the first pure one.  Leaf boxes
-partition the state space as ``leaf_of`` does (grown trees by construction,
-loaded trees by the check in ``deserialize``), so the successor's own leaf
-is always pure and a temporal rule is always the minimal one.
+Every query reads the tree's leaf table (``TripleTree.table``): one mask
+over its rows picks the eligible leaves, and their stacked boxes are
+projected onto, and ranked, in one array pass.  A temporal query then tests
+the ranked candidates for purity in order, each against every leaf box at
+once, and stops at the first pure one.  Leaf boxes partition the state
+space as ``leaf_of`` does (grown trees by construction, loaded trees by the
+check in ``deserialize``), so the successor's own leaf is always pure and a
+temporal rule is always the minimal one.
 """
 
 from __future__ import annotations
@@ -101,63 +102,39 @@ def _changed_bounds(state, box: Box, changed) -> list:
     return bounds
 
 
-def _actions_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(np.asarray(a, dtype=float),
-                              np.asarray(b, dtype=float))
-    return a == b
+def _counterfactual(kind, tree, state, pred, foil, eligible,
+                    pure=lambda point: True) -> Explanation:
+    """The minimal change of ``state`` into a leaf of the ``eligible`` table
+    rows, or the foil marked unreachable when there is none.
 
-
-def _leaf_boxes(tree, ids):
-    """Sorted leaf ids as an array, and their boxes stacked in that order."""
-    ids = np.array(sorted(ids), dtype=np.int64)
-    return ids, Box.stack(tree.leaves[lid].box for lid in ids.tolist())
-
-
-def _ranked(tree, state, ids, boxes):
-    """Candidate order of the leaves ``ids`` with stacked ``boxes``: fewest
-    changed features, then smallest normalised L2 change, then lowest id.
-
-    Returns the order and each leaf's projected point and changed mask.
+    Candidates rank by fewest changed features, then smallest normalised L2
+    change, then lowest leaf id; the first whose projected point ``pure``
+    accepts wins.
     """
-    points = _project_into_leaf(state, boxes, tree.feature_range)
-    changed, l0, l2 = _change_metrics(state, points, tree.feature_range)
-    return np.lexsort((ids, l2, l0)), points, changed
-
-
-def _select_minimal(tree, state, eligible_ids):
-    """Lexicographic (changed count, normalised L2, leaf id) minimisation:
-    the winning leaf id, its projected point and its changed features."""
-    state = np.asarray(state, dtype=float)
-    ids, boxes = _leaf_boxes(tree, eligible_ids)
-    order, points, changed = _ranked(tree, state, ids, boxes)
-    i = order[0]
-    return int(ids[i]), points[i], np.nonzero(changed[i])[0]
-
-
-def _counterfactual(kind, tree, state, pred, foil, eligible) -> Explanation:
-    """The minimal change of ``state`` into one of the ``eligible`` leaves,
-    or the foil marked unreachable when there is none."""
-    if not eligible:
+    if not eligible.any():
         return Explanation(kind=kind, foil=foil, query_action=pred,
                            foil_unreachable=True)
-    lid, point, changed = _select_minimal(tree, state, eligible)
+    t = tree.table
+    ids = t.ids[eligible]
+    points = _project_into_leaf(state, t.box[eligible], tree.feature_range)
+    changed, l0, l2 = _change_metrics(state, points, tree.feature_range)
+    i = next(i for i in np.lexsort((ids, l2, l0)).tolist() if pure(points[i]))
+    lid, changed = int(ids[i]), np.nonzero(changed[i])[0]
     return Explanation(
         kind=kind, bounds=_changed_bounds(state, tree.leaves[lid].box, changed),
-        foil=foil, target_leaf=lid, foil_point=point,
+        foil=foil, target_leaf=lid, foil_point=points[i],
         changed_features=[int(f) for f in changed], query_action=pred)
 
 
 def counterfactual_action(tree: TripleTree, state, foil) -> Explanation:
     """Minimal state change after which the model predicts the foil action."""
     state = np.asarray(state, dtype=float)
-    pred = predict(tree, state).action
-    if _actions_equal(pred, foil):
+    lid = leaf_of(tree, state)
+    eligible = tree.table.predicts(foil)
+    if eligible[tree.table.rows(lid)]:
         raise ParameterError("foil equals the predicted action at this state")
-    eligible = [lid for lid, leaf in tree.leaves.items()
-                if _actions_equal(leaf.action_pred, foil)]
-    return _counterfactual("counterfactual_action", tree, state, pred, foil,
-                           eligible)
+    return _counterfactual("counterfactual_action", tree, state,
+                           tree.leaves[lid].action_pred, foil, eligible)
 
 
 def counterfactual_value(tree: TripleTree, state, condition) -> Explanation:
@@ -169,10 +146,8 @@ def counterfactual_value(tree: TripleTree, state, condition) -> Explanation:
     threshold = float(threshold)
     state = np.asarray(state, dtype=float)
     pred = predict(tree, state).action
-    below = op == "<="
-    eligible = [lid for lid, leaf in tree.leaves.items()
-                if (leaf.value_pred <= threshold if below
-                    else leaf.value_pred >= threshold)]
+    value = tree.table.value
+    eligible = value <= threshold if op == "<=" else value >= threshold
     return _counterfactual("counterfactual_value", tree, state, pred,
                            (op, threshold), eligible)
 
@@ -188,27 +163,16 @@ def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
     """
     s_t = np.asarray(s_t, dtype=float)
     s_next = np.asarray(s_next, dtype=float)
-    a_t = predict(tree, s_t).action
+    t = tree.table
+    lid_t = leaf_of(tree, s_t)
     a_n = predict(tree, s_next).action
-    if _actions_equal(a_t, a_n):
+    is_foil = t.predicts(a_n)
+    if is_foil[t.rows(lid_t)]:
         raise ParameterError("actions at s_t and s_next do not differ")
-
-    ids, boxes = _leaf_boxes(tree, tree.leaves)
-    is_foil = np.array([_actions_equal(tree.leaves[lid].action_pred, a_n)
-                        for lid in ids.tolist()])
-    foil_ids = ids[is_foil]
-    order, points, changed = _ranked(
-        tree, s_t, foil_ids, Box(boxes.lower[is_foil], boxes.upper[is_foil]))
-    # the first candidate in rank order whose box with s_next is pure wins
-    best = next(i for i in order.tolist()
-                if np.all(is_foil[boxes.meets(np.minimum(points[i], s_next),
-                                              np.maximum(points[i], s_next))]))
-    lid, features = int(foil_ids[best]), np.nonzero(changed[best])[0]
-    return Explanation(
-        kind="temporal",
-        bounds=_changed_bounds(s_t, tree.leaves[lid].box, features),
-        foil=a_n, target_leaf=lid, foil_point=points[best],
-        changed_features=[int(f) for f in features], query_action=a_t)
+    return _counterfactual(
+        "temporal", tree, s_t, tree.leaves[lid_t].action_pred, a_n, is_foil,
+        lambda p: np.all(is_foil[t.box.meets(np.minimum(p, s_next),
+                                             np.maximum(p, s_next))]))
 
 
 # ---------------------------------------------------------------------------

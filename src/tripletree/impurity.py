@@ -199,7 +199,8 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
             continue
 
         qa = _action_quality(data, sidx, pos, nl, nr, n)
-        qv = _moment_quality(data.V[sidx], pos, nl, nr, n)
+        qv = _vector_moment_quality(data.V[sidx][:, None], _UNIT, None, pos,
+                                    nl, nr)
         qd = _deriv_quality(data, sidx, pos)
 
         q_star = hybrid_quality((qa, qv, qd), root_impurity, theta)
@@ -218,17 +219,7 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
                           right_idx=np.sort(sidx[p + 1:]))
 
 
-def _moment_quality(v, pos, nl, nr, n):
-    """Variance-reduction quality at every candidate via prefix moments."""
-    c1 = np.cumsum(v)
-    c2 = np.cumsum(v * v)
-    s1l, s2l = c1[pos], c2[pos]
-    s1r, s2r = c1[-1] - s1l, c2[-1] - s2l
-    var_l = np.maximum(s2l / nl - (s1l / nl) ** 2, 0.0)
-    var_r = np.maximum(s2r / nr - (s1r / nr) ** 2, 0.0)
-    mean = c1[-1] / n
-    var_n = max(c2[-1] / n - mean * mean, 0.0)
-    return var_n - (var_l * nl + var_r * nr) / n
+_UNIT = np.ones(1)  # the sigma of a one-column channel
 
 
 def _action_quality(data, sidx, pos, nl, nr, n):
@@ -246,10 +237,10 @@ def _action_quality(data, sidx, pos, nl, nr, n):
         p = total / n
         gini_n = 1.0 - np.sum(p * p)
         return gini_n - (gini_l * nl + gini_r * nr) / n
-    if data.action_kind == CONTINUOUS_SCALAR:
-        return _moment_quality(data.actions[sidx], pos, nl, nr, n)
-    return _vector_moment_quality(data.actions[sidx], data.action_sigma,
-                                  None, pos, nl, nr)
+    return _vector_moment_quality(
+        data.actions[sidx].reshape(sidx.size, -1),
+        _UNIT if data.action_sigma is None else data.action_sigma,
+        None, pos, nl, nr)
 
 
 def _deriv_quality(data, sidx, pos):
@@ -260,6 +251,7 @@ def _deriv_quality(data, sidx, pos):
 
 def _vector_moment_quality(M, sigma, defined_mask, pos, nl, nr):
     """Quality on a vector channel: per-dim variances scaled by 1/sigma.
+    A scalar channel (value, scalar actions) is one column with sigma 1.
 
     When ``defined_mask`` is given, undefined rows are excluded from the
     moments and the per-side counts; the channel then weights sides by the

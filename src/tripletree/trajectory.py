@@ -2,12 +2,14 @@
 piecewise-linear trajectories to per-leaf motion estimates.
 
 Edge costs are negative log probabilities, so an additive shortest path is
-the maximum-probability sequence.  Alignment runs projected gradient descent
-on interior polyline nodes, each constrained to the boundary face it was
-initialised on.  Each descent step is one array pass over the (k, d)
-segments for the angles, objective and gradient, and one over the stacked
-face bounds for the projection; only the check that a node does not cross
-its face, which depends on the node before it, runs node by node.
+the maximum-probability sequence.  A leaf graph carries the tree's leaf
+table ids and stacked boxes, so ``zone_paths`` finds the leaves meeting a
+zone with one mask.  Alignment runs projected gradient descent on interior
+polyline nodes, each constrained to the boundary face it was initialised
+on.  Each descent step is one array pass over the (k, d) segments for the
+angles, objective and gradient, and one over the stacked face bounds for
+the projection; only the check that a node does not cross its face, which
+depends on the node before it, runs node by node.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ class LeafGraph:
     """Directed graph over leaf ids (plus the termination sink)."""
 
     edges: dict = field(default_factory=dict)  # src -> [(dest, p, t, cost), ...]
-    boxes: dict = field(default_factory=dict)  # leaf id -> Box
-    node_ids: list = field(default_factory=list)
+    node_ids: np.ndarray | list = field(default_factory=list)  # ascending
+    boxes: Box | None = None  # stacked leaf boxes, one row per node id
 
     def out_edges(self, src):
         return self.edges.get(src, [])
@@ -62,12 +64,9 @@ class TrajectoryPath:
 
 def build_leaf_graph(tree: TripleTree) -> LeafGraph:
     """One edge per recorded positive-probability transition; sink included."""
-    graph = LeafGraph()
-    graph.node_ids = sorted(tree.leaves)
-    for lid in graph.node_ids:
-        leaf = tree.leaves[lid]
-        graph.boxes[lid] = leaf.box
-        trans = leaf.transitions or {}
+    graph = LeafGraph(node_ids=tree.table.ids, boxes=tree.table.box)
+    for lid in graph.node_ids.tolist():
+        trans = tree.leaves[lid].transitions or {}
         out = []
         for dest in sorted(trans, key=lambda k: (k is END, k)):
             p, t = trans[dest]
@@ -128,13 +127,11 @@ def zone_paths(graph: LeafGraph, start_zone: Box, end_zone: Box,
     """Most probable path for every (start, end) leaf pair intersecting the
     two zones, filtered by probability; sorted most probable first."""
     if np.any(start_zone.lower > start_zone.upper) or \
-            np.any(end_zone.lower > end_zone.upper) or not graph.node_ids:
+            np.any(end_zone.lower > end_zone.upper) or \
+            len(graph.node_ids) == 0:
         return []  # a degenerate zone box, or an empty graph, has no leaf
-    ids = np.array(graph.node_ids)
-    zones = Box.stack([start_zone, end_zone])
-    boxes = Box.stack(graph.boxes[lid] for lid in graph.node_ids)
-    hit = boxes.meets(zones.lower[:, None, :], zones.upper[:, None, :])
-    starts, ends = ids[hit[0]].tolist(), ids[hit[1]].tolist()
+    starts, ends = (graph.node_ids[graph.boxes.meets(z.lower, z.upper)].tolist()
+                    for z in (start_zone, end_zone))
     paths = []
     for ls in starts:
         for le in ends:
@@ -306,7 +303,8 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
     interior = np.arange(1, k)  # node j lies on faces[j - 1]
     feat = np.array([f.feature for f in faces])
     value = np.array([f.value for f in faces])
-    face_box = Box.stack(Box(f.lower, f.upper) for f in faces)
+    face_box = Box(np.array([f.lower for f in faces]),
+                   np.array([f.upper for f in faces]))
     visible = np.sign(nodes[interior, feat] - nodes[interior - 1, feat])
 
     w = np.where(tree.sigma > 0, 1.0 / np.where(tree.sigma > 0, tree.sigma, 1.0),

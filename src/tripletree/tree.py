@@ -7,6 +7,11 @@ when a leaf is created; ties go to the earliest-created leaf).  It pops the
 best leaf and applies the best axis-aligned split found for it, stopping at
 the leaf budget or when no leaf admits a split with positive hybrid quality.
 After growth the tree is immutable and every query is read-only.
+
+Queries that scan every leaf read ``TripleTree.table``: the leaves in
+ascending id order as one structure of arrays (stacked boxes, value,
+derivative and action predictions), built once on first use, as
+scikit-learn's ``Tree`` keeps its nodes.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,12 +50,9 @@ class Box:
     def unbounded(cls, d: int) -> "Box":
         return cls(np.full(d, -np.inf), np.full(d, np.inf))
 
-    @classmethod
-    def stack(cls, boxes) -> "Box":
-        """The given single boxes as one (L, d) Box, in order."""
-        boxes = list(boxes)
-        return cls(np.array([b.lower for b in boxes]),
-                   np.array([b.upper for b in boxes]))
+    def __getitem__(self, rows) -> "Box":
+        """The boxes at ``rows`` of a stacked Box; one row is a single Box."""
+        return Box(self.lower[rows], self.upper[rows])
 
     def meets(self, lo, hi):
         """Whether the closed box [lo, hi] meets the half-open region; an
@@ -93,6 +96,32 @@ class Leaf:
     members: np.ndarray | None = None
     loss_terms: tuple | None = None  # growth only: NodeStats.loss_terms
     transitions: dict | None = None  # dest leaf id (None = episode end) -> (P, T)
+
+
+class LeafTable(NamedTuple):
+    """The leaves of a tree in ascending id order, one row per leaf."""
+
+    ids: np.ndarray     # (L,) int64, ascending
+    box: Box            # (L, d) stacked leaf boxes
+    value: np.ndarray   # (L,) value predictions
+    deriv: np.ndarray   # (L, d) derivative predictions
+    action: np.ndarray  # (L,) object labels or numbers; (L, m) float vectors
+
+    def rows(self, leaf_ids):
+        """Row index of each given leaf id (ids of the table's leaves)."""
+        return np.searchsorted(self.ids, leaf_ids)
+
+    def predicts(self, action) -> np.ndarray:
+        """Mask of the rows whose action prediction equals ``action``; a
+        vector matches only an equal vector of the same length."""
+        if self.action.ndim == 1:
+            foil = np.empty((), dtype=object)  # compared whole, not broadcast
+            foil[()] = action
+            return self.action == foil
+        foil = np.asarray(action, dtype=float)
+        if foil.shape != self.action.shape[1:]:
+            return np.zeros(self.ids.size, dtype=bool)
+        return np.all(self.action == foil, axis=1)
 
 
 class Prediction(NamedTuple):
@@ -139,6 +168,25 @@ class TripleTree:
 
     def ordered_leaves(self) -> list:
         return [self.leaves[k] for k in sorted(self.leaves)]
+
+    @cached_property
+    def table(self) -> LeafTable:
+        """The leaf table, built on first use; growth drops it per split."""
+        leaves = self.ordered_leaves()
+        table = LeafTable(
+            ids=np.array([leaf.id for leaf in leaves], dtype=np.int64),
+            box=Box(np.array([leaf.box.lower for leaf in leaves]),
+                    np.array([leaf.box.upper for leaf in leaves])),
+            value=np.array([leaf.value_pred for leaf in leaves], dtype=float),
+            deriv=np.array([leaf.deriv_pred for leaf in leaves], dtype=float),
+            action=(np.array([leaf.action_pred for leaf in leaves], dtype=float)
+                    if self.action_kind == CONTINUOUS_VECTOR else
+                    np.fromiter((leaf.action_pred for leaf in leaves),
+                                dtype=object, count=len(leaves))))
+        for column in (table.ids, table.box.lower, table.box.upper,
+                       table.value, table.deriv, table.action):
+            column.flags.writeable = False  # shared by every reader
+        return table
 
 
 def select_best_leaf(queue: list) -> int | None:
@@ -223,6 +271,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
         tree._leaf_node[left.id] = li
         tree._leaf_node[right.id] = ri
         tree.split_log.append((lid, cand.feature, cand.threshold))
+        tree.__dict__.pop("table", None)  # built before this split: stale
         next_id += 2
 
         sq = tuple(t - p + a + b for t, p, a, b in
@@ -358,24 +407,16 @@ def evaluate_losses(tree: TripleTree, data: AugmentedDataset):
     error on returns.  Derivative loss sums per-feature RMS error scaled by
     1/sigma over samples that have a derivative.
     """
-    assign = assign_leaves(tree, data.states)
-    ids = sorted(tree.leaves)
-    pos = {lid: k for k, lid in enumerate(ids)}
-    rows = np.array([pos[int(a)] for a in assign])
-    leaves = [tree.leaves[lid] for lid in ids]
-
+    t = tree.table
+    rows = t.rows(assign_leaves(tree, data.states))
     if tree.action_kind == DISCRETE:
-        preds = np.asarray([leaf.action_pred for leaf in leaves], dtype=object)
-        actual = np.asarray([a for a in data.actions], dtype=object)
-        a_sq = float(np.sum(preds[rows] != actual))
+        a_sq = float(np.sum(t.action[rows] != data.actions.astype(object)))
     else:
-        preds = np.array([leaf.action_pred for leaf in leaves], dtype=float)
-        a_sq = np.sum((preds[rows] - data.actions) ** 2, axis=0)
-    v_preds = np.array([leaf.value_pred for leaf in leaves])
-    v_sq = np.sum((v_preds[rows] - data.V) ** 2)
+        a_sq = np.sum((t.action.astype(float)[rows] - data.actions) ** 2,
+                      axis=0)
+    v_sq = np.sum((t.value[rows] - data.V) ** 2)
     mask = data.has_deriv
-    d_preds = np.stack([leaf.deriv_pred for leaf in leaves])
-    d_sq = np.sum((d_preds[rows[mask]] - data.D[mask]) ** 2, axis=0)
+    d_sq = np.sum((t.deriv[rows[mask]] - data.D[mask]) ** 2, axis=0)
     return _losses(tree, (a_sq, v_sq, d_sq), data.n, int(mask.sum()))
 
 
@@ -467,7 +508,7 @@ def deserialize(payload: bytes) -> TripleTree:
     try:
         doc = json.loads(payload.decode("utf-8") if isinstance(payload, bytes)
                          else payload)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
         raise ParameterError(f"corrupt tree payload: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != SERIAL_VERSION:
         raise ParameterError(
@@ -562,14 +603,12 @@ def _check_values(tree: TripleTree) -> None:
     if not _finite([node.threshold for node in tree.nodes
                     if node.leaf_id is None]):
         raise ParameterError("tree payload holds a non-finite threshold")
+    t = tree.table
     leaves = tree.ordered_leaves()
-    if not _finite([leaf.value_pred for leaf in leaves],
-                   [leaf.density for leaf in leaves],
-                   [(leaf.impurity.action, leaf.impurity.value,
-                     leaf.impurity.derivative) for leaf in leaves],
-                   [leaf.deriv_pred for leaf in leaves],
-                   [leaf.action_pred for leaf in leaves
-                    if not isinstance(leaf.action_pred, str)]):
+    if not _finite(t.value, t.deriv,
+                   [a for a in t.action if not isinstance(a, str)],
+                   [(leaf.density, leaf.impurity.action, leaf.impurity.value,
+                     leaf.impurity.derivative) for leaf in leaves]):
         raise ParameterError("tree payload leaf holds a non-finite number")
     for leaf in leaves:
         if not leaf.transitions:

@@ -2,7 +2,9 @@
 and a small deterministic SVG renderer.
 
 All operations return plain JSON-serialisable dicts; rendering is a separate
-step so the data can also feed external plotting tools.
+step so the data can also feed external plotting tools.  Slices pick the
+leaves they cut with one mask over the tree's stacked leaf boxes
+(``TripleTree.table``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .tree import TripleTree
+from .tree import Box, TripleTree
 
 SCALAR_ATTRIBUTES = ("action", "value", "action_impurity", "value_impurity",
                      "derivative_impurity", "density")
@@ -149,9 +151,9 @@ def resolve_fixed(tree: TripleTree, plane: PlaneSpec) -> dict:
 
 def _cut(tree: TripleTree, fixed: dict) -> list:
     """Sorted ids of the leaves whose boxes hold every fixed off-plane value."""
-    return [lid for lid in sorted(tree.leaves)
-            if all(tree.leaves[lid].box.lower[f] <= v
-                   < tree.leaves[lid].box.upper[f] for f, v in fixed.items())]
+    t, f = tree.table, list(fixed)
+    v = np.array(list(fixed.values()), dtype=float)
+    return t.ids[Box(t.box.lower[:, f], t.box.upper[:, f]).meets(v, v)].tolist()
 
 
 def ice_slice(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:

@@ -11,7 +11,7 @@ from tripletree.viz import PlaneSpec
 from .conftest import road_setup
 from .test_queries import QUERY_DIGEST, road_query_digests
 from .test_tree import ROAD_DIGEST, road_tree_digests
-from .test_viz import GOLDEN_DIR, quad_tree
+from .test_viz import GOLDEN_DIR, VIEW_DIGEST, quad_tree, road_view_digests
 
 
 def main():
@@ -41,6 +41,8 @@ def main():
         fh.write(road_tree_digests(aug))
     with open(QUERY_DIGEST, "w") as fh:
         fh.write(road_query_digests(aug))
+    with open(VIEW_DIGEST, "w") as fh:
+        fh.write(road_view_digests(aug))
     print(f"goldens written to {GOLDEN_DIR}")
 
 

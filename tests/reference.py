@@ -243,6 +243,12 @@ def same_action(a, b) -> bool:
     return a == b
 
 
+def foil_leaves(tree, foil):
+    """Ids of the leaves predicting ``foil``, one leaf at a time."""
+    return [lid for lid, leaf in tree.leaves.items()
+            if same_action(leaf.action_pred, foil)]
+
+
 def project_into_leaf(state, box, feature_range):
     """Clamp into the half-open box, nudging an upper-side clamp inward."""
     s = np.asarray(state, dtype=float).copy()

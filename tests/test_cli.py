@@ -6,6 +6,8 @@ import pytest
 from tripletree import cli
 from tripletree import tree as tr
 
+from .test_dataset import BAD_TRACES
+
 ROAD_FLAGS = ["--r-left", "-100", "--r-right", "-100", "--r-speed", "1",
               "--grid", "12,12", "--tol", "1e-5"]
 
@@ -189,6 +191,23 @@ def test_exit_codes(workspace, tmp_path, capsys):
     bad.write_text('{"version": 1}')
     assert run(["predict", "--tree", str(bad), "--state", "1,0"]) in (1, 2)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TRACES) + ["empty-vectors",
+                                                      "non-utf8"])
+def test_fit_on_a_faulty_trace_prints_one_data_error_line(name, tmp_path,
+                                                          capsys):
+    payload = (BAD_TRACES[name][0].encode() if name in BAD_TRACES else
+               b'[{"steps": [{"s": [0], "a": [], "r": 0}]}]'
+               if name == "empty-vectors" else b"\xff")
+    data = tmp_path / "trace.json"
+    data.write_bytes(payload)
+    capsys.readouterr()
+    assert run(["fit", "--data", str(data), "--gamma", "0.9", "--theta",
+                "1,1,1", "--max-leaves", "4",
+                "--out", str(tmp_path / "t.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 def test_output_dir_env_var(workspace, tmp_path, monkeypatch):

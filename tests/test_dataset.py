@@ -95,6 +95,55 @@ def test_state_feature_mismatch_in_json():
         ds.load_trace(payload, "json")
 
 
+BIG = "1" * 400  # an integer literal past the float range
+STEP = '{"s": [0.0], "a": 1, "r": 0.0}'
+# trace inputs that once ended in a traceback, with the message each gets now
+BAD_TRACES = {
+    "steps-int": ('[{"steps": 5}]', "episode 0: 'steps' must be an array"),
+    "steps-true": (f'[{{"steps": [{STEP}]}}, {{"steps": true}}]',
+                   "episode 1: 'steps' must be an array"),
+    "huge-state": (
+        f'[{{"steps": [{STEP}, {{"s": [{BIG}], "a": 1, "r": 0}}]}}]',
+        "episode 0 step 1: number outside the float range"),
+    "huge-reward": (f'[{{"steps": [{STEP}]}}, {{"steps": [{STEP}, '
+                    f'{{"s": [0], "a": 1, "r": -{BIG}}}]}}]',
+                    "episode 1 step 1: number outside the float range"),
+    "huge-action": (f'[{{"steps": [{{"s": [0], "a": {BIG}, "r": 0}}]}}]',
+                    "episode 0 step 0: number outside the float range"),
+    "huge-vector-action": (
+        f'[{{"steps": [{{"s": [0], "a": [0, 1], "r": 0}}, '
+        f'{{"s": [0], "a": [0, {BIG}], "r": 0}}]}}]',
+        "episode 0 step 1: number outside the float range"),
+    "past-digit-limit": ("[" + "1" * 5000 + "]", "invalid JSON trace: "),
+    "deep-nesting": ("[" * 100000 + "]" * 100000, "invalid JSON trace: "),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TRACES)
+def test_json_trace_faults_are_trace_format_errors(name):
+    payload, message = BAD_TRACES[name]
+    for kind in (None, ds.DISCRETE, ds.CONTINUOUS_SCALAR,
+                 ds.CONTINUOUS_VECTOR):
+        with pytest.raises(TraceFormatError) as err:
+            ds.load_trace(payload, "json", action_kind=kind)
+        assert str(err.value).startswith(message)
+
+
+def test_all_empty_json_action_vectors_rejected_for_every_kind():
+    payload = ('[{"steps": [{"s": [0], "a": [], "r": 0}]}, '
+               '{"steps": [{"s": [1], "a": [], "r": 0}]}]')
+    for kind in (None, ds.DISCRETE, ds.CONTINUOUS_SCALAR,
+                 ds.CONTINUOUS_VECTOR):
+        with pytest.raises(TraceFormatError,
+                           match="^record 1: action vector is empty$"):
+            ds.load_trace(payload, "json", action_kind=kind)
+
+
+def test_non_utf8_trace_is_a_trace_format_error():
+    with pytest.raises(TraceFormatError, match="^trace is not UTF-8 text"):
+        ds.load_trace(CSV_ONE_EP.replace(b"go", b"g\xff"), "csv")
+
+
 def test_nonfinite_state_rejected():
     with pytest.raises(TraceFormatError, match="non-finite"):
         ds.TraceDataset(

@@ -166,9 +166,7 @@ def _same_bytes(a, b) -> bool:
 def test_projection_and_selection_equal_per_leaf_loop(case):
     tree, state = case
     ids = sorted(tree.leaves)
-    stacked = ex._project_into_leaf(
-        state, tr.Box.stack(tree.leaves[i].box for i in ids),
-        tree.feature_range)
+    stacked = ex._project_into_leaf(state, tree.table.box, tree.feature_range)
     for row, lid in zip(stacked, ids):
         box = tree.leaves[lid].box
         want = ref.project_into_leaf(state, box, tree.feature_range)
@@ -178,12 +176,18 @@ def test_projection_and_selection_equal_per_leaf_loop(case):
     eligible = [lid for lid in ids if tree.leaves[lid].action_pred == "b"]
     if not eligible:
         return
-    lid, point, changed = ex._select_minimal(tree, state, eligible)
+    got = _minimal_b(tree, state)
     want_lid, want_point, want_changed = ref.select_minimal(tree, state,
                                                             eligible)
-    assert lid == want_lid
-    assert _same_bytes(point, want_point)
-    assert _same_bytes(changed, want_changed)
+    assert got.target_leaf == want_lid
+    assert _same_bytes(got.foil_point, want_point)
+    assert got.changed_features == want_changed.tolist()
+
+
+def _minimal_b(tree, state):
+    """The minimal change of ``state`` into a leaf predicting "b"."""
+    return ex._counterfactual("counterfactual_action", tree, state, None, "b",
+                              tree.table.predicts("b"))
 
 
 def test_tie_case_is_a_tie_won_by_the_lower_id():
@@ -194,7 +198,7 @@ def test_tie_case_is_a_tie_won_by_the_lower_id():
                                       tree.feature_range)
         keys.append(ref.change_metrics(state, point, tree.feature_range)[1:])
     assert keys[0] == keys[1]
-    assert ex._select_minimal(tree, state, [2, 1])[0] == 1
+    assert _minimal_b(tree, state).target_leaf == 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

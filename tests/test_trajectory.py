@@ -11,7 +11,7 @@ from .conftest import build_tree, random_tree
 from .reference import enumerate_simple_paths
 
 
-def make_graph(edge_probs, boxes=None):
+def make_graph(edge_probs):
     g = LeafGraph()
     nodes = set(edge_probs)
     for outs in edge_probs.values():
@@ -20,8 +20,6 @@ def make_graph(edge_probs, boxes=None):
     for src, outs in edge_probs.items():
         ordered = sorted(outs, key=lambda e: (e[0] is None, e[0]))
         g.edges[src] = [(dest, p, 1.0, -math.log(p)) for dest, p in ordered]
-    if boxes:
-        g.boxes = boxes
     return g
 
 
@@ -65,7 +63,11 @@ def test_build_leaf_graph_from_transitions():
     assert graph.edges[0] == [(1, 1.0, 1.0, 0.0)]
     assert graph.edges[1] == [(2, 1.0, 1.0, 0.0)]
     assert 2 not in graph.edges
-    assert set(graph.boxes) == {0, 1, 2}
+    assert graph.node_ids.tolist() == [0, 1, 2]
+    for row, lid in enumerate(graph.node_ids.tolist()):
+        box = tree.leaves[lid].box
+        assert np.array_equal(graph.boxes.lower[row], box.lower)
+        assert np.array_equal(graph.boxes.upper[row], box.upper)
 
 
 def test_graph_without_transitions_is_edgeless():

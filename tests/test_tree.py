@@ -14,7 +14,8 @@ from tripletree import tree as tr
 from tripletree.errors import ParameterError
 from tripletree.impurity import ImpurityTriple
 
-from .conftest import synthetic_aug
+from . import reference as ref
+from .conftest import random_tree, synthetic_aug
 from .reference import ReferenceActionTree
 
 ROAD_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
@@ -515,6 +516,8 @@ def _outside_region(doc):
     _mangled(_set(["nodes", 3, "leaf", "box", 0, 1], 0.5)),
     _mangled(_set(["nodes", 2, "tau"], 0.5)),
     _mangled(_outside_region),
+    b'{"version": 1, "meta": ' + b"1" * 5000 + b"}",
+    b"[" * 100000 + b"]" * 100000,
 ], ids=["version-only", "self-loop", "child-out-of-range", "negative-child",
         "feature-out-of-range", "ill-typed-threshold", "ill-typed-meta",
         "no-nodes", "missing-child", "unreachable-node", "repeated-leaf-id",
@@ -522,7 +525,8 @@ def _outside_region(doc):
         "inf-deriv", "nan-impurity", "inf-density", "nan-box-side",
         "nan-sigma", "negative-probability", "probabilities-sum-to-half",
         "nan-duration", "transition-to-unknown-leaf", "box-side-off-threshold",
-        "threshold-moved", "threshold-outside-region"])
+        "threshold-moved", "threshold-outside-region",
+        "integer-past-digit-limit", "deep-nesting"])
 def test_deserialize_rejects_malformed_structure(payload):
     with pytest.raises(ParameterError):
         tr.deserialize(payload)
@@ -599,3 +603,66 @@ def test_constant_feature_is_never_split_and_density_is_finite():
     tree = tr.grow(data, [1, 1, 0], max_leaves=8)
     assert all(f == 0 for _, f, _ in tree.split_log)
     assert all(np.isfinite(leaf.density) for leaf in tree.leaves.values())
+
+
+# ---------------------------------------------------------------------------
+# The leaf table
+# ---------------------------------------------------------------------------
+
+@st.composite
+def table_cases(draw):
+    """A grown, loaded or hand-built tree of any action kind, and foils:
+    every predicted action, some never predicted and, for vector actions,
+    vectors one entry too long and too short."""
+    kind = draw(st.sampled_from([ds.DISCRETE, ds.CONTINUOUS_SCALAR,
+                                 ds.CONTINUOUS_VECTOR]))
+    source = draw(st.sampled_from(["grown", "loaded", "built"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_leaves = draw(st.integers(1, 12))
+    if kind == ds.DISCRETE:
+        pool = draw(st.sampled_from([["go", "stop", "wait"], [0.0, 1.0, 2.0]]))
+        actions = [pool[k] for k in rng.integers(0, 3, size=60)]
+    elif kind == ds.CONTINUOUS_SCALAR:
+        actions = rng.integers(0, 2, size=60).astype(float)
+    else:
+        actions = rng.integers(0, 2, size=(60, m)).astype(float)
+    if source == "built":
+        tree = random_tree(rng, d, n_leaves, list(actions[:4]))
+        tree.action_kind = kind
+    else:
+        states = rng.uniform(0, 1, size=(60, d))
+        data = synthetic_aug(states=states, actions=actions,
+                             V=rng.integers(0, 3, size=60).astype(float),
+                             D=rng.normal(size=(60, d)), action_kind=kind)
+        # a table read mid-growth must not outlive the split after it
+        tree = tr.grow(data, [1, 1, 1], n_leaves,
+                       snapshot_cb=lambda t, n, losses: t.table)
+        if source == "loaded":
+            tree = tr.deserialize(tr.serialize(tree))
+    foils = [leaf.action_pred for leaf in tree.leaves.values()]
+    if kind == ds.CONTINUOUS_VECTOR:
+        foils += [np.full(m, 0.5), list(foils[0]), np.append(foils[0], 0.0),
+                  foils[0][:-1]]
+    else:
+        foils += [0.5, "never", [foils[0]]]  # a list is one foil, not many
+    return tree, foils
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=table_cases())
+def test_leaf_table_rows_equal_leaves_and_mask_equals_per_leaf_loop(case):
+    tree, foils = case
+    t = tree.table
+    assert t.ids.tolist() == sorted(tree.leaves)
+    assert t.rows(t.ids).tolist() == list(range(t.ids.size))
+    for row, lid in enumerate(t.ids.tolist()):
+        leaf = tree.leaves[lid]
+        assert t.box[row].lower.tobytes() == leaf.box.lower.tobytes()
+        assert t.box[row].upper.tobytes() == leaf.box.upper.tobytes()
+        assert t.value[row] == leaf.value_pred
+        assert t.deriv[row].tobytes() == leaf.deriv_pred.tobytes()
+        assert ref.same_action(t.action[row], leaf.action_pred)
+    for foil in foils:
+        assert t.ids[t.predicts(foil)].tolist() == sorted(
+            ref.foil_leaves(tree, foil))

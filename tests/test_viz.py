@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from tripletree import trajectory as tj
 from tripletree import tree as tr
 from tripletree import viz
 from tripletree.errors import ParameterError
@@ -12,6 +14,7 @@ from tripletree.viz import PlaneSpec
 from .conftest import build_tree, random_tree, synthetic_aug
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+VIEW_DIGEST = os.path.join(GOLDEN_DIR, "road_views.sha256")
 
 
 def quad_tree():
@@ -250,3 +253,47 @@ def test_quiver_arrows_lengthen_with_speed_on_road_tree(road_fixture):
     assert len(mags) >= 20
     corr = np.corrcoef(speeds, mags)[0, 1]
     assert corr > 0.5  # position changes by the speed itself each step
+
+
+# ---------------------------------------------------------------------------
+# Whole-tree readers on a grown tree (regenerate with `python -m
+# tests.make_goldens`)
+# ---------------------------------------------------------------------------
+
+def road_view_digests(aug) -> str:
+    """sha256 of every whole-tree reader's output, one ``<hex>  <what>`` line
+    each: the views, losses, leaf graph and README zone paths of a 60-leaf
+    road fit, then ``ice_slice`` and slice-mode ``quiver`` of a grown d=3
+    tree cut at a fixed off-plane value."""
+    from .test_queries import END_ZONE, START_ZONE
+    tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=60)
+    graph = tj.build_leaf_graph(tree)
+    zones = [tr.Box(np.array(lo), np.array(hi)) for lo, hi in (START_ZONE,
+                                                               END_ZONE)]
+    rng = np.random.default_rng(7)
+    states = rng.uniform(0, 1, size=(400, 3))
+    cube = tr.grow(synthetic_aug(
+        states=states, actions=(states[:, 0] + states[:, 2] > 1).astype(float),
+        V=states[:, 1] + 0.1 * rng.normal(size=400),
+        D=rng.normal(size=(400, 3))), [1, 1, 1], max_leaves=40)
+    plane = PlaneSpec(0, 1, n_x=30, n_y=20, fixed={2: 0.37})
+    docs = {
+        "direct_map_action": viz.direct_map(tree, "action"),
+        "direct_map_value": viz.direct_map(tree, "value"),
+        "quiver_direct": viz.quiver(tree, mode="direct"),
+        "pdp_projection": viz.pdp_projection(
+            tree, PlaneSpec(0, 1, n_x=40, n_y=30), "value"),
+        "losses": repr(tr.evaluate_losses(tree, aug)),
+        "leaf_graph_edges": repr(graph.edges),
+        "zone_paths": [p.to_json() for p in tj.zone_paths(graph, *zones)],
+        "ice_slice_d3": viz.ice_slice(cube, plane, "value"),
+        "quiver_slice_d3": viz.quiver(cube, plane, mode="slice"),
+    }
+    return "".join(
+        f"{hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()}"
+        f"  {k}.json\n" for k, v in docs.items())
+
+
+def test_road_views_are_byte_identical_to_recorded_digest(road_fixture):
+    with open(VIEW_DIGEST) as fh:
+        assert road_view_digests(road_fixture[3]) == fh.read()
