@@ -100,16 +100,31 @@ def _feature_index(tree: tr.TripleTree, token: str) -> int:
     return idx
 
 
+def _int_pair(text: str, flag: str) -> tuple[int, int]:
+    try:
+        a, b = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ParameterError(
+            f"invalid {flag} {text!r}; expected two integers a,b") from None
+    return a, b
+
+
 def _parse_plane(tree, args) -> viz.PlaneSpec:
-    fx_tok, fy_tok = (args.plane.split(",") if args.plane else ("0", "1"))
-    nx, ny = (int(v) for v in args.resolution.split(","))
+    try:
+        fx_tok, fy_tok = (args.plane or "0,1").split(",")
+    except ValueError:
+        raise ParameterError(
+            f"invalid --plane {args.plane!r}; expected fx,fy") from None
+    nx, ny = _int_pair(args.resolution, "--resolution")
     fixed = {}
     if getattr(args, "fixed", None):
         for pair in args.fixed.split(","):
             name, _, val = pair.partition("=")
-            if not _:
-                raise ParameterError(f"invalid --fixed entry {pair!r}")
-            fixed[_feature_index(tree, name)] = float(val)
+            try:
+                value = float(val)  # val is "" when "=" is missing
+            except ValueError:
+                raise ParameterError(f"invalid --fixed entry {pair!r}") from None
+            fixed[_feature_index(tree, name)] = value
     return viz.PlaneSpec(f_x=_feature_index(tree, fx_tok),
                          f_y=_feature_index(tree, fy_tok),
                          n_x=nx, n_y=ny, fixed=fixed)
@@ -117,7 +132,10 @@ def _parse_plane(tree, args) -> viz.PlaneSpec:
 
 def _parse_action(tree: tr.TripleTree, text: str):
     if tree.action_kind == ds.CONTINUOUS_VECTOR:
-        return np.array([float(v) for v in text.split(",")])
+        try:
+            return np.array([float(v) for v in text.split(",")])
+        except ValueError:
+            raise ParameterError(f"invalid vector action {text!r}") from None
     try:
         return float(text)
     except ValueError:
@@ -128,7 +146,7 @@ def _road_config(args) -> road.RoadConfig:
     if getattr(args, "config", None):
         with open(args.config, "rb") as fh:
             return road.RoadConfig.from_json(json.loads(fh.read().decode()))
-    n_pos, n_speed = (int(v) for v in args.grid.split(","))
+    n_pos, n_speed = _int_pair(args.grid, "--grid")
     return road.RoadConfig(r_left=args.r_left, r_right=args.r_right,
                            r_speed=args.r_speed, gamma=args.gamma,
                            grid=(n_pos, n_speed))
@@ -240,9 +258,14 @@ def cmd_explain(args) -> int:
                                         _parse_action(tree, args.foil))
     elif args.value_cond:
         text = args.value_cond.strip()
-        if text[:2] not in ("<=", ">="):
-            raise ParameterError("--value-cond must look like '<=0.3' or '>=1'")
-        expl = ex.counterfactual_value(tree, state, (text[:2], float(text[2:])))
+        try:
+            if text[:2] not in ("<=", ">="):
+                raise ValueError
+            cond = (text[:2], float(text[2:]))
+        except ValueError:
+            raise ParameterError(
+                "--value-cond must look like '<=0.3' or '>=1'") from None
+        expl = ex.counterfactual_value(tree, state, cond)
     elif args.next_state:
         expl = ex.temporal(tree, state, _parse_state(args.next_state, tree.d))
     else:
@@ -302,6 +325,9 @@ def cmd_simulate(args) -> int:
             end = tr.leaf_of(tree, _parse_state(args.end, tree.d))
         else:
             raise ParameterError("simulate needs --end or --end-leaf")
+        for lid in (start, end):
+            if lid not in tree.leaves:
+                raise ParameterError(f"{lid} is not a leaf id of the tree")
         path = tj.most_probable_path(graph, start, end)
         if path is None:
             print(f"no observed route from leaf {start} to leaf {end}")

@@ -266,6 +266,8 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
         raise ParameterError("cannot align a path through the termination sink")
     if not seq:
         raise ParameterError("empty leaf sequence")
+    if any(l not in tree.leaves for l in seq):
+        raise ParameterError("leaf sequence names a leaf the tree lacks")
     prob, dur = 1.0, 0.0
     for a, b in zip(seq, seq[1:]):
         trans = tree.leaves[a].transitions or {}
@@ -274,7 +276,8 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
         prob *= trans[b][0]
         dur += trans[b][1]
 
-    boxes = [tree.leaves[l].box.clipped(tree.feature_range) for l in seq]
+    rows = tree.table.rows(seq)
+    boxes = tree.table.box[rows].clipped(tree.feature_range)
     k = len(seq)
     p_start = (np.asarray(endpoints[0], dtype=float) if endpoints is not None
                else (boxes[0].lower + boxes[0].upper) / 2.0)
@@ -309,7 +312,7 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
 
     w = np.where(tree.sigma > 0, 1.0 / np.where(tree.sigma > 0, tree.sigma, 1.0),
                  0.0)
-    v = np.stack([tree.leaves[l].deriv_pred * w for l in seq])
+    v = tree.table.deriv[rows] * w
     nv = np.sqrt(np.vecdot(v, v))
     sigma_back = np.where(tree.sigma > 0, tree.sigma, 0.0)
 

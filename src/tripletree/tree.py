@@ -8,10 +8,10 @@ best leaf and applies the best axis-aligned split found for it, stopping at
 the leaf budget or when no leaf admits a split with positive hybrid quality.
 After growth the tree is immutable and every query is read-only.
 
-Queries that scan every leaf read ``TripleTree.table``: the leaves in
-ascending id order as one structure of arrays (stacked boxes, value,
-derivative and action predictions), built once on first use, as
-scikit-learn's ``Tree`` keeps its nodes.
+Queries and views that scan every leaf read ``TripleTree.table``: the
+leaves in ascending id order as one structure of arrays (stacked boxes,
+predictions, sample counts, densities and impurities), built once on first
+use, as scikit-learn's ``Tree`` keeps its nodes.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
                       AugmentedDataset)
-from .errors import ParameterError
+from .errors import ParameterError, TraceFormatError
 from .impurity import (ImpurityTriple, best_split, hybrid_quality, node_stats,
                        scaled_sum, validate_theta)
 
@@ -101,11 +102,15 @@ class Leaf:
 class LeafTable(NamedTuple):
     """The leaves of a tree in ascending id order, one row per leaf."""
 
-    ids: np.ndarray     # (L,) int64, ascending
-    box: Box            # (L, d) stacked leaf boxes
-    value: np.ndarray   # (L,) value predictions
-    deriv: np.ndarray   # (L, d) derivative predictions
-    action: np.ndarray  # (L,) object labels or numbers; (L, m) float vectors
+    ids: np.ndarray       # (L,) int64, ascending
+    box: Box              # (L, d) stacked leaf boxes
+    value: np.ndarray     # (L,) value predictions
+    deriv: np.ndarray     # (L, d) derivative predictions
+    action: np.ndarray    # (L,) object labels or numbers; (L, m) float vectors
+    n: np.ndarray         # (L,) int64 sample counts
+    density: np.ndarray   # (L,) samples per unit of normalised volume
+    impurity: np.ndarray  # (L, 3) action, value and derivative impurities
+    low_conf: np.ndarray  # (L,) bool: derivative inherited from the parent
 
     def rows(self, leaf_ids):
         """Row index of each given leaf id (ids of the table's leaves)."""
@@ -173,19 +178,25 @@ class TripleTree:
     def table(self) -> LeafTable:
         """The leaf table, built on first use; growth drops it per split."""
         leaves = self.ordered_leaves()
+
+        def column(*names, dtype=float):
+            return np.array(list(map(attrgetter(*names), leaves)), dtype=dtype)
+
         table = LeafTable(
-            ids=np.array([leaf.id for leaf in leaves], dtype=np.int64),
-            box=Box(np.array([leaf.box.lower for leaf in leaves]),
-                    np.array([leaf.box.upper for leaf in leaves])),
-            value=np.array([leaf.value_pred for leaf in leaves], dtype=float),
-            deriv=np.array([leaf.deriv_pred for leaf in leaves], dtype=float),
-            action=(np.array([leaf.action_pred for leaf in leaves], dtype=float)
+            ids=column("id", dtype=np.int64),
+            box=Box(column("box.lower"), column("box.upper")),
+            value=column("value_pred"), deriv=column("deriv_pred"),
+            action=(column("action_pred")
                     if self.action_kind == CONTINUOUS_VECTOR else
                     np.fromiter((leaf.action_pred for leaf in leaves),
-                                dtype=object, count=len(leaves))))
-        for column in (table.ids, table.box.lower, table.box.upper,
-                       table.value, table.deriv, table.action):
-            column.flags.writeable = False  # shared by every reader
+                                dtype=object, count=len(leaves))),
+            n=column("n", dtype=np.int64), density=column("density"),
+            impurity=column("impurity.action", "impurity.value",
+                            "impurity.derivative").reshape(-1, 3),
+            low_conf=column("deriv_low_confidence", dtype=bool))
+        for array in (table.box.lower, table.box.upper, *table):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False  # shared by every reader
         return table
 
 
@@ -359,38 +370,40 @@ def compute_transitions(tree: TripleTree, data: AugmentedDataset) -> TripleTree:
     Sequences are runs of consecutive samples in one leaf, never spanning
     episode boundaries.  A run ending with episode termination records a
     transition to the end marker (None); a run cut off by truncation records
-    nothing.
+    nothing.  The episodes tile the samples in order, as ``augment`` lays
+    them out, so all runs come from one pass over the leaf sequence.
     """
     assign = assign_leaves(tree, data.states)
-    counts: dict = {lid: {} for lid in tree.leaves}
-    lens: dict = {lid: {} for lid in tree.leaves}
-    for start, stop, terminal in data.episode_slices:
-        seq = assign[start:stop]
-        i = 0
-        while i < seq.size:
-            j = i + 1
-            while j < seq.size and seq[j] == seq[i]:
-                j += 1
-            src = int(seq[i])
-            if j < seq.size:
-                dest = int(seq[j])
-            elif terminal:
-                dest = None
-            else:
-                i = j
-                continue  # truncated run: no transition observed
-            counts[src][dest] = counts[src].get(dest, 0) + 1
-            lens[src][dest] = lens[src].get(dest, 0) + (j - i)
-            i = j
+    n = assign.size
+    start, stop, terminal = np.array(
+        [e for e in data.episode_slices if e[1] > e[0]],
+        dtype=np.int64).reshape(-1, 3).T
+    # a run begins at each episode start and each change of leaf, and ends
+    # where the next one begins
+    begins = np.zeros(n + 1, dtype=bool)
+    begins[start] = begins[n] = True
+    begins[1:n] |= assign[1:] != assign[:-1]
+    edges = np.flatnonzero(begins)
+    first, end = edges[:-1], edges[1:]
+    closes = np.zeros(n + 1, dtype=np.int64)  # 1 truncated, 2 terminal end
+    closes[stop] = 1 + terminal
+    keep = closes[end] != 1  # a run cut off by truncation records nothing
+    src = assign[first][keep]
+    dest = np.where(closes[end] > 0, -1, assign[np.minimum(end, n - 1)])[keep]
+    width = max(tree.leaves) + 2  # key = src * width + dest + 1, -1 the end
+    keys, first_seen, which = np.unique(src * width + dest + 1,
+                                        return_index=True, return_inverse=True)
+    count = np.bincount(which).tolist()
+    duration = np.bincount(which, weights=(end - first)[keep]).tolist()
+    runs = np.bincount(src).tolist()  # recorded runs out of each leaf
 
-    for lid, leaf in tree.leaves.items():
-        total = sum(counts[lid].values())
-        if total == 0:
-            leaf.transitions = {}
-            continue
-        leaf.transitions = {
-            dest: (c / total, lens[lid][dest] / c)
-            for dest, c in counts[lid].items()}
+    for leaf in tree.leaves.values():
+        leaf.transitions = {}
+    # in order of first appearance, as a scan of the episodes meets them
+    for k in np.argsort(first_seen, kind="stable").tolist():
+        s, d = divmod(int(keys[k]), width)
+        tree.leaves[s].transitions[None if d == 0 else d - 1] = (
+            count[k] / runs[s], duration[k] / count[k])
     return tree
 
 
@@ -504,23 +517,24 @@ def serialize(tree: TripleTree) -> bytes:
 
 
 def deserialize(payload: bytes) -> TripleTree:
-    """Decode ``serialize`` output; any malformed payload raises ParameterError."""
+    """Decode ``serialize`` output; any malformed payload raises
+    TraceFormatError, a data error like a malformed trace."""
     try:
         doc = json.loads(payload.decode("utf-8") if isinstance(payload, bytes)
                          else payload)
     except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
-        raise ParameterError(f"corrupt tree payload: {exc}") from None
+        raise TraceFormatError(f"corrupt tree payload: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != SERIAL_VERSION:
-        raise ParameterError(
+        raise TraceFormatError(
             f"unsupported tree payload version {doc.get('version')!r}"
             if isinstance(doc, dict) else "corrupt tree payload")
     try:
         tree = _decode(doc)
         _check_values(tree)
-    except ParameterError:
+    except TraceFormatError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(
+        raise TraceFormatError(
             f"corrupt tree payload: {type(exc).__name__}: {exc}") from None
     _check_structure(tree)
     return tree
@@ -529,7 +543,7 @@ def deserialize(payload: bytes) -> TripleTree:
 def _array(value, shape) -> np.ndarray:
     out = np.asarray(value, dtype=float)
     if out.shape != shape:
-        raise ParameterError(
+        raise TraceFormatError(
             f"tree payload array has shape {out.shape}, expected {shape}")
     return out
 
@@ -575,7 +589,7 @@ def _decode(doc) -> TripleTree:
                 n_deriv=int(rec["n_deriv"]), density=float(rec["density"]),
                 transitions=trans)
             if leaf.id in tree.leaves:
-                raise ParameterError(f"tree payload repeats leaf id {leaf.id}")
+                raise TraceFormatError(f"tree payload repeats leaf id {leaf.id}")
             tree.nodes.append(Node(leaf_id=leaf.id))
             tree.leaves[leaf.id] = leaf
             tree._leaf_node[leaf.id] = i
@@ -599,29 +613,26 @@ def _check_values(tree: TripleTree) -> None:
     if not _finite(tree.theta, tree.gamma, tree.sigma, tree.feature_range,
                    tree.medians, tree.root_impurity.as_array(),
                    [] if tree.action_sigma is None else tree.action_sigma):
-        raise ParameterError("tree payload meta holds a non-finite number")
+        raise TraceFormatError("tree payload meta holds a non-finite number")
     if not _finite([node.threshold for node in tree.nodes
                     if node.leaf_id is None]):
-        raise ParameterError("tree payload holds a non-finite threshold")
+        raise TraceFormatError("tree payload holds a non-finite threshold")
     t = tree.table
-    leaves = tree.ordered_leaves()
-    if not _finite(t.value, t.deriv,
-                   [a for a in t.action if not isinstance(a, str)],
-                   [(leaf.density, leaf.impurity.action, leaf.impurity.value,
-                     leaf.impurity.derivative) for leaf in leaves]):
-        raise ParameterError("tree payload leaf holds a non-finite number")
-    for leaf in leaves:
+    if not _finite(t.value, t.deriv, t.density, t.impurity,
+                   [a for a in t.action if not isinstance(a, str)]):
+        raise TraceFormatError("tree payload leaf holds a non-finite number")
+    for leaf in tree.ordered_leaves():
         if not leaf.transitions:
             continue  # absent or empty: no transition was observed
         probs = [p for p, _ in leaf.transitions.values()]
         if not all(map(math.isfinite, probs + [t for _, t in
                                                leaf.transitions.values()])) \
                 or min(probs) < 0 or abs(math.fsum(probs) - 1.0) > 1e-9:
-            raise ParameterError(f"tree payload leaf {leaf.id} transition "
+            raise TraceFormatError(f"tree payload leaf {leaf.id} transition "
                                  f"probabilities are not a distribution")
         if any(dest is not None and dest not in tree.leaves
                for dest in leaf.transitions):
-            raise ParameterError(f"tree payload leaf {leaf.id} has a "
+            raise TraceFormatError(f"tree payload leaf {leaf.id} has a "
                                  f"transition to an unknown leaf")
 
 
@@ -632,34 +643,34 @@ def _check_structure(tree: TripleTree) -> None:
     cannot loop or index out of range, and the leaf boxes partition the
     space exactly as ``leaf_of`` does."""
     if not tree.nodes:
-        raise ParameterError("tree payload has no nodes")
+        raise TraceFormatError("tree payload has no nodes")
     seen = [False] * len(tree.nodes)
     stack = [(0, Box.unbounded(tree.d))]
     while stack:
         i, box = stack.pop()
         if not 0 <= i < len(tree.nodes):
-            raise ParameterError(f"tree payload child index {i} out of range")
+            raise TraceFormatError(f"tree payload child index {i} out of range")
         if seen[i]:
-            raise ParameterError(f"tree payload node {i} is reached twice")
+            raise TraceFormatError(f"tree payload node {i} is reached twice")
         seen[i] = True
         node = tree.nodes[i]
         if node.leaf_id is not None:
             leaf = tree.leaves[node.leaf_id]
             if not (np.array_equal(leaf.box.lower, box.lower)
                     and np.array_equal(leaf.box.upper, box.upper)):
-                raise ParameterError(f"tree payload leaf {leaf.id} box "
+                raise TraceFormatError(f"tree payload leaf {leaf.id} box "
                                      f"disagrees with its ancestors' thresholds")
             continue
         f = node.feature
         if not 0 <= f < tree.d:
-            raise ParameterError(f"tree payload node {i} splits on feature {f}")
+            raise TraceFormatError(f"tree payload node {i} splits on feature {f}")
         if not box.lower[f] < node.threshold < box.upper[f]:
-            raise ParameterError(
+            raise TraceFormatError(
                 f"tree payload node {i} threshold lies outside its region")
         left, right = box.split(f, node.threshold)
         stack += [(node.right, right), (node.left, left)]
     if not all(seen):
-        raise ParameterError(
+        raise TraceFormatError(
             f"tree payload node {seen.index(False)} is unreachable")
 
 

@@ -2,9 +2,10 @@
 and a small deterministic SVG renderer.
 
 All operations return plain JSON-serialisable dicts; rendering is a separate
-step so the data can also feed external plotting tools.  Slices pick the
-leaves they cut with one mask over the tree's stacked leaf boxes
-(``TripleTree.table``).
+step so the data can also feed external plotting tools.  Every view reads
+the leaf table (``TripleTree.table``): an attribute is one of its columns,
+slices pick their rows with one mask over the stacked leaf boxes, and the
+SVG colours are one array pass.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .tree import Box, TripleTree
-
-SCALAR_ATTRIBUTES = ("action", "value", "action_impurity", "value_impurity",
-                     "derivative_impurity", "density")
 
 
 @dataclass
@@ -36,6 +34,8 @@ class PlaneSpec:
         for f in (self.f_x, self.f_y):
             if not 0 <= f < tree.d:
                 raise ParameterError(f"plane feature {f} out of range")
+        if self.n_x < 1 or self.n_y < 1:
+            raise ParameterError("plane resolution must be at least 1,1")
         for f, v in self.fixed.items():
             lo, hi = tree.feature_range[f]
             if not lo <= v <= hi:
@@ -43,32 +43,56 @@ class PlaneSpec:
                     f"fixed value {v:g} for feature {f} outside data range")
 
 
-def leaf_attribute(tree: TripleTree, leaf, attribute: str):
-    """Scalar colouring attribute of a leaf; supports 'action.cmp' and
-    'derivative.cmp' component access for vector quantities."""
+def leaf_attribute(tree: TripleTree, attribute: str) -> np.ndarray:
+    """The colouring attribute as one column over the rows of
+    ``tree.table``; 'action.k' and 'derivative.k' pick component k of a
+    vector quantity."""
+    t = tree.table
     if attribute == "action":
-        a = leaf.action_pred
-        if isinstance(a, np.ndarray):
+        if t.action.ndim == 2:
             raise ParameterError(
                 "vector actions need a component, e.g. 'action.0'")
-        return a
-    if attribute == "value":
-        return leaf.value_pred
-    if attribute == "action_impurity":
-        return leaf.impurity.action
-    if attribute == "value_impurity":
-        return leaf.impurity.value
-    if attribute == "derivative_impurity":
-        return leaf.impurity.derivative
-    if attribute == "density":
-        return leaf.density
-    if attribute.startswith("action."):
-        return float(np.asarray(leaf.action_pred).ravel()[int(attribute[7:])])
-    if attribute.startswith("derivative."):
-        return float(leaf.deriv_pred[int(attribute[11:])])
+        return t.action
+    columns = dict(zip(("action_impurity", "value_impurity",
+                        "derivative_impurity"), t.impurity.T),
+                   value=t.value, density=t.density)
+    if attribute in columns:
+        return columns[attribute]
+    name, dot, k = attribute.partition(".")
+    if dot and name in ("action", "derivative"):
+        matrix = (t.deriv if name == "derivative" else
+                  t.action.reshape(t.ids.size, -1))
+        if not (k.isdecimal() and int(k) < matrix.shape[1]):
+            raise ParameterError(f"{attribute!r} needs a component index "
+                                 f"from 0 to {matrix.shape[1] - 1}")
+        try:
+            return matrix[:, int(k)].astype(float)
+        except ValueError:
+            raise ParameterError(f"{attribute!r} needs numeric actions") from None
     if attribute == "derivative":
         raise ParameterError("derivative renders as a quiver; use quiver()")
     raise ParameterError(f"unknown colouring attribute {attribute!r}")
+
+
+def _rects(tree: TripleTree, rows, fx: int, fy: int | None,
+           attribute: str) -> list:
+    """The range-clipped rectangles of the table rows ``rows`` on features
+    (fx, fy), each with its attribute value and leaf id; with ``fy`` None
+    they span y from 0 to 1."""
+    t = tree.table
+    values = leaf_attribute(tree, attribute)[rows]
+    box = t.box[rows].clipped(tree.feature_range)
+    y = ((np.zeros(len(values)), np.ones(len(values))) if fy is None else
+         (box.lower[:, fy], box.upper[:, fy]))
+    return _records(("x0", "x1", "y0", "y1", "value", "leaf"),
+                    box.lower[:, fx], box.upper[:, fx], *y, values,
+                    t.ids[rows])
+
+
+def _records(keys, *columns) -> list:
+    """One dict per row of the columns, with plain Python values."""
+    return [dict(zip(keys, row))
+            for row in zip(*(column.tolist() for column in columns))]
 
 
 def direct_map(tree: TripleTree, attribute: str) -> dict:
@@ -80,30 +104,12 @@ def direct_map(tree: TripleTree, attribute: str) -> dict:
     if tree.d > 2:
         raise ParameterError(
             "direct maps need d <= 2; use pdp_projection or ice_slice")
-    rects = []
-    for lid in sorted(tree.leaves):
-        leaf = tree.leaves[lid]
-        box = leaf.box.clipped(tree.feature_range)
-        val = leaf_attribute(tree, leaf, attribute)
-        if tree.d == 2:
-            rect = {"x0": float(box.lower[0]), "x1": float(box.upper[0]),
-                    "y0": float(box.lower[1]), "y1": float(box.upper[1])}
-        else:
-            rect = {"x0": float(box.lower[0]), "x1": float(box.upper[0]),
-                    "y0": 0.0, "y1": 1.0}
-        rect["value"] = val
-        rect["leaf"] = lid
-        rects.append(rect)
-    plane = [0, 1] if tree.d == 2 else [0]
-    return {"plane": plane, "rects": rects,
+    return {"plane": [0, 1] if tree.d == 2 else [0],
+            "rects": _rects(tree, slice(None), 0, 1 if tree.d == 2 else None,
+                            attribute),
             "x_range": [float(v) for v in tree.feature_range[0]],
             "y_range": ([float(v) for v in tree.feature_range[1]]
                         if tree.d == 2 else [0.0, 1.0])}
-
-
-def _edges(tree, f, n):
-    lo, hi = tree.feature_range[f]
-    return np.linspace(lo, hi, n + 1)
 
 
 def pdp_projection(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
@@ -113,47 +119,45 @@ def pdp_projection(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
     covers the cell centre, weighted by leaf sample count.
     """
     plane.validate(tree)
-    x_edges = _edges(tree, plane.f_x, plane.n_x)
-    y_edges = _edges(tree, plane.f_y, plane.n_y)
+    column = leaf_attribute(tree, attribute)
+    if column.dtype == object and any(isinstance(v, str) for v in column):
+        raise ParameterError("projections need numeric attributes")
+    t = tree.table
+    x_edges, y_edges = (np.linspace(*tree.feature_range[f], n + 1) for f, n in
+                        ((plane.f_x, plane.n_x), (plane.f_y, plane.n_y)))
     cx = (x_edges[:-1] + x_edges[1:]) / 2.0
     cy = (y_edges[:-1] + y_edges[1:]) / 2.0
+    # the centres ascend, so the cells a box covers on an axis are the range
+    # from its first centre >= lower to its first centre >= upper
+    x0, x1, y0, y1 = (np.searchsorted(c, side[:, f]).tolist()
+                      for c, f in ((cx, plane.f_x), (cy, plane.f_y))
+                      for side in (t.box.lower, t.box.upper))
+    w = t.n.astype(float)
     acc = np.zeros((plane.n_y, plane.n_x))
     wsum = np.zeros((plane.n_y, plane.n_x))
-    for lid in sorted(tree.leaves):
-        leaf = tree.leaves[lid]
-        val = leaf_attribute(tree, leaf, attribute)
-        if isinstance(val, str):
-            raise ParameterError("projections need numeric attributes")
-        mx = (cx >= leaf.box.lower[plane.f_x]) & (cx < leaf.box.upper[plane.f_x])
-        my = (cy >= leaf.box.lower[plane.f_y]) & (cy < leaf.box.upper[plane.f_y])
-        if not (mx.any() and my.any()):
-            continue
-        w = float(leaf.n)
-        cover = np.outer(my, mx)
-        acc += cover * (w * float(val))
-        wsum += cover * w
+    # leaf by leaf in ascending id order: the order in which overlapping
+    # leaves (d >= 3) add up in a cell fixes the rounding of its mean
+    for r, wv in enumerate((w * column.astype(float)).tolist()):
+        acc[y0[r]:y1[r], x0[r]:x1[r]] += wv
+        wsum[y0[r]:y1[r], x0[r]:x1[r]] += w[r]
     values = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
     return {"plane": [plane.f_x, plane.f_y],
-            "x_edges": [float(v) for v in x_edges],
-            "y_edges": [float(v) for v in y_edges],
-            "values": [[float(v) for v in row] for row in values]}
+            "x_edges": x_edges.tolist(), "y_edges": y_edges.tolist(),
+            "values": values.tolist()}
 
 
 def resolve_fixed(tree: TripleTree, plane: PlaneSpec) -> dict:
     """Fixed values for all off-plane features; dataset medians by default."""
-    fixed = {}
-    for f in range(tree.d):
-        if f in (plane.f_x, plane.f_y):
-            continue
-        fixed[f] = float(plane.fixed.get(f, tree.medians[f]))
-    return fixed
+    return {f: float(plane.fixed.get(f, tree.medians[f]))
+            for f in range(tree.d) if f not in (plane.f_x, plane.f_y)}
 
 
-def _cut(tree: TripleTree, fixed: dict) -> list:
-    """Sorted ids of the leaves whose boxes hold every fixed off-plane value."""
+def _cut(tree: TripleTree, fixed: dict) -> np.ndarray:
+    """Mask of the table rows whose leaf boxes hold every fixed off-plane
+    value."""
     t, f = tree.table, list(fixed)
     v = np.array(list(fixed.values()), dtype=float)
-    return t.ids[Box(t.box.lower[:, f], t.box.upper[:, f]).meets(v, v)].tolist()
+    return Box(t.box.lower[:, f], t.box.upper[:, f]).meets(v, v)
 
 
 def ice_slice(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
@@ -164,14 +168,7 @@ def ice_slice(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
     """
     plane.validate(tree)
     fixed = resolve_fixed(tree, plane)
-    rects = []
-    for lid in _cut(tree, fixed):
-        leaf = tree.leaves[lid]
-        box = leaf.box.clipped(tree.feature_range)
-        rects.append({
-            "x0": float(box.lower[plane.f_x]), "x1": float(box.upper[plane.f_x]),
-            "y0": float(box.lower[plane.f_y]), "y1": float(box.upper[plane.f_y]),
-            "value": leaf_attribute(tree, leaf, attribute), "leaf": lid})
+    rects = _rects(tree, _cut(tree, fixed), plane.f_x, plane.f_y, attribute)
     return {"plane": [plane.f_x, plane.f_y], "rects": rects,
             "fixed": {str(f): v for f, v in sorted(fixed.items())},
             "x_range": [float(v) for v in tree.feature_range[plane.f_x]],
@@ -192,7 +189,6 @@ def quiver(tree: TripleTree, plane: PlaneSpec | None = None,
         if tree.d > 2:
             raise ParameterError("direct quiver needs d <= 2; use slice mode")
         fx, fy = (0, 1) if tree.d == 2 else (0, 0)
-        ids = sorted(tree.leaves)
         fixed = {}
     else:
         if plane is None:
@@ -200,16 +196,11 @@ def quiver(tree: TripleTree, plane: PlaneSpec | None = None,
         plane.validate(tree)
         fx, fy = plane.f_x, plane.f_y
         fixed = resolve_fixed(tree, plane)
-        ids = _cut(tree, fixed)
-    arrows = []
-    for lid in ids:
-        leaf = tree.leaves[lid]
-        if leaf.deriv_low_confidence:
-            continue
-        c = leaf.box.center(tree.feature_range)
-        arrows.append({"x": float(c[fx]), "y": float(c[fy]),
-                       "dx": float(leaf.deriv_pred[fx]),
-                       "dy": float(leaf.deriv_pred[fy]), "leaf": lid})
+    t = tree.table
+    rows = _cut(tree, fixed) & ~t.low_conf  # no fixed value: every row
+    c = t.box[rows].center(tree.feature_range)
+    arrows = _records(("x", "y", "dx", "dy", "leaf"), c[:, fx], c[:, fy],
+                      t.deriv[rows, fx], t.deriv[rows, fy], t.ids[rows])
     return {"plane": [fx, fy], "arrows": arrows,
             "fixed": {str(f): v for f, v in sorted(fixed.items())},
             "x_range": [float(v) for v in tree.feature_range[fx]],
@@ -229,14 +220,16 @@ _CATEGORICAL = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                 "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def _heat(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    x = v * (len(_VIRIDIS) - 1)
-    i = min(int(x), len(_VIRIDIS) - 2)
-    f = x - i
-    rgb = [round(a + (b - a) * f)
-           for a, b in zip(_VIRIDIS[i], _VIRIDIS[i + 1])]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _heat(v) -> np.ndarray:
+    """Viridis '#rrggbb' colours of the values ``v`` clipped into [0, 1],
+    in an object array shaped like ``v``."""
+    x = np.clip(np.asarray(v, dtype=float), 0.0, 1.0) * (len(_VIRIDIS) - 1)
+    i = np.minimum(x.astype(int), len(_VIRIDIS) - 2)
+    lo, hi = np.array(_VIRIDIS, dtype=float)[np.stack([i, i + 1])]
+    rgb = np.rint(lo + (hi - lo) * (x - i)[..., None]).astype(int)
+    codes = rgb @ [65536, 256, 1]
+    return np.array([f"#{c:06x}" for c in codes.ravel().tolist()],
+                    dtype=object).reshape(codes.shape)
 
 
 def _f(v: float) -> str:
@@ -310,51 +303,43 @@ def _canvas_for(payload, style):
     return _Canvas(xr, yr, style["width"], style["height"], style["margin"])
 
 
-def _numeric_values(vals):
-    return all(not isinstance(v, str) for v in vals)
-
-
 def _render_rects(payload, style):
     canvas = _canvas_for(payload, style)
     vals = [r["value"] for r in payload["rects"]]
-    out = []
-    if _numeric_values(vals):
+    if not any(isinstance(v, str) for v in vals):
         vmin = min(vals) if vals else 0.0
         vmax = max(vals) if vals else 1.0
         span = (vmax - vmin) or 1.0
-        color = lambda v: _heat((v - vmin) / span)
+        fills = _heat((np.asarray(vals, dtype=float) - vmin) / span)
         legend = _colorbar(canvas, vmin, vmax)
     else:
         labels = sorted({str(v) for v in vals})
         cmap = {l: _CATEGORICAL[i % len(_CATEGORICAL)]
                 for i, l in enumerate(labels)}
-        color = lambda v: cmap[str(v)]
+        fills = [cmap[str(v)] for v in vals]
         legend = _swatches(canvas, labels, cmap)
-    for r in payload["rects"]:
-        x, y = canvas.x(r["x0"]), canvas.y(r["y1"])
-        w = canvas.x(r["x1"]) - canvas.x(r["x0"])
-        h = canvas.y(r["y0"]) - canvas.y(r["y1"])
-        out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
-                   f'height="{_f(h)}" fill="{color(r["value"])}" '
-                   f'stroke="#ffffff" stroke-width="0.3"/>')
+    out = [f'<rect x="{_f(canvas.x(r["x0"]))}" y="{_f(canvas.y(r["y1"]))}" '
+           f'width="{_f(canvas.x(r["x1"]) - canvas.x(r["x0"]))}" '
+           f'height="{_f(canvas.y(r["y0"]) - canvas.y(r["y1"]))}" '
+           f'fill="{fill}" stroke="#ffffff" stroke-width="0.3"/>'
+           for r, fill in zip(payload["rects"], fills)]
     return out, legend
 
 
 def _render_grid(payload, style):
     canvas = _canvas_for(payload, style)
-    values = payload["values"]
-    flat = [v for row in values for v in row]
+    grid = np.asarray(payload["values"], dtype=float)
+    flat = grid.ravel().tolist()
     vmin, vmax = (min(flat), max(flat)) if flat else (0.0, 1.0)
     span = (vmax - vmin) or 1.0
-    xe, ye = payload["x_edges"], payload["y_edges"]
-    out = []
-    for iy, row in enumerate(values):
-        for ix, v in enumerate(row):
-            x, y = canvas.x(xe[ix]), canvas.y(ye[iy + 1])
-            w = canvas.x(xe[ix + 1]) - x
-            h = canvas.y(ye[iy]) - y
-            out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
-                       f'height="{_f(h)}" fill="{_heat((v - vmin) / span)}"/>')
+    # each column's x and width, and each row's y and height, formatted once
+    xs = [canvas.x(v) for v in payload["x_edges"]]
+    ys = [canvas.y(v) for v in payload["y_edges"]]
+    cols = [(_f(x), _f(x1 - x)) for x, x1 in zip(xs, xs[1:])]
+    rows = [(_f(y), _f(y0 - y)) for y0, y in zip(ys, ys[1:])]
+    out = [f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"/>'
+           for (y, h), fill_row in zip(rows, _heat((grid - vmin) / span))
+           for (x, w), fill in zip(cols, fill_row)]
     return out, _colorbar(canvas, vmin, vmax)
 
 
@@ -436,13 +421,10 @@ def _axis_labels(canvas, style):
 
 def _colorbar(canvas, vmin, vmax):
     x = canvas.ml + canvas.pw + 18
-    out = []
     n = 48
-    for i in range(n):
-        frac = i / (n - 1)
-        y = canvas.mt + canvas.ph * (1 - (i + 1) / n)
-        out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="14" '
-                   f'height="{_f(canvas.ph / n + 0.5)}" fill="{_heat(frac)}"/>')
+    out = [f'<rect x="{_f(x)}" y="{_f(canvas.mt + canvas.ph * (1 - (i + 1) / n))}" '
+           f'width="14" height="{_f(canvas.ph / n + 0.5)}" fill="{fill}"/>'
+           for i, fill in enumerate(_heat(np.arange(n) / (n - 1)))]
     out.append(f'<text x="{_f(x + 18)}" y="{_f(canvas.mt + canvas.ph)}" '
                f'font-family="monospace" font-size="10">{vmin:.4g}</text>')
     out.append(f'<text x="{_f(x + 18)}" y="{_f(canvas.mt + 10)}" '

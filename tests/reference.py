@@ -14,7 +14,11 @@ import numpy as np
 
 from tripletree.dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
                                 Episode, TraceDataset)
-from tripletree.errors import TraceFormatError
+from tripletree.errors import ParameterError, TraceFormatError
+from tripletree.tree import Box, TripleTree, assign_leaves
+from tripletree.viz import (_CATEGORICAL, _VIRIDIS, PlaneSpec, _axis_labels,
+                            _canvas_for, _f, _render_arrows, _render_overlays,
+                            _swatches)
 
 
 def pairwise_variance(values):
@@ -610,3 +614,337 @@ def load_json(text: str, action_kind: str | None) -> TraceDataset:
     kind, episodes = resolve_actions(episodes, m, action_kind, raw_actions)
     names = [f"f{k}" for k in range(d)]
     return TraceDataset(episodes=episodes, action_kind=kind, feature_names=names)
+
+
+# ---------------------------------------------------------------------------
+# Views: the per-leaf and per-cell view loops the table-reading views replace
+# (bodies kept as they were, so ``==`` on their JSON and SVG text checks the
+# new code byte for byte)
+# ---------------------------------------------------------------------------
+
+def _edges(tree, f, n):
+    lo, hi = tree.feature_range[f]
+    return np.linspace(lo, hi, n + 1)
+
+
+def resolve_fixed(tree: TripleTree, plane: PlaneSpec) -> dict:
+    """Fixed values for all off-plane features; dataset medians by default."""
+    fixed = {}
+    for f in range(tree.d):
+        if f in (plane.f_x, plane.f_y):
+            continue
+        fixed[f] = float(plane.fixed.get(f, tree.medians[f]))
+    return fixed
+
+
+def _numeric_values(vals):
+    return all(not isinstance(v, str) for v in vals)
+
+
+def leaf_attribute(tree: TripleTree, leaf, attribute: str):
+    """Scalar colouring attribute of a leaf; supports 'action.cmp' and
+    'derivative.cmp' component access for vector quantities."""
+    if attribute == "action":
+        a = leaf.action_pred
+        if isinstance(a, np.ndarray):
+            raise ParameterError(
+                "vector actions need a component, e.g. 'action.0'")
+        return a
+    if attribute == "value":
+        return leaf.value_pred
+    if attribute == "action_impurity":
+        return leaf.impurity.action
+    if attribute == "value_impurity":
+        return leaf.impurity.value
+    if attribute == "derivative_impurity":
+        return leaf.impurity.derivative
+    if attribute == "density":
+        return leaf.density
+    if attribute.startswith("action."):
+        return float(np.asarray(leaf.action_pred).ravel()[int(attribute[7:])])
+    if attribute.startswith("derivative."):
+        return float(leaf.deriv_pred[int(attribute[11:])])
+    if attribute == "derivative":
+        raise ParameterError("derivative renders as a quiver; use quiver()")
+    raise ParameterError(f"unknown colouring attribute {attribute!r}")
+
+
+def direct_map(tree: TripleTree, attribute: str) -> dict:
+    """One range-clipped rectangle per leaf, coloured by the attribute.
+
+    Only valid when the state space has at most two features; higher
+    dimensional trees must use projection or slicing.
+    """
+    if tree.d > 2:
+        raise ParameterError(
+            "direct maps need d <= 2; use pdp_projection or ice_slice")
+    rects = []
+    for lid in sorted(tree.leaves):
+        leaf = tree.leaves[lid]
+        box = leaf.box.clipped(tree.feature_range)
+        val = leaf_attribute(tree, leaf, attribute)
+        if tree.d == 2:
+            rect = {"x0": float(box.lower[0]), "x1": float(box.upper[0]),
+                    "y0": float(box.lower[1]), "y1": float(box.upper[1])}
+        else:
+            rect = {"x0": float(box.lower[0]), "x1": float(box.upper[0]),
+                    "y0": 0.0, "y1": 1.0}
+        rect["value"] = val
+        rect["leaf"] = lid
+        rects.append(rect)
+    plane = [0, 1] if tree.d == 2 else [0]
+    return {"plane": plane, "rects": rects,
+            "x_range": [float(v) for v in tree.feature_range[0]],
+            "y_range": ([float(v) for v in tree.feature_range[1]]
+                        if tree.d == 2 else [0.0, 1.0])}
+
+
+def pdp_projection(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
+    """Marginal view of a scalar attribute on a two-feature plane.
+
+    Each grid cell averages the attribute over every leaf whose projection
+    covers the cell centre, weighted by leaf sample count.
+    """
+    plane.validate(tree)
+    x_edges = _edges(tree, plane.f_x, plane.n_x)
+    y_edges = _edges(tree, plane.f_y, plane.n_y)
+    cx = (x_edges[:-1] + x_edges[1:]) / 2.0
+    cy = (y_edges[:-1] + y_edges[1:]) / 2.0
+    acc = np.zeros((plane.n_y, plane.n_x))
+    wsum = np.zeros((plane.n_y, plane.n_x))
+    for lid in sorted(tree.leaves):
+        leaf = tree.leaves[lid]
+        val = leaf_attribute(tree, leaf, attribute)
+        if isinstance(val, str):
+            raise ParameterError("projections need numeric attributes")
+        mx = (cx >= leaf.box.lower[plane.f_x]) & (cx < leaf.box.upper[plane.f_x])
+        my = (cy >= leaf.box.lower[plane.f_y]) & (cy < leaf.box.upper[plane.f_y])
+        if not (mx.any() and my.any()):
+            continue
+        w = float(leaf.n)
+        cover = np.outer(my, mx)
+        acc += cover * (w * float(val))
+        wsum += cover * w
+    values = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
+    return {"plane": [plane.f_x, plane.f_y],
+            "x_edges": [float(v) for v in x_edges],
+            "y_edges": [float(v) for v in y_edges],
+            "values": [[float(v) for v in row] for row in values]}
+
+
+def _cut(tree: TripleTree, fixed: dict) -> list:
+    """Sorted ids of the leaves whose boxes hold every fixed off-plane value."""
+    t, f = tree.table, list(fixed)
+    v = np.array(list(fixed.values()), dtype=float)
+    return t.ids[Box(t.box.lower[:, f], t.box.upper[:, f]).meets(v, v)].tolist()
+
+
+def ice_slice(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
+    """Rectangles of every leaf cut by an axis-aligned planar cross-section.
+
+    Off-plane features are pinned to the plane's fixed values (medians when
+    unspecified), giving an individual conditional expectation view.
+    """
+    plane.validate(tree)
+    fixed = resolve_fixed(tree, plane)
+    rects = []
+    for lid in _cut(tree, fixed):
+        leaf = tree.leaves[lid]
+        box = leaf.box.clipped(tree.feature_range)
+        rects.append({
+            "x0": float(box.lower[plane.f_x]), "x1": float(box.upper[plane.f_x]),
+            "y0": float(box.lower[plane.f_y]), "y1": float(box.upper[plane.f_y]),
+            "value": leaf_attribute(tree, leaf, attribute), "leaf": lid})
+    return {"plane": [plane.f_x, plane.f_y], "rects": rects,
+            "fixed": {str(f): v for f, v in sorted(fixed.items())},
+            "x_range": [float(v) for v in tree.feature_range[plane.f_x]],
+            "y_range": [float(v) for v in tree.feature_range[plane.f_y]]}
+
+
+def quiver(tree: TripleTree, plane: PlaneSpec | None = None,
+           mode: str = "direct") -> dict:
+    """Arrow field of predicted state change, one arrow per leaf centre.
+
+    Leaves without their own derivative estimate are omitted.  ``direct``
+    mode shows every leaf (d <= 2); ``slice`` mode only leaves cut by the
+    plane's fixed values.
+    """
+    if mode not in ("direct", "slice"):
+        raise ParameterError("quiver mode must be 'direct' or 'slice'")
+    if mode == "direct":
+        if tree.d > 2:
+            raise ParameterError("direct quiver needs d <= 2; use slice mode")
+        fx, fy = (0, 1) if tree.d == 2 else (0, 0)
+        ids = sorted(tree.leaves)
+        fixed = {}
+    else:
+        if plane is None:
+            raise ParameterError("slice quiver needs a plane")
+        plane.validate(tree)
+        fx, fy = plane.f_x, plane.f_y
+        fixed = resolve_fixed(tree, plane)
+        ids = _cut(tree, fixed)
+    arrows = []
+    for lid in ids:
+        leaf = tree.leaves[lid]
+        if leaf.deriv_low_confidence:
+            continue
+        c = leaf.box.center(tree.feature_range)
+        arrows.append({"x": float(c[fx]), "y": float(c[fy]),
+                       "dx": float(leaf.deriv_pred[fx]),
+                       "dy": float(leaf.deriv_pred[fy]), "leaf": lid})
+    return {"plane": [fx, fy], "arrows": arrows,
+            "fixed": {str(f): v for f, v in sorted(fixed.items())},
+            "x_range": [float(v) for v in tree.feature_range[fx]],
+            "y_range": [float(v) for v in tree.feature_range[fy]]}
+
+
+def _heat(v: float) -> str:
+    v = min(max(v, 0.0), 1.0)
+    x = v * (len(_VIRIDIS) - 1)
+    i = min(int(x), len(_VIRIDIS) - 2)
+    f = x - i
+    rgb = [round(a + (b - a) * f)
+           for a, b in zip(_VIRIDIS[i], _VIRIDIS[i + 1])]
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def render_svg(payload: dict, style: dict | None = None,
+               overlays: list | None = None) -> str:
+    """Deterministic SVG for a rectangle map, value grid, or arrow field.
+
+    Overlays are drawn on top: ``{"type": "path", "nodes": [[x, y], ...],
+    "probability": p}`` polylines (opacity proportional to probability),
+    ``{"type": "point", "xy": [x, y]}`` markers, and ``{"type": "segment",
+    "from": [..], "to": [..]}`` arrows.
+    """
+    style = {**{"width": 640, "height": 480, "margin": 45, "title": ""},
+             **(style or {})}
+    if "rects" in payload:
+        body, legend = _render_rects(payload, style)
+    elif "values" in payload:
+        body, legend = _render_grid(payload, style)
+    elif "arrows" in payload:
+        body, legend = _render_arrows(payload, style)
+    else:
+        raise ParameterError("payload is not a rects/grid/arrows document")
+    canvas = _canvas_for(payload, style)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.w}" '
+        f'height="{canvas.h}" viewBox="0 0 {canvas.w} {canvas.h}">',
+        f'<rect x="0" y="0" width="{canvas.w}" height="{canvas.h}" fill="#ffffff"/>',
+    ]
+    parts.extend(body)
+    parts.extend(_render_overlays(canvas, overlays or []))
+    parts.append(
+        f'<rect x="{_f(canvas.ml)}" y="{_f(canvas.mt)}" width="{_f(canvas.pw)}" '
+        f'height="{_f(canvas.ph)}" fill="none" stroke="#000000"/>')
+    parts.extend(_axis_labels(canvas, style))
+    parts.extend(legend)
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _render_rects(payload, style):
+    canvas = _canvas_for(payload, style)
+    vals = [r["value"] for r in payload["rects"]]
+    out = []
+    if _numeric_values(vals):
+        vmin = min(vals) if vals else 0.0
+        vmax = max(vals) if vals else 1.0
+        span = (vmax - vmin) or 1.0
+        color = lambda v: _heat((v - vmin) / span)
+        legend = _colorbar(canvas, vmin, vmax)
+    else:
+        labels = sorted({str(v) for v in vals})
+        cmap = {l: _CATEGORICAL[i % len(_CATEGORICAL)]
+                for i, l in enumerate(labels)}
+        color = lambda v: cmap[str(v)]
+        legend = _swatches(canvas, labels, cmap)
+    for r in payload["rects"]:
+        x, y = canvas.x(r["x0"]), canvas.y(r["y1"])
+        w = canvas.x(r["x1"]) - canvas.x(r["x0"])
+        h = canvas.y(r["y0"]) - canvas.y(r["y1"])
+        out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
+                   f'height="{_f(h)}" fill="{color(r["value"])}" '
+                   f'stroke="#ffffff" stroke-width="0.3"/>')
+    return out, legend
+
+
+def _render_grid(payload, style):
+    canvas = _canvas_for(payload, style)
+    values = payload["values"]
+    flat = [v for row in values for v in row]
+    vmin, vmax = (min(flat), max(flat)) if flat else (0.0, 1.0)
+    span = (vmax - vmin) or 1.0
+    xe, ye = payload["x_edges"], payload["y_edges"]
+    out = []
+    for iy, row in enumerate(values):
+        for ix, v in enumerate(row):
+            x, y = canvas.x(xe[ix]), canvas.y(ye[iy + 1])
+            w = canvas.x(xe[ix + 1]) - x
+            h = canvas.y(ye[iy]) - y
+            out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
+                       f'height="{_f(h)}" fill="{_heat((v - vmin) / span)}"/>')
+    return out, _colorbar(canvas, vmin, vmax)
+
+
+def _colorbar(canvas, vmin, vmax):
+    x = canvas.ml + canvas.pw + 18
+    out = []
+    n = 48
+    for i in range(n):
+        frac = i / (n - 1)
+        y = canvas.mt + canvas.ph * (1 - (i + 1) / n)
+        out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="14" '
+                   f'height="{_f(canvas.ph / n + 0.5)}" fill="{_heat(frac)}"/>')
+    out.append(f'<text x="{_f(x + 18)}" y="{_f(canvas.mt + canvas.ph)}" '
+               f'font-family="monospace" font-size="10">{vmin:.4g}</text>')
+    out.append(f'<text x="{_f(x + 18)}" y="{_f(canvas.mt + 10)}" '
+               f'font-family="monospace" font-size="10">{vmax:.4g}</text>')
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Transitions: the per-episode run scanner the array passes replace
+# ---------------------------------------------------------------------------
+
+def compute_transitions(tree: TripleTree, data: AugmentedDataset) -> TripleTree:
+    """Estimate sequence-level leaf transition probabilities and durations.
+
+    Sequences are runs of consecutive samples in one leaf, never spanning
+    episode boundaries.  A run ending with episode termination records a
+    transition to the end marker (None); a run cut off by truncation records
+    nothing.
+    """
+    assign = assign_leaves(tree, data.states)
+    counts: dict = {lid: {} for lid in tree.leaves}
+    lens: dict = {lid: {} for lid in tree.leaves}
+    for start, stop, terminal in data.episode_slices:
+        seq = assign[start:stop]
+        i = 0
+        while i < seq.size:
+            j = i + 1
+            while j < seq.size and seq[j] == seq[i]:
+                j += 1
+            src = int(seq[i])
+            if j < seq.size:
+                dest = int(seq[j])
+            elif terminal:
+                dest = None
+            else:
+                i = j
+                continue  # truncated run: no transition observed
+            counts[src][dest] = counts[src].get(dest, 0) + 1
+            lens[src][dest] = lens[src].get(dest, 0) + (j - i)
+            i = j
+
+    for lid, leaf in tree.leaves.items():
+        total = sum(counts[lid].values())
+        if total == 0:
+            leaf.transitions = {}
+            continue
+        leaf.transitions = {
+            dest: (c / total, lens[lid][dest] / c)
+            for dest, c in counts[lid].items()}
+    return tree

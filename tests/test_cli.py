@@ -184,13 +184,52 @@ def test_exit_codes(workspace, tmp_path, capsys):
                 "--out", str(tmp_path / "t.json")]) == 2
     # unknown flag -> argparse usage error
     assert run(["fit", "--nonsense"]) == 2
-    # corrupt tree payload -> data-style failure, not a crash
+    # corrupt tree payload -> one data error line, exit 1
     bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    assert run(["inspect", "--tree", str(bad)]) in (1, 2)
-    bad.write_text('{"version": 1}')
-    assert run(["predict", "--tree", str(bad), "--state", "1,0"]) in (1, 2)
     capsys.readouterr()
+    bad.write_text("{")
+    assert run(["inspect", "--tree", str(bad)]) == 1
+    bad.write_text('{"version": 1}')
+    assert run(["predict", "--tree", str(bad), "--state", "1,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("data error: ") == 2 and err.count("\n") == 2
+
+
+BAD_ARGS = {
+    "resolution-not-integers": ["viz", "--resolution", "abc"],
+    "resolution-negative": ["viz", "--mode", "projection",
+                            "--resolution=-3,4"],
+    "resolution-zero": ["viz", "--mode", "projection", "--resolution=0,5"],
+    "plane-one-feature": ["viz", "--plane", "0"],
+    "fixed-not-a-number": ["viz", "--mode", "slice", "--fixed", "speed=abc"],
+    "action-component-not-an-integer": ["viz", "--attribute", "action.x"],
+    "action-component-negative": ["viz", "--attribute", "action.-9"],
+    "derivative-component-negative": ["viz", "--attribute", "derivative.-1"],
+    "value-cond-not-a-number": ["explain", "--state", "0,0",
+                                "--value-cond", "<=abc"],
+    "grid-one-number": ["gen-road", "--grid", "3"],
+    "unknown-leaf-ids": ["simulate", "--start-leaf", "99999",
+                         "--end-leaf", "99999"],
+    "unknown-leaf-ids-no-align": ["simulate", "--start-leaf", "99999",
+                                  "--end-leaf", "99999", "--no-align"],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ARGS))
+def test_malformed_argument_prints_one_usage_error_line(name, workspace,
+                                                        tmp_path, capsys):
+    base, data, tree = workspace
+    command, *flags = BAD_ARGS[name]
+    argv = [command, *flags]
+    if command != "gen-road":
+        argv += ["--tree", tree]
+    if command != "explain":
+        argv += ["--out", str(tmp_path / "out.json")]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out.json")
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TRACES) + ["empty-vectors",
@@ -297,6 +336,9 @@ def test_external_vector_action_trace_end_to_end(tmp_path, capsys):
     assert run(["predict", "--tree", tree, "--state", "0.2,0.5,0.5"]) == 0
     pred = json.loads(capsys.readouterr().out)
     assert isinstance(pred["action"], list) and len(pred["action"]) == 2
+    assert run(["explain", "--tree", tree, "--state", "0.2,0.5,0.5",
+                "--foil", "abc,1"]) == 2
+    assert capsys.readouterr().err == "error: invalid vector action 'abc,1'\n"
     viz_out = str(tmp_path / "vec_a0.json")
     assert run(["viz", "--tree", tree, "--attribute", "action.0",
                 "--mode", "projection", "--plane", "x,y",

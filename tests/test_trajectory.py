@@ -292,6 +292,8 @@ def test_align_requires_recorded_transitions():
         tj.align_path(tree, [0, 3])  # no direct edge 0 -> 3
     with pytest.raises(ParameterError):
         tj.align_path(tree, [0, None])
+    with pytest.raises(ParameterError):
+        tj.align_path(tree, [99])  # not a leaf id of the tree
 
 
 def test_align_handles_zero_derivative():

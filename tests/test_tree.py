@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tripletree import dataset as ds
 from tripletree import impurity as imp
 from tripletree import tree as tr
-from tripletree.errors import ParameterError
+from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import ImpurityTriple
 
 from . import reference as ref
@@ -207,6 +207,46 @@ def test_transitions_match_brute_scanner_and_sum_to_one():
             assert p == pytest.approx(want_counts[dest] / total)
             assert t == pytest.approx(lens[lid][dest] / want_counts[dest])
             assert t >= 1.0
+
+
+@st.composite
+def transition_cases(draw):
+    """A grown tree and a dataset of episodes drawn as runs of leaf cells:
+    single-sample, truncated and terminal episodes, episodes that start in
+    the leaf where the previous one ended, and runs that revisit a leaf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    cells = draw(st.integers(1, 6))
+    states, slices, pos = [], [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        runs = draw(st.lists(st.tuples(st.integers(0, cells - 1),
+                                       st.integers(1, 4)),
+                             min_size=1, max_size=5))
+        if slices and draw(st.booleans()):
+            runs[0] = (int(states[-1] * cells), runs[0][1])
+        if draw(st.booleans()):
+            runs = [(runs[0][0], 1)]  # a single-sample episode
+        xs = [(c + rng.uniform(0.2, 0.8)) / cells for c, k in runs
+              for _ in range(k)]
+        states += xs
+        slices.append((pos, pos + len(xs), draw(st.booleans())))
+        pos += len(xs)
+    states = np.array(states)[:, None]
+    data = synthetic_aug(states=states, actions=np.floor(states[:, 0] * cells),
+                         episode_slices=slices)
+    tree = tr.grow(data, [1, 0, 0], max_leaves=draw(st.integers(1, cells)))
+    return tree, data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=transition_cases())
+def test_transitions_equal_the_per_episode_run_scan(case):
+    tree, data = case
+    ref.compute_transitions(tree, data)
+    want = {lid: list(leaf.transitions.items())
+            for lid, leaf in tree.leaves.items()}
+    tr.compute_transitions(tree, data)
+    assert {lid: list(leaf.transitions.items())
+            for lid, leaf in tree.leaves.items()} == want
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +490,9 @@ def test_serialize_round_trip(budget):
 
 
 def test_deserialize_rejects_bad_payloads():
-    with pytest.raises(ParameterError):
+    with pytest.raises(TraceFormatError):
         tr.deserialize(b"not json")
-    with pytest.raises(ParameterError):
+    with pytest.raises(TraceFormatError):
         tr.deserialize(b'{"version": 99, "meta": {}, "nodes": []}')
 
 
@@ -528,7 +568,7 @@ def _outside_region(doc):
         "threshold-moved", "threshold-outside-region",
         "integer-past-digit-limit", "deep-nesting"])
 def test_deserialize_rejects_malformed_structure(payload):
-    with pytest.raises(ParameterError):
+    with pytest.raises(TraceFormatError):
         tr.deserialize(payload)
 
 
@@ -566,7 +606,7 @@ def test_deserialize_of_one_bad_number_loads_or_raises_quickly(path, value):
     t0 = time.perf_counter()
     try:
         tree = tr.deserialize(json.dumps(doc).encode())
-    except ParameterError:
+    except TraceFormatError:
         tree = None
     if tree is not None:
         # a loaded tree answers point queries without looping or raising
@@ -663,6 +703,13 @@ def test_leaf_table_rows_equal_leaves_and_mask_equals_per_leaf_loop(case):
         assert t.value[row] == leaf.value_pred
         assert t.deriv[row].tobytes() == leaf.deriv_pred.tobytes()
         assert ref.same_action(t.action[row], leaf.action_pred)
+        assert t.n[row] == leaf.n and t.density[row] == leaf.density
+        assert t.impurity[row].tolist() == [leaf.impurity.action,
+                                            leaf.impurity.value,
+                                            leaf.impurity.derivative]
+        assert t.low_conf[row] == leaf.deriv_low_confidence
+    for column in (t.n, t.density, t.impurity, t.low_conf):
+        assert column.shape[0] == t.ids.size and not column.flags.writeable
     for foil in foils:
         assert t.ids[t.predicts(foil)].tolist() == sorted(
             ref.foil_leaves(tree, foil))

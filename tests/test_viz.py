@@ -1,16 +1,21 @@
 import hashlib
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripletree import dataset as ds
 from tripletree import trajectory as tj
 from tripletree import tree as tr
 from tripletree import viz
 from tripletree.errors import ParameterError
 from tripletree.viz import PlaneSpec
 
+from . import reference as ref
 from .conftest import build_tree, random_tree, synthetic_aug
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -194,13 +199,13 @@ def test_quiver_slice_mode():
 def test_scalar_attribute_lookup_variants():
     tree = quad_tree()
     leaf = tree.leaves[0]
-    assert viz.leaf_attribute(tree, leaf, "action") == "a"
-    assert viz.leaf_attribute(tree, leaf, "derivative.0") == 1.0
-    assert viz.leaf_attribute(tree, leaf, "density") == leaf.density
+    assert viz.leaf_attribute(tree, "action")[0] == "a"
+    assert viz.leaf_attribute(tree, "derivative.0")[0] == 1.0
+    assert viz.leaf_attribute(tree, "density")[0] == leaf.density
     with pytest.raises(ParameterError):
-        viz.leaf_attribute(tree, leaf, "derivative")
+        viz.leaf_attribute(tree, "derivative")
     with pytest.raises(ParameterError):
-        viz.leaf_attribute(tree, leaf, "nope")
+        viz.leaf_attribute(tree, "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +268,10 @@ def test_quiver_arrows_lengthen_with_speed_on_road_tree(road_fixture):
 def road_view_digests(aug) -> str:
     """sha256 of every whole-tree reader's output, one ``<hex>  <what>`` line
     each: the views, losses, leaf graph and README zone paths of a 60-leaf
-    road fit, then ``ice_slice`` and slice-mode ``quiver`` of a grown d=3
-    tree cut at a fixed off-plane value."""
+    road fit, then ``ice_slice``, slice-mode ``quiver`` and the projection
+    of a grown d=3 tree cut at a fixed off-plane value, the road tree's
+    direct maps of every numeric attribute, a vector-action direct map, and
+    the SVG text of both projections."""
     from .test_queries import END_ZONE, START_ZONE
     tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=60)
     graph = tj.build_leaf_graph(tree)
@@ -277,23 +284,115 @@ def road_view_digests(aug) -> str:
         V=states[:, 1] + 0.1 * rng.normal(size=400),
         D=rng.normal(size=(400, 3))), [1, 1, 1], max_leaves=40)
     plane = PlaneSpec(0, 1, n_x=30, n_y=20, fixed={2: 0.37})
+    vec_states = rng.uniform(0, 1, size=(200, 2))
+    vec = tr.grow(synthetic_aug(
+        states=vec_states, actions=np.stack([vec_states[:, 0] ** 2,
+                                             vec_states.sum(axis=1)], axis=1),
+        V=vec_states[:, 1], action_kind="continuous-vector"),
+        [1, 1, 0], max_leaves=12)
+    road_pdp = viz.pdp_projection(tree, PlaneSpec(0, 1, n_x=40, n_y=30),
+                                  "value")
+    cube_pdp = viz.pdp_projection(cube, plane, "value")
     docs = {
         "direct_map_action": viz.direct_map(tree, "action"),
         "direct_map_value": viz.direct_map(tree, "value"),
         "quiver_direct": viz.quiver(tree, mode="direct"),
-        "pdp_projection": viz.pdp_projection(
-            tree, PlaneSpec(0, 1, n_x=40, n_y=30), "value"),
+        "pdp_projection": road_pdp,
         "losses": repr(tr.evaluate_losses(tree, aug)),
         "leaf_graph_edges": repr(graph.edges),
         "zone_paths": [p.to_json() for p in tj.zone_paths(graph, *zones)],
         "ice_slice_d3": viz.ice_slice(cube, plane, "value"),
         "quiver_slice_d3": viz.quiver(cube, plane, mode="slice"),
+        "pdp_projection_d3": cube_pdp,
+        **{f"direct_map_{a}": viz.direct_map(tree, a)
+           for a in ("action_impurity", "value_impurity",
+                     "derivative_impurity", "density", "derivative.1")},
+        "direct_map_vector_action.0": viz.direct_map(vec, "action.0"),
     }
+    svgs = {"pdp_projection": viz.render_svg(road_pdp),
+            "pdp_projection_d3": viz.render_svg(cube_pdp)}
     return "".join(
         f"{hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()}"
-        f"  {k}.json\n" for k, v in docs.items())
+        f"  {k}.json\n" for k, v in docs.items()) + "".join(
+        f"{hashlib.sha256(v.encode()).hexdigest()}  {k}.svg\n"
+        for k, v in svgs.items())
 
 
 def test_road_views_are_byte_identical_to_recorded_digest(road_fixture):
     with open(VIEW_DIGEST) as fh:
         assert road_view_digests(road_fixture[3]) == fh.read()
+
+
+# ---------------------------------------------------------------------------
+# The table-reading views against the per-leaf and per-cell loops
+# ---------------------------------------------------------------------------
+
+ATTRIBUTES = ["action", "value", "action_impurity", "value_impurity",
+              "derivative_impurity", "density"]
+
+
+@st.composite
+def view_cases(draw):
+    """A grown (or grown and reloaded) tree with d = 1 to 3 of any action
+    kind, an attribute (components one past the last included), and a
+    plane with random features, resolution and fixed values."""
+    kind, attribute, d = draw(st.sampled_from(list(itertools.product(
+        [ds.DISCRETE, ds.CONTINUOUS_SCALAR, ds.CONTINUOUS_VECTOR],
+        ATTRIBUTES + ["derivative.", "action."], [1, 2, 3]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    m, n = draw(st.integers(1, 2)), 80
+    states = rng.uniform(0, 1, size=(n, d))
+    if kind == ds.DISCRETE:
+        pool = draw(st.sampled_from([["go", "stop"], [0.0, 1.0, 2.0]]))
+        actions = [pool[k] for k in (states[:, 0] * len(pool)).astype(int)]
+    elif kind == ds.CONTINUOUS_SCALAR:
+        actions = np.round(states[:, -1] * 3)
+    else:
+        actions = np.round(rng.normal(size=(n, m)), 1)
+    data = synthetic_aug(states=states, actions=actions,
+                         V=rng.normal(size=n), D=rng.normal(size=(n, d)),
+                         has_deriv=rng.uniform(size=n) < 0.4, action_kind=kind)
+    tree = tr.grow(data, [1, 1, 1], draw(st.integers(2, 24)))
+    if draw(st.booleans()):
+        tree = tr.deserialize(tr.serialize(tree))
+    if attribute.endswith("."):
+        last = d if attribute == "derivative." else m
+        attribute += str(draw(st.integers(0, last)))
+    f_x, f_y = draw(st.permutations(range(max(d, 2))))[:2]
+    fixed = {f: float(rng.uniform(*tree.feature_range[f]))
+             for f in range(d) if f not in (f_x, f_y) and draw(st.booleans())}
+    plane = PlaneSpec(f_x, f_y, n_x=draw(st.integers(1, 12)),
+                      n_y=draw(st.integers(1, 12)), fixed=fixed)
+    return tree, attribute, plane
+
+
+def _outcome(view, *args):
+    """("ok", JSON text and SVG text), ("usage", message), or ("crash",)
+    for an exception other than ParameterError."""
+    module, name = view
+    try:
+        payload = getattr(module, name)(*args)
+        return ("ok", json.dumps(payload, sort_keys=True),
+                module.render_svg(payload))
+    except ParameterError as exc:
+        return "usage", str(exc)
+    except (ValueError, IndexError):
+        return ("crash",)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=view_cases())
+def test_views_equal_the_per_leaf_loops_byte_for_byte(case):
+    tree, attribute, plane = case
+    calls = [("direct_map", tree, attribute), ("quiver", tree, None, "direct")]
+    if tree.d >= 2:
+        calls += [("pdp_projection", tree, plane, attribute),
+                  ("ice_slice", tree, plane, attribute),
+                  ("quiver", tree, plane, "slice")]
+    for name, *args in calls:
+        want = _outcome((ref, name), *args)
+        got = _outcome((viz, name), *args)
+        if want[0] == "crash":  # now one usage error instead of a traceback
+            assert got[0] == "usage"
+        else:
+            assert got == want
