@@ -109,7 +109,9 @@ def _int_pair(text: str, flag: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_plane(tree, args) -> viz.PlaneSpec:
+def _parse_plane(tree, args) -> viz.PlaneSpec | None:
+    """The view's plane from ``--plane``, ``--resolution`` and ``--fixed``;
+    None for direct views, which draw no plane, once the other flags check."""
     try:
         fx_tok, fy_tok = (args.plane or "0,1").split(",")
     except ValueError:
@@ -125,6 +127,9 @@ def _parse_plane(tree, args) -> viz.PlaneSpec:
             except ValueError:
                 raise ParameterError(f"invalid --fixed entry {pair!r}") from None
             fixed[_feature_index(tree, name)] = value
+    if args.mode == "direct":
+        viz.check_grid(tree, nx, ny, fixed)
+        return None
     return viz.PlaneSpec(f_x=_feature_index(tree, fx_tok),
                          f_y=_feature_index(tree, fy_tok),
                          n_x=nx, n_y=ny, fixed=fixed)
@@ -259,7 +264,7 @@ def cmd_explain(args) -> int:
     elif args.value_cond:
         text = args.value_cond.strip()
         try:
-            if text[:2] not in ("<=", ">="):
+            if text[:2] not in ("<=", ">=") or not np.isfinite(float(text[2:])):
                 raise ValueError
             cond = (text[:2], float(text[2:]))
         except ValueError:

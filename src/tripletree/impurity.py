@@ -3,12 +3,13 @@
 Three channels are measured on every node: action (Gini for discrete
 actions, variance for continuous ones, per-dimension normalised variance
 sum for vector actions), return variance, and the normalised sum of
-per-feature derivative variances.  ``node_stats`` gathers each channel of a
-node once and derives from it the impurities, the leaf predictions and the
-node's share of the training losses.  A split's quality on a channel is the
-population-weighted impurity reduction; ``hybrid_quality`` combines the
-three, each normalised by its impurity at the root, for split search and
-leaf priority alike.
+per-feature derivative variances.  ``node_stats`` gathers a node's channels
+once for its impurities, leaf predictions and share of the training losses.
+``best_split`` scans each feature's sort of the members one 1-D channel
+column at a time (a label's counts, an action component, V, a derivative
+component).  A split's quality on a channel is the population-weighted
+impurity reduction; ``hybrid_quality`` combines the three, each normalised
+by its root impurity, for split search and leaf priority alike.
 """
 
 from __future__ import annotations
@@ -99,8 +100,12 @@ def hybrid_quality(q_triple, root_impurity: ImpurityTriple, theta):
     impurity or weight is zero contribute nothing.  A leaf's growth priority
     is ``n * hybrid_quality(impurity)``.
     """
-    theta = validate_theta(theta)
-    roots = root_impurity.as_array()
+    return combine_qualities(q_triple, root_impurity.as_array(),
+                             validate_theta(theta))
+
+
+def combine_qualities(q_triple, roots, theta):
+    """``hybrid_quality`` for root impurities as an array, theta validated."""
     out = np.zeros(np.shape(q_triple[0]))
     for c in range(3):
         if roots[c] > 0 and theta[c] > 0:
@@ -138,13 +143,13 @@ def node_stats(data, idx) -> NodeStats:
         action = action.item() if hasattr(action, "item") else action
         a_sq = float(n - counts[k])
     else:
-        action, var, a_sq = moments(data.actions[idx])
+        action, var, a_sq = moments(np.take(data.actions, idx, axis=0))
         if data.action_kind == CONTINUOUS_SCALAR:
             ia, action, a_sq = float(var), float(action), float(a_sq)
         else:
             ia = scaled_sum(var, data.action_sigma)
     value, var_v, v_sq = moments(data.V[idx])
-    D = data.D[idx][data.has_deriv[idx]]
+    D = np.take(data.D, idx[data.has_deriv[idx]], axis=0)
     if D.shape[0] > 0:
         deriv, var_d, d_sq = moments(D)
         id_ = scaled_sum(var_d, data.sigma)
@@ -175,13 +180,13 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
     n = idx.size
     if n < 2 * min_leaf or n < 2:
         return None
-
+    roots = root_impurity.as_array()
     best = None  # (q_star, feature, tau, triple, pos, sidx)
     for f in range(data.d):
-        order = np.argsort(data.states[idx, f], kind="stable")
-        sidx = idx[order]
-        x = data.states[sidx, f]
-        pos = np.nonzero(x[:-1] < x[1:])[0]
+        x = data.states[:, f][idx]
+        order = x.argsort(kind="stable")
+        x, sidx = x[order], idx[order]
+        pos = (x[:-1] < x[1:]).nonzero()[0]
         if pos.size == 0:
             continue
         nl = (pos + 1).astype(float)
@@ -198,14 +203,10 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
         if pos.size == 0:
             continue
 
-        qa = _action_quality(data, sidx, pos, nl, nr, n)
-        qv = _vector_moment_quality(data.V[sidx][:, None], _UNIT, None, pos,
-                                    nl, nr)
-        qd = _deriv_quality(data, sidx, pos)
+        qa, qv, qd = _channel_qualities(data, sidx, pos, nl, nr)
+        q_star = combine_qualities((qa, qv, qd), roots, theta)
 
-        q_star = hybrid_quality((qa, qv, qd), root_impurity, theta)
-
-        k = int(np.argmax(q_star))
+        k = int(q_star.argmax())
         if q_star[k] > 0 and (best is None or q_star[k] > best[0]):
             best = (float(q_star[k]), f, float(tau[k]),
                     (float(qa[k]), float(qv[k]), float(qd[k])), int(pos[k]), sidx)
@@ -219,78 +220,68 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
                           right_idx=np.sort(sidx[p + 1:]))
 
 
-_UNIT = np.ones(1)  # the sigma of a one-column channel
-
-
-def _action_quality(data, sidx, pos, nl, nr, n):
+def _channel_qualities(data, sidx, pos, nl, nr):
+    """Action, value and derivative qualities of the cuts ``pos`` of the
+    members in the sorted order ``sidx``, ``nl``/``nr`` rows each side."""
+    n = sidx.size
     if data.action_kind == DISCRETE:
         codes = data.action_codes[sidx]
-        k = data.action_labels.size
-        onehot = np.zeros((sidx.size, k))
-        onehot[np.arange(sidx.size), codes] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[pos]
-        total = cum[-1]
-        right = total - left
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        p = total / n
-        gini_n = 1.0 - np.sum(p * p)
-        return gini_n - (gini_l * nl + gini_r * nr) / n
-    return _vector_moment_quality(
-        data.actions[sidx].reshape(sidx.size, -1),
-        _UNIT if data.action_sigma is None else data.action_sigma,
-        None, pos, nl, nr)
-
-
-def _deriv_quality(data, sidx, pos):
-    mask = data.has_deriv[sidx]
-    return _vector_moment_quality(data.D[sidx], data.sigma, mask, pos,
-                                  None, None)
-
-
-def _vector_moment_quality(M, sigma, defined_mask, pos, nl, nr):
-    """Quality on a vector channel: per-dim variances scaled by 1/sigma.
-    A scalar channel (value, scalar actions) is one column with sigma 1.
-
-    When ``defined_mask`` is given, undefined rows are excluded from the
-    moments and the per-side counts; the channel then weights sides by the
-    defined counts.
-    """
-    n_rows = M.shape[0]
-    if defined_mask is None:
-        w = np.ones(n_rows)
-        ml, mr = nl, nr
-        m_tot = float(n_rows)
+        cum = [(codes == j).cumsum(dtype=float)
+               for j in range(data.action_labels.size)]
+        left = [c[pos] for c in cum]
+        p = np.array([c[-1] for c in cum]) / n
+        gini_l = 1.0 - _row_sum([(a / nl) ** 2 for a in left])
+        gini_r = 1.0 - _row_sum([((c[-1] - a) / nr) ** 2
+                                 for c, a in zip(cum, left)])
+        qa = (1.0 - (p * p).sum()) - (gini_l * nl + gini_r * nr) / n
     else:
-        w = defined_mask.astype(float)
-        cw = np.cumsum(w)
-        ml = cw[pos]
-        m_tot = cw[-1]
+        A = data.actions
+        sigma = np.ones(1) if data.action_sigma is None else data.action_sigma
+        qa = _moment_quality([a[sidx] for a in ([A] if A.ndim == 1 else A.T)],
+                             sigma, pos, nl, nr)
+    qv = _moment_quality([data.V[sidx]], np.ones(1), pos, nl, nr)
+    w = data.has_deriv[sidx]
+    return qa, qv, _moment_quality([D[sidx] for D in data.D.T], data.sigma,
+                                   pos, nl, nr,
+                                   None if w.all() else w.astype(float))
+
+
+def _row_sum(parts):
+    """Row sums of stacked ``parts`` as np.sum(axis=1) rounds them; two
+    terms round alike in either order."""
+    return (sum(parts[1:], parts[0]) if len(parts) <= 2
+            else np.sum(np.stack(parts, axis=1), axis=1))
+
+
+def _moment_quality(cols, sigma, pos, nl, nr, w=None):
+    """Quality of the cuts ``pos`` on a channel of sorted columns, rows
+    weighing ``w`` (0 or 1) or all 1: the reduction of their variances summed
+    with weights 1/sigma (0 for sigma 0), by a matrix product (it rounds
+    unlike a sum) except for one column of weight 1, which it returns as is."""
+    inv = np.divide(1.0, sigma, out=np.zeros(len(sigma)), where=sigma > 0)
+    ml, mr, m_tot = nl, nr, cols[0].size
+    safe_l, safe_r = nl, nr  # both >= 1
+    if w is not None:
+        cw = w.cumsum()
+        ml, m_tot = cw[pos], float(cw[-1])
+        if m_tot <= 0:
+            return np.zeros(pos.size)
         mr = m_tot - ml
-    if m_tot <= 0:
-        return np.zeros(pos.size)
-    Mw = M * w[:, None]
-    c1 = np.cumsum(Mw, axis=0)
-    c2 = np.cumsum(Mw * Mw, axis=0)
-    s1l, s2l = c1[pos], c2[pos]
-    s1r, s2r = c1[-1] - s1l, c2[-1] - s2l
-    keep = sigma > 0
-    inv = np.zeros_like(sigma)
-    inv[keep] = 1.0 / sigma[keep]
+        safe_l, safe_r = np.maximum(ml, 1.0), np.maximum(mr, 1.0)
+        cols = [x * w for x in cols]
+    var_l, var_r, var_n = [], [], []
+    for x in cols:
+        c1, c2 = x.cumsum(), (x * x).cumsum()
+        l1, l2, t1, t2 = c1[pos], c2[pos], float(c1[-1]), float(c2[-1])
+        var_l.append(np.maximum(l2 / safe_l - (l1 / safe_l) ** 2, 0.0))
+        var_r.append(np.maximum((t2 - l2) / safe_r - ((t1 - l1) / safe_r) ** 2,
+                                0.0))
+        mean = t1 / m_tot
+        var_n.append(max(t2 / m_tot - mean * mean, 0.0))
 
-    def imp(s1, s2, m):
-        safe = np.maximum(m, 1.0)[:, None]
-        var = np.maximum(s2 / safe - (s1 / safe) ** 2, 0.0)
-        out = var @ inv
-        out[m <= 0] = 0.0
-        return out
-
-    il = imp(s1l, s2l, np.asarray(ml, dtype=float))
-    ir = imp(s1r, s2r, np.asarray(mr, dtype=float))
-    mean = c1[-1] / m_tot
-    var_n = np.maximum(c2[-1] / m_tot - mean * mean, 0.0)
-    i_n = float(var_n @ inv)
-    ml = np.asarray(ml, dtype=float)
-    mr = np.asarray(mr, dtype=float)
+    il, ir = (var[0] if len(var) == 1 and inv[0] == 1.0
+              else np.stack(var, axis=1) @ inv for var in (var_l, var_r))
+    if w is not None:
+        il[ml <= 0], ir[mr <= 0] = 0.0, 0.0
+    i_n = float(np.array(var_n) @ inv)
     return i_n - (il * ml + ir * mr) / m_tot

@@ -29,8 +29,8 @@ import numpy as np
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
                       AugmentedDataset)
 from .errors import ParameterError, TraceFormatError
-from .impurity import (ImpurityTriple, best_split, hybrid_quality, node_stats,
-                       scaled_sum, validate_theta)
+from .impurity import (ImpurityTriple, best_split, combine_qualities,
+                       node_stats, scaled_sum, validate_theta)
 
 SERIAL_VERSION = 1
 
@@ -246,8 +246,8 @@ def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
     queue: list = []
 
     def enqueue(leaf):
-        priority = leaf.n * hybrid_quality(leaf.impurity.as_array(), root_imp,
-                                           theta)
+        priority = leaf.n * combine_qualities(leaf.impurity.as_array(),
+                                              root_imp.as_array(), theta)
         heapq.heappush(queue, (-priority, leaf.id))
 
     # summed squared errors of the current leaves: the training losses

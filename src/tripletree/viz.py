@@ -34,13 +34,18 @@ class PlaneSpec:
         for f in (self.f_x, self.f_y):
             if not 0 <= f < tree.d:
                 raise ParameterError(f"plane feature {f} out of range")
-        if self.n_x < 1 or self.n_y < 1:
-            raise ParameterError("plane resolution must be at least 1,1")
-        for f, v in self.fixed.items():
-            lo, hi = tree.feature_range[f]
-            if not lo <= v <= hi:
-                raise ParameterError(
-                    f"fixed value {v:g} for feature {f} outside data range")
+        check_grid(tree, self.n_x, self.n_y, self.fixed)
+
+
+def check_grid(tree: TripleTree, n_x: int, n_y: int, fixed: dict):
+    """Check a view's resolution and fixed values, which need no plane."""
+    if n_x < 1 or n_y < 1:
+        raise ParameterError("plane resolution must be at least 1,1")
+    for f, v in fixed.items():
+        lo, hi = tree.feature_range[f]
+        if not lo <= v <= hi:
+            raise ParameterError(
+                f"fixed value {v:g} for feature {f} outside data range")
 
 
 def leaf_attribute(tree: TripleTree, attribute: str) -> np.ndarray:

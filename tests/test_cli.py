@@ -146,6 +146,23 @@ def test_viz_modes(workspace, tmp_path):
         assert open(svg).read().startswith("<svg")
 
 
+def test_viz_direct_on_a_one_feature_tree(tmp_path):
+    rows = ["episode,t,terminal,x,a,r"] + [
+        f"{e},{t},{int(t == 9)},{(7 * e + 3 * t) % 10 / 10},{t % 2},{t}"
+        for e in range(4) for t in range(10)]
+    (tmp_path / "d1.csv").write_text("\n".join(rows) + "\n")
+    tree = str(tmp_path / "tree.json")
+    assert run(["fit", "--data", str(tmp_path / "d1.csv"), "--gamma", "0.9",
+                "--theta", "1,1,1", "--max-leaves", "4", "--out", tree]) == 0
+    out = str(tmp_path / "v.json")
+    for flags, code in (([], 0), (["--plane", "0,0"], 0),
+                        (["--resolution=0,5"], 2), (["--fixed", "x=99"], 2)):
+        assert run(["viz", "--tree", tree, "--mode", "direct", *flags,
+                    "--out", out]) == code
+    assert run(["viz", "--tree", tree, "--mode", "projection",
+                "--out", out]) == 2
+
+
 def test_sweep_theta_command(workspace, tmp_path):
     base, data, tree = workspace
     out = str(tmp_path / "sweep.csv")
@@ -202,11 +219,18 @@ BAD_ARGS = {
     "resolution-zero": ["viz", "--mode", "projection", "--resolution=0,5"],
     "plane-one-feature": ["viz", "--plane", "0"],
     "fixed-not-a-number": ["viz", "--mode", "slice", "--fixed", "speed=abc"],
+    "direct-resolution-zero": ["viz", "--mode", "direct", "--resolution=0,5"],
+    "direct-fixed-off-range": ["viz", "--mode", "direct", "--fixed",
+                               "speed=99"],
     "action-component-not-an-integer": ["viz", "--attribute", "action.x"],
     "action-component-negative": ["viz", "--attribute", "action.-9"],
     "derivative-component-negative": ["viz", "--attribute", "derivative.-1"],
     "value-cond-not-a-number": ["explain", "--state", "0,0",
                                 "--value-cond", "<=abc"],
+    "value-cond-nan": ["explain", "--state", "0,0", "--value-cond", "<=nan"],
+    "value-cond-inf": ["explain", "--state", "0,0", "--value-cond", "<=inf"],
+    "value-cond-minus-inf": ["explain", "--state", "0,0",
+                             "--value-cond", ">=-inf"],
     "grid-one-number": ["gen-road", "--grid", "3"],
     "unknown-leaf-ids": ["simulate", "--start-leaf", "99999",
                          "--end-leaf", "99999"],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletree import impurity as imp
 from tripletree.errors import ParameterError
@@ -7,7 +9,8 @@ from tripletree.impurity import ImpurityTriple
 
 from .conftest import synthetic_aug
 from .reference import (exhaustive_best_split, gini, pairwise_deriv_impurity,
-                        pairwise_variance, partition_quality)
+                        pairwise_variance, partition_quality,
+                        rowwise_best_split, rowwise_node_stats)
 
 
 def test_gini_examples():
@@ -209,3 +212,93 @@ def test_value_scaling_leaves_argmax_unchanged():
     b = imp.best_split(data_scaled, idx,
                        imp.node_impurity(data_scaled, idx), [0, 1, 0])
     assert (a.feature, a.threshold) == (b.feature, b.threshold)
+
+
+# ---------------------------------------------------------------------------
+# The column scan against the row-gather oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    """A value's type and exact bytes, so == compares floats bitwise."""
+    if x is None or isinstance(x, str):
+        return x
+    a = np.asarray(x)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _stats_bits(stats):
+    (a_sq, v_sq, d_sq) = stats.loss_terms
+    return [_bits(v) for v in (*stats.impurity.as_array(), stats.action,
+                               stats.value, stats.deriv, stats.n_deriv,
+                               a_sq, v_sq, d_sq)]
+
+
+@st.composite
+def scan_cases(draw):
+    """A dataset of every action kind and derivative mask, with heavily
+    duplicated states, a random member subset in random order, theta and
+    min_leaf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["discrete", "continuous-scalar",
+                                 "continuous-vector"]))
+    n = draw(st.integers(2, 70))
+    d = draw(st.integers(1, 3))
+    # a few distinct values per feature, signed zeros among them, with some
+    # features continuous
+    pools = [np.append(rng.normal(size=draw(st.integers(1, 6))), [0.0, -0.0])
+             for _ in range(d)]
+    states = np.stack([rng.choice(pool, size=n) if draw(st.booleans())
+                       else rng.uniform(-1, 1, size=n) for pool in pools],
+                      axis=1)
+    rows = np.arange(n)
+    if kind == "discrete":
+        labels = draw(st.integers(2, 5))
+        actions = rng.integers(0, labels, size=n).astype(float)
+        if n >= labels:  # every label is in the dataset ...
+            actions[:labels] = rng.permutation(labels)
+        if draw(st.booleans()):  # ... and the last may be absent from the node
+            rows = rows[actions != labels - 1]
+            if rows.size == 0:
+                rows = np.arange(n)
+    elif kind == "continuous-scalar":
+        actions = rng.normal(scale=draw(st.floats(0.01, 100)), size=n)
+    else:
+        actions = rng.normal(size=(n, draw(st.integers(2, 3))))
+        actions[:, int(rng.integers(actions.shape[1]))] = 0.7  # zero sigma
+    mode = draw(st.sampled_from(["all", "none", "partial"]))
+    has_deriv = {"all": np.ones(n, dtype=bool), "none": np.zeros(n, dtype=bool),
+                 "partial": rng.uniform(size=n) > 0.3}[mode]
+    D = rng.normal(size=(n, d)) * has_deriv[:, None]
+    if d > 1 and draw(st.booleans()):
+        D[:, 0] = 0.0  # a zero-sigma derivative feature
+    data = synthetic_aug(states=states, actions=actions,
+                         V=rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3]),
+                         D=D, has_deriv=has_deriv, action_kind=kind)
+    size = draw(st.integers(1, max(1, rows.size)))
+    idx = rng.permutation(rows)[:size]
+    theta = rng.uniform(size=3) * (rng.uniform(size=3) > 0.3)
+    theta[int(rng.integers(3))] += 0.1
+    return data, idx, theta, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=scan_cases())
+def test_column_scan_is_bitwise_the_row_gather_search(case):
+    data, idx, theta, min_leaf = case
+    assert _stats_bits(imp.node_stats(data, idx)) == \
+        _stats_bits(rowwise_node_stats(data, idx))
+    root = rowwise_node_stats(data, np.arange(data.n)).impurity
+    got = imp.best_split(data, idx, root, theta, min_leaf=min_leaf)
+    want = rowwise_best_split(data, idx, root, theta, min_leaf=min_leaf)
+    if want is None:
+        assert got is None
+        return
+    assert (got.feature, got.threshold, got.quality_triple,
+            got.hybrid_quality) == (want.feature, want.threshold,
+                                    want.quality_triple, want.hybrid_quality)
+    assert np.array_equal(got.left_idx, want.left_idx)
+    assert np.array_equal(got.right_idx, want.right_idx)
+    for side in ("left_idx", "right_idx"):
+        members = getattr(got, side)
+        assert _stats_bits(imp.node_stats(data, members)) == \
+            _stats_bits(rowwise_node_stats(data, members))

@@ -445,15 +445,40 @@ def test_density_uses_range_clipped_volume():
     assert left.density == pytest.approx(left.n / frac)
 
 
+def _road_with_actions(aug, kind, make_actions):
+    """The road trace of ``aug`` with each episode's actions replaced by
+    ``make_actions(states, actions)``, augmented again as ``kind``."""
+    base = aug.base
+    episodes = [ds.Episode(states=ep.states,
+                           actions=make_actions(ep.states, ep.actions),
+                           rewards=ep.rewards, terminal=ep.terminal)
+                for ep in base.episodes]
+    return ds.augment(ds.TraceDataset(episodes, kind, base.feature_names),
+                      aug.gamma)
+
+
 def road_tree_digests(aug) -> str:
-    """sha256 of a 60-leaf road fit's ``serialize()`` bytes and of the repr of
-    its growth loss rows, one ``<hex>  <what>`` line each."""
-    rows = []
-    tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=60,
-                  snapshot_cb=lambda t, n, losses: rows.append((n,) + losses))
-    assert tree.n_leaves == 60
-    return (f"{hashlib.sha256(tr.serialize(tree)).hexdigest()}  tree.json\n"
-            f"{hashlib.sha256(repr(rows).encode()).hexdigest()}  losses.repr\n")
+    """sha256 of 60-leaf road fits' ``serialize()`` bytes and of the repr of
+    their growth loss rows, one ``<hex>  <what>`` line each: the recorded
+    discrete actions, a continuous scalar action mixing them with speed, and
+    a vector action with a constant (zero-sigma) component."""
+    scalar = _road_with_actions(
+        aug, ds.CONTINUOUS_SCALAR, lambda s, a: 1000.0 * a + 0.25 * s[:, 1])
+    vector = _road_with_actions(
+        aug, ds.CONTINUOUS_VECTOR,
+        lambda s, a: np.stack([1000.0 * a, s[:, 0] * s[:, 1],
+                               np.ones(len(a))], axis=1))
+    out = ""
+    for data, theta, tag in ((aug, [0.2, 0.6, 0.2], ""),
+                             (scalar, [0.5, 0.3, 0.2], "_scalar"),
+                             (vector, [0.5, 0.3, 0.2], "_vector")):
+        rows = []
+        tree = tr.fit(data, theta, max_leaves=60,
+                      snapshot_cb=lambda t, n, losses: rows.append((n,) + losses))
+        assert tree.n_leaves == 60
+        out += (f"{hashlib.sha256(tr.serialize(tree)).hexdigest()}  tree{tag}.json\n"
+                f"{hashlib.sha256(repr(rows).encode()).hexdigest()}  losses{tag}.repr\n")
+    return out
 
 
 def test_road_fit_is_byte_identical_to_recorded_digest(road_fixture):
