@@ -9,7 +9,7 @@ from .explain import (Explanation, counterfactual_action, counterfactual_value,
                       factual, project_onto_box, render_json, render_text,
                       temporal)
 from .impurity import (ImpurityTriple, SplitCandidate, best_split,
-                       derivative_impurity, hybrid_quality, variance)
+                       hybrid_quality)
 from .road_env import (GridPolicy, RoadConfig, dp_solve, generate_dataset,
                        step, theta_sweep)
 from .trajectory import (LeafGraph, TrajectoryPath, align_path,
@@ -27,11 +27,11 @@ __all__ = [
     "RoadConfig", "SplitCandidate", "TraceDataset", "TraceFormatError",
     "TrajectoryPath", "TripleTree", "align_path", "augment", "best_split",
     "build_leaf_graph", "compute_transitions", "counterfactual_action",
-    "counterfactual_value", "derivative_impurity", "deserialize", "direct_map",
+    "counterfactual_value", "deserialize", "direct_map",
     "dp_solve", "evaluate_losses", "factual", "fit", "generate_dataset",
     "grow", "hybrid_quality", "ice_slice", "leaf_of", "load_trace",
     "load_trace_path", "most_probable_path", "pdp_projection", "predict",
     "project_onto_box", "quiver", "render_json",
     "render_svg", "render_text", "select_best_leaf", "serialize", "step",
-    "temporal", "theta_sweep", "variance", "zone_paths",
+    "temporal", "theta_sweep", "zone_paths",
 ]

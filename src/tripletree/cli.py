@@ -203,23 +203,25 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.curve:
+        if args.tree:
+            raise ParameterError("--curve grows its own tree; drop --tree")
         if not (args.gamma is not None and args.theta and args.max_leaves):
             raise ParameterError(
                 "--curve needs --data, --gamma, --theta and --max-leaves")
         data = ds.load_trace_path(args.data, action_kind=args.action_kind)
         aug = ds.augment(data, args.gamma)
-        rows = []
-        tr.grow(aug, _parse_theta(args.theta), args.max_leaves,
-                min_leaf=args.min_leaf,
-                snapshot_cb=lambda t, n, losses: rows.append((n,) + losses))
+        curve = tr.grow(aug, _parse_theta(args.theta), args.max_leaves,
+                        min_leaf=args.min_leaf).loss_curve
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["leaves", "action_loss", "value_loss", "deriv_loss"])
-        for n, a, v, d in rows:
+        for n, (a, v, d) in enumerate(curve, start=1):
             writer.writerow([n, repr(a), repr(v), repr(d)])
         _write(args.out, buf.getvalue().encode())
-        print(f"wrote loss curve with {len(rows)} rows to {args.out}")
+        print(f"wrote loss curve with {len(curve)} rows to {args.out}")
         return 0
+    if not args.tree:
+        raise ParameterError("eval needs --tree, or --curve to grow one")
     tree = _load_tree(args.tree)
     data = ds.load_trace_path(args.data, action_kind=tree.action_kind)
     aug = ds.augment(data, tree.gamma)
@@ -300,6 +302,8 @@ def _overlays(paths) -> list:
 
 
 def cmd_simulate(args) -> int:
+    if not np.isfinite(args.min_prob):
+        raise ParameterError(f"--min-prob {args.min_prob} is not finite")
     tree = _load_tree(args.tree)
     graph = tj.build_leaf_graph(tree)
     align_opts = {"max_iters": args.max_iters, "step_size": args.step_size,
@@ -579,10 +583,10 @@ def main(argv=None) -> int:
     except TraceFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"data error: invalid JSON ({exc})", file=sys.stderr)
         return 1
 

@@ -70,28 +70,6 @@ def scaled_sum(var, sigma) -> float:
     return float(np.sum(var[mask] / sigma[mask]))
 
 
-def variance(values) -> float:
-    """Population variance; equals the half mean squared pairwise difference."""
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        return 0.0
-    return float(_mean_var(x)[1])
-
-
-def derivative_impurity(derivs, sigma) -> float:
-    """Sum over features of per-feature variance scaled by 1/sigma.
-
-    Features whose sigma is zero are skipped (their scale factor would be
-    singular).  Terminal samples must already have been excluded.
-    """
-    D = np.asarray(derivs, dtype=float)
-    if D.size == 0:
-        return 0.0
-    if D.ndim == 1:
-        D = D[:, None]
-    return scaled_sum(_mean_var(D)[1], sigma)
-
-
 def hybrid_quality(q_triple, root_impurity: ImpurityTriple, theta):
     """Combine per-channel qualities, root-normalised and theta-weighted.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DISCRETE, Episode, TraceDataset, augment
-from .errors import ParameterError
+from .errors import ParameterError, TraceFormatError
 from .tree import evaluate_losses, grow
 
 FEATURE_NAMES = ("pos", "speed")
@@ -37,6 +37,9 @@ class RoadConfig:
             raise ParameterError("grid must be at least 2x2")
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError("gamma must lie in [0, 1]")
+        if not (self.pos_range[0] < self.pos_range[1]
+                and self.speed_range[0] < self.speed_range[1]):
+            raise ParameterError("each range must run from low to high")
 
     def to_json(self) -> dict:
         return {"r_left": self.r_left, "r_right": self.r_right,
@@ -47,14 +50,34 @@ class RoadConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RoadConfig":
-        kwargs = {k: doc[k] for k in ("r_left", "r_right", "r_speed") }
-        for k in ("gamma",):
-            if k in doc:
-                kwargs[k] = doc[k]
+        """The config of a JSON document.  A missing reward, or a field that
+        is not a number (a list of two integers for ``grid``, of two numbers
+        for a range, of numbers for ``actions``), raises TraceFormatError."""
+        if not isinstance(doc, dict):
+            raise TraceFormatError("road config is not a JSON object")
+        kwargs = {k: doc.get(k) for k in ("r_left", "r_right", "r_speed")}
+        if "gamma" in doc:
+            kwargs["gamma"] = doc["gamma"]
+        for k, value in kwargs.items():
+            if not _is_number(value):
+                raise TraceFormatError(f"road config {k!r} is missing or "
+                                       f"not a number")
         for k in ("grid", "pos_range", "speed_range", "actions"):
-            if k in doc:
-                kwargs[k] = tuple(doc[k])
+            if k not in doc:
+                continue
+            value, types = doc[k], int if k == "grid" else (int, float)
+            if not (isinstance(value, list) and value
+                    and (k == "actions" or len(value) == 2)
+                    and all(_is_number(v, types) for v in value)):
+                raise TraceFormatError(f"road config {k!r} is not a list of "
+                                       f"the right numbers")
+            kwargs[k] = tuple(value)
         return cls(**kwargs)
+
+
+def _is_number(value, types=(int, float)) -> bool:
+    """Whether a JSON value is a number of ``types``; booleans are not."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def step(config: RoadConfig, state, action):
@@ -114,13 +137,30 @@ class GridPolicy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GridPolicy":
-        return cls(pos_grid=np.asarray(doc["pos_grid"], dtype=float),
-                   speed_grid=np.asarray(doc["speed_grid"], dtype=float),
-                   value=np.asarray(doc["value"], dtype=float),
-                   action_idx=np.asarray(doc["action_idx"], dtype=np.int64),
-                   actions=tuple(doc["actions"]),
-                   iterations=int(doc.get("iterations", 0)),
-                   residual=float(doc.get("residual", 0.0)))
+        """The policy of a JSON document; a missing key, a value of the wrong
+        type, or tables that do not fit the grids raise TraceFormatError."""
+        try:
+            policy = cls(
+                pos_grid=np.asarray(doc["pos_grid"], dtype=float),
+                speed_grid=np.asarray(doc["speed_grid"], dtype=float),
+                value=np.asarray(doc["value"], dtype=float),
+                action_idx=np.asarray(doc["action_idx"], dtype=np.int64),
+                actions=tuple(doc["actions"]),
+                iterations=int(doc.get("iterations", 0)),
+                residual=float(doc.get("residual", 0.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"malformed policy: {type(exc).__name__}: {exc}") from None
+        shape = (policy.pos_grid.size, policy.speed_grid.size)
+        if not (policy.pos_grid.ndim == policy.speed_grid.ndim == 1
+                and min(shape) >= 2
+                and policy.value.shape == policy.action_idx.shape == shape
+                and all(map(_is_number, policy.actions))
+                and np.all(policy.action_idx >= 0)
+                and np.all(policy.action_idx < len(policy.actions))):
+            raise TraceFormatError("policy tables do not fit its grids and "
+                                   "actions")
+        return policy
 
 
 def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
@@ -245,6 +285,8 @@ def theta_sweep(config: RoadConfig, dataset: TraceDataset, theta_grid,
     weighting achieves at the same leaf budget, making the three losses
     commensurable; the winner minimises the maximum normalised loss.
     """
+    if not theta_grid:
+        raise ParameterError("the theta grid is empty")
     aug = augment(dataset, config.gamma)
     losses_by_theta = {}
 
@@ -280,6 +322,8 @@ def theta_sweep(config: RoadConfig, dataset: TraceDataset, theta_grid,
 def simplex_theta_grid(divisions: int = 5):
     """All nonnegative integer weightings i+j+k = divisions, rescaled to
     sum to one."""
+    if divisions < 1:
+        raise ParameterError("divisions must be >= 1")
     grid = []
     for i in range(divisions + 1):
         for j in range(divisions + 1 - i):

@@ -6,7 +6,9 @@ population-weighted, root-normalised, theta-weighted impurity (computed once,
 when a leaf is created; ties go to the earliest-created leaf).  It pops the
 best leaf and applies the best axis-aligned split found for it, stopping at
 the leaf budget or when no leaf admits a split with positive hybrid quality.
-After growth the tree is immutable and every query is read-only.
+Growth keeps the open leaves' sample members to itself: a grown tree holds
+what a loaded one does, plus the unserialised ``split_log`` and
+``loss_curve``.  After growth the tree is immutable and queries read-only.
 
 Queries and views that scan every leaf read ``TripleTree.table``: the
 leaves in ascending id order as one structure of arrays (stacked boxes,
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +96,6 @@ class Leaf:
     deriv_low_confidence: bool
     n_deriv: int
     density: float
-    members: np.ndarray | None = None
-    loss_terms: tuple | None = None  # growth only: NodeStats.loss_terms
     transitions: dict | None = None  # dest leaf id (None = episode end) -> (P, T)
 
 
@@ -160,8 +160,9 @@ class TripleTree:
     n_samples: int
     action_labels: list | None = None
     action_sigma: np.ndarray | None = None
+    # growth records, not serialised: splits, and losses per leaf count
     split_log: list = field(default_factory=list)
-    _leaf_node: dict = field(default_factory=dict)
+    loss_curve: list = field(default_factory=list)
 
     @property
     def d(self) -> int:
@@ -176,7 +177,7 @@ class TripleTree:
 
     @cached_property
     def table(self) -> LeafTable:
-        """The leaf table, built on first use; growth drops it per split."""
+        """The leaf table, built on first use, once growth has returned."""
         leaves = self.ordered_leaves()
 
         def column(*names, dtype=float):
@@ -212,13 +213,12 @@ def select_best_leaf(queue: list) -> int | None:
     return heapq.heappop(queue)[1]
 
 
-def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
-         snapshot_cb: Callable | None = None) -> TripleTree:
+def grow(data: AugmentedDataset, theta, max_leaves: int,
+         min_leaf: int = 1) -> TripleTree:
     """Fit a tree to an augmented dataset under a leaf budget.
 
-    ``snapshot_cb(tree, n_leaves, losses)`` is invoked once for the root and
-    after every split with the training losses at that leaf count, computed
-    incrementally from leaf statistics.
+    ``tree.loss_curve[k]`` holds the training losses at k + 1 leaves,
+    computed incrementally from leaf statistics.
     """
     theta = validate_theta(theta)
     if max_leaves < 1:
@@ -228,11 +228,12 @@ def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
     if data.n == 0:
         raise ParameterError("cannot grow a tree on an empty dataset")
 
-    root_leaf = _make_leaf(data, 0, Box.unbounded(data.d), np.arange(data.n),
-                           parent_deriv=np.zeros(data.d))
-    root_imp = root_leaf.impurity
+    members = np.arange(data.n)
+    root, sq = _make_leaf(data, 0, Box.unbounded(data.d), members,
+                          parent_deriv=np.zeros(data.d))
+    root_imp = root.impurity
     tree = TripleTree(
-        nodes=[Node(leaf_id=0)], leaves={0: root_leaf}, theta=theta,
+        nodes=[], leaves={}, theta=theta,
         gamma=data.gamma, sigma=data.sigma.copy(),
         feature_range=data.feature_range.copy(), medians=data.medians.copy(),
         feature_names=list(data.feature_names), action_kind=data.action_kind,
@@ -240,72 +241,64 @@ def grow(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
         action_labels=(list(data.action_labels) if data.action_labels is not None
                        else None),
         action_sigma=(data.action_sigma.copy() if data.action_sigma is not None
-                      else None),
-        _leaf_node={0: 0})
+                      else None))
 
+    # the open leaves: a heap of (-priority, id), and each one's members and
+    # loss terms; every leaf's id is the index of its node
     queue: list = []
+    frontier: dict = {}
 
-    def enqueue(leaf):
+    def add_leaf(leaf, members, loss_terms):
+        tree.nodes.append(Node(leaf_id=leaf.id))
+        tree.leaves[leaf.id] = leaf
+        frontier[leaf.id] = members, loss_terms
         priority = leaf.n * combine_qualities(leaf.impurity.as_array(),
                                               root_imp.as_array(), theta)
         heapq.heappush(queue, (-priority, leaf.id))
 
-    # summed squared errors of the current leaves: the training losses
-    sq = root_leaf.loss_terms
-    enqueue(root_leaf)
-    if snapshot_cb is not None:
-        snapshot_cb(tree, 1, _losses(tree, sq, data.n, root_leaf.n_deriv))
+    # sq: summed squared errors of the current leaves, the training losses
+    add_leaf(root, members, sq)
+    tree.loss_curve.append(_losses(tree, sq, data.n, root.n_deriv))
 
-    next_id = 1
     while len(tree.leaves) < max_leaves:
         lid = select_best_leaf(queue)
         if lid is None:
             break
-        leaf = tree.leaves[lid]
-        cand = best_split(data, leaf.members, root_imp, theta, min_leaf=min_leaf)
+        members, terms = frontier.pop(lid)
+        cand = best_split(data, members, root_imp, theta, min_leaf=min_leaf)
         if cand is None:
             continue  # unsplittable: the leaf stays out of the queue
 
+        leaf = tree.leaves.pop(lid)
+        li = len(tree.nodes)
+        tree.nodes[lid] = Node(feature=cand.feature, threshold=cand.threshold,
+                               left=li, right=li + 1)
         lbox, rbox = leaf.box.split(cand.feature, cand.threshold)
-        left = _make_leaf(data, next_id, lbox, cand.left_idx, leaf.deriv_pred)
-        right = _make_leaf(data, next_id + 1, rbox, cand.right_idx,
-                           leaf.deriv_pred)
-        node_i = tree._leaf_node.pop(lid)
-        li, ri = len(tree.nodes), len(tree.nodes) + 1
-        tree.nodes.append(Node(leaf_id=left.id))
-        tree.nodes.append(Node(leaf_id=right.id))
-        tree.nodes[node_i] = Node(feature=cand.feature,
-                                  threshold=cand.threshold, left=li, right=ri)
-        del tree.leaves[lid]
-        tree.leaves[left.id] = left
-        tree.leaves[right.id] = right
-        tree._leaf_node[left.id] = li
-        tree._leaf_node[right.id] = ri
+        left, lterms = _make_leaf(data, li, lbox, cand.left_idx,
+                                  leaf.deriv_pred)
+        right, rterms = _make_leaf(data, li + 1, rbox, cand.right_idx,
+                                   leaf.deriv_pred)
+        add_leaf(left, cand.left_idx, lterms)
+        add_leaf(right, cand.right_idx, rterms)
         tree.split_log.append((lid, cand.feature, cand.threshold))
-        tree.__dict__.pop("table", None)  # built before this split: stale
-        next_id += 2
-
-        sq = tuple(t - p + a + b for t, p, a, b in
-                   zip(sq, leaf.loss_terms, left.loss_terms, right.loss_terms))
-        enqueue(left)
-        enqueue(right)
-        if snapshot_cb is not None:
-            snapshot_cb(tree, len(tree.leaves),
-                        _losses(tree, sq, data.n, root_leaf.n_deriv))
+        sq = tuple(t - p + a + b for t, p, a, b in zip(sq, terms, lterms,
+                                                        rterms))
+        tree.loss_curve.append(_losses(tree, sq, data.n, root.n_deriv))
     return tree
 
 
-def _make_leaf(data, leaf_id, box, members, parent_deriv) -> Leaf:
+def _make_leaf(data, leaf_id, box, members, parent_deriv):
+    """A leaf over ``members`` and its ``NodeStats.loss_terms``."""
     stats = node_stats(data, members)
     low_conf = stats.deriv is None
     deriv = (np.asarray(parent_deriv, dtype=float).copy() if low_conf
              else stats.deriv)
-    return Leaf(id=leaf_id, box=box, n=members.size, impurity=stats.impurity,
+    leaf = Leaf(id=leaf_id, box=box, n=members.size, impurity=stats.impurity,
                 action_pred=stats.action, value_pred=stats.value,
                 deriv_pred=deriv, deriv_low_confidence=low_conf,
                 n_deriv=stats.n_deriv,
-                density=_leaf_density(box, members.size, data.feature_range),
-                members=members, loss_terms=stats.loss_terms)
+                density=_leaf_density(box, members.size, data.feature_range))
+    return leaf, stats.loss_terms
 
 
 def _leaf_density(box, n, feature_range) -> float:
@@ -458,7 +451,7 @@ def _side(v):
 
 
 def serialize(tree: TripleTree) -> bytes:
-    """Lossless JSON encoding of the tree (sample memberships excluded)."""
+    """Lossless JSON encoding of the tree, without its growth records."""
     meta = {
         "d": tree.d,
         "feature_names": list(tree.feature_names),
@@ -565,7 +558,7 @@ def _decode(doc) -> TripleTree:
         action_labels=meta.get("action_labels"),
         action_sigma=(np.asarray(meta["action_sigma"], dtype=float)
                       if "action_sigma" in meta else None))
-    for i, entry in enumerate(doc["nodes"]):
+    for entry in doc["nodes"]:
         if "leaf" in entry:
             rec = entry["leaf"]
             lower = _array([(-np.inf if a is None else a)
@@ -592,7 +585,6 @@ def _decode(doc) -> TripleTree:
                 raise TraceFormatError(f"tree payload repeats leaf id {leaf.id}")
             tree.nodes.append(Node(leaf_id=leaf.id))
             tree.leaves[leaf.id] = leaf
-            tree._leaf_node[leaf.id] = i
         else:
             tree.nodes.append(Node(feature=int(entry["f"]),
                                    threshold=float(entry["tau"]),
@@ -674,9 +666,8 @@ def _check_structure(tree: TripleTree) -> None:
             f"tree payload node {seen.index(False)} is unreachable")
 
 
-def fit(data: AugmentedDataset, theta, max_leaves: int, min_leaf: int = 1,
-        snapshot_cb=None) -> TripleTree:
+def fit(data: AugmentedDataset, theta, max_leaves: int,
+        min_leaf: int = 1) -> TripleTree:
     """Grow a tree and attach transition statistics from the fitting data."""
-    tree = grow(data, theta, max_leaves, min_leaf=min_leaf,
-                snapshot_cb=snapshot_cb)
+    tree = grow(data, theta, max_leaves, min_leaf=min_leaf)
     return compute_transitions(tree, data)

@@ -98,7 +98,6 @@ def build_tree(spec, feature_range, *, sigma=None, gamma=0.9,
                 transitions=attrs.get("transitions"))
             tree.nodes[idx] = Node(leaf_id=lid)
             tree.leaves[lid] = leaf
-            tree._leaf_node[lid] = idx
         else:
             _, f, tau, lspec, rspec = node_spec
             lbox, rbox = box.split(f, tau)

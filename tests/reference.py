@@ -46,6 +46,30 @@ def pairwise_deriv_impurity(D, sigma):
     return total
 
 
+# The one-node variance and derivative impurity, moved verbatim out of the
+# library's public API; ``_mean_var`` and ``scaled_sum`` are defined below.
+def variance(values) -> float:
+    """Population variance; equals the half mean squared pairwise difference."""
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size == 0:
+        return 0.0
+    return float(_mean_var(x)[1])
+
+
+def derivative_impurity(derivs, sigma) -> float:
+    """Sum over features of per-feature variance scaled by 1/sigma.
+
+    Features whose sigma is zero are skipped (their scale factor would be
+    singular).  Terminal samples must already have been excluded.
+    """
+    D = np.asarray(derivs, dtype=float)
+    if D.size == 0:
+        return 0.0
+    if D.ndim == 1:
+        D = D[:, None]
+    return scaled_sum(_mean_var(D)[1], sigma)
+
+
 def gini(action_counts) -> float:
     """Gini impurity 1 - sum(p^2) from a label -> count map."""
     counts = np.asarray(list(action_counts.values()), dtype=float)

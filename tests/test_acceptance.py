@@ -19,11 +19,11 @@ from tripletree import road_env as road
 from tripletree import trajectory as tj
 from tripletree import tree as tr
 from tripletree import viz
-from tripletree.impurity import derivative_impurity, variance
 from tripletree.viz import PlaneSpec
 
 from .conftest import build_tree, random_tree, synthetic_aug
-from .reference import ReferenceActionTree, enumerate_simple_paths
+from .reference import (ReferenceActionTree, derivative_impurity,
+                        enumerate_simple_paths, variance)
 from .test_trajectory import independent_objective, right_angle_tree
 
 THETAS = {"action": (1.0, 0.0, 0.0), "value": (0.0, 1.0, 0.0),

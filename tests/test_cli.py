@@ -236,6 +236,22 @@ BAD_ARGS = {
                          "--end-leaf", "99999"],
     "unknown-leaf-ids-no-align": ["simulate", "--start-leaf", "99999",
                                   "--end-leaf", "99999", "--no-align"],
+    "min-prob-nan": ["simulate", "--start-zone", "1.4,-0.01:1.6,0.01",
+                     "--end-zone", "0.5,-0.05:2.5,0.05", "--min-prob", "nan",
+                     "--no-align"],
+    "min-prob-inf": ["simulate", "--start-zone", "1.4,-0.01:1.6,0.01",
+                     "--end-zone", "0.5,-0.05:2.5,0.05", "--min-prob", "inf",
+                     "--no-align"],
+    "eval-without-tree-or-curve": ["eval"],
+    "eval-curve-with-tree": ["eval", "--curve", "--tree", "tree.json",
+                             "--gamma", "0.9", "--theta", "1,1,1",
+                             "--max-leaves", "3"],
+    "divisions-zero": ["sweep-theta", "--max-leaves", "4",
+                       "--divisions", "0"],
+    "divisions-negative": ["sweep-theta", "--max-leaves", "4",
+                           "--divisions", "-1"],
+    "theta-grid-empty": ["sweep-theta", "--max-leaves", "4",
+                         "--theta-grid", ";"],
 }
 
 
@@ -245,7 +261,9 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
     base, data, tree = workspace
     command, *flags = BAD_ARGS[name]
     argv = [command, *flags]
-    if command != "gen-road":
+    if command in ("eval", "sweep-theta"):
+        argv += ["--data", data]
+    elif command != "gen-road":
         argv += ["--tree", tree]
     if command != "explain":
         argv += ["--out", str(tmp_path / "out.json")]
@@ -271,6 +289,58 @@ def test_fit_on_a_faulty_trace_prints_one_data_error_line(name, tmp_path,
                 "--out", str(tmp_path / "t.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+POLICY = {"pos_grid": [0.0, 3.0], "speed_grid": [-0.1, 0.1],
+          "value": [[0.0, 0.0], [0.0, 0.0]], "action_idx": [[0, 1], [1, 0]],
+          "actions": [-0.001, 0.001]}
+
+BAD_FILES = {  # flag, file contents (None: a directory), error prefix
+    "config-missing-key": (["gen-road", "--config"], "{}", "data error: "),
+    "config-grid-not-a-list": (
+        ["gen-road", "--config"],
+        '{"r_left": -100, "r_right": -100, "r_speed": 1, "grid": 5}',
+        "data error: "),
+    "config-reward-not-a-number": (
+        ["gen-road", "--config"],
+        '{"r_left": "x", "r_right": -100, "r_speed": 1}', "data error: "),
+    "config-not-utf8": (["gen-road", "--config"], b"\xff{}", "data error: "),
+    "policy-missing-keys": (["gen-road", "--policy"], "{}", "data error: "),
+    "policy-not-utf8": (["gen-road", "--policy"], b"\xff{}", "data error: "),
+    "policy-one-point-grid": (
+        ["gen-road", "--policy"],
+        json.dumps({**POLICY, "pos_grid": [0.0], "value": [[0.0, 0.0]],
+                    "action_idx": [[0, 1]]}), "data error: "),
+    "policy-table-off-grid": (["gen-road", "--policy"],
+                              json.dumps({**POLICY, "action_idx": [[0, 1]]}),
+                              "data error: "),
+    "policy-action-out-of-range": (
+        ["gen-road", "--policy"],
+        json.dumps({**POLICY, "action_idx": [[0, 2], [1, 0]]}),
+        "data error: "),
+    "data-is-a-directory": (["fit", "--gamma", "0.9", "--theta", "1,1,1",
+                             "--max-leaves", "4", "--data"], None,
+                            "file error: "),
+    "tree-is-a-directory": (["viz", "--tree"], None, "file error: "),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_FILES))
+def test_faulty_input_file_prints_one_data_or_file_error_line(name, tmp_path,
+                                                             capsys):
+    argv, contents, prefix = BAD_FILES[name]
+    path = tmp_path / "input"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents if isinstance(contents, bytes)
+                         else contents.encode())
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run([*argv, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_output_dir_env_var(workspace, tmp_path, monkeypatch):

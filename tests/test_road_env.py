@@ -29,6 +29,9 @@ def test_config_validation():
         road.RoadConfig(r_left=0, r_right=0, r_speed=0, grid=(1, 5))
     with pytest.raises(ParameterError):
         road.RoadConfig(r_left=0, r_right=0, r_speed=0, gamma=1.5)
+    for ranges in ({"pos_range": (3.0, 0.0)}, {"speed_range": (0.1, 0.1)}):
+        with pytest.raises(ParameterError):
+            road.RoadConfig(r_left=0, r_right=0, r_speed=0, **ranges)
 
 
 def test_dp_solve_toy_grid_matches_inline_backups():
@@ -229,12 +232,10 @@ def test_dp_residual_monotone_after_burn_in(road_fixture):
 
 def test_equal_weighting_losses_fall_well_below_small_budget(road_fixture):
     cfg, _, _, aug = road_fixture
-    snaps = {}
-    tr.grow(aug, np.array([1 / 3, 1 / 3, 1 / 3]), 200,
-            snapshot_cb=lambda t, n, losses: snaps.__setitem__(n, losses))
-    at_10 = snaps[10]
-    at_end = snaps[max(snaps)]
-    assert max(snaps) == 200
+    curve = tr.grow(aug, np.array([1 / 3, 1 / 3, 1 / 3]), 200).loss_curve
+    at_10 = curve[9]
+    at_end = curve[-1]
+    assert len(curve) == 200
     for c in range(3):
         assert at_end[c] < at_10[c]
 

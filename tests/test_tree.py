@@ -82,12 +82,16 @@ def test_leaf_of_threshold_goes_right():
 
 
 def test_training_samples_reach_their_member_leaf():
+    # each leaf's statistics are those of the samples routed to it
     rng = np.random.default_rng(1)
     data = _labelled_aug(rng, n=100)
     tree = tr.grow(data, [1, 1, 1], max_leaves=16)
+    assign = tr.assign_leaves(tree, data.states)
     for lid, leaf in tree.leaves.items():
-        for t in leaf.members:
-            assert tr.leaf_of(tree, data.states[t]) == lid
+        stats = imp.node_stats(data, np.flatnonzero(assign == lid))
+        assert leaf.n == np.count_nonzero(assign == lid)
+        assert leaf.value_pred == stats.value
+        assert leaf.impurity == stats.impurity
 
 
 def test_leaf_of_matches_box_scan_oracle():
@@ -279,13 +283,11 @@ def test_single_leaf_value_loss_is_rms():
 def test_growth_snapshots_match_reevaluation():
     rng = np.random.default_rng(6)
     data = _labelled_aug(rng, n=150, d=2)
-    snaps = {}
-    tr.grow(data, [1, 1, 1], max_leaves=12,
-            snapshot_cb=lambda t, n, losses: snaps.__setitem__(n, losses))
+    curve = tr.grow(data, [1, 1, 1], max_leaves=12).loss_curve
     for budget in (1, 4, 9, 12):
         tree = tr.grow(data, [1, 1, 1], max_leaves=budget)
         again = tr.evaluate_losses(tree, data)
-        assert np.allclose(snaps[budget], again, atol=1e-9)
+        assert np.allclose(curve[budget - 1], again, atol=1e-9)
 
 
 def test_continuous_scalar_action_loss():
@@ -324,8 +326,9 @@ def test_weighted_impurity_never_increases_during_growth():
     rng = np.random.default_rng(10)
     data = _labelled_aug(rng, n=200)
     totals = []
-
-    def cb(tree, n_leaves, losses):
+    # growth is prefix-consistent, so each budget's tree is that step's tree
+    for budget in range(1, 25):
+        tree = tr.grow(data, [1, 1, 1], max_leaves=budget)
         roots = tree.root_impurity.as_array()
         total = 0.0
         for leaf in tree.leaves.values():
@@ -334,8 +337,6 @@ def test_weighted_impurity_never_increases_during_growth():
                 if roots[c] > 0:
                     total += tree.theta[c] * leaf.n * imps[c] / roots[c]
         totals.append(total)
-
-    tr.grow(data, [1, 1, 1], max_leaves=24, snapshot_cb=cb)
     assert all(b <= a + 1e-9 for a, b in zip(totals, totals[1:]))
 
 
@@ -472,10 +473,10 @@ def road_tree_digests(aug) -> str:
     for data, theta, tag in ((aug, [0.2, 0.6, 0.2], ""),
                              (scalar, [0.5, 0.3, 0.2], "_scalar"),
                              (vector, [0.5, 0.3, 0.2], "_vector")):
-        rows = []
-        tree = tr.fit(data, theta, max_leaves=60,
-                      snapshot_cb=lambda t, n, losses: rows.append((n,) + losses))
+        tree = tr.fit(data, theta, max_leaves=60)
         assert tree.n_leaves == 60
+        rows = [(n,) + losses
+                for n, losses in enumerate(tree.loss_curve, start=1)]
         out += (f"{hashlib.sha256(tr.serialize(tree)).hexdigest()}  tree{tag}.json\n"
                 f"{hashlib.sha256(repr(rows).encode()).hexdigest()}  losses{tag}.repr\n")
     return out
@@ -700,9 +701,7 @@ def table_cases(draw):
         data = synthetic_aug(states=states, actions=actions,
                              V=rng.integers(0, 3, size=60).astype(float),
                              D=rng.normal(size=(60, d)), action_kind=kind)
-        # a table read mid-growth must not outlive the split after it
-        tree = tr.grow(data, [1, 1, 1], n_leaves,
-                       snapshot_cb=lambda t, n, losses: t.table)
+        tree = tr.grow(data, [1, 1, 1], n_leaves)
         if source == "loaded":
             tree = tr.deserialize(tr.serialize(tree))
     foils = [leaf.action_pred for leaf in tree.leaves.values()]
