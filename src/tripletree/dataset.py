@@ -14,6 +14,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -209,7 +211,11 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
 # External trace formats
 #
 # CSV: header `episode,t,terminal,<f1..fd>,<a or a1..am>,r`, rows sorted by
-# (episode, t), `terminal` 0/1 on the last row of each episode.
+# (episode, t), `terminal` 0/1 on the last row of each episode.  Fields read
+# as Python's int() and float() read them.  Loading and writing go a column
+# at a time: the text is tokenised in one step, each column is converted or
+# formatted once, and the row checks are array passes; the row-by-row scan
+# runs only on a trace those passes reject, to name its first faulty row.
 # JSON: array of episodes `{terminal: bool, steps: [{s: [..], a: .., r: ..}]}`.
 # ---------------------------------------------------------------------------
 
@@ -241,10 +247,15 @@ def load_trace_path(path, action_kind: str | None = None) -> TraceDataset:
 
 
 def _load_csv(text: str, action_kind: str | None) -> TraceDataset:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    """The CSV trace of ``text``, parsed and checked a column at a time.
+
+    Every field is converted with ``int()`` or ``float()`` and every row
+    check runs as an array pass over whole columns.  A trace that fails any
+    of them is read again by ``_csv_row_fault``, the row-by-row loop, only
+    to name its first faulty row; a valid trace never reaches it."""
+    if not text:
         raise TraceFormatError("empty CSV trace")
-    header = rows[0]
+    header, row_numbers, counts, fields = _csv_tokens(text)
     if header[:3] != ["episode", "t", "terminal"] or not header or header[-1] != "r":
         raise TraceFormatError(
             "CSV header must be episode,t,terminal,<features>,<a or a1..am>,r")
@@ -263,47 +274,117 @@ def _load_csv(text: str, action_kind: str | None) -> TraceDataset:
     d = len(feature_names)
     m = len(action_cols)
     width = 3 + d + m + 1
+    n = len(counts)
+    if not n:
+        raise TraceFormatError("CSV trace has no data rows")
+    if (counts != width).any():
+        raise _csv_row_fault(text, width, d)
 
-    states, actions, rewards, starts, terminals = [], [], [], [], []
+    columns = [fields[j::width] for j in range(width)]
+    del fields
+    try:
+        episode = _int_column(columns[0])
+        t = _int_column(columns[1])
+        states = np.empty((n, d))
+        for j in range(d):
+            states[:, j] = np.fromiter(map(float, columns[3 + j]), float, n)
+        rewards = np.fromiter(map(float, columns[-1]), float, n)
+    except ValueError:
+        raise _csv_row_fault(text, width, d) from None
+    flags = list(map(str.strip, columns[2]))
+    # a row starts an episode when its id differs from the previous row's;
+    # each row's t must then be its offset from that start (exact for ids
+    # and steps of any size, where np.diff of int64 could wrap)
+    new = np.ones(n, dtype=bool)
+    new[1:] = episode[1:] != episode[:-1]
+    starts = np.flatnonzero(new)
+    offsets = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    if (not {"0", "1"}.issuperset(flags)
+            or (episode[starts[1:]] < episode[starts[1:] - 1]).any()
+            or (t != offsets).any()):
+        raise _csv_row_fault(text, width, d)
+
+    terminals = [flags[k] == "1" for k in np.append(starts[1:], n) - 1]
+    a_columns = columns[3 + d:3 + d + m]
+    actions = a_columns[0] if m == 1 else list(zip(*a_columns))
+    return _assemble(states, actions, rewards, starts, terminals, m,
+                     action_kind, feature_names, row_numbers.__getitem__)
+
+
+def _csv_tokens(text: str):
+    """Tokenise non-empty CSV text in one step: the header's fields, then
+    for every non-blank data row its file row number (blank rows counted)
+    and its field count, and all of those rows' fields in one flat list.
+
+    Text with no quote, carriage return or NUL and no line longer than
+    ``csv.field_size_limit()`` is cut on newlines and commas, which is what
+    ``csv.reader`` makes of it; any other text goes through ``csv.reader``,
+    and a fault it finds names the row it was reading."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last row
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines)) > csv.field_size_limit()):
+        reader = csv.reader(io.StringIO(text))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise TraceFormatError(f"row {reader.line_num}: {exc}") from None
+        header = rows[0]
+        nonblank = np.fromiter(map(bool, rows), dtype=bool, count=len(rows))
+        body = [row for row in rows[1:] if row]
+        counts = np.fromiter(map(len, body), dtype=int, count=len(body))
+        fields = list(chain.from_iterable(body))
+    else:
+        header = lines[0].split(",") if lines[0] else []
+        nonblank = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
+        body = list(filter(None, lines[1:]))
+        counts = np.fromiter(map(str.count, body, repeat(",")), dtype=int,
+                             count=len(body)) + 1
+        joined = ",".join(body)
+        del lines, body  # only the fields are needed from here on
+        fields = joined.split(",")
+    return header, np.flatnonzero(nonblank[1:]) + 2, counts, fields
+
+
+def _int_column(column) -> np.ndarray:
+    """``int()`` of every field: int64, or Python ints past its range."""
+    values = list(map(int, column))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _csv_row_fault(text: str, width: int, d: int) -> TraceFormatError:
+    """The error naming the first faulty row of a CSV trace whose column
+    checks failed, from the row-by-row checks in row order."""
     cur_ep = prev_t = None
-    for idx, row in enumerate(rows[1:], start=2):
+    for idx, row in enumerate(list(csv.reader(io.StringIO(text)))[1:], start=2):
         if not row:
             continue
         if len(row) != width:
-            raise TraceFormatError(
+            return TraceFormatError(
                 f"row {idx}: expected {width} fields, got {len(row)}")
         try:
             ep_id = int(row[0])
             t = int(row[1])
             term = row[2].strip()
-            s = [float(v) for v in row[3:3 + d]]
-            r = float(row[-1])
+            for v in row[3:3 + d] + row[-1:]:
+                float(v)
         except ValueError as exc:
-            raise TraceFormatError(f"row {idx}: {exc}") from None
+            return TraceFormatError(f"row {idx}: {exc}")
         if term not in ("0", "1"):
-            raise TraceFormatError(f"row {idx}: terminal flag must be 0 or 1")
+            return TraceFormatError(f"row {idx}: terminal flag must be 0 or 1")
         if cur_ep is None or ep_id != cur_ep:
             if cur_ep is not None and ep_id < cur_ep:
-                raise TraceFormatError(f"row {idx}: episodes out of order")
+                return TraceFormatError(f"row {idx}: episodes out of order")
             if t != 0:
-                raise TraceFormatError(f"row {idx}: episode {ep_id} must start at t=0")
+                return TraceFormatError(f"row {idx}: episode {ep_id} must start at t=0")
             cur_ep = ep_id
-            starts.append(len(states))
-            terminals.append(False)
         elif t != prev_t + 1:
-            raise TraceFormatError(f"row {idx}: non-consecutive t within episode {ep_id}")
+            return TraceFormatError(f"row {idx}: non-consecutive t within episode {ep_id}")
         prev_t = t
-        states.append(s)
-        actions.append(row[3 + d] if m == 1 else row[3 + d:3 + d + m])
-        rewards.append(r)
-        terminals[-1] = term == "1"
-    if not states:
-        raise TraceFormatError("CSV trace has no data rows")
-    # error messages name the file row of sample k, blank rows included
-    return _assemble(
-        states, actions, rewards, starts, terminals, m, action_kind,
-        feature_names,
-        lambda k: [i for i, row in enumerate(rows[1:], start=2) if row][k])
 
 
 def _load_json(text: str, action_kind: str | None) -> TraceDataset:
@@ -426,28 +507,50 @@ def _parse_actions(raw, m, action_kind, row_of):
 
 
 def trace_to_csv_bytes(data: TraceDataset) -> bytes:
-    """Serialise a trace in the CSV format accepted by ``load_trace``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if data.action_kind == CONTINUOUS_VECTOR:
-        m = data.episodes[0].actions.shape[1]
-        a_cols = [f"a{k}" for k in range(1, m + 1)]
+    """Serialise a trace in the CSV format accepted by ``load_trace``.
+
+    The text is what ``csv.writer`` writes for one row per sample, numbers
+    as ``repr(float)``, built an episode at a time and, within it, a column
+    at a time: each column is formatted once, and only the header and the
+    string labels go through the writer for its quoting.  Each episode's
+    text is encoded as soon as it is built, so only one episode's columns
+    are held as strings at once."""
+    eps = data.episodes
+    vector = data.action_kind == CONTINUOUS_VECTOR
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    if vector:
+        a_names = [f"a{k}" for k in range(1, eps[0].actions.shape[1] + 1)]
     else:
-        a_cols = ["a"]
+        a_names = ["a"]
+        strings = list({a for ep in eps for a in np.asarray(ep.actions).tolist()
+                        if isinstance(a, str)})
+        # each string beside an empty field: csv.writer quotes an empty
+        # string that is alone in its row
+        writer.writerows([s, ""] for s in strings)
+        quoted = {s: line[:-2] for s, line in zip(strings, lines)}
     writer.writerow(["episode", "t", "terminal"] + list(data.feature_names)
-                    + a_cols + ["r"])
-    for ei, ep in enumerate(data.episodes):
-        last = len(ep) - 1
-        for t in range(len(ep)):
-            term = "1" if (t == last and ep.terminal) else "0"
-            s = [repr(float(v)) for v in ep.states[t]]
-            if data.action_kind == CONTINUOUS_VECTOR:
-                a = [repr(float(v)) for v in ep.actions[t]]
-            else:
-                av = ep.actions[t]
-                a = [str(av) if isinstance(av, str) else repr(float(av))]
-            writer.writerow([ei, t, term] + s + a + [repr(float(ep.rewards[t]))])
-    return buf.getvalue().encode("utf-8")
+                    + a_names + ["r"])
+
+    chunks = [lines[-1].encode("utf-8")]
+    steps = list(map(str, range(max(map(len, eps)))))
+    for ei, ep in enumerate(eps):
+        T = len(ep)
+        if vector:
+            a_columns = [_float_texts(column) for column in ep.actions.T]
+        else:
+            a_columns = [[quoted[a] if isinstance(a, str) else repr(float(a))
+                          for a in np.asarray(ep.actions).tolist()]]
+        rows = zip(repeat(str(ei), T), steps[:T],
+                   ["0"] * (T - 1) + ["1" if ep.terminal else "0"],
+                   *[_float_texts(column) for column in ep.states.T],
+                   *a_columns, _float_texts(ep.rewards))
+        chunks.append(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
+    return b"".join(chunks)
+
+
+def _float_texts(column) -> list[str]:
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
 def trace_to_json_bytes(data: TraceDataset) -> bytes:

@@ -643,6 +643,35 @@ def load_json(text: str, action_kind: str | None) -> TraceDataset:
 
 
 # ---------------------------------------------------------------------------
+# Trace writer: the row-at-a-time CSV writer that ``dataset`` used before it
+# formatted a column at a time, kept verbatim as the byte-for-byte oracle
+# ---------------------------------------------------------------------------
+
+def trace_to_csv_bytes(data: TraceDataset) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if data.action_kind == CONTINUOUS_VECTOR:
+        m = data.episodes[0].actions.shape[1]
+        a_cols = [f"a{k}" for k in range(1, m + 1)]
+    else:
+        a_cols = ["a"]
+    writer.writerow(["episode", "t", "terminal"] + list(data.feature_names)
+                    + a_cols + ["r"])
+    for ei, ep in enumerate(data.episodes):
+        last = len(ep) - 1
+        for t in range(len(ep)):
+            term = "1" if (t == last and ep.terminal) else "0"
+            s = [repr(float(v)) for v in ep.states[t]]
+            if data.action_kind == CONTINUOUS_VECTOR:
+                a = [repr(float(v)) for v in ep.actions[t]]
+            else:
+                av = ep.actions[t]
+                a = [str(av) if isinstance(av, str) else repr(float(av))]
+            writer.writerow([ei, t, term] + s + a + [repr(float(ep.rewards[t]))])
+    return buf.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # Views: the per-leaf and per-cell view loops the table-reading views replace
 # (bodies kept as they were, so ``==`` on their JSON and SVG text checks the
 # new code byte for byte)

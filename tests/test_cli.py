@@ -6,7 +6,7 @@ import pytest
 from tripletree import cli
 from tripletree import tree as tr
 
-from .test_dataset import BAD_TRACES
+from .test_dataset import BAD_TRACES, CSV_READER_FAULTS
 
 ROAD_FLAGS = ["--r-left", "-100", "--r-right", "-100", "--r-speed", "1",
               "--grid", "12,12", "--tol", "1e-5"]
@@ -275,13 +275,17 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TRACES) + ["empty-vectors",
-                                                      "non-utf8"])
+                                                      "non-utf8"]
+                         + sorted(CSV_READER_FAULTS))
 def test_fit_on_a_faulty_trace_prints_one_data_error_line(name, tmp_path,
                                                           capsys):
     payload = (BAD_TRACES[name][0].encode() if name in BAD_TRACES else
+               CSV_READER_FAULTS[name][0].encode()
+               if name in CSV_READER_FAULTS else
                b'[{"steps": [{"s": [0], "a": [], "r": 0}]}]'
                if name == "empty-vectors" else b"\xff")
-    data = tmp_path / "trace.json"
+    data = tmp_path / ("trace.csv" if name in CSV_READER_FAULTS
+                       else "trace.json")
     data.write_bytes(payload)
     capsys.readouterr()
     assert run(["fit", "--data", str(data), "--gamma", "0.9", "--theta",

@@ -1,5 +1,8 @@
+import csv
+import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletree import dataset as ds
+from tripletree import road_env as road
 from tripletree.errors import ParameterError, TraceFormatError
 
 from . import reference as ref
+
+TRACE_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
+                            "road_traces.sha256")
+WALKTHROUGH_DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "perfbench", "walkthrough_digests.json")
 
 CSV_ONE_EP = (b"episode,t,terminal,x,y,a,r\n"
               b"0,0,0,0.0,0.5,go,1.0\n"
@@ -172,6 +181,37 @@ def test_json_length_one_action_vectors_load_like_one_a1_column():
     assert forced.episodes[0].actions.shape == (2, 1)
 
 
+def road_trace_digests() -> str:
+    """sha256 of ``trace_to_csv_bytes`` for the README walkthrough trace
+    (10^4 road samples, seed 0, 100-step episodes) and for the same trace
+    with vector actions, one ``<hex>  <what>`` line each."""
+    cfg = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
+                          gamma=0.99)
+    data = road.generate_dataset(cfg, road.dp_solve(cfg, tolerance=1e-6),
+                                 10000, 100, 0)
+    vector = ds.TraceDataset(
+        [ds.Episode(ep.states,
+                    np.stack([1000.0 * ep.actions,
+                              ep.states[:, 0] * ep.states[:, 1],
+                              np.ones(len(ep))], axis=1),
+                    ep.rewards, ep.terminal) for ep in data.episodes],
+        ds.CONTINUOUS_VECTOR, data.feature_names)
+    return "".join(
+        f"{hashlib.sha256(ds.trace_to_csv_bytes(d)).hexdigest()}  {name}\n"
+        for d, name in ((data, "road.csv"), (vector, "road_vector.csv")))
+
+
+def test_trace_csv_bytes_match_recorded_digests():
+    # tests/make_goldens.py rewrites the file when a change to the bytes is
+    # intended; the README trace is also the walkthrough's road.csv
+    with open(TRACE_DIGEST) as fh:
+        recorded = fh.read()
+    assert road_trace_digests() == recorded
+    with open(WALKTHROUGH_DIGESTS) as fh:
+        walkthrough = json.load(fh)["files"]["road.csv"]
+    assert recorded.splitlines()[0] == f"{walkthrough}  road.csv"
+
+
 # ---------------------------------------------------------------------------
 # The flat column assembler against the per-episode reference loaders
 # ---------------------------------------------------------------------------
@@ -326,6 +366,99 @@ def test_csv_loader_matches_reference(case, kind):
     assert _outcome(new, text, kind) == _outcome(old, text, kind)
 
 
+# Spellings of numbers that Python's int() and float() accept or reject: the
+# loader must read each field as those functions do, on either tokeniser
+FULL_WIDTH = str.maketrans("0123456789",
+                           "".join(map(chr, range(0xFF10, 0xFF1A))))
+INT_SPELLINGS = [str, "+{}".format, " {} ".format, "0_{}".format,
+                 lambda k: str(k).translate(FULL_WIDTH)]
+BAD_INTS = ["1.5", "1e3", "1" * 5000]
+FINITE = ["1_000", "+1", " 3 ", "12.5".translate(FULL_WIDTH), "-0.0", "0.5",
+          "2.5e-3", "1e3", "1.5"]
+NONFINITE_OR_BAD = ["inf", "-Infinity", "nan", "1e400", "0x10", "1__0", "",
+                    "x"]
+FLAGS = ["0", "1", " 1 ", " 0", "1 "]
+
+
+def _quoted(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"'
+
+
+@st.composite
+def spelled_csv_traces(draw):
+    """CSV text with number spellings in every numeric column and blank
+    rows; half of the texts also have quoted fields and CRLF line ends, so
+    that csv.reader tokenises them."""
+    plain = draw(st.booleans())
+    d = draw(st.integers(1, 2))
+    number = st.sampled_from(draw(st.sampled_from(
+        [FINITE, FINITE + NONFINITE_OR_BAD])))
+    action = st.sampled_from(draw(st.sampled_from(
+        [FINITE, ["go", " pad ", ""] if plain else ["go", "a,b", 'say "hi"']])))
+    spell = st.sampled_from(INT_SPELLINGS)
+    header = (["episode", "t", "terminal"]
+              + [draw(st.sampled_from(["x", " y "] if plain
+                                      else ["x", "a,b", 'q"t']))
+                 for _ in range(d)] + ["a", "r"])
+    rows = []
+    for ep in range(draw(st.integers(1, 3))):
+        T = draw(st.integers(1, 3))
+        for t in range(T):
+            rows.append([draw(spell)(ep), draw(spell)(t),
+                         draw(st.sampled_from(FLAGS)) if t == T - 1 else "0"]
+                        + [draw(number) for _ in range(d)]
+                        + [draw(action), draw(number)])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = \
+            draw(st.sampled_from(BAD_INTS))
+    quote_all = not plain and draw(st.booleans())
+    lines = [",".join(_quoted(f) if quote_all or "," in f or '"' in f else f
+                      for f in row) for row in [header] + rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=spelled_csv_traces(), kind=KINDS)
+def test_csv_spellings_load_like_reference(text, kind):
+    new, old = _loaders("csv")
+    assert _outcome(new, text, kind) == _outcome(old, text, kind)
+
+
+LIMIT = csv.field_size_limit()
+# CSV text that csv.reader itself rejects, with the message each gets now
+CSV_READER_FAULTS = {
+    "field-past-size-limit": (
+        "episode,t,terminal,x,a,r\n0,0,1," + "1" * (LIMIT + 1) + ",u,0\n",
+        f"row 2: field larger than field limit ({LIMIT})"),
+    "lone-carriage-return": (
+        "episode,t,terminal,x,a,r\n0,0,0,0.5,u,0\n0,1,1,1\r5,u,0\n",
+        "row 3: new-line character seen in unquoted field"),
+}
+
+
+@pytest.mark.parametrize("name", CSV_READER_FAULTS)
+def test_csv_reader_faults_are_trace_format_errors(name):
+    text, message = CSV_READER_FAULTS[name]
+    with pytest.raises(TraceFormatError) as err:
+        ds.load_trace(text.encode(), "csv")
+    assert str(err.value).startswith(message)
+
+
+def test_lines_past_the_field_size_limit_load_like_reference():
+    # every field fits the limit, so csv.reader accepts the rows that are
+    # longer than it, whichever tokeniser the text is routed to
+    digits = "0." + "0" * (LIMIT // 2) + "1"
+    text = ("episode,t,terminal,x,y,a,r\n0,0,0,1,2,u,0\n"
+            f"0,1,1,{digits},{digits},u,0\n")
+    assert len(text.splitlines()[2]) > LIMIT
+    new, old = _loaders("csv")
+    assert _outcome(new, text, None) == _outcome(old, text, None)
+    assert ds.load_trace(text, "csv").episodes[0].states[1, 0] == float(digits)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=json_traces(), kind=KINDS)
 def test_json_loader_matches_reference(case, kind):
@@ -334,6 +467,57 @@ def test_json_loader_matches_reference(case, kind):
     text, unwrapped = case
     new, old = _loaders("json")
     assert _outcome(new, text, kind) == _outcome(old, unwrapped or text, kind)
+
+
+# ---------------------------------------------------------------------------
+# The column writer against the row writer it replaced
+# ---------------------------------------------------------------------------
+
+ODD_FLOATS = [-0.0, 5e-324, 1e-310, 0.1, 1e300, -2.5]
+STRING_LABELS = ["go", "a,b", 'say "hi"', "two\nlines", "", "cr\rlf", " pad "]
+FEATURE_NAMES = ["x", "a,b", 'q"t', "two\nlines", "", "é"]
+
+
+@st.composite
+def trace_datasets(draw):
+    """A valid trace with odd floats (-0.0, subnormals), string labels that
+    need quoting, numeric, integer or vector actions and feature names that
+    need quoting."""
+    d = draw(st.integers(1, 3))
+    style = draw(st.sampled_from(["labels", "label-array", "numbers", "ints",
+                                  "scalar", "vector"]))
+    m = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from(ODD_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+    def floats(*shape):
+        return np.array([draw(value) for _ in range(int(np.prod(shape)))],
+                        dtype=float).reshape(shape)
+
+    episodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        T = draw(st.integers(1, 4))
+        if style in ("labels", "label-array"):
+            labels = [draw(st.sampled_from(STRING_LABELS)) for _ in range(T)]
+            actions = (np.array(labels, dtype=object) if style == "labels"
+                       else np.array(labels))
+        elif style == "ints":
+            actions = np.array([draw(st.integers(-2 ** 62, 2 ** 62))
+                                for _ in range(T)])
+        else:
+            actions = floats(T, m) if style == "vector" else floats(T)
+        episodes.append(ds.Episode(floats(T, d), actions, floats(T),
+                                   draw(st.booleans())))
+    kind = {"vector": ds.CONTINUOUS_VECTOR,
+            "scalar": ds.CONTINUOUS_SCALAR}.get(style, ds.DISCRETE)
+    names = [draw(st.sampled_from(FEATURE_NAMES)) for _ in range(d)]
+    return ds.TraceDataset(episodes, kind, names)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=trace_datasets())
+def test_csv_writer_matches_row_writer(data):
+    assert ds.trace_to_csv_bytes(data) == ref.trace_to_csv_bytes(data)
 
 
 # ---------------------------------------------------------------------------
