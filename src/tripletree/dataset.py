@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from types import SimpleNamespace
 
@@ -71,6 +72,9 @@ class TraceDataset:
 
 
 def validate_trace(data: TraceDataset) -> None:
+    """Check the shapes and finiteness of every episode in a few passes over
+    the whole trace; a trace they reject is scanned episode by episode to
+    name its first fault."""
     if data.action_kind not in ACTION_KINDS:
         raise TraceFormatError(f"unknown action kind {data.action_kind!r}")
     if not data.episodes:
@@ -79,6 +83,11 @@ def validate_trace(data: TraceDataset) -> None:
     if len(data.feature_names) != d:
         raise TraceFormatError(
             f"{len(data.feature_names)} feature names for {d} state features")
+    first = data.episodes[0].actions
+    m = (first.shape[1] if data.action_kind == CONTINUOUS_VECTOR
+         and first.ndim == 2 else -1)  # vector actions' width
+    if _trace_sound(data.episodes, data.action_kind, d, m):
+        return
     for i, ep in enumerate(data.episodes):
         if len(ep) == 0:
             raise TraceFormatError(f"episode {i} is empty")
@@ -93,11 +102,38 @@ def validate_trace(data: TraceDataset) -> None:
         if data.action_kind == CONTINUOUS_VECTOR:
             if ep.actions.ndim != 2:
                 raise TraceFormatError(f"episode {i}: vector actions must be 2-D")
+            if ep.actions.shape[1] != m:
+                raise TraceFormatError(
+                    f"episode {i}: action vectors do not all have {m} entries")
             if not np.all(np.isfinite(ep.actions)):
                 raise TraceFormatError(f"episode {i}: non-finite action")
         elif data.action_kind == CONTINUOUS_SCALAR:
             if not np.all(np.isfinite(ep.actions.astype(float))):
                 raise TraceFormatError(f"episode {i}: non-finite action")
+
+
+def _trace_sound(episodes, action_kind, d, m) -> bool:
+    """Whether every episode is non-empty with (T, d) states and, for
+    vector actions, (T, m) actions, and every state, reward and continuous
+    action is finite, checked over the concatenated columns."""
+    vector = action_kind == CONTINUOUS_VECTOR
+    if not all(len(ep) and ep.states.ndim == 2 and ep.states.shape[1] == d
+               and (not vector or ep.actions.shape[1:] == (m,))
+               for ep in episodes):
+        return False
+    try:
+        return (_all_finite([ep.states for ep in episodes])
+                and _all_finite([ep.rewards for ep in episodes])
+                and (action_kind == DISCRETE
+                     or _all_finite([ep.actions for ep in episodes],
+                                    cast=action_kind == CONTINUOUS_SCALAR)))
+    except (TypeError, ValueError):
+        return False  # the episode scan raises what the column pass met
+
+
+def _all_finite(arrays, cast=False) -> bool:
+    flat = np.concatenate(arrays, axis=None)
+    return bool(np.isfinite(flat.astype(float) if cast else flat).all())
 
 
 @dataclass
@@ -109,7 +145,8 @@ class AugmentedDataset:
     successor sample exists in the same episode (``has_deriv`` masks the
     rest; masked rows of ``D`` are zero and must not be read).  ``sigma`` is
     the population standard deviation of each derivative feature over the
-    defined rows.  Immutable after construction; safe to share between
+    defined rows.  Immutable after construction, but for the cached
+    ``channel_block`` that growth builds and frees; safe to share between
     threads.
     """
 
@@ -141,6 +178,25 @@ class AugmentedDataset:
     @property
     def action_kind(self) -> str:
         return self.base.action_kind
+
+    @cached_property
+    def channel_block(self) -> np.ndarray:
+        """The per-sample columns split search scans, as the rows of one
+        C-contiguous (k, n) float block built on first use: a count row per
+        action label (discrete), ``has_deriv``, each action component
+        (continuous), V, and each derivative component times ``has_deriv``.
+        Rows after ``has_deriv`` are the moment rows."""
+        labels = self.action_labels.size if self.action_kind == DISCRETE else 0
+        actions = (np.empty((0, self.n)) if labels
+                   else self.actions.reshape(self.n, -1).T)
+        v = labels + 1 + actions.shape[0]  # V's row
+        block = np.empty((v + 1 + self.d, self.n))
+        block[:labels] = np.arange(labels)[:, None] == self.action_codes
+        block[labels] = self.has_deriv
+        block[labels + 1:v] = actions
+        block[v] = self.V
+        np.multiply(self.D.T, block[labels], out=block[v + 1:])
+        return block
 
 
 def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:

@@ -5,11 +5,18 @@ actions, variance for continuous ones, per-dimension normalised variance
 sum for vector actions), return variance, and the normalised sum of
 per-feature derivative variances.  ``node_stats`` gathers a node's channels
 once for its impurities, leaf predictions and share of the training losses.
-``best_split`` scans each feature's sort of the members one 1-D channel
-column at a time (a label's counts, an action component, V, a derivative
-component).  A split's quality on a channel is the population-weighted
-impurity reduction; ``hybrid_quality`` combines the three, each normalised
-by its root impurity, for split search and leaf priority alike.
+``best_split`` scans each feature's stable sort of the members.  Growth
+sorts each feature once, at the root, and a split partitions every sorted
+order for the children, as SLIQ and SPRINT partition their pre-sorted
+attribute lists; a call without orders sorts the members itself.  Per
+feature the scan gathers the dataset's channel block
+(``AugmentedDataset.channel_block``: a count row per action label,
+``has_deriv``, each continuous action component, V and each derivative
+component) in that order once, cumulates it and its squared moment rows in place, and
+scores every cut on row slices of those sums.  A split's quality on a
+channel is the population-weighted impurity reduction; ``hybrid_quality``
+combines the three, each normalised by its root impurity, for split search
+and leaf priority alike.
 """
 
 from __future__ import annotations
@@ -54,13 +61,6 @@ class NodeStats(NamedTuple):
     # summed squared errors about the predictions, per channel: the
     # misclassified count for discrete actions, per-dimension sums for vectors
     loss_terms: tuple
-
-
-def _mean_var(x):
-    """Mean and population variance along the first axis, from the first two
-    moments."""
-    m = x.mean(axis=0)
-    return m, np.maximum((x * x).mean(axis=0) - m * m, 0.0)
 
 
 def scaled_sum(var, sigma) -> float:
@@ -108,8 +108,12 @@ def node_stats(data, idx) -> NodeStats:
     n = idx.size
 
     def moments(x):
-        m, var = _mean_var(x)
-        return m, var, np.sum((x - m) ** 2, axis=0)
+        # mean and population variance as x.mean(axis=0) rounds them: a sum,
+        # then a true division
+        k = x.shape[0]
+        m = np.add.reduce(x, axis=0) / k
+        var = np.maximum(np.add.reduce(x * x, axis=0) / k - m * m, 0.0)
+        return m, var, np.add.reduce((x - m) ** 2, axis=0)
 
     if data.action_kind == DISCRETE:
         counts = np.bincount(data.action_codes[idx],
@@ -145,121 +149,154 @@ def node_impurity(data, idx) -> ImpurityTriple:
 
 
 def best_split(data, idx, root_impurity: ImpurityTriple, theta,
-               min_leaf: int = 1) -> SplitCandidate | None:
+               min_leaf: int = 1, orders=None) -> SplitCandidate | None:
     """Search all (feature, threshold) partitions of ``idx`` for the best
     hybrid quality.
 
     Thresholds are midpoints between consecutive distinct sorted feature
     values.  Returns None when no candidate has strictly positive hybrid
     quality.  Ties break toward the lowest feature index, then the lowest
-    threshold.
+    threshold.  ``orders``, when given, holds the members in each feature's
+    stable sort, one row per feature, and ``idx`` must then be ascending
+    (``grow`` keeps both); otherwise each feature's members are sorted here.
     """
     theta = validate_theta(theta)
     n = idx.size
     if n < 2 * min_leaf or n < 2:
         return None
     roots = root_impurity.as_array()
-    best = None  # (q_star, feature, tau, triple, pos, sidx)
+    block = data.channel_block
+    labels = data.action_labels.size if data.action_kind == DISCRETE else 0
+    a_inv = None if labels else _inverse(
+        _UNIT if data.action_sigma is None else data.action_sigma)
+    d_inv = _inverse(data.sigma)
+    best = None  # (q_star, feature, tau, triple)
     for f in range(data.d):
-        x = data.states[:, f][idx]
-        order = x.argsort(kind="stable")
-        x, sidx = x[order], idx[order]
+        if orders is None:
+            x = data.states[:, f][idx]
+            order = x.argsort(kind="stable")
+            x, sidx = x[order], idx[order]
+        else:
+            sidx = orders[f]
+            x = data.states[:, f][sidx]
         pos = (x[:-1] < x[1:]).nonzero()[0]
+        if min_leaf > 1:
+            pos = pos[(pos >= min_leaf - 1) & (pos < n - min_leaf)]
         if pos.size == 0:
             continue
-        nl = (pos + 1).astype(float)
-        nr = n - nl
-        if min_leaf > 1:
-            keep = (nl >= min_leaf) & (nr >= min_leaf)
-            pos, nl, nr = pos[keep], nl[keep], nr[keep]
+        below = x[pos]
+        tau = (below + x[pos + 1]) / 2.0
+        # midpoints that round down to the left value cannot separate the sets
+        keep = tau > below
+        if not keep.all():
+            pos, tau = pos[keep], tau[keep]
             if pos.size == 0:
                 continue
-        tau = (x[pos] + x[pos + 1]) / 2.0
-        # midpoints that round down to the left value cannot separate the sets
-        keep = tau > x[pos]
-        pos, nl, nr, tau = pos[keep], nl[keep], nr[keep], tau[keep]
-        if pos.size == 0:
-            continue
+        nl = (pos + 1).astype(float)
+        nr = n - nl
 
-        qa, qv, qd = _channel_qualities(data, sidx, pos, nl, nr)
+        qa, qv, qd = _scan(block, sidx, pos, nl, nr, labels, a_inv, d_inv)
         q_star = combine_qualities((qa, qv, qd), roots, theta)
 
         k = int(q_star.argmax())
         if q_star[k] > 0 and (best is None or q_star[k] > best[0]):
             best = (float(q_star[k]), f, float(tau[k]),
-                    (float(qa[k]), float(qv[k]), float(qd[k])), int(pos[k]), sidx)
+                    (float(qa[k]), float(qv[k]), float(qd[k])))
 
     if best is None:
         return None
-    q_star, f, tau, triple, p, sidx = best
+    q_star, f, tau, triple = best
+    goes_left = data.states[idx, f] < tau
+    left, right = idx[goes_left], idx[~goes_left]
+    if orders is None:  # idx may come in any order
+        left, right = np.sort(left), np.sort(right)
     return SplitCandidate(feature=f, threshold=tau, quality_triple=triple,
-                          hybrid_quality=q_star,
-                          left_idx=np.sort(sidx[:p + 1]),
-                          right_idx=np.sort(sidx[p + 1:]))
+                          hybrid_quality=q_star, left_idx=left, right_idx=right)
 
 
-def _channel_qualities(data, sidx, pos, nl, nr):
+_UNIT = np.ones(1)  # the sigma of a one-column channel
+
+
+def _inverse(sigma):
+    """Per-column weights 1/sigma, 0 where sigma is 0."""
+    return np.divide(1.0, sigma, out=np.zeros(len(sigma)), where=sigma > 0)
+
+
+def _scan(block, sidx, pos, nl, nr, labels, a_inv, d_inv):
     """Action, value and derivative qualities of the cuts ``pos`` of the
-    members in the sorted order ``sidx``, ``nl``/``nr`` rows each side."""
+    members in the sorted order ``sidx``, ``nl``/``nr`` rows each side.
+
+    The rows of ``block`` (``AugmentedDataset.channel_block``) are gathered
+    in that order once; the gathered block and its moment rows' squares are
+    cumulated in place, and only their columns at the cuts and at the end
+    are kept."""
     n = sidx.size
-    if data.action_kind == DISCRETE:
-        codes = data.action_codes[sidx]
-        cum = [(codes == j).cumsum(dtype=float)
-               for j in range(data.action_labels.size)]
-        left = [c[pos] for c in cum]
-        p = np.array([c[-1] for c in cum]) / n
-        gini_l = 1.0 - _row_sum([(a / nl) ** 2 for a in left])
-        gini_r = 1.0 - _row_sum([((c[-1] - a) / nr) ** 2
-                                 for c, a in zip(cum, left)])
-        qa = (1.0 - (p * p).sum()) - (gini_l * nl + gini_r * nr) / n
+    C1 = block.take(sidx, axis=1)
+    C2 = np.square(C1[labels + 1:])  # action components (continuous), V, D
+    np.cumsum(C1, axis=1, out=C1)
+    np.cumsum(C2, axis=1, out=C2)
+    if pos.size < n - 1:  # keep each cut's prefix sums, then the totals
+        cuts = np.append(pos, n - 1)
+        C2 = C2.take(cuts, axis=1)
+        C1 = C1.take(cuts, axis=1)
+    v = 0 if labels else a_inv.size  # V's row in C2; labels + 1 + v in C1
+    if labels:
+        qa = _gini_quality(C1[:labels], nl, nr, n)
     else:
-        A = data.actions
-        sigma = np.ones(1) if data.action_sigma is None else data.action_sigma
-        qa = _moment_quality([a[sidx] for a in ([A] if A.ndim == 1 else A.T)],
-                             sigma, pos, nl, nr)
-    qv = _moment_quality([data.V[sidx]], np.ones(1), pos, nl, nr)
-    w = data.has_deriv[sidx]
-    return qa, qv, _moment_quality([D[sidx] for D in data.D.T], data.sigma,
-                                   pos, nl, nr,
-                                   None if w.all() else w.astype(float))
+        qa = _moment_quality(C1[1:v + 1], C2[:v], a_inv, nl, nr, n)
+    qv = _moment_quality(C1[labels + 1 + v:labels + 2 + v], C2[v:v + 1],
+                         _UNIT, nl, nr, n)
+    ml, m_tot = C1[labels, :-1], C1[labels, -1]  # rows with a derivative
+    if m_tot <= 0:
+        return qa, qv, np.zeros(pos.size)
+    return qa, qv, _moment_quality(C1[labels + 2 + v:], C2[v + 1:], d_inv,
+                                   ml, m_tot - ml, m_tot, counted=m_tot < n)
 
 
-def _row_sum(parts):
-    """Row sums of stacked ``parts`` as np.sum(axis=1) rounds them; two
-    terms round alike in either order."""
-    return (sum(parts[1:], parts[0]) if len(parts) <= 2
-            else np.sum(np.stack(parts, axis=1), axis=1))
+def _gini_quality(counts, nl, nr, n):
+    """Gini reduction of the cuts from the cumulated label-count rows."""
+    left, total = counts[:, :-1], counts[:, -1:]
+    p = total[:, 0] / n
+    gini_l = 1.0 - _label_sum((left / nl) ** 2)
+    gini_r = 1.0 - _label_sum(((total - left) / nr) ** 2)
+    return (1.0 - (p * p).sum()) - (gini_l * nl + gini_r * nr) / n
 
 
-def _moment_quality(cols, sigma, pos, nl, nr, w=None):
-    """Quality of the cuts ``pos`` on a channel of sorted columns, rows
-    weighing ``w`` (0 or 1) or all 1: the reduction of their variances summed
-    with weights 1/sigma (0 for sigma 0), by a matrix product (it rounds
-    unlike a sum) except for one column of weight 1, which it returns as is."""
-    inv = np.divide(1.0, sigma, out=np.zeros(len(sigma)), where=sigma > 0)
-    ml, mr, m_tot = nl, nr, cols[0].size
-    safe_l, safe_r = nl, nr  # both >= 1
-    if w is not None:
-        cw = w.cumsum()
-        ml, m_tot = cw[pos], float(cw[-1])
-        if m_tot <= 0:
-            return np.zeros(pos.size)
-        mr = m_tot - ml
-        safe_l, safe_r = np.maximum(ml, 1.0), np.maximum(mr, 1.0)
-        cols = [x * w for x in cols]
-    var_l, var_r, var_n = [], [], []
-    for x in cols:
-        c1, c2 = x.cumsum(), (x * x).cumsum()
-        l1, l2, t1, t2 = c1[pos], c2[pos], float(c1[-1]), float(c2[-1])
-        var_l.append(np.maximum(l2 / safe_l - (l1 / safe_l) ** 2, 0.0))
-        var_r.append(np.maximum((t2 - l2) / safe_r - ((t1 - l1) / safe_r) ** 2,
-                                0.0))
-        mean = t1 / m_tot
-        var_n.append(max(t2 / m_tot - mean * mean, 0.0))
+def _label_sum(rows):
+    """Column sums of the label rows as np.sum(axis=1) rounds the contiguous
+    (cuts x labels) block; one or two rows round alike added directly."""
+    if len(rows) <= 2:
+        return rows[0] + rows[1] if len(rows) == 2 else rows[0]
+    return np.sum(np.ascontiguousarray(rows.T), axis=1)
 
-    il, ir = (var[0] if len(var) == 1 and inv[0] == 1.0
-              else np.stack(var, axis=1) @ inv for var in (var_l, var_r))
-    if w is not None:
-        il[ml <= 0], ir[mr <= 0] = 0.0, 0.0
-    i_n = float(np.array(var_n) @ inv)
-    return i_n - (il * ml + ir * mr) / m_tot
+
+def _moment_quality(c1, c2, inv, ml, mr, m_tot, counted=False):
+    """Quality of the cuts on a channel from its cumulated rows ``c1`` and
+    squared rows ``c2`` (columns at the cuts, then the totals), ``ml``/``mr``
+    rows each side of ``m_tot``: the reduction of their variances summed
+    with weights ``inv``.  On a ``counted`` channel some members lack a
+    derivative, so a side may hold none; its rows are zeros, so it divides
+    by 1 and its variance is 0.
+
+    A channel of several columns sums its variances with a matrix product
+    of the (cuts x columns) block.  OpenBLAS's gemv rounds a row of it
+    differently for a different number of rows, so only the kept cuts may
+    be scored.  One column of weight 1 is returned as is."""
+    safe_l, safe_r = ((np.maximum(ml, 1.0), np.maximum(mr, 1.0)) if counted
+                      else (ml, mr))
+    l1, l2, t1, t2 = c1[:, :-1], c2[:, :-1], c1[:, -1:], c2[:, -1:]
+    # each side's variances, computed in place in the rows of a C-contiguous
+    # (cuts x columns) block
+    var_l = np.divide(l2, safe_l, out=np.empty((ml.size, len(inv))).T)
+    var_l -= np.square(l1 / safe_l)
+    var_r = np.subtract(t2, l2, out=np.empty((ml.size, len(inv))).T)
+    var_r /= safe_r
+    var_r -= np.square((t1 - l1) / safe_r)
+    for var in (var_l, var_r):
+        np.maximum(var, 0.0, out=var)
+    mean = t1[:, 0] / m_tot
+    var_n = np.maximum(t2[:, 0] / m_tot - mean * mean, 0.0)
+
+    il, ir = (var[0] if len(var) == 1 and inv[0] == 1.0 else var.T @ inv
+              for var in (var_l, var_r))
+    return float(var_n @ inv) - (il * ml + ir * mr) / m_tot

@@ -219,6 +219,12 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
 
     ``tree.loss_curve[k]`` holds the training losses at k + 1 leaves,
     computed incrementally from leaf statistics.
+
+    Each open leaf keeps its members, ascending, and its members in every
+    feature's stable sort.  Only the root's are sorted: a split on (f, tau)
+    filters each of the parent's orders by ``state[f] < tau`` and by its
+    complement, which keeps their relative order, so every child's order is
+    the one a stable sort of its own members gives.
     """
     theta = validate_theta(theta)
     if max_leaves < 1:
@@ -229,6 +235,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
         raise ParameterError("cannot grow a tree on an empty dataset")
 
     members = np.arange(data.n)
+    orders = np.argsort(data.states.T, axis=1, kind="stable")
     root, sq = _make_leaf(data, 0, Box.unbounded(data.d), members,
                           parent_deriv=np.zeros(data.d))
     root_imp = root.impurity
@@ -243,31 +250,35 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
         action_sigma=(data.action_sigma.copy() if data.action_sigma is not None
                       else None))
 
-    # the open leaves: a heap of (-priority, id), and each one's members and
-    # loss terms; every leaf's id is the index of its node
+    # the open leaves: a heap of (-priority, id), and each one's members,
+    # sorted orders and loss terms; every leaf's id is the index of its node
     queue: list = []
     frontier: dict = {}
 
-    def add_leaf(leaf, members, loss_terms):
+    def add_leaf(leaf, members, orders, loss_terms):
         tree.nodes.append(Node(leaf_id=leaf.id))
         tree.leaves[leaf.id] = leaf
-        frontier[leaf.id] = members, loss_terms
+        frontier[leaf.id] = members, orders, loss_terms
         priority = leaf.n * combine_qualities(leaf.impurity.as_array(),
                                               root_imp.as_array(), theta)
         heapq.heappush(queue, (-priority, leaf.id))
 
     # sq: summed squared errors of the current leaves, the training losses
-    add_leaf(root, members, sq)
+    add_leaf(root, members, orders, sq)
     tree.loss_curve.append(_losses(tree, sq, data.n, root.n_deriv))
 
     while len(tree.leaves) < max_leaves:
         lid = select_best_leaf(queue)
         if lid is None:
             break
-        members, terms = frontier.pop(lid)
-        cand = best_split(data, members, root_imp, theta, min_leaf=min_leaf)
+        members, orders, terms = frontier.pop(lid)
+        cand = best_split(data, members, root_imp, theta, min_leaf=min_leaf,
+                          orders=orders)
         if cand is None:
             continue  # unsplittable: the leaf stays out of the queue
+        goes_left = data.states[orders, cand.feature] < cand.threshold
+        lorders = orders[goes_left].reshape(data.d, -1)
+        rorders = orders[~goes_left].reshape(data.d, -1)
 
         leaf = tree.leaves.pop(lid)
         li = len(tree.nodes)
@@ -278,12 +289,15 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
                                   leaf.deriv_pred)
         right, rterms = _make_leaf(data, li + 1, rbox, cand.right_idx,
                                    leaf.deriv_pred)
-        add_leaf(left, cand.left_idx, lterms)
-        add_leaf(right, cand.right_idx, rterms)
+        add_leaf(left, cand.left_idx, lorders, lterms)
+        add_leaf(right, cand.right_idx, rorders, rterms)
         tree.split_log.append((lid, cand.feature, cand.threshold))
         sq = tuple(t - p + a + b for t, p, a, b in zip(sq, terms, lterms,
                                                         rterms))
         tree.loss_curve.append(_losses(tree, sq, data.n, root.n_deriv))
+    # split search's cached channel block serves growth only: free it (the
+    # next search rebuilds it), so what runs after growth does not carry it
+    vars(data).pop("channel_block", None)
     return tree
 
 

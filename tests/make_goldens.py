@@ -11,7 +11,8 @@ from tripletree.viz import PlaneSpec
 from .conftest import road_setup
 from .test_dataset import TRACE_DIGEST, road_trace_digests
 from .test_queries import QUERY_DIGEST, road_query_digests
-from .test_tree import ROAD_DIGEST, road_tree_digests
+from .test_tree import (README_DIGEST, ROAD_DIGEST, readme_tree_digests,
+                        road_tree_digests)
 from .test_viz import GOLDEN_DIR, VIEW_DIGEST, quad_tree, road_view_digests
 
 
@@ -46,6 +47,8 @@ def main():
         fh.write(road_view_digests(aug))
     with open(TRACE_DIGEST, "w") as fh:
         fh.write(road_trace_digests())
+    with open(README_DIGEST, "w") as fh:
+        fh.write(readme_tree_digests())
     print(f"goldens written to {GOLDEN_DIR}")
 
 

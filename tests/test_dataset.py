@@ -602,3 +602,26 @@ def test_augment_invariants_random_fixtures():
             mean = defined.sum(axis=0) / defined.shape[0]
             var = ((defined - mean) ** 2).sum(axis=0) / defined.shape[0]
             assert np.allclose(aug.sigma, np.sqrt(var), atol=1e-12)
+
+
+def test_ragged_vector_action_widths_rejected():
+    episodes = [ds.Episode(states=np.zeros((2, 1)), actions=np.zeros((2, w)),
+                           rewards=np.zeros(2), terminal=True) for w in (2, 3)]
+    with pytest.raises(TraceFormatError,
+                       match="^episode 1: action vectors do not all have 2 "
+                             "entries$"):
+        ds.TraceDataset(episodes, ds.CONTINUOUS_VECTOR, ["x"])
+
+
+@pytest.mark.parametrize("column", ["states", "rewards", "actions"])
+def test_nonfinite_value_is_named_by_its_episode(column):
+    rng = np.random.default_rng(0)
+    episodes = [ds.Episode(states=rng.normal(size=(3, 2)),
+                           actions=rng.normal(size=3), rewards=rng.normal(size=3),
+                           terminal=True) for _ in range(4)]
+    getattr(episodes[2], column)[1] = np.inf
+    message = {"states": "^episode 2 step 1: non-finite state value$",
+               "rewards": "^episode 2: non-finite reward$",
+               "actions": "^episode 2: non-finite action$"}[column]
+    with pytest.raises(TraceFormatError, match=message):
+        ds.TraceDataset(episodes, ds.CONTINUOUS_SCALAR, ["x", "y"])

@@ -303,3 +303,42 @@ def test_column_scan_is_bitwise_the_row_gather_search(case):
         members = getattr(got, side)
         assert _stats_bits(imp.node_stats(data, members)) == \
             _stats_bits(rowwise_node_stats(data, members))
+
+
+def _candidate_bits(cand):
+    if cand is None:
+        return None
+    return (cand.feature, _bits(cand.threshold),
+            [_bits(q) for q in cand.quality_triple], _bits(cand.hybrid_quality),
+            _bits(cand.left_idx), _bits(cand.right_idx))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=scan_cases(), seed=st.integers(0, 2**32 - 1))
+def test_inherited_orders_search_is_bitwise_the_sorting_search(case, seed):
+    # a random node (its members ascending, as growth keeps them), split on
+    # a random feature at one of its own values: each child's orders are the
+    # parent's filtered by the split, as growth hands them down
+    data, idx, theta, min_leaf = case
+    rng = np.random.default_rng(seed)
+    parent = np.sort(idx)
+    orders = parent[np.argsort(data.states[parent].T, axis=1, kind="stable")]
+    f = int(rng.integers(data.d))
+    tau = float(rng.choice(data.states[parent, f]))
+    left = data.states[parent, f] < tau
+    goes_left = data.states[orders, f] < tau
+    root = rowwise_node_stats(data, np.arange(data.n)).impurity
+    for child, side in ((parent[left], goes_left), (parent[~left], ~goes_left)):
+        if child.size == 0:
+            continue
+        inherited = orders[side].reshape(data.d, -1)
+        assert np.array_equal(inherited, child[np.argsort(
+            data.states[child].T, axis=1, kind="stable")])
+        got = imp.best_split(data, child, root, theta, min_leaf=min_leaf,
+                             orders=inherited)
+        want = imp.best_split(data, child, root, theta, min_leaf=min_leaf)
+        assert _candidate_bits(got) == _candidate_bits(want)
+        if got is not None:
+            for members in (got.left_idx, got.right_idx):
+                assert _stats_bits(imp.node_stats(data, members)) == \
+                    _stats_bits(rowwise_node_stats(data, members))

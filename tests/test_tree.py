@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tripletree import dataset as ds
 from tripletree import impurity as imp
+from tripletree import road_env as road
 from tripletree import tree as tr
 from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import ImpurityTriple
@@ -20,6 +21,8 @@ from .reference import ReferenceActionTree
 
 ROAD_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                            "road_tree.sha256")
+README_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
+                             "readme_tree.sha256")
 
 
 def _labelled_aug(rng, n=80, d=2, classes=3):
@@ -482,11 +485,53 @@ def road_tree_digests(aug) -> str:
     return out
 
 
+def test_grow_hands_each_search_the_stable_sorts_of_its_members(monkeypatch):
+    # growth sorts only at the root; every node's orders, partitioned from
+    # its parent's, are the stable argsort of its members, ties and signed
+    # zeros included
+    rng = np.random.default_rng(4)
+    data = _labelled_aug(rng, n=300, d=3)
+    data.states[:, 1] = rng.choice([-1.0, -0.0, 0.0, 0.5], size=300)
+    data.states[:, 2] = rng.integers(0, 4, size=300).astype(float)
+    seen = []
+
+    def search(data, idx, *args, orders=None, **kwargs):
+        seen.append(orders is not None and np.array_equal(
+            orders, idx[np.argsort(data.states[idx].T, axis=1, kind="stable")]))
+        return imp.best_split(data, idx, *args, orders=orders, **kwargs)
+
+    monkeypatch.setattr(tr, "best_split", search)
+    tree = tr.grow(data, [1, 1, 1], max_leaves=40)
+    assert tree.n_leaves == 40 and len(seen) >= 39 and all(seen)
+
+
 def test_road_fit_is_byte_identical_to_recorded_digest(road_fixture):
     # the digest pins every float growth produces; tests/make_goldens.py
     # rewrites it when a change to the outputs is intended
     with open(ROAD_DIGEST) as fh:
         assert road_tree_digests(road_fixture[3]) == fh.read()
+
+
+def readme_tree_digests() -> str:
+    """sha256 of the ``serialize()`` bytes and of the loss rows' repr of a
+    1000-leaf fit, theta (0.2, 0.6, 0.2), of the README's trace: its
+    ``gen-road`` command's 10^4 samples, through the CSV it writes.  Most of
+    this tree's splits are of nodes under 300 samples."""
+    config = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
+                             gamma=0.99, grid=(30, 30))
+    trace = road.generate_dataset(config, road.dp_solve(config, tolerance=1e-6),
+                                  10_000, 100, seed=0)
+    aug = ds.augment(ds.load_trace(ds.trace_to_csv_bytes(trace), "csv"), 0.99)
+    tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=1000)
+    assert tree.n_leaves == 1000
+    rows = [(n,) + losses for n, losses in enumerate(tree.loss_curve, start=1)]
+    return (f"{hashlib.sha256(tr.serialize(tree)).hexdigest()}  tree_readme.json\n"
+            f"{hashlib.sha256(repr(rows).encode()).hexdigest()}  losses_readme.repr\n")
+
+
+def test_readme_fit_is_byte_identical_to_recorded_digest():
+    with open(README_DIGEST) as fh:
+        assert readme_tree_digests() == fh.read()
 
 
 # ---------------------------------------------------------------------------
