@@ -566,29 +566,26 @@ def trace_to_csv_bytes(data: TraceDataset) -> bytes:
     """Serialise a trace in the CSV format accepted by ``load_trace``.
 
     The text is what ``csv.writer`` writes for one row per sample, numbers
-    as ``repr(float)``, built an episode at a time and, within it, a column
-    at a time: each column is formatted once, and only the header and the
-    string labels go through the writer for its quoting.  Each episode's
-    text is encoded as soon as it is built, so only one episode's columns
-    are held as strings at once."""
+    as ``repr(float)`` and a field holding a lone carriage return quoted
+    like one holding a newline (so that the reader takes it back).  It is
+    built an episode at a time and, within it, a column at a time: each
+    column is formatted once, and only the header and the string labels go
+    through the writer for its quoting.  Each episode's text is encoded as
+    soon as it is built, so only one episode's columns are held as strings
+    at once."""
     eps = data.episodes
     vector = data.action_kind == CONTINUOUS_VECTOR
-    lines = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     if vector:
         a_names = [f"a{k}" for k in range(1, eps[0].actions.shape[1] + 1)]
     else:
         a_names = ["a"]
         strings = list({a for ep in eps for a in np.asarray(ep.actions).tolist()
                         if isinstance(a, str)})
-        # each string beside an empty field: csv.writer quotes an empty
-        # string that is alone in its row
-        writer.writerows([s, ""] for s in strings)
-        quoted = {s: line[:-2] for s, line in zip(strings, lines)}
-    writer.writerow(["episode", "t", "terminal"] + list(data.feature_names)
-                    + a_names + ["r"])
+        quoted = dict(zip(strings, _csv_fields(strings)))
+    header = _csv_fields(["episode", "t", "terminal"] + list(data.feature_names)
+                         + a_names + ["r"])
 
-    chunks = [lines[-1].encode("utf-8")]
+    chunks = [(",".join(header) + "\n").encode("utf-8")]
     steps = list(map(str, range(max(map(len, eps)))))
     for ei, ep in enumerate(eps):
         T = len(ep)
@@ -603,6 +600,19 @@ def trace_to_csv_bytes(data: TraceDataset) -> bytes:
                    *a_columns, _float_texts(ep.rewards))
         chunks.append(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
     return b"".join(chunks)
+
+
+def _csv_fields(strings) -> list[str]:
+    """Each string as ``csv.writer`` writes it in a row of several fields,
+    quoted also when it holds a lone carriage return, as it is quoted when
+    it holds a newline.  (With "\\r\\n" as its line terminator the writer
+    quotes both; each string is written beside an empty field because the
+    writer quotes an empty string that is alone in its row.)"""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append),
+                        lineterminator="\r\n")
+    writer.writerows([s, ""] for s in strings)
+    return [line[:-3] for line in lines]
 
 
 def _float_texts(column) -> list[str]:

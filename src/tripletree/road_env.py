@@ -10,6 +10,7 @@ policies come from value iteration on a regular grid over the state box.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,12 @@ class RoadConfig:
     actions: tuple = (-0.001, 0.001)
 
     def __post_init__(self):
+        # the dynamics are float64 arithmetic, whatever numbers were given
+        self.r_left, self.r_right, self.r_speed = map(
+            float, (self.r_left, self.r_right, self.r_speed))
+        self.pos_range = tuple(map(float, self.pos_range))
+        self.speed_range = tuple(map(float, self.speed_range))
+        self.actions = tuple(map(float, self.actions))
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ParameterError("grid must be at least 2x2")
         if not 0.0 <= self.gamma <= 1.0:
@@ -50,9 +57,11 @@ class RoadConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RoadConfig":
-        """The config of a JSON document.  A missing reward, or a field that
-        is not a number (a list of two integers for ``grid``, of two numbers
-        for a range, of numbers for ``actions``), raises TraceFormatError."""
+        """The config of a JSON document.  A missing reward, a field that is
+        not a number (a list of two integers for ``grid``, of two numbers for
+        a range, of numbers for ``actions``), a reward, range or action that
+        is not finite, or a value out of its domain raises
+        TraceFormatError."""
         if not isinstance(doc, dict):
             raise TraceFormatError("road config is not a JSON object")
         kwargs = {k: doc.get(k) for k in ("r_left", "r_right", "r_speed")}
@@ -72,7 +81,16 @@ class RoadConfig:
                 raise TraceFormatError(f"road config {k!r} is not a list of "
                                        f"the right numbers")
             kwargs[k] = tuple(value)
-        return cls(**kwargs)
+        numbers = [kwargs[k] for k in ("r_left", "r_right", "r_speed")]
+        for k in ("pos_range", "speed_range", "actions"):
+            numbers += kwargs.get(k, ())
+        if not all(map(_is_finite, numbers)):
+            raise TraceFormatError("road config holds a number that is not "
+                                   "finite")
+        try:
+            return cls(**kwargs)
+        except ParameterError as exc:
+            raise TraceFormatError(f"road config: {exc}") from None
 
 
 def _is_number(value, types=(int, float)) -> bool:
@@ -80,23 +98,42 @@ def _is_number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def step(config: RoadConfig, state, action):
-    """Advance one timestep: speed updates first (clamped), then position.
+def _is_finite(value) -> bool:
+    """Whether a number is a finite float (an integer past the float range
+    is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
-    Returns ((pos', speed'), reward, terminal).  Crossing an end of the road
+
+def _advance(config: RoadConfig, pos, speed, action):
+    """Advance states one timestep: speed updates first (clamped), then
+    position.  Arrays (or scalars) in, arrays out.
+
+    Returns (pos', speed', reward, terminal).  Crossing an end of the road
     terminates with that wall's reward, which replaces the speed reward for
-    the step.
+    the step.  The clamp picks as ``min(max(speed + action, lo), hi)`` does,
+    so a NaN or a signed zero passes through it unchanged.
     """
-    pos, speed = state
     s_lo, s_hi = config.speed_range
     p_lo, p_hi = config.pos_range
-    speed2 = min(max(speed + action, s_lo), s_hi)
+    speed2 = speed + action
+    speed2 = np.where(s_lo > speed2, s_lo, speed2)
+    speed2 = np.where(s_hi < speed2, s_hi, speed2)
     pos2 = pos + speed2
-    if pos2 < p_lo:
-        return (pos2, speed2), config.r_left, True
-    if pos2 > p_hi:
-        return (pos2, speed2), config.r_right, True
-    return (pos2, speed2), config.r_speed * abs(speed2), False
+    left, right = pos2 < p_lo, pos2 > p_hi
+    reward = np.where(left, config.r_left,
+                      np.where(right, config.r_right,
+                               config.r_speed * np.abs(speed2)))
+    return pos2, speed2, reward, left | right
+
+
+def step(config: RoadConfig, state, action):
+    """``_advance`` for one state: ((pos', speed'), reward, terminal) as
+    Python floats and a bool."""
+    pos2, speed2, reward, terminal = _advance(config, *state, action)
+    return (float(pos2), float(speed2)), float(reward), bool(terminal)
 
 
 @dataclass
@@ -112,19 +149,14 @@ class GridPolicy:
     residual: float = 0.0
     residual_history: list = field(default_factory=list)  # not serialised
 
-    def _nearest(self, state):
-        pos, speed = state
-        i = int(np.clip(np.rint((pos - self.pos_grid[0])
-                                / (self.pos_grid[1] - self.pos_grid[0])),
-                        0, self.pos_grid.size - 1))
-        j = int(np.clip(np.rint((speed - self.speed_grid[0])
-                                / (self.speed_grid[1] - self.speed_grid[0])),
-                        0, self.speed_grid.size - 1))
-        return i, j
+    def action_indices(self, pos, speed):
+        """Indices into ``actions`` at arrays (or scalars) of states: the
+        nearest grid node of each, clipped to the grid."""
+        return self.action_idx[_nearest_node(self.pos_grid, pos),
+                               _nearest_node(self.speed_grid, speed)]
 
     def action_at(self, state) -> float:
-        i, j = self._nearest(state)
-        return self.actions[int(self.action_idx[i, j])]
+        return self.actions[int(self.action_indices(*state))]
 
     def to_json(self) -> dict:
         return {"pos_grid": [float(v) for v in self.pos_grid],
@@ -160,7 +192,21 @@ class GridPolicy:
                 and np.all(policy.action_idx < len(policy.actions))):
             raise TraceFormatError("policy tables do not fit its grids and "
                                    "actions")
+        for name in ("pos_grid", "speed_grid"):
+            steps = np.diff(getattr(policy, name))
+            if not (np.all(np.isfinite(steps)) and np.all(steps > 0)):
+                raise TraceFormatError(f"policy {name} is not finite and "
+                                       f"strictly increasing")
+        if not all(map(_is_finite, policy.actions)):
+            raise TraceFormatError("policy actions are not all finite")
         return policy
+
+
+def _nearest_node(grid, x):
+    """Index of the nearest node of a regular grid to each of ``x``,
+    clipped to the grid."""
+    u = np.rint((x - grid[0]) / (grid[1] - grid[0]))
+    return np.clip(u, 0, grid.size - 1).astype(np.intp)
 
 
 def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
@@ -184,14 +230,7 @@ def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
     corners = np.zeros((n_actions, n_pos, n_speed, 4), dtype=np.int64)
     weights = np.zeros((n_actions, n_pos, n_speed, 4))
     for a, acc in enumerate(config.actions):
-        speed2 = np.clip(S + acc, config.speed_range[0], config.speed_range[1])
-        pos2 = P + speed2
-        term_l = pos2 < config.pos_range[0]
-        term_r = pos2 > config.pos_range[1]
-        rewards[a] = config.r_speed * np.abs(speed2)
-        rewards[a][term_l] = config.r_left
-        rewards[a][term_r] = config.r_right
-        terminal[a] = term_l | term_r
+        pos2, speed2, rewards[a], terminal[a] = _advance(config, P, S, acc)
         ip = np.clip(np.searchsorted(pos, pos2) - 1, 0, n_pos - 2)
         js = np.clip(np.searchsorted(spd, speed2) - 1, 0, n_speed - 2)
         fx = np.clip((pos2 - pos[ip]) / (pos[ip + 1] - pos[ip]), 0.0, 1.0)
@@ -239,39 +278,103 @@ def generate_dataset(config: RoadConfig, policy: GridPolicy, n_samples: int,
 
     Episodes stop at termination or after ``episode_len`` steps; the final
     episode is trimmed so the sample count is exact (and marked truncated if
-    the trim removed its ending).
+    the trim removed its ending).  Episodes run in rounds, a batch at a time
+    in lockstep; each round draws its starts as (pos, speed) pairs in one
+    call, so the random stream, and the trace, are those of drawing one
+    episode's start at a time.
     """
     if n_samples < 1 or episode_len < 1:
         raise ParameterError("n_samples and episode_len must be >= 1")
     rng = np.random.default_rng(seed)
+    low = (config.pos_range[0], config.speed_range[0])
+    high = (config.pos_range[1], config.speed_range[1])
     episodes = []
-    total = 0
-    while total < n_samples:
-        pos = rng.uniform(*config.pos_range)
-        speed = rng.uniform(*config.speed_range)
-        states, actions, rewards = [], [], []
-        terminal = False
-        for _ in range(episode_len):
-            acc = policy.action_at((pos, speed))
-            (pos2, speed2), r, term = step(config, (pos, speed), acc)
-            states.append((pos, speed))
-            actions.append(acc)
-            rewards.append(r)
-            if term:
-                terminal = True
-                break
-            pos, speed = pos2, speed2
-        room = n_samples - total
-        if len(states) > room:
-            states, actions, rewards = states[:room], actions[:room], rewards[:room]
-            terminal = False
-        episodes.append(Episode(states=np.asarray(states, dtype=float),
-                                actions=np.asarray(actions, dtype=float),
-                                rewards=np.asarray(rewards, dtype=float),
-                                terminal=terminal))
-        total += len(states)
+    need, rounds, runs, run_samples = n_samples, 0, 0, 0
+    while need:
+        # no sample past ``need`` is kept, so no run goes further; start as
+        # many runs as the mean run length so far says will fill the need,
+        # and at least 2**rounds, so that even if every run lasts one step
+        # there are O(log n) rounds
+        steps = min(episode_len, need)
+        mean = run_samples / runs if runs else steps
+        k = min(need, max(math.ceil(need / mean), 1 << rounds))
+        starts = rng.uniform(low, high, size=(k, 2))
+        new, simulated = _run_episodes(config, policy, starts, steps, need)
+        episodes += new
+        need -= sum(map(len, new))
+        rounds, runs, run_samples = (rounds + 1, runs + k,
+                                     run_samples + simulated)
     return TraceDataset(episodes=episodes, action_kind=DISCRETE,
                         feature_names=list(FEATURE_NAMES))
+
+
+def _run_episodes(config, policy, starts, steps, room):
+    """Run the greedy policy from each start for up to ``steps`` steps, one
+    array step for every live run; then cut the runs into episodes, in start
+    order, until ``room`` samples are filled (trimming the last).
+
+    A live run is cut as soon as its next sample cannot land within the
+    room, whatever the runs before it do: after step t the run of rank r
+    among the live ones starts at or past ``done + r * (t + 1)``, where
+    ``done`` counts the samples of the ended runs before it.  So at step t
+    at most ``room / t`` runs are live, and a round simulates at most about
+    ``room * (2 + ln steps)`` samples however many runs it starts.
+
+    Returns the episodes and the number of samples simulated."""
+    accel = np.asarray(policy.actions, dtype=float)
+    live = np.arange(len(starts))
+    pos, speed = starts.T
+    done = np.zeros(len(starts), dtype=np.int64)
+    length = np.full(len(starts), steps)
+    terminal = np.zeros(len(starts), dtype=bool)
+    record = []  # per step: the live runs and their state, action, reward
+    for t in range(steps):
+        acc = accel[policy.action_indices(pos, speed)]
+        pos2, speed2, reward, term = _advance(config, pos, speed, acc)
+        record.append((live, pos, speed, acc, reward))
+        if term.any():
+            length[live[term]] = t + 1
+            terminal[live[term]] = True
+            keep = ~term
+            done = (done + (t + 1) * (np.cumsum(term) - term))[keep]
+            live, pos, speed = live[keep], pos2[keep], speed2[keep]
+        else:
+            pos, speed = pos2, speed2
+        # cut the live runs whose next sample lands past the room
+        if live.size and done[-1] + live.size * (t + 1) >= room:
+            next_at = done + np.arange(1, live.size + 1) * (t + 1)
+            cut = int(np.searchsorted(next_at, room))
+            length[live[cut:]] = t + 1
+            live, pos, speed, done = (live[:cut], pos[:cut], speed[:cut],
+                                      done[:cut])
+        if not live.size:
+            break
+
+    # cut the runs in start order: all runs up to the one that fills the
+    # room, that one trimmed to fit
+    ends = np.cumsum(length)
+    used = min(int(np.searchsorted(ends, room)) + 1, ends.size)
+    kept = min(int(ends[used - 1]), room)
+    terminal[used - 1] &= kept == ends[used - 1]
+
+    # the step-t sample of run e lands at start[e] + t; only the kept ones
+    # are written
+    start = ends - length
+    at = np.concatenate([start[r[0]] + t for t, r in enumerate(record)])
+    mask = at < kept
+    at = at[mask]
+    states = np.empty((kept, 2))
+    actions, rewards = np.empty(kept), np.empty(kept)
+    for column, c in ((states[:, 0], 1), (states[:, 1], 2), (actions, 3),
+                      (rewards, 4)):
+        column[at] = np.concatenate([r[c] for r in record])[mask]
+    del record
+
+    bounds = [0, *ends[:used - 1].tolist(), kept]
+    episodes = [Episode(states=states[a:b], actions=actions[a:b],
+                        rewards=rewards[a:b], terminal=term)
+                for a, b, term in zip(bounds, bounds[1:], terminal.tolist())]
+    return episodes, int(ends[-1])
 
 
 EXCLUSIVE_THETAS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

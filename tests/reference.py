@@ -644,12 +644,29 @@ def load_json(text: str, action_kind: str | None) -> TraceDataset:
 
 # ---------------------------------------------------------------------------
 # Trace writer: the row-at-a-time CSV writer that ``dataset`` used before it
-# formatted a column at a time, kept verbatim as the byte-for-byte oracle
+# formatted a column at a time, kept as the byte-for-byte oracle.  One change:
+# each row is written with "\r\n" as the terminator, so that csv.writer
+# quotes a field holding a lone "\r" as it quotes one holding "\n", and the
+# terminator is then replaced by "\n".
 # ---------------------------------------------------------------------------
 
+class _NewlineRows:
+    """A file for csv.writer that ends each "\\r\\n"-terminated row with
+    "\\n" instead."""
+
+    def __init__(self):
+        self.rows = []
+
+    def write(self, row: str):
+        self.rows.append(row[:-2] + "\n")
+
+    def getvalue(self) -> str:
+        return "".join(self.rows)
+
+
 def trace_to_csv_bytes(data: TraceDataset) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    buf = _NewlineRows()
+    writer = csv.writer(buf, lineterminator="\r\n")
     if data.action_kind == CONTINUOUS_VECTOR:
         m = data.episodes[0].actions.shape[1]
         a_cols = [f"a{k}" for k in range(1, m + 1)]
@@ -669,6 +686,71 @@ def trace_to_csv_bytes(data: TraceDataset) -> bytes:
                 a = [str(av) if isinstance(av, str) else repr(float(av))]
             writer.writerow([ei, t, term] + s + a + [repr(float(ep.rewards[t]))])
     return buf.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Road traces: the one-step-at-a-time generator that ``road_env`` used before
+# it ran episodes in lockstep, with the scalar dynamics and grid lookup it
+# called, kept verbatim as the byte-for-byte oracle
+# ---------------------------------------------------------------------------
+
+def road_step(config, state, action):
+    pos, speed = state
+    s_lo, s_hi = config.speed_range
+    p_lo, p_hi = config.pos_range
+    speed2 = min(max(speed + action, s_lo), s_hi)
+    pos2 = pos + speed2
+    if pos2 < p_lo:
+        return (pos2, speed2), config.r_left, True
+    if pos2 > p_hi:
+        return (pos2, speed2), config.r_right, True
+    return (pos2, speed2), config.r_speed * abs(speed2), False
+
+
+def road_action_at(policy, state) -> float:
+    pos, speed = state
+    i = int(np.clip(np.rint((pos - policy.pos_grid[0])
+                            / (policy.pos_grid[1] - policy.pos_grid[0])),
+                    0, policy.pos_grid.size - 1))
+    j = int(np.clip(np.rint((speed - policy.speed_grid[0])
+                            / (policy.speed_grid[1] - policy.speed_grid[0])),
+                    0, policy.speed_grid.size - 1))
+    return policy.actions[int(policy.action_idx[i, j])]
+
+
+def generate_road_dataset(config, policy, n_samples: int, episode_len: int,
+                          seed: int) -> TraceDataset:
+    if n_samples < 1 or episode_len < 1:
+        raise ParameterError("n_samples and episode_len must be >= 1")
+    rng = np.random.default_rng(seed)
+    episodes = []
+    total = 0
+    while total < n_samples:
+        pos = rng.uniform(*config.pos_range)
+        speed = rng.uniform(*config.speed_range)
+        states, actions, rewards = [], [], []
+        terminal = False
+        for _ in range(episode_len):
+            acc = road_action_at(policy, (pos, speed))
+            (pos2, speed2), r, term = road_step(config, (pos, speed), acc)
+            states.append((pos, speed))
+            actions.append(acc)
+            rewards.append(r)
+            if term:
+                terminal = True
+                break
+            pos, speed = pos2, speed2
+        room = n_samples - total
+        if len(states) > room:
+            states, actions, rewards = states[:room], actions[:room], rewards[:room]
+            terminal = False
+        episodes.append(Episode(states=np.asarray(states, dtype=float),
+                                actions=np.asarray(actions, dtype=float),
+                                rewards=np.asarray(rewards, dtype=float),
+                                terminal=terminal))
+        total += len(states)
+    return TraceDataset(episodes=episodes, action_kind=DISCRETE,
+                        feature_names=["pos", "speed"])
 
 
 # ---------------------------------------------------------------------------

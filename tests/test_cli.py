@@ -322,6 +322,29 @@ BAD_FILES = {  # flag, file contents (None: a directory), error prefix
         ["gen-road", "--policy"],
         json.dumps({**POLICY, "action_idx": [[0, 2], [1, 0]]}),
         "data error: "),
+    "policy-nan-in-grid": (
+        ["gen-road", "--policy"],
+        json.dumps({**POLICY, "pos_grid": [0.0, float("nan")]}),
+        "data error: "),
+    "policy-repeated-grid-entry": (
+        ["gen-road", "--policy"],
+        json.dumps({**POLICY, "speed_grid": [0.1, 0.1]}), "data error: "),
+    "policy-nan-action": (
+        ["gen-road", "--policy"],
+        json.dumps({**POLICY, "actions": [float("nan"), 0.001]}),
+        "data error: "),
+    "config-reward-not-finite": (
+        ["gen-road", "--config"],
+        '{"r_left": -100, "r_right": -100, "r_speed": Infinity}',
+        "data error: "),
+    "config-range-reversed": (
+        ["gen-road", "--config"],
+        '{"r_left": -100, "r_right": -100, "r_speed": 1, "pos_range": [3, 0]}',
+        "data error: "),
+    "config-integer-past-float-range": (
+        ["gen-road", "--config"],
+        '{"r_left": -1%s, "r_right": -100, "r_speed": 1}' % ("0" * 400),
+        "data error: "),
     "data-is-a-directory": (["fit", "--gamma", "0.9", "--theta", "1,1,1",
                              "--max-leaves", "4", "--data"], None,
                             "file error: "),

@@ -475,7 +475,7 @@ def test_json_loader_matches_reference(case, kind):
 
 ODD_FLOATS = [-0.0, 5e-324, 1e-310, 0.1, 1e300, -2.5]
 STRING_LABELS = ["go", "a,b", 'say "hi"', "two\nlines", "", "cr\rlf", " pad "]
-FEATURE_NAMES = ["x", "a,b", 'q"t', "two\nlines", "", "é"]
+FEATURE_NAMES = ["x", "a,b", 'q"t', "two\nlines", "cr\rlf", "", "é"]
 
 
 @st.composite
@@ -518,6 +518,26 @@ def trace_datasets(draw):
 @given(data=trace_datasets())
 def test_csv_writer_matches_row_writer(data):
     assert ds.trace_to_csv_bytes(data) == ref.trace_to_csv_bytes(data)
+
+
+def _trace_texts(data):
+    """Everything a trace holds, numbers as ``repr(float)`` (so -0.0 and 0.0
+    differ) and labels as strings."""
+    def texts(values):
+        return [v if isinstance(v, str) else texts(v) if isinstance(v, list)
+                else repr(float(v)) for v in values]
+    return (data.action_kind, list(data.feature_names),
+            [(texts(ep.states.tolist()), texts(np.asarray(ep.actions).tolist()),
+              texts(ep.rewards.tolist()), ep.terminal)
+             for ep in data.episodes])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=trace_datasets())
+def test_csv_written_trace_loads_back_unchanged(data):
+    back = ds.load_trace(ds.trace_to_csv_bytes(data), "csv",
+                         action_kind=data.action_kind)
+    assert _trace_texts(back) == _trace_texts(data)
 
 
 # ---------------------------------------------------------------------------
