@@ -18,6 +18,7 @@ temporal rule is always the minimal one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -47,12 +48,13 @@ def factual(tree: TripleTree, state) -> Explanation:
 
 
 def _box_bounds(box: Box) -> list:
+    lower, upper = box.lower.tolist(), box.upper.tolist()
     bounds = []
-    for f in range(box.lower.size):
-        if np.isfinite(box.lower[f]):
-            bounds.append((f, ">=", float(box.lower[f])))
-        if np.isfinite(box.upper[f]):
-            bounds.append((f, "<", float(box.upper[f])))
+    for f in range(len(lower)):
+        if isfinite(lower[f]):
+            bounds.append((f, ">=", lower[f]))
+        if isfinite(upper[f]):
+            bounds.append((f, "<", upper[f]))
     return bounds
 
 
@@ -93,13 +95,9 @@ def _change_metrics(state, point, feature_range):
 
 def _changed_bounds(state, box: Box, changed) -> list:
     """For each changed feature, the violated side of the target region."""
-    bounds = []
-    for f in changed:
-        if state[f] < box.lower[f]:
-            bounds.append((int(f), ">=", float(box.lower[f])))
-        else:
-            bounds.append((int(f), "<", float(box.upper[f])))
-    return bounds
+    s, lower, upper = state.tolist(), box.lower.tolist(), box.upper.tolist()
+    return [(f, ">=", lower[f]) if s[f] < lower[f] else (f, "<", upper[f])
+            for f in changed]
 
 
 def _counterfactual(kind, tree, state, pred, foil, eligible,
@@ -119,11 +117,11 @@ def _counterfactual(kind, tree, state, pred, foil, eligible,
     points = _project_into_leaf(state, t.box[eligible], tree.feature_range)
     changed, l0, l2 = _change_metrics(state, points, tree.feature_range)
     i = next(i for i in np.lexsort((ids, l2, l0)).tolist() if pure(points[i]))
-    lid, changed = int(ids[i]), np.nonzero(changed[i])[0]
+    lid, changed = int(ids[i]), np.nonzero(changed[i])[0].tolist()
     return Explanation(
         kind=kind, bounds=_changed_bounds(state, tree.leaves[lid].box, changed),
         foil=foil, target_leaf=lid, foil_point=points[i],
-        changed_features=[int(f) for f in changed], query_action=pred)
+        changed_features=changed, query_action=pred)
 
 
 def counterfactual_action(tree: TripleTree, state, foil) -> Explanation:
@@ -179,28 +177,31 @@ def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
 # Renderers
 # ---------------------------------------------------------------------------
 
-def _fmt_value(v) -> str:
+def _fmt_value(v) -> str:  # '%g' % x is format(x, 'g'), at half the cost
     if isinstance(v, str):
         return v
     if isinstance(v, np.ndarray):
-        return "(" + ", ".join(f"{float(x):g}" for x in v) + ")"
-    return f"{float(v):g}"
+        return "(" + ", ".join(["%g" % float(x) for x in v.tolist()]) + ")"
+    return "%g" % float(v)
 
 
 def _fmt_bounds(bounds, feature_names) -> str:
-    per_feature: dict = {}
+    """The bounds in the order given, as explanations list them (by feature,
+    lower side first); a feature's two sides in a row read as an interval."""
+    parts, low = [], None  # a lower side waiting for its feature's upper side
     for f, rel, tau in bounds:
-        per_feature.setdefault(f, {})[rel] = tau
-    parts = []
-    for f in sorted(per_feature):
-        name = feature_names[f]
-        sides = per_feature[f]
-        if ">=" in sides and "<" in sides:
-            parts.append(f"{name} in [{sides['>=']:g}, {sides['<']:g}]")
-        elif ">=" in sides:
-            parts.append(f"{name} >= {sides['>=']:g}")
+        if low and (rel == ">=" or low[0] != f):
+            parts.append("%s >= %g" % (feature_names[low[0]], low[1]))
+            low = None
+        if rel == ">=":
+            low = f, tau
+        elif not low:
+            parts.append("%s < %g" % (feature_names[f], tau))
         else:
-            parts.append(f"{name} < {sides['<']:g}")
+            parts.append("%s in [%g, %g]" % (feature_names[f], low[1], tau))
+            low = None
+    if low:
+        parts.append("%s >= %g" % (feature_names[low[0]], low[1]))
     return " and ".join(parts)
 
 

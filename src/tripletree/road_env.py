@@ -40,6 +40,9 @@ class RoadConfig:
         self.pos_range = tuple(map(float, self.pos_range))
         self.speed_range = tuple(map(float, self.speed_range))
         self.actions = tuple(map(float, self.actions))
+        if not all(map(math.isfinite, (self.r_left, self.r_right,
+                                       self.r_speed))):
+            raise ParameterError("rewards must be finite")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ParameterError("grid must be at least 2x2")
         if not 0.0 <= self.gamma <= 1.0:
@@ -209,14 +212,18 @@ def _nearest_node(grid, x):
     return np.clip(u, 0, grid.size - 1).astype(np.intp)
 
 
+@np.errstate(over="ignore")  # an overflow ends as a non-finite residual
 def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
              max_iters: int = 200000) -> GridPolicy:
     """Value iteration over the grid until the max value change drops below
     ``tolerance``; successor values are bilinearly interpolated between the
     four surrounding grid nodes.
 
-    Raises on non-convergence, reporting the residual reached.
+    Raises on non-convergence, reporting the residual reached, and at the
+    first sweep whose residual is not finite (the values overflowed).
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ParameterError(f"tolerance {tolerance:g} must be finite and > 0")
     n_pos, n_speed = config.grid
     pos = np.linspace(config.pos_range[0], config.pos_range[1], n_pos)
     spd = np.linspace(config.speed_range[0], config.speed_range[1], n_speed)
@@ -257,6 +264,9 @@ def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
         V = V_new
         if residual < tolerance:
             break
+        if not math.isfinite(residual):
+            raise ParameterError(f"value iteration diverged: residual "
+                                 f"{residual:g} at sweep {it}")
     else:
         raise ParameterError(
             f"value iteration did not converge: residual {residual:g} after "

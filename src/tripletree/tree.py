@@ -329,16 +329,15 @@ def _leaf_density(box, n, feature_range) -> float:
 # ---------------------------------------------------------------------------
 
 def leaf_of(tree: TripleTree, state) -> int:
-    """Leaf id reached by propagating a state from the root.
-
-    States exactly on a threshold go right (the >= side).
-    """
-    s = np.asarray(state, dtype=float)
-    i = 0
-    node = tree.nodes[i]
+    """Leaf id reached by propagating a state, converted once to Python
+    floats, from the root.  States exactly on a threshold go right (to the
+    >= side), as do NaN coordinates."""
+    s = np.asarray(state, dtype=float).tolist()
+    nodes = tree.nodes
+    node = nodes[0]
     while node.leaf_id is None:
-        i = node.left if s[node.feature] < node.threshold else node.right
-        node = tree.nodes[i]
+        node = nodes[node.left if s[node.feature] < node.threshold
+                     else node.right]
     return node.leaf_id
 
 

@@ -349,28 +349,28 @@ def _render_grid(payload, style):
 
 
 def _render_arrows(payload, style):
+    """Arrows from one array pass, in the per-arrow order of operations."""
     canvas = _canvas_for(payload, style)
-    arrows = payload["arrows"]
-    mags = [np.hypot(a["dx"], a["dy"]) for a in arrows]
-    top = max(mags) if mags else 1.0
+    xy = [[a["x"], a["y"], a["dx"], a["dy"]] for a in payload["arrows"]]
+    x, y, dx, dy = np.array(xy, dtype=float).reshape(-1, 4).T
+    top = max(np.hypot(dx, dy).tolist(), default=1.0)
     scale = 0.08 * min(canvas.pw, canvas.ph) / (top or 1.0)
+    x, y, dx, dy = canvas.x(x), canvas.y(y), dx * scale, -dy * scale
+    tip_x, tip_y, norm = x + dx, y + dy, np.hypot(dx, dy)
+    with np.errstate(divide="ignore", invalid="ignore"):  # read if norm > 1e-9
+        ux, uy = dx / norm, dy / norm
+    heads = (tip_x - 4 * ux + 2 * uy, tip_y - 4 * uy - 2 * ux,
+             tip_x - 4 * ux - 2 * uy, tip_y - 4 * uy + 2 * ux)
     out = []
-    for a in arrows:
-        x, y = canvas.x(a["x"]), canvas.y(a["y"])
-        dx, dy = a["dx"] * scale, -a["dy"] * scale
-        tip_x, tip_y = x + dx, y + dy
-        out.append(f'<line x1="{_f(x)}" y1="{_f(y)}" x2="{_f(tip_x)}" '
-                   f'y2="{_f(tip_y)}" stroke="#202020" stroke-width="1"/>')
-        norm = np.hypot(dx, dy)
-        if norm > 1e-9:
-            ux, uy = dx / norm, dy / norm
-            left = (tip_x - 4 * ux + 2 * uy, tip_y - 4 * uy - 2 * ux)
-            right = (tip_x - 4 * ux - 2 * uy, tip_y - 4 * uy + 2 * ux)
-            out.append(
-                f'<polygon points="{_f(tip_x)},{_f(tip_y)} {_f(left[0])},'
-                f'{_f(left[1])} {_f(right[0])},{_f(right[1])}" fill="#202020"/>')
+    for px, py, tx, ty, head, lx, ly, rx, ry in zip(*(
+            c.tolist() for c in (x, y, tip_x, tip_y, norm > 1e-9, *heads))):
+        out.append(f'<line x1="{_f(px)}" y1="{_f(py)}" x2="{_f(tx)}" '
+                   f'y2="{_f(ty)}" stroke="#202020" stroke-width="1"/>')
+        if head:
+            out.append(f'<polygon points="{_f(tx)},{_f(ty)} {_f(lx)},'
+                       f'{_f(ly)} {_f(rx)},{_f(ry)}" fill="#202020"/>')
         else:
-            out.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="1.5" '
+            out.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" r="1.5" '
                        f'fill="#202020"/>')
     return out, []
 

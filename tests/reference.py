@@ -19,8 +19,7 @@ from tripletree.impurity import (ImpurityTriple, NodeStats, SplitCandidate,
                                  validate_theta)
 from tripletree.tree import Box, TripleTree, assign_leaves
 from tripletree.viz import (_CATEGORICAL, _VIRIDIS, PlaneSpec, _axis_labels,
-                            _canvas_for, _f, _render_arrows, _render_overlays,
-                            _swatches)
+                            _canvas_for, _f, _render_overlays, _swatches)
 
 
 def pairwise_variance(values):
@@ -263,8 +262,59 @@ def enumerate_simple_paths(edges, start, end):
 # ---------------------------------------------------------------------------
 # Query-layer loops: one leaf, one feature or one segment at a time.  These
 # are the per-item forms of the array passes in ``explain`` and
-# ``trajectory``, kept as oracles that must agree with them bit for bit.
+# ``trajectory``, kept as oracles that must agree with them bit for bit;
+# and the numpy-scalar forms of the single-state lookup, factual bounds and
+# rule text, which the float forms must match.
 # ---------------------------------------------------------------------------
+
+def leaf_of(tree: TripleTree, state) -> int:
+    """Leaf id reached by propagating a state from the root.
+
+    States exactly on a threshold go right (the >= side).
+    """
+    s = np.asarray(state, dtype=float)
+    i = 0
+    node = tree.nodes[i]
+    while node.leaf_id is None:
+        i = node.left if s[node.feature] < node.threshold else node.right
+        node = tree.nodes[i]
+    return node.leaf_id
+
+
+def box_bounds(box: Box) -> list:
+    bounds = []
+    for f in range(box.lower.size):
+        if np.isfinite(box.lower[f]):
+            bounds.append((f, ">=", float(box.lower[f])))
+        if np.isfinite(box.upper[f]):
+            bounds.append((f, "<", float(box.upper[f])))
+    return bounds
+
+
+def fmt_value(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, np.ndarray):
+        return "(" + ", ".join(f"{float(x):g}" for x in v) + ")"
+    return f"{float(v):g}"
+
+
+def fmt_bounds(bounds, feature_names) -> str:
+    per_feature: dict = {}
+    for f, rel, tau in bounds:
+        per_feature.setdefault(f, {})[rel] = tau
+    parts = []
+    for f in sorted(per_feature):
+        name = feature_names[f]
+        sides = per_feature[f]
+        if ">=" in sides and "<" in sides:
+            parts.append(f"{name} in [{sides['>=']:g}, {sides['<']:g}]")
+        elif ">=" in sides:
+            parts.append(f"{name} >= {sides['>=']:g}")
+        else:
+            parts.append(f"{name} < {sides['<']:g}")
+    return " and ".join(parts)
+
 
 def same_action(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -1024,6 +1074,33 @@ def _render_grid(payload, style):
             out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
                        f'height="{_f(h)}" fill="{_heat((v - vmin) / span)}"/>')
     return out, _colorbar(canvas, vmin, vmax)
+
+
+def _render_arrows(payload, style):
+    canvas = _canvas_for(payload, style)
+    arrows = payload["arrows"]
+    mags = [np.hypot(a["dx"], a["dy"]) for a in arrows]
+    top = max(mags) if mags else 1.0
+    scale = 0.08 * min(canvas.pw, canvas.ph) / (top or 1.0)
+    out = []
+    for a in arrows:
+        x, y = canvas.x(a["x"]), canvas.y(a["y"])
+        dx, dy = a["dx"] * scale, -a["dy"] * scale
+        tip_x, tip_y = x + dx, y + dy
+        out.append(f'<line x1="{_f(x)}" y1="{_f(y)}" x2="{_f(tip_x)}" '
+                   f'y2="{_f(tip_y)}" stroke="#202020" stroke-width="1"/>')
+        norm = np.hypot(dx, dy)
+        if norm > 1e-9:
+            ux, uy = dx / norm, dy / norm
+            left = (tip_x - 4 * ux + 2 * uy, tip_y - 4 * uy - 2 * ux)
+            right = (tip_x - 4 * ux - 2 * uy, tip_y - 4 * uy + 2 * ux)
+            out.append(
+                f'<polygon points="{_f(tip_x)},{_f(tip_y)} {_f(left[0])},'
+                f'{_f(left[1])} {_f(right[0])},{_f(right[1])}" fill="#202020"/>')
+        else:
+            out.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="1.5" '
+                       f'fill="#202020"/>')
+    return out, []
 
 
 def _colorbar(canvas, vmin, vmax):

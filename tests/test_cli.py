@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -272,6 +273,33 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "out.json")
+
+
+# road flags that no value iteration can meet, and what the error names
+UNSOLVABLE_ROADS = {
+    "reward-nan": (["--r-left", "nan"], "rewards must be finite"),
+    "reward-inf": (["--r-speed", "inf"], "rewards must be finite"),
+    "values-overflow": (["--r-speed", "1e308"], "residual inf at sweep"),
+    "tol-nan": (["--tol", "nan"], "tolerance nan"),
+    "tol-inf": (["--tol", "inf"], "tolerance inf"),
+    "tol-zero": (["--tol", "0"], "tolerance 0"),
+    "tol-negative": (["--tol", "-0.5"], "tolerance -0.5"),
+}
+
+
+@pytest.mark.parametrize("name", list(UNSOLVABLE_ROADS))
+def test_unsolvable_road_prints_one_usage_error_line_at_once(name, tmp_path,
+                                                             capsys):
+    flags, message = UNSOLVABLE_ROADS[name]
+    out = tmp_path / "road.csv"
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run(["gen-road", *flags, "--samples", "10", "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 2.0  # not all 200000 sweeps
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TRACES) + ["empty-vectors",

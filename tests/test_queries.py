@@ -4,6 +4,7 @@ the road fixture, and ``==`` properties comparing the array passes of
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -26,8 +27,9 @@ END_ZONE = ((1.4, 0.0), (1.7, 0.03))
 
 
 def road_query_digests(aug) -> str:
-    """sha256 of the JSON of every query kind on a 60-leaf road fit, one
-    ``<hex>  <what>`` line each.
+    """sha256 of the JSON of every query kind on a 60-leaf road fit, and of
+    each explanation kind's ``render_text`` lines, one ``<hex>  <what>``
+    line each.
 
     The states are a 9x9 grid reaching past the data ranges, so boxes with
     infinite sides are projected onto.  Temporal queries pair each grid state
@@ -39,20 +41,20 @@ def road_query_digests(aug) -> str:
             for s in np.linspace(-0.12, 0.12, 9)]
     actions = [tr.predict(tree, s).action for s in grid]
     median_v = float(np.median(aug.V))
-    docs = {"factual": [], "counterfactual_action": [],
-            "counterfactual_value": [], "temporal": []}
+    expls = {"factual": [], "counterfactual_action": [],
+             "counterfactual_value": [], "temporal": []}
     for s, a in zip(grid, actions):
         foil = next(b for b in tree.action_labels if b != a)
-        docs["factual"].append(ex.render_json(ex.factual(tree, s)))
-        docs["counterfactual_action"].append(
-            ex.render_json(ex.counterfactual_action(tree, s, foil)))
-        docs["counterfactual_value"].append(
-            ex.render_json(ex.counterfactual_value(tree, s, ("<=", median_v))))
+        expls["factual"].append(ex.factual(tree, s))
+        expls["counterfactual_action"].append(
+            ex.counterfactual_action(tree, s, foil))
+        expls["counterfactual_value"].append(
+            ex.counterfactual_value(tree, s, ("<=", median_v)))
     for i in range(len(grid)):
         for j in (i + 1, i + 9, len(grid) - 1 - i):
             if j < len(grid) and actions[i] != actions[j]:
-                docs["temporal"].append(
-                    ex.render_json(ex.temporal(tree, grid[i], grid[j])))
+                expls["temporal"].append(ex.temporal(tree, grid[i], grid[j]))
+    docs = {k: [ex.render_json(e) for e in v] for k, v in expls.items()}
 
     graph = tj.build_leaf_graph(tree)
     zones = [tr.Box(np.array(lo), np.array(hi)) for lo, hi in (START_ZONE,
@@ -60,6 +62,8 @@ def road_query_digests(aug) -> str:
     paths = tj.zone_paths(graph, *zones)
     docs["zone_paths"] = [p.to_json() for p in paths]
     docs["aligned"] = [tj.align_path(tree, p.leaves).to_json() for p in paths]
+    for k, v in expls.items():
+        docs[f"{k}_text"] = [ex.render_text(tree, e) for e in v]
     return "".join(
         f"{hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()}"
         f"  {k}.json\n" for k, v in docs.items())
@@ -218,6 +222,97 @@ def test_temporal_equals_leaf_by_leaf_purity_loop(case):
     assert got.target_leaf == lid
     assert _same_bytes(got.foil_point, point)
     assert got.changed_features == [int(f) for f in changed]
+
+
+# ---------------------------------------------------------------------------
+# Single-state lookup, factual bounds and rule text against the numpy-scalar
+# forms in ``reference.py``
+# ---------------------------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def lookup_cases(draw):
+    """A grid tree and one state as a caller may pass it: a float or int
+    array, a list or a tuple.  Coordinates fall on thresholds, on signed
+    zeros, infinities and NaN; the state may be a feature short or long,
+    or hold a string."""
+    tree = draw(grid_trees())
+    form = draw(st.sampled_from(["floats", "ints", "list", "tuple"]))
+    n = tree.d + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if form == "ints":
+        return tree, np.array(draw(st.lists(st.integers(-1, 2), min_size=n,
+                                            max_size=n)), dtype=np.int64)
+    coord = st.one_of(st.sampled_from(THRESHOLDS), coords,
+                      st.sampled_from(SPECIAL), st.integers(-1, 2))
+    state = draw(st.lists(coord, min_size=n, max_size=n))
+    if form == "floats":
+        return tree, np.array(state, dtype=float)
+    if state and draw(st.integers(0, 9)) == 0:
+        state[draw(st.integers(0, n - 1))] = "x"
+    return tree, state if form == "list" else tuple(state)
+
+
+def _result(fn, *args):
+    """``fn(*args)``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=lookup_cases())
+def test_lookup_bounds_and_text_equal_the_numpy_scalar_forms(case):
+    tree, state = case
+    want = _result(ref.leaf_of, tree, state)
+    assert _result(tr.leaf_of, tree, state) == want
+    if isinstance(want, type):  # an exception type: factual raises it too
+        assert _result(ex.factual, tree, state) == want
+        return
+    box = tree.leaves[want].box
+    bounds = ref.box_bounds(box)
+    expl = ex.factual(tree, state)
+    assert (expl.target_leaf, expl.bounds) == (want, bounds)
+    assert [tuple(map(type, b)) for b in expl.bounds] == [
+        (int, str, float)] * len(bounds)
+    assert ex.render_text(tree, expl) == (
+        f"Action = {ref.fmt_value(expl.query_action)} because "
+        f"{ref.fmt_bounds(bounds, tree.feature_names)}")
+
+
+taus = st.one_of(st.floats(), st.floats(width=32), st.sampled_from(SPECIAL),
+                 st.integers(-10 ** 20, 10 ** 20))
+
+
+@st.composite
+def ordered_bounds(draw):
+    """Bounds as every explanation holds them: by feature in ascending
+    order, a lower side before an upper one."""
+    bounds = []
+    for f in sorted(draw(st.sets(st.integers(0, 2)))):
+        sides = draw(st.sampled_from([(">=",), ("<",), (">=", "<")]))
+        bounds += [(f, rel, draw(taus)) for rel in sides]
+    return bounds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bounds=ordered_bounds(), as_numpy=st.booleans())
+def test_rule_text_equals_the_numpy_scalar_form(bounds, as_numpy):
+    if as_numpy:
+        bounds = [(np.int64(f), rel, np.float64(tau)) for f, rel, tau in bounds]
+    names = ["pos", "speed", "f2"]
+    assert ex._fmt_bounds(bounds, names) == ref.fmt_bounds(bounds, names)
+    given = [tau for _, _, tau in bounds]
+    for v in [*given, np.array(given, dtype=float), "left"]:
+        assert ex._fmt_value(v) == ref.fmt_value(v)
+
+
+def test_rule_text_keeps_the_order_given():
+    bounds = [(1, "<", 0.5), (0, ">=", 0.25), (0, "<", 0.75), (0, ">=", 1.0)]
+    assert ex._fmt_bounds(bounds, ["pos", "speed"]) == (
+        "speed < 0.5 and pos in [0.25, 0.75] and pos >= 1")
 
 
 # zero-length segments come from repeated nodes or zero weights, zero

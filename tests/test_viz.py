@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -239,6 +240,19 @@ def test_svg_golden_quiver_with_path_overlay():
                {"type": "segment", "from": [0.2, 0.2], "to": [1.0, 1.0]}]
     _golden("quiver_overlay.svg", viz.quiver(tree, mode="direct"),
             {"title": "quiver"}, overlays=overlay)
+
+
+def test_arrow_svg_equals_the_per_arrow_loop_on_dots_and_odd_values():
+    arrows = [{"x": 0.5, "y": 0.0, "dx": 0.0, "dy": 0.0},      # a dot
+              {"x": 1, "y": 1, "dx": 3, "dy": -4},              # integers
+              {"x": 1.5, "y": -0.5, "dx": 1e-14, "dy": 0.0},    # under 1e-9 px
+              {"x": 0.2, "y": 0.3, "dx": math.nan, "dy": 1.0},  # NaN: a dot
+              {"x": 2.0, "y": -1.0, "dx": -0.25, "dy": 0.5}]
+    for rows in (arrows, arrows[3:] + arrows[:3], arrows[:1], []):
+        # with the NaN first, Python's max, and so the scale, is NaN
+        payload = {"arrows": rows, "x_range": [0.0, 2.0],
+                   "y_range": [-1.0, 1.0]}
+        assert viz.render_svg(payload) == ref.render_svg(payload)
 
 
 def test_svg_deterministic_across_calls():
