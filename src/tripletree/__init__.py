@@ -6,8 +6,7 @@ from .dataset import (AugmentedDataset, Episode, TraceDataset, augment,
                       load_trace, load_trace_path)
 from .errors import ParameterError, TraceFormatError
 from .explain import (Explanation, counterfactual_action, counterfactual_value,
-                      factual, project_onto_box, render_json, render_text,
-                      temporal)
+                      factual, render_json, render_text, temporal)
 from .impurity import (ImpurityTriple, SplitCandidate, best_split,
                        hybrid_quality)
 from .road_env import (GridPolicy, RoadConfig, dp_solve, generate_dataset,
@@ -31,7 +30,7 @@ __all__ = [
     "dp_solve", "evaluate_losses", "factual", "fit", "generate_dataset",
     "grow", "hybrid_quality", "ice_slice", "leaf_of", "load_trace",
     "load_trace_path", "most_probable_path", "pdp_projection", "predict",
-    "project_onto_box", "quiver", "render_json",
+    "quiver", "render_json",
     "render_svg", "render_text", "select_best_leaf", "serialize", "step",
     "temporal", "theta_sweep", "zone_paths",
 ]

@@ -175,7 +175,7 @@ def cmd_gen_road(args) -> int:
         _write(args.out, ds.trace_to_json_bytes(data))
     else:
         _write(args.out, ds.trace_to_csv_bytes(data))
-    print(f"wrote {data.n_samples} samples in {len(data.episodes)} episodes "
+    print(f"wrote {data.n_samples} samples in {len(data.starts)} episodes "
           f"to {args.out}")
     return 0
 

@@ -48,92 +48,115 @@ class Episode:
 
 @dataclass
 class TraceDataset:
-    """Validated ordered trace data.
+    """Validated ordered trace data, held as per-sample columns; episode i
+    runs from ``starts[i]`` up to the next start, with flag ``terminal[i]``.
 
     ``action_kind`` is one of ``discrete``, ``continuous-scalar``,
     ``continuous-vector``.  Discrete action labels may be strings or numbers;
     they are treated as categorical either way.
     """
 
-    episodes: list[Episode]
+    states: np.ndarray    # (n, d) float64
+    actions: np.ndarray   # (n,) labels/floats, or (n, m) float64 for vector actions
+    rewards: np.ndarray   # (n,) float64
+    starts: np.ndarray    # (E,) int64, each episode's first sample
+    terminal: np.ndarray  # (E,) bool
     action_kind: str
     feature_names: list[str]
 
     def __post_init__(self):
+        self.starts = np.asarray(self.starts, dtype=np.int64)
+        self.terminal = np.asarray(self.terminal, dtype=bool)
         validate_trace(self)
+
+    @classmethod
+    def from_episodes(cls, episodes, action_kind: str,
+                      feature_names) -> TraceDataset:
+        """The trace of hand-built episodes: each is checked for shape, then
+        the episodes are joined into columns in one concatenation."""
+        episodes = list(episodes)
+        first = episodes[0] if episodes else None
+        d = first.states.shape[1] if first is not None and first.states.ndim == 2 else -1
+        _check_header(action_kind, len(episodes), feature_names, d)
+        vector = action_kind == CONTINUOUS_VECTOR
+        m = first.actions.shape[1] if vector and first.actions.ndim == 2 else -1
+        for i, ep in enumerate(episodes):
+            if len(ep) == 0:
+                raise TraceFormatError(f"episode {i} is empty")
+            if ep.states.ndim != 2 or ep.states.shape[1] != d:
+                raise TraceFormatError(
+                    f"episode {i}: state vectors do not all have {d} entries")
+            if vector and ep.actions.ndim != 2:
+                raise TraceFormatError(f"episode {i}: vector actions must be 2-D")
+            if vector and ep.actions.shape[1] != m:
+                raise TraceFormatError(
+                    f"episode {i}: action vectors do not all have {m} entries")
+        return cls(np.concatenate([ep.states for ep in episodes]),
+                   np.concatenate([np.asarray(ep.actions) for ep in episodes]),
+                   np.concatenate([ep.rewards for ep in episodes]),
+                   np.cumsum([0] + [len(ep) for ep in episodes[:-1]]),
+                   [bool(ep.terminal) for ep in episodes], action_kind,
+                   list(feature_names))
+
+    @property
+    def episodes(self) -> list[Episode]:
+        """Each episode as views of the columns."""
+        bounds = [*self.starts.tolist(), self.n_samples]
+        return [Episode(self.states[a:b], self.actions[a:b], self.rewards[a:b], term)
+                for a, b, term in zip(bounds, bounds[1:], self.terminal.tolist())]
 
     @property
     def d(self) -> int:
-        return self.episodes[0].states.shape[1]
+        return self.states.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return sum(len(ep) for ep in self.episodes)
+        return self.states.shape[0]
+
+
+def _check_header(action_kind, n_episodes, feature_names, d) -> None:
+    if action_kind not in ACTION_KINDS:
+        raise TraceFormatError(f"unknown action kind {action_kind!r}")
+    if not n_episodes:
+        raise TraceFormatError("dataset has no episodes")
+    if len(feature_names) != d:
+        raise TraceFormatError(
+            f"{len(feature_names)} feature names for {d} state features")
 
 
 def validate_trace(data: TraceDataset) -> None:
-    """Check the shapes and finiteness of every episode in a few passes over
-    the whole trace; a trace they reject is scanned episode by episode to
-    name its first fault."""
-    if data.action_kind not in ACTION_KINDS:
-        raise TraceFormatError(f"unknown action kind {data.action_kind!r}")
-    if not data.episodes:
-        raise TraceFormatError("dataset has no episodes")
-    d = data.episodes[0].states.shape[1] if data.episodes[0].states.ndim == 2 else -1
-    if len(data.feature_names) != d:
+    """Check the trace's columns in one pass: shapes, no empty episode, and
+    every state, reward and continuous action finite.  A fault names the
+    first faulty episode and, within it, a state before a reward before an
+    action."""
+    states, starts = data.states, data.starts
+    d = states.shape[1] if states.ndim == 2 else -1
+    _check_header(data.action_kind, starts.size, data.feature_names, d)
+    n = states.shape[0]
+    if (starts.ndim != 1 or starts[0] != 0
+            or (np.diff(starts, append=n) < 1).any()
+            or data.terminal.shape != starts.shape
+            or np.shape(data.rewards) != (n,)
+            or np.shape(data.actions)[:1] != (n,)
+            or (data.action_kind == CONTINUOUS_VECTOR and data.actions.ndim != 2)):
         raise TraceFormatError(
-            f"{len(data.feature_names)} feature names for {d} state features")
-    first = data.episodes[0].actions
-    m = (first.shape[1] if data.action_kind == CONTINUOUS_VECTOR
-         and first.ndim == 2 else -1)  # vector actions' width
-    if _trace_sound(data.episodes, data.action_kind, d, m):
-        return
-    for i, ep in enumerate(data.episodes):
-        if len(ep) == 0:
-            raise TraceFormatError(f"episode {i} is empty")
-        if ep.states.ndim != 2 or ep.states.shape[1] != d:
-            raise TraceFormatError(
-                f"episode {i}: state vectors do not all have {d} entries")
-        if not np.all(np.isfinite(ep.states)):
-            t = int(np.argwhere(~np.isfinite(ep.states))[0][0])
-            raise TraceFormatError(f"episode {i} step {t}: non-finite state value")
-        if not np.all(np.isfinite(ep.rewards)):
-            raise TraceFormatError(f"episode {i}: non-finite reward")
-        if data.action_kind == CONTINUOUS_VECTOR:
-            if ep.actions.ndim != 2:
-                raise TraceFormatError(f"episode {i}: vector actions must be 2-D")
-            if ep.actions.shape[1] != m:
-                raise TraceFormatError(
-                    f"episode {i}: action vectors do not all have {m} entries")
-            if not np.all(np.isfinite(ep.actions)):
-                raise TraceFormatError(f"episode {i}: non-finite action")
-        elif data.action_kind == CONTINUOUS_SCALAR:
-            if not np.all(np.isfinite(ep.actions.astype(float))):
-                raise TraceFormatError(f"episode {i}: non-finite action")
+            "trace columns do not line up, or an episode is empty")
 
-
-def _trace_sound(episodes, action_kind, d, m) -> bool:
-    """Whether every episode is non-empty with (T, d) states and, for
-    vector actions, (T, m) actions, and every state, reward and continuous
-    action is finite, checked over the concatenated columns."""
-    vector = action_kind == CONTINUOUS_VECTOR
-    if not all(len(ep) and ep.states.ndim == 2 and ep.states.shape[1] == d
-               and (not vector or ep.actions.shape[1:] == (m,))
-               for ep in episodes):
-        return False
-    try:
-        return (_all_finite([ep.states for ep in episodes])
-                and _all_finite([ep.rewards for ep in episodes])
-                and (action_kind == DISCRETE
-                     or _all_finite([ep.actions for ep in episodes],
-                                    cast=action_kind == CONTINUOUS_SCALAR)))
-    except (TypeError, ValueError):
-        return False  # the episode scan raises what the column pass met
-
-
-def _all_finite(arrays, cast=False) -> bool:
-    flat = np.concatenate(arrays, axis=None)
-    return bool(np.isfinite(flat.astype(float) if cast else flat).all())
+    columns = [states, data.rewards]
+    if data.action_kind != DISCRETE:
+        columns.append(np.asarray(data.actions, dtype=float))
+    faults = []  # (episode, rank, sample) of each column's first non-finite
+    for rank, column in enumerate(columns):
+        bad = np.flatnonzero(~np.isfinite(column).reshape(n, -1).all(axis=1))
+        if bad.size:
+            i = np.searchsorted(starts, bad[0], "right") - 1
+            faults.append((i, rank, bad[0]))
+    if faults:
+        i, rank, k = min(faults)
+        raise TraceFormatError(
+            f"episode {i} step {k - starts[i]}: non-finite state value"
+            if rank == 0 else
+            f"episode {i}: non-finite {('reward', 'action')[rank - 1]}")
 
 
 @dataclass
@@ -210,38 +233,26 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma!r}")
     gamma = float(gamma)
 
-    states = np.concatenate([ep.states for ep in data.episodes], axis=0)
-    rewards = np.concatenate([ep.rewards for ep in data.episodes], axis=0)
-    if data.action_kind == CONTINUOUS_VECTOR:
-        actions = np.concatenate([ep.actions for ep in data.episodes], axis=0)
-    else:
-        actions = np.concatenate(
-            [np.asarray(ep.actions) for ep in data.episodes], axis=0)
-
+    states, actions, rewards = data.states, data.actions, data.rewards
     n, d = states.shape
-    V = np.zeros(n)
-    D = np.zeros((n, d))
-    has_deriv = np.zeros(n, dtype=bool)
-    slices = []
-    start = 0
-    for ep in data.episodes:
-        stop = start + len(ep)
-        slices.append((start, stop, ep.terminal))
+    starts = data.starts.tolist()
+    stops = starts[1:] + [n]
+    last = np.subtract(stops, 1)  # each episode's last sample
+    # the one-step change, zeroed on each episode's last sample
+    D = np.empty((n, d))
+    np.subtract(states[1:], states[:-1], out=D[:-1])
+    D[last] = 0.0
+    has_deriv = np.ones(n, dtype=bool)
+    has_deriv[last] = False
+    V = np.empty(n)
+    for start, stop in zip(starts, stops):
         # backwards recurrence V_t = R_t + gamma * V_{t+1}
         acc = 0.0
         for t in range(stop - 1, start - 1, -1):
             acc = rewards[t] + gamma * acc
             V[t] = acc
-        if stop - start > 1:
-            D[start:stop - 1] = states[start + 1:stop] - states[start:stop - 1]
-            has_deriv[start:stop - 1] = True
-        start = stop
-
-    defined = D[has_deriv]
-    if defined.shape[0] > 0:
-        sigma = defined.std(axis=0)  # population (ddof=0)
-    else:
-        sigma = np.zeros(d)
+    # population (ddof=0) spread over the defined rows
+    sigma = D[has_deriv].std(axis=0) if has_deriv.any() else np.zeros(d)
 
     feature_range = np.stack([states.min(axis=0), states.max(axis=0)], axis=1)
     medians = np.median(states, axis=0)
@@ -258,7 +269,8 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
     return AugmentedDataset(
         base=data, gamma=gamma, states=states, actions=actions,
         rewards=rewards, V=V, D=D, has_deriv=has_deriv, sigma=sigma,
-        feature_range=feature_range, medians=medians, episode_slices=slices,
+        feature_range=feature_range, medians=medians,
+        episode_slices=list(zip(starts, stops, data.terminal.tolist())),
         action_labels=action_labels, action_codes=action_codes,
         action_sigma=action_sigma, feature_names=list(data.feature_names))
 
@@ -507,18 +519,13 @@ def _load_json(text: str, action_kind: str | None) -> TraceDataset:
 
 def _assemble(states, actions, rewards, starts, terminals, m, action_kind,
               feature_names, row_of) -> TraceDataset:
-    """The validated dataset from flat per-sample columns, cut into episodes
-    at ``starts`` (each episode's first sample index).  ``m`` is the action
-    width (1 for scalar actions); ``row_of(k)`` names sample k's input row
-    in error messages."""
+    """The validated dataset from flat per-sample columns, with episodes
+    starting at ``starts``.  ``m`` is the action width (1 for scalar
+    actions); ``row_of(k)`` names sample k's input row in error messages."""
     kind, actions = _parse_actions(actions, m, action_kind, row_of)
-    cuts = starts[1:]
-    episodes = [Episode(*parts) for parts in zip(
-        np.split(np.asarray(states, dtype=float), cuts),
-        np.split(actions, cuts),
-        np.split(np.asarray(rewards, dtype=float), cuts), terminals)]
-    return TraceDataset(episodes=episodes, action_kind=kind,
-                        feature_names=feature_names)
+    return TraceDataset(np.asarray(states, dtype=float), actions,
+                        np.asarray(rewards, dtype=float), starts, terminals,
+                        kind, feature_names)
 
 
 def _numeric(value) -> bool:
@@ -620,16 +627,12 @@ def _float_texts(column) -> list[str]:
 
 
 def trace_to_json_bytes(data: TraceDataset) -> bytes:
-    eps = []
-    for ep in data.episodes:
-        steps = []
-        for t in range(len(ep)):
-            if data.action_kind == CONTINUOUS_VECTOR:
-                a = [float(v) for v in ep.actions[t]]
-            else:
-                av = ep.actions[t]
-                a = av if isinstance(av, str) else float(av)
-            steps.append({"s": [float(v) for v in ep.states[t]],
-                          "a": a, "r": float(ep.rewards[t])})
-        eps.append({"terminal": bool(ep.terminal), "steps": steps})
+    vector = data.action_kind == CONTINUOUS_VECTOR
+    eps = [{"terminal": ep.terminal,
+            "steps": [{"s": [float(v) for v in s],
+                       "a": ([float(v) for v in a] if vector
+                             else a if isinstance(a, str) else float(a)),
+                       "r": float(r)}
+                      for s, a, r in zip(ep.states, ep.actions, ep.rewards)]}
+           for ep in data.episodes]
     return (json.dumps(eps, sort_keys=True, separators=(",", ":")) + "\n").encode()

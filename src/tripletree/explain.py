@@ -58,12 +58,6 @@ def _box_bounds(box: Box) -> list:
     return bounds
 
 
-def project_onto_box(state, box: Box) -> np.ndarray:
-    """Closest point of the closed box under any elementwise-monotone norm."""
-    s = np.asarray(state, dtype=float)
-    return np.clip(s, box.lower, box.upper)
-
-
 def _project_into_leaf(state, box: Box, feature_range) -> np.ndarray:
     """Projection that lands strictly inside the half-open leaf region.
 

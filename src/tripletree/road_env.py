@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DISCRETE, Episode, TraceDataset, augment
+from .dataset import DISCRETE, TraceDataset, augment
 from .errors import ParameterError, TraceFormatError
 from .tree import evaluate_losses, grow
 
@@ -298,7 +298,9 @@ def generate_dataset(config: RoadConfig, policy: GridPolicy, n_samples: int,
     rng = np.random.default_rng(seed)
     low = (config.pos_range[0], config.speed_range[0])
     high = (config.pos_range[1], config.speed_range[1])
-    episodes = []
+    states = np.empty((n_samples, 2))
+    actions, rewards = np.empty(n_samples), np.empty(n_samples)
+    episodes = []  # each round's episode starts and flags
     need, rounds, runs, run_samples = n_samples, 0, 0, 0
     while need:
         # no sample past ``need`` is kept, so no run goes further; start as
@@ -309,19 +311,24 @@ def generate_dataset(config: RoadConfig, policy: GridPolicy, n_samples: int,
         mean = run_samples / runs if runs else steps
         k = min(need, max(math.ceil(need / mean), 1 << rounds))
         starts = rng.uniform(low, high, size=(k, 2))
-        new, simulated = _run_episodes(config, policy, starts, steps, need)
-        episodes += new
-        need -= sum(map(len, new))
+        filled = n_samples - need
+        first, terminal, kept, simulated = _run_episodes(
+            config, policy, starts, steps,
+            (states[filled:], actions[filled:], rewards[filled:]))
+        episodes.append((filled + first, terminal))
+        need -= kept
         rounds, runs, run_samples = (rounds + 1, runs + k,
                                      run_samples + simulated)
-    return TraceDataset(episodes=episodes, action_kind=DISCRETE,
-                        feature_names=list(FEATURE_NAMES))
+    firsts, terminals = map(np.concatenate, zip(*episodes))
+    return TraceDataset(states, actions, rewards, firsts, terminals, DISCRETE,
+                        list(FEATURE_NAMES))
 
 
-def _run_episodes(config, policy, starts, steps, room):
+def _run_episodes(config, policy, starts, steps, out):
     """Run the greedy policy from each start for up to ``steps`` steps, one
     array step for every live run; then cut the runs into episodes, in start
-    order, until ``room`` samples are filled (trimming the last).
+    order, into the ``room`` rows of the columns ``out`` (states, actions,
+    rewards) until they are filled (trimming the last).
 
     A live run is cut as soon as its next sample cannot land within the
     room, whatever the runs before it do: after step t the run of rank r
@@ -330,7 +337,9 @@ def _run_episodes(config, policy, starts, steps, room):
     at most ``room / t`` runs are live, and a round simulates at most about
     ``room * (2 + ln steps)`` samples however many runs it starts.
 
-    Returns the episodes and the number of samples simulated."""
+    Returns the kept episodes' first rows and flags, the rows filled and the
+    number of samples simulated."""
+    room = len(out[2])
     accel = np.asarray(policy.actions, dtype=float)
     live = np.arange(len(starts))
     pos, speed = starts.T
@@ -368,23 +377,17 @@ def _run_episodes(config, policy, starts, steps, room):
     terminal[used - 1] &= kept == ends[used - 1]
 
     # the step-t sample of run e lands at start[e] + t; only the kept ones
-    # are written
+    # are written, a step at a time, dropping each step's record once written
     start = ends - length
-    at = np.concatenate([start[r[0]] + t for t, r in enumerate(record)])
-    mask = at < kept
-    at = at[mask]
-    states = np.empty((kept, 2))
-    actions, rewards = np.empty(kept), np.empty(kept)
-    for column, c in ((states[:, 0], 1), (states[:, 1], 2), (actions, 3),
-                      (rewards, 4)):
-        column[at] = np.concatenate([r[c] for r in record])[mask]
-    del record
-
-    bounds = [0, *ends[:used - 1].tolist(), kept]
-    episodes = [Episode(states=states[a:b], actions=actions[a:b],
-                        rewards=rewards[a:b], terminal=term)
-                for a, b, term in zip(bounds, bounds[1:], terminal.tolist())]
-    return episodes, int(ends[-1])
+    columns = (out[0][:, 0], out[0][:, 1], *out[1:])
+    for t in range(len(record) - 1, -1, -1):
+        runs, *values = record.pop()
+        at = start[runs] + t
+        mask = at < kept
+        at = at[mask]
+        for column, value in zip(columns, values):
+            column[at] = value[mask]
+    return start[:used], terminal[:used], kept, int(ends[-1])
 
 
 EXCLUSIVE_THETAS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

@@ -47,8 +47,13 @@ class TrajectoryPath:
     objective: float | None = None
     objective_history: list | None = None  # accepted objective per iteration
     face_constraints: list | None = None   # per interior node: dict of face data
-    iterations: int | None = None   # accepted descent steps (not in to_json)
     stop_reason: str | None = None  # tol | max_iters | no_descent
+
+    @property
+    def iterations(self) -> int | None:
+        """Accepted descent steps (not in to_json); None until aligned."""
+        history = self.objective_history
+        return None if history is None else len(history) - 1
 
     def to_json(self) -> dict:
         return {
@@ -287,7 +292,7 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
                               expected_duration=dur,
                               nodes=p_start[None, :].copy(), objective=0.0,
                               objective_history=[0.0], face_constraints=[],
-                              iterations=0, stop_reason="tol")
+                              stop_reason="tol")
     p_end = (np.asarray(endpoints[1], dtype=float) if endpoints is not None
              else (boxes[-1].lower + boxes[-1].upper) / 2.0)
 
@@ -356,7 +361,7 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
         face_constraints=[{"feature": f.feature, "value": f.value,
                            "lower": f.lower.copy(), "upper": f.upper.copy()}
                           for f in faces],
-        iterations=len(history) - 1, stop_reason=stop_reason)
+        stop_reason=stop_reason)
 
 
 def _reject_crossings(trial, nodes, interior, feat, visible) -> None:

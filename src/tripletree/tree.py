@@ -63,10 +63,6 @@ class Box:
         return (np.all(lo < self.upper, axis=-1)
                 & np.all(hi >= self.lower, axis=-1))
 
-    def contains(self, state) -> bool:
-        s = np.asarray(state, dtype=float)
-        return bool(np.all(s >= self.lower) and np.all(s < self.upper))
-
     def split(self, feature: int, threshold: float) -> tuple["Box", "Box"]:
         left = Box(self.lower.copy(), self.upper.copy())
         right = Box(self.lower.copy(), self.upper.copy())
@@ -331,8 +327,12 @@ def _leaf_density(box, n, feature_range) -> float:
 def leaf_of(tree: TripleTree, state) -> int:
     """Leaf id reached by propagating a state, converted once to Python
     floats, from the root.  States exactly on a threshold go right (to the
-    >= side), as do NaN coordinates."""
-    s = np.asarray(state, dtype=float).tolist()
+    >= side), as do NaN coordinates.  A state that is not a vector of the
+    tree's d features is a ParameterError."""
+    s = np.asarray(state, dtype=float)
+    if s.shape != (tree.d,):
+        raise ParameterError(f"state has shape {s.shape}, expected ({tree.d},)")
+    s = s.tolist()
     nodes = tree.nodes
     node = nodes[0]
     while node.leaf_id is None:
@@ -342,8 +342,12 @@ def leaf_of(tree: TripleTree, state) -> int:
 
 
 def assign_leaves(tree: TripleTree, states) -> np.ndarray:
-    """Vectorised ``leaf_of`` for a (n, d) state matrix."""
+    """Vectorised ``leaf_of`` for a (n, d) state matrix; states of another
+    width are a TraceFormatError."""
     states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != tree.d:
+        raise TraceFormatError(f"states have shape {states.shape}, but the "
+                               f"tree has {tree.d} features")
     out = np.empty(states.shape[0], dtype=np.int64)
     stack = [(0, np.arange(states.shape[0]))]
     while stack:
@@ -376,14 +380,13 @@ def compute_transitions(tree: TripleTree, data: AugmentedDataset) -> TripleTree:
     Sequences are runs of consecutive samples in one leaf, never spanning
     episode boundaries.  A run ending with episode termination records a
     transition to the end marker (None); a run cut off by truncation records
-    nothing.  The episodes tile the samples in order, as ``augment`` lays
-    them out, so all runs come from one pass over the leaf sequence.
+    nothing.  The episodes tile the samples in order and none is empty, as
+    ``augment`` lays them out, so all runs come from one pass over the leaf
+    sequence.
     """
     assign = assign_leaves(tree, data.states)
     n = assign.size
-    start, stop, terminal = np.array(
-        [e for e in data.episode_slices if e[1] > e[0]],
-        dtype=np.int64).reshape(-1, 3).T
+    start, stop, terminal = np.array(data.episode_slices, dtype=np.int64).T
     # a run begins at each episode start and each change of leaf, and ends
     # where the next one begins
     begins = np.zeros(n + 1, dtype=bool)

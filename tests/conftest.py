@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tripletree.dataset import (DISCRETE, AugmentedDataset, Episode,
-                                augment)
+from tripletree.dataset import DISCRETE, AugmentedDataset, augment
 from tripletree.impurity import ImpurityTriple
 from tripletree.tree import Box, Leaf, Node, TripleTree
 
@@ -135,17 +134,6 @@ def random_tree(rng, d, n_leaves, actions, feature_range=None):
 
     spec = make(fr[:, 0].copy(), fr[:, 1].copy(), n_leaves)
     return build_tree(spec, fr)
-
-
-def make_episode(rng, T, d, policy=None, terminal=True):
-    states = rng.uniform(0, 1, size=(T, d))
-    if policy is None:
-        actions = np.where(states[:, 0] < 0.5, 0.0, 1.0)
-    else:
-        actions = np.array([policy(s) for s in states])
-    rewards = rng.normal(size=T)
-    return Episode(states=states, actions=actions, rewards=rewards,
-                   terminal=terminal)
 
 
 def road_setup():

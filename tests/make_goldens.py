@@ -13,7 +13,8 @@ from tripletree import viz
 from tripletree.viz import PlaneSpec
 
 from .conftest import road_setup
-from .test_dataset import TRACE_DIGEST, road_trace_digests
+from .test_dataset import (AUGMENT_DIGEST, TRACE_DIGEST, road_augment_digests,
+                           road_trace_digests)
 from .test_queries import QUERY_DIGEST, road_query_digests
 from .test_tree import (README_DIGEST, ROAD_DIGEST, readme_tree_digests,
                         road_tree_digests)
@@ -45,6 +46,7 @@ def goldens() -> dict:
     files[QUERY_DIGEST] = road_query_digests(aug)
     files[VIEW_DIGEST] = road_view_digests(aug)
     files[TRACE_DIGEST] = road_trace_digests()
+    files[AUGMENT_DIGEST] = road_augment_digests()
     files[README_DIGEST] = readme_tree_digests()
     return files
 

@@ -12,7 +12,8 @@ import json
 
 import numpy as np
 
-from tripletree.dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
+from tripletree.dataset import (ACTION_KINDS, CONTINUOUS_SCALAR,
+                                CONTINUOUS_VECTOR, DISCRETE, AugmentedDataset,
                                 Episode, TraceDataset)
 from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import (ImpurityTriple, NodeStats, SplitCandidate,
@@ -281,6 +282,11 @@ def leaf_of(tree: TripleTree, state) -> int:
     return node.leaf_id
 
 
+def box_contains(box: Box, state) -> bool:
+    s = np.asarray(state, dtype=float)
+    return bool(np.all(s >= box.lower) and np.all(s < box.upper))
+
+
 def box_bounds(box: Box) -> list:
     bounds = []
     for f in range(box.lower.size):
@@ -485,6 +491,107 @@ def align_descent(nodes, faces, derivs, w, sigma_back, max_iters, step_size,
 
 
 # ---------------------------------------------------------------------------
+# Trace validation and augmentation: the episode-by-episode checks and the
+# per-episode augment that ``dataset`` used before a trace held one set of
+# columns, kept verbatim (validation takes the episodes as arguments) as the
+# oracles for its messages and its arrays, bit for bit.
+# ---------------------------------------------------------------------------
+
+def validate_episodes(episodes, action_kind, feature_names) -> None:
+    if action_kind not in ACTION_KINDS:
+        raise TraceFormatError(f"unknown action kind {action_kind!r}")
+    if not episodes:
+        raise TraceFormatError("dataset has no episodes")
+    d = episodes[0].states.shape[1] if episodes[0].states.ndim == 2 else -1
+    if len(feature_names) != d:
+        raise TraceFormatError(
+            f"{len(feature_names)} feature names for {d} state features")
+    first = episodes[0].actions
+    m = (first.shape[1] if action_kind == CONTINUOUS_VECTOR
+         and first.ndim == 2 else -1)  # vector actions' width
+    for i, ep in enumerate(episodes):
+        if len(ep) == 0:
+            raise TraceFormatError(f"episode {i} is empty")
+        if ep.states.ndim != 2 or ep.states.shape[1] != d:
+            raise TraceFormatError(
+                f"episode {i}: state vectors do not all have {d} entries")
+        if not np.all(np.isfinite(ep.states)):
+            t = int(np.argwhere(~np.isfinite(ep.states))[0][0])
+            raise TraceFormatError(f"episode {i} step {t}: non-finite state value")
+        if not np.all(np.isfinite(ep.rewards)):
+            raise TraceFormatError(f"episode {i}: non-finite reward")
+        if action_kind == CONTINUOUS_VECTOR:
+            if ep.actions.ndim != 2:
+                raise TraceFormatError(f"episode {i}: vector actions must be 2-D")
+            if ep.actions.shape[1] != m:
+                raise TraceFormatError(
+                    f"episode {i}: action vectors do not all have {m} entries")
+            if not np.all(np.isfinite(ep.actions)):
+                raise TraceFormatError(f"episode {i}: non-finite action")
+        elif action_kind == CONTINUOUS_SCALAR:
+            if not np.all(np.isfinite(ep.actions.astype(float))):
+                raise TraceFormatError(f"episode {i}: non-finite action")
+
+
+def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
+    if not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
+        raise ParameterError(f"gamma must lie in [0, 1], got {gamma!r}")
+    gamma = float(gamma)
+
+    states = np.concatenate([ep.states for ep in data.episodes], axis=0)
+    rewards = np.concatenate([ep.rewards for ep in data.episodes], axis=0)
+    if data.action_kind == CONTINUOUS_VECTOR:
+        actions = np.concatenate([ep.actions for ep in data.episodes], axis=0)
+    else:
+        actions = np.concatenate(
+            [np.asarray(ep.actions) for ep in data.episodes], axis=0)
+
+    n, d = states.shape
+    V = np.zeros(n)
+    D = np.zeros((n, d))
+    has_deriv = np.zeros(n, dtype=bool)
+    slices = []
+    start = 0
+    for ep in data.episodes:
+        stop = start + len(ep)
+        slices.append((start, stop, ep.terminal))
+        # backwards recurrence V_t = R_t + gamma * V_{t+1}
+        acc = 0.0
+        for t in range(stop - 1, start - 1, -1):
+            acc = rewards[t] + gamma * acc
+            V[t] = acc
+        if stop - start > 1:
+            D[start:stop - 1] = states[start + 1:stop] - states[start:stop - 1]
+            has_deriv[start:stop - 1] = True
+        start = stop
+
+    defined = D[has_deriv]
+    if defined.shape[0] > 0:
+        sigma = defined.std(axis=0)  # population (ddof=0)
+    else:
+        sigma = np.zeros(d)
+
+    feature_range = np.stack([states.min(axis=0), states.max(axis=0)], axis=1)
+    medians = np.median(states, axis=0)
+
+    action_labels = action_codes = action_sigma = None
+    if data.action_kind == DISCRETE:
+        action_labels, action_codes = np.unique(actions, return_inverse=True)
+        action_codes = action_codes.astype(np.int64)
+    elif data.action_kind == CONTINUOUS_VECTOR:
+        action_sigma = actions.std(axis=0)
+    else:
+        actions = actions.astype(float)
+
+    return AugmentedDataset(
+        base=data, gamma=gamma, states=states, actions=actions,
+        rewards=rewards, V=V, D=D, has_deriv=has_deriv, sigma=sigma,
+        feature_range=feature_range, medians=medians, episode_slices=slices,
+        action_labels=action_labels, action_codes=action_codes,
+        action_sigma=action_sigma, feature_names=list(data.feature_names))
+
+
+# ---------------------------------------------------------------------------
 # Trace loaders: the per-episode CSV and JSON parsers that ``dataset`` used
 # before its one flat column assembler, kept verbatim (names made public) as
 # the oracle the assembler must agree with on every trace, errors included.
@@ -558,8 +665,7 @@ def load_csv(text: str, action_kind: str | None) -> TraceDataset:
         raise TraceFormatError("CSV trace has no data rows")
 
     kind, episodes = resolve_actions(episodes, m, action_kind, raw_actions)
-    return TraceDataset(episodes=episodes, action_kind=kind,
-                        feature_names=feature_names)
+    return TraceDataset.from_episodes(episodes, kind, feature_names)
 
 
 def finish_episode(cur) -> Episode:
@@ -689,7 +795,7 @@ def load_json(text: str, action_kind: str | None) -> TraceDataset:
                     f"record {idx}: action vector length {len(vals)}, expected {m}")
     kind, episodes = resolve_actions(episodes, m, action_kind, raw_actions)
     names = [f"f{k}" for k in range(d)]
-    return TraceDataset(episodes=episodes, action_kind=kind, feature_names=names)
+    return TraceDataset.from_episodes(episodes, kind, names)
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +842,24 @@ def trace_to_csv_bytes(data: TraceDataset) -> bytes:
                 a = [str(av) if isinstance(av, str) else repr(float(av))]
             writer.writerow([ei, t, term] + s + a + [repr(float(ep.rewards[t]))])
     return buf.getvalue().encode("utf-8")
+
+
+def trace_to_json_bytes(data: TraceDataset) -> bytes:
+    """The step-at-a-time JSON writer that ``dataset`` used before it read
+    each episode's columns in one comprehension."""
+    eps = []
+    for ep in data.episodes:
+        steps = []
+        for t in range(len(ep)):
+            if data.action_kind == CONTINUOUS_VECTOR:
+                a = [float(v) for v in ep.actions[t]]
+            else:
+                av = ep.actions[t]
+                a = av if isinstance(av, str) else float(av)
+            steps.append({"s": [float(v) for v in ep.states[t]],
+                          "a": a, "r": float(ep.rewards[t])})
+        eps.append({"terminal": bool(ep.terminal), "steps": steps})
+    return (json.dumps(eps, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +923,7 @@ def generate_road_dataset(config, policy, n_samples: int, episode_len: int,
                                 rewards=np.asarray(rewards, dtype=float),
                                 terminal=terminal))
         total += len(states)
-    return TraceDataset(episodes=episodes, action_kind=DISCRETE,
-                        feature_names=["pos", "speed"])
+    return TraceDataset.from_episodes(episodes, DISCRETE, ["pos", "speed"])
 
 
 # ---------------------------------------------------------------------------

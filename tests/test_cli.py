@@ -445,6 +445,22 @@ def test_nonfinite_state_rejected(workspace):
     assert run(["predict", "--tree", tree, "--state", "nan,0.0"]) == 2
 
 
+@pytest.mark.parametrize("features", [1, 3])
+def test_eval_on_a_trace_of_another_width_is_a_data_error(
+        workspace, tmp_path, capsys, features):
+    base, data, tree = workspace
+    names = ",".join(f"x{k}" for k in range(features))
+    values = ",".join(["0.5"] * features)
+    other = tmp_path / "other.csv"
+    other.write_text(f"episode,t,terminal,{names},a,r\n"
+                     f"0,0,0,{values},1.0,0.0\n0,1,1,{values},1.0,1.0\n")
+    capsys.readouterr()
+    assert run(["eval", "--tree", tree, "--data", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "tree has 2 features" in err
+
+
 def test_tree_series_alias_for_curve(workspace, tmp_path):
     base, data, tree = workspace
     a = str(tmp_path / "a.csv")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,9 +15,12 @@ from tripletree import road_env as road
 from tripletree.errors import ParameterError, TraceFormatError
 
 from . import reference as ref
+from .conftest import road_setup
 
 TRACE_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                             "road_traces.sha256")
+AUGMENT_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
+                              "road_augment.sha256")
 WALKTHROUGH_DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir,
                                    "perfbench", "walkthrough_digests.json")
 
@@ -155,10 +159,10 @@ def test_non_utf8_trace_is_a_trace_format_error():
 
 def test_nonfinite_state_rejected():
     with pytest.raises(TraceFormatError, match="non-finite"):
-        ds.TraceDataset(
-            episodes=[ds.Episode(states=np.array([[np.nan, 0.0]]),
-                                 actions=np.array(["u"], dtype=object),
-                                 rewards=np.zeros(1), terminal=True)],
+        ds.TraceDataset.from_episodes(
+            [ds.Episode(states=np.array([[np.nan, 0.0]]),
+                        actions=np.array(["u"], dtype=object),
+                        rewards=np.zeros(1), terminal=True)],
             action_kind=ds.DISCRETE, feature_names=["x", "y"])
 
 
@@ -189,7 +193,7 @@ def road_trace_digests() -> str:
                           gamma=0.99)
     data = road.generate_dataset(cfg, road.dp_solve(cfg, tolerance=1e-6),
                                  10000, 100, 0)
-    vector = ds.TraceDataset(
+    vector = ds.TraceDataset.from_episodes(
         [ds.Episode(ep.states,
                     np.stack([1000.0 * ep.actions,
                               ep.states[:, 0] * ep.states[:, 1],
@@ -210,6 +214,36 @@ def test_trace_csv_bytes_match_recorded_digests():
     with open(WALKTHROUGH_DIGESTS) as fh:
         walkthrough = json.load(fh)["files"]["road.csv"]
     assert recorded.splitlines()[0] == f"{walkthrough}  road.csv"
+
+
+def road_augment_digests() -> str:
+    """sha256 of every array ``augment`` derives (V, D, has_deriv, sigma,
+    ranges, medians and the episode slices), each with its dtype and shape,
+    for the 3000-sample road fixture and for the README trace (10^4
+    samples, gamma 0.99) read back from its CSV, one line per array."""
+    cfg = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
+                          gamma=0.99, grid=(30, 30))
+    readme = road.generate_dataset(cfg, road.dp_solve(cfg, tolerance=1e-6),
+                                   10_000, 100, seed=0)
+    lines = []
+    for aug, name in (
+            (road_setup()[3], "fixture"),
+            (ds.augment(ds.load_trace(ds.trace_to_csv_bytes(readme), "csv"),
+                        0.99), "readme")):
+        for field, array in (
+                ("V", aug.V), ("D", aug.D), ("has_deriv", aug.has_deriv),
+                ("sigma", aug.sigma), ("ranges", aug.feature_range),
+                ("medians", aug.medians),
+                ("episode_slices", np.array(aug.episode_slices, dtype=np.int64))):
+            array = np.ascontiguousarray(array)
+            blob = f"{array.dtype.str}{array.shape}".encode() + array.tobytes()
+            lines.append(f"{hashlib.sha256(blob).hexdigest()}  {name}.{field}\n")
+    return "".join(lines)
+
+
+def test_augment_arrays_match_recorded_digests():
+    with open(AUGMENT_DIGEST) as fh:
+        assert road_augment_digests() == fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +545,19 @@ def trace_datasets(draw):
     kind = {"vector": ds.CONTINUOUS_VECTOR,
             "scalar": ds.CONTINUOUS_SCALAR}.get(style, ds.DISCRETE)
     names = [draw(st.sampled_from(FEATURE_NAMES)) for _ in range(d)]
-    return ds.TraceDataset(episodes, kind, names)
+    return ds.TraceDataset.from_episodes(episodes, kind, names)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=trace_datasets())
 def test_csv_writer_matches_row_writer(data):
     assert ds.trace_to_csv_bytes(data) == ref.trace_to_csv_bytes(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=trace_datasets())
+def test_json_writer_matches_step_writer(data):
+    assert ds.trace_to_json_bytes(data) == ref.trace_to_json_bytes(data)
 
 
 def _trace_texts(data):
@@ -546,11 +586,10 @@ def test_csv_written_trace_loads_back_unchanged(data):
 
 def _one_episode(states, rewards, terminal=True):
     states = np.asarray(states, dtype=float)
-    return ds.TraceDataset(
-        episodes=[ds.Episode(states=states,
-                             actions=np.zeros(len(states)),
-                             rewards=np.asarray(rewards, dtype=float),
-                             terminal=terminal)],
+    return ds.TraceDataset.from_episodes(
+        [ds.Episode(states=states, actions=np.zeros(len(states)),
+                    rewards=np.asarray(rewards, dtype=float),
+                    terminal=terminal)],
         action_kind=ds.DISCRETE,
         feature_names=[f"f{i}" for i in range(states.shape[1])])
 
@@ -597,8 +636,7 @@ def test_augment_invariants_random_fixtures():
                 actions=rng.integers(0, 2, size=T).astype(float),
                 rewards=rng.normal(size=T),
                 terminal=bool(rng.integers(2))))
-        data = ds.TraceDataset(episodes=eps, action_kind=ds.DISCRETE,
-                               feature_names=["a", "b", "c"])
+        data = ds.TraceDataset.from_episodes(eps, ds.DISCRETE, ["a", "b", "c"])
         gamma = float(rng.uniform(0, 1))
         aug = ds.augment(data, gamma)
         for start, stop, _ in aug.episode_slices:
@@ -624,13 +662,131 @@ def test_augment_invariants_random_fixtures():
             assert np.allclose(aug.sigma, np.sqrt(var), atol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# The column layout against the per-episode validation and augment in
+# ``reference.py``
+# ---------------------------------------------------------------------------
+
+TRACE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, -2.5, 1e6]),
+                         st.floats(-1e6, 1e6))
+
+
+@st.composite
+def augment_traces(draw):
+    """Episodes of 1-5 samples with discrete (string or numeric), scalar or
+    vector actions and signed-zero rewards, the trace's kind and names, and
+    a gamma of 0, 1 or between."""
+    kind = draw(st.sampled_from([ds.DISCRETE, ds.CONTINUOUS_SCALAR,
+                                 ds.CONTINUOUS_VECTOR]))
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    labels = draw(st.sampled_from([["go", "stop", ""], [0.0, 1.0, -1.0]]))
+
+    def floats(*shape):
+        return np.array([draw(TRACE_VALUES) for _ in range(int(np.prod(shape)))],
+                        dtype=float).reshape(shape)
+
+    episodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        T = draw(st.integers(1, 5))
+        if kind == ds.DISCRETE:
+            actions = np.array([draw(st.sampled_from(labels)) for _ in range(T)],
+                               dtype=object if isinstance(labels[0], str)
+                               else float)
+        else:
+            actions = floats(T, m) if kind == ds.CONTINUOUS_VECTOR else floats(T)
+        episodes.append(ds.Episode(floats(T, d), actions, floats(T),
+                                   draw(st.booleans())))
+    gamma = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return episodes, kind, [f"f{k}" for k in range(d)], gamma
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit: arrays in dtype, shape and bytes (object arrays
+    by their items and types), anything else by type and value."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+                and (a.tolist() == b.tolist()
+                     and list(map(type, a.ravel())) == list(map(type, b.ravel()))
+                     if a.dtype == object else a.tobytes() == b.tobytes()))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=augment_traces())
+def test_augment_equals_the_per_episode_reference(case):
+    episodes, kind, names, gamma = case
+    data = ds.TraceDataset.from_episodes(episodes, kind, names)
+    got, want = ds.augment(data, gamma), ref.augment(data, gamma)
+    assert got.states is data.states and got.rewards is data.rewards
+    for f in dataclasses.fields(ds.AugmentedDataset):
+        assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=augment_traces(), draw=st.data())
+def test_nonfinite_values_are_named_as_the_episode_scan_names_them(case, draw):
+    episodes, kind, names, _ = case
+    columns = ["states", "rewards"] + (["actions"] if kind != ds.DISCRETE
+                                       else [])
+    for _ in range(draw.draw(st.integers(1, 3))):
+        ep = draw.draw(st.sampled_from(episodes))
+        column = getattr(ep, draw.draw(st.sampled_from(columns)))
+        row = draw.draw(st.integers(0, len(ep) - 1))
+        at = (row if column.ndim == 1
+              else (row, draw.draw(st.integers(0, column.shape[1] - 1))))
+        column[at] = draw.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(TraceFormatError) as want:
+        ref.validate_episodes(episodes, kind, names)
+    with pytest.raises(TraceFormatError) as got:
+        ds.TraceDataset.from_episodes(episodes, kind, names)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=augment_traces())
+def test_from_episodes_of_the_episode_views_rebuilds_the_columns(case):
+    episodes, kind, names, _ = case
+    data = ds.TraceDataset.from_episodes(episodes, kind, names)
+    again = ds.TraceDataset.from_episodes(data.episodes, kind, names)
+    for column in ("states", "actions", "rewards", "starts", "terminal"):
+        assert _same(getattr(again, column), getattr(data, column)), column
+    assert [len(ep) for ep in data.episodes] == [len(ep) for ep in episodes]
+
+
 def test_ragged_vector_action_widths_rejected():
     episodes = [ds.Episode(states=np.zeros((2, 1)), actions=np.zeros((2, w)),
                            rewards=np.zeros(2), terminal=True) for w in (2, 3)]
     with pytest.raises(TraceFormatError,
                        match="^episode 1: action vectors do not all have 2 "
                              "entries$"):
-        ds.TraceDataset(episodes, ds.CONTINUOUS_VECTOR, ["x"])
+        ds.TraceDataset.from_episodes(episodes, ds.CONTINUOUS_VECTOR, ["x"])
+
+
+def test_a_shape_fault_is_named_before_a_nonfinite_value():
+    # the episodes are checked for shape before the columns for values
+    episodes = [ds.Episode(states=np.full((2, w), v), actions=np.zeros(2),
+                           rewards=np.zeros(2), terminal=True)
+                for w, v in ((2, np.nan), (3, 0.0))]
+    with pytest.raises(TraceFormatError,
+                       match="^episode 1: state vectors do not all have 2 "
+                             "entries$"):
+        ds.TraceDataset.from_episodes(episodes, ds.DISCRETE, ["x", "y"])
+
+
+@pytest.mark.parametrize("starts, terminal, rewards", [
+    ([0, 2], [True], np.zeros(3)),          # a flag missing
+    ([1], [True], np.zeros(3)),             # samples before the first start
+    ([0, 3], [True, True], np.zeros(3)),    # an empty last episode
+    ([0, 1, 1], [True] * 3, np.zeros(3)),   # an empty middle episode
+    ([0], [True], np.zeros(2)),             # a reward missing
+])
+def test_columns_that_do_not_line_up_are_rejected(starts, terminal, rewards):
+    with pytest.raises(TraceFormatError, match="^trace columns do not line up"):
+        ds.TraceDataset(np.zeros((3, 1)), np.zeros(3), rewards, starts,
+                        terminal, ds.DISCRETE, ["x"])
 
 
 @pytest.mark.parametrize("column", ["states", "rewards", "actions"])
@@ -644,4 +800,4 @@ def test_nonfinite_value_is_named_by_its_episode(column):
                "rewards": "^episode 2: non-finite reward$",
                "actions": "^episode 2: non-finite action$"}[column]
     with pytest.raises(TraceFormatError, match=message):
-        ds.TraceDataset(episodes, ds.CONTINUOUS_SCALAR, ["x", "y"])
+        ds.TraceDataset.from_episodes(episodes, ds.CONTINUOUS_SCALAR, ["x", "y"])

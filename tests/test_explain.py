@@ -4,7 +4,6 @@ import pytest
 from tripletree import explain as ex
 from tripletree import tree as tr
 from tripletree.errors import ParameterError
-from tripletree.tree import Box
 
 from .conftest import build_tree, random_tree
 
@@ -45,23 +44,6 @@ def test_factual_interval_rendering():
           ("leaf", {"action": "a"}))), UNIT)
     expl = ex.factual(tree, [0.5])
     assert ex.render_text(tree, expl) == "Action = b because f0 in [0.25, 0.75]"
-
-
-def test_project_onto_box():
-    box = Box(np.array([0.5, -1.0]), np.array([1.0, 1.0]))
-    inside = np.array([0.7, 0.0])
-    assert np.array_equal(ex.project_onto_box(inside, box), inside)
-    assert np.array_equal(ex.project_onto_box([0.2, 0.0], box), [0.5, 0.0])
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        lo = rng.uniform(-2, 0, size=3)
-        hi = lo + rng.uniform(0.1, 2, size=3)
-        s = rng.uniform(-3, 3, size=3)
-        proj = ex.project_onto_box(s, Box(lo, hi))
-        for f in range(3):
-            # coordinate-wise closest point of the closed interval
-            grid = np.linspace(lo[f], hi[f], 101)
-            assert abs(proj[f] - s[f]) <= np.min(np.abs(grid - s[f])) + 1e-12
 
 
 def test_counterfactual_action_simple():

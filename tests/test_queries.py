@@ -8,12 +8,14 @@ import math
 import os
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletree import explain as ex
 from tripletree import trajectory as tj
 from tripletree import tree as tr
+from tripletree.errors import ParameterError, TraceFormatError
 
 from . import reference as ref
 from .conftest import build_tree
@@ -266,6 +268,11 @@ def _result(fn, *args):
 @given(case=lookup_cases())
 def test_lookup_bounds_and_text_equal_the_numpy_scalar_forms(case):
     tree, state = case
+    if "x" not in list(state) and len(state) != tree.d:
+        # a state of another length is refused before any lookup
+        assert _result(tr.leaf_of, tree, state) is ParameterError
+        assert _result(ex.factual, tree, state) is ParameterError
+        return
     want = _result(ref.leaf_of, tree, state)
     assert _result(tr.leaf_of, tree, state) == want
     if isinstance(want, type):  # an exception type: factual raises it too
@@ -280,6 +287,19 @@ def test_lookup_bounds_and_text_equal_the_numpy_scalar_forms(case):
     assert ex.render_text(tree, expl) == (
         f"Action = {ref.fmt_value(expl.query_action)} because "
         f"{ref.fmt_bounds(bounds, tree.feature_names)}")
+
+
+def test_states_not_of_the_tree_width_are_refused():
+    # a d=2 tree once answered [0.7, 0.2, 9.0], reading only two features
+    tree = build_tree(("split", 0, 0.5, ("leaf", {}),
+                       ("split", 1, 0.5, ("leaf", {}), ("leaf", {}))),
+                      [[0.0, 1.0], [0.0, 1.0]])
+    for state in ([0.7, 0.2, 9.0], [0.7], 0.7, [[0.7, 0.2]], np.zeros((1, 2))):
+        with pytest.raises(ParameterError, match=r"expected \(2,\)"):
+            tr.leaf_of(tree, state)
+    for states in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2)):
+        with pytest.raises(TraceFormatError, match="tree has 2 features"):
+            tr.assign_leaves(tree, states)
 
 
 taus = st.one_of(st.floats(), st.floats(width=32), st.sampled_from(SPECIAL),

@@ -104,7 +104,7 @@ def test_leaf_of_matches_box_scan_oracle():
     for _ in range(200):
         s = rng.uniform(-0.5, 1.5, size=2)
         containing = [lid for lid, leaf in tree.leaves.items()
-                      if leaf.box.contains(s)]
+                      if ref.box_contains(leaf.box, s)]
         assert len(containing) == 1  # boxes tile the whole space
         assert tr.leaf_of(tree, s) == containing[0]
 
@@ -450,15 +450,12 @@ def test_density_uses_range_clipped_volume():
 
 
 def _road_with_actions(aug, kind, make_actions):
-    """The road trace of ``aug`` with each episode's actions replaced by
+    """The road trace of ``aug`` with its actions replaced by
     ``make_actions(states, actions)``, augmented again as ``kind``."""
     base = aug.base
-    episodes = [ds.Episode(states=ep.states,
-                           actions=make_actions(ep.states, ep.actions),
-                           rewards=ep.rewards, terminal=ep.terminal)
-                for ep in base.episodes]
-    return ds.augment(ds.TraceDataset(episodes, kind, base.feature_names),
-                      aug.gamma)
+    return ds.augment(ds.TraceDataset(
+        base.states, make_actions(base.states, base.actions), base.rewards,
+        base.starts, base.terminal, kind, base.feature_names), aug.gamma)
 
 
 def road_tree_digests(aug) -> str:
