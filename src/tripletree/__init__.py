@@ -7,8 +7,7 @@ from .dataset import (AugmentedDataset, Episode, TraceDataset, augment,
 from .errors import ParameterError, TraceFormatError
 from .explain import (Explanation, counterfactual_action, counterfactual_value,
                       factual, render_json, render_text, temporal)
-from .impurity import (ImpurityTriple, SplitCandidate, best_split,
-                       hybrid_quality)
+from .impurity import ImpurityTriple, SplitCandidate, best_split
 from .road_env import (GridPolicy, RoadConfig, dp_solve, generate_dataset,
                        step, theta_sweep)
 from .trajectory import (LeafGraph, TrajectoryPath, align_path,
@@ -28,7 +27,7 @@ __all__ = [
     "build_leaf_graph", "compute_transitions", "counterfactual_action",
     "counterfactual_value", "deserialize", "direct_map",
     "dp_solve", "evaluate_losses", "factual", "fit", "generate_dataset",
-    "grow", "hybrid_quality", "ice_slice", "leaf_of", "load_trace",
+    "grow", "ice_slice", "leaf_of", "load_trace",
     "load_trace_path", "most_probable_path", "pdp_projection", "predict",
     "quiver", "render_json",
     "render_svg", "render_text", "select_best_leaf", "serialize", "step",

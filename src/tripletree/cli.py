@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -148,6 +149,7 @@ def _parse_action(tree: tr.TripleTree, text: str):
 
 
 def _road_config(args) -> road.RoadConfig:
+    road.check_tolerance(args.tol)  # checked even when no solve runs
     if getattr(args, "config", None):
         with open(args.config, "rb") as fh:
             return road.RoadConfig.from_json(json.loads(fh.read().decode()))
@@ -449,6 +451,17 @@ def cmd_inspect(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that also reads negative numbers in scientific
+    notation (``-1e-06``, ``-1e+2``), ``-inf`` and ``-nan`` as values, not
+    as options, so they reach the flags' own checks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+
+
 def _add_road_flags(p, with_gamma=True):
     p.add_argument("--config", help="road config JSON file (overrides flags)")
     p.add_argument("--r-left", type=float, default=-100.0)
@@ -461,7 +474,7 @@ def _add_road_flags(p, with_gamma=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tripletree",
         description="Joint action/value/dynamics trees for agent traces")
     sub = parser.add_subparsers(dest="command", required=True)

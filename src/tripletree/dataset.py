@@ -14,7 +14,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from types import SimpleNamespace
 
@@ -137,14 +136,19 @@ def validate_trace(data: TraceDataset) -> None:
             or (np.diff(starts, append=n) < 1).any()
             or data.terminal.shape != starts.shape
             or np.shape(data.rewards) != (n,)
-            or np.shape(data.actions)[:1] != (n,)
-            or (data.action_kind == CONTINUOUS_VECTOR and data.actions.ndim != 2)):
+            or np.shape(data.actions)[:1] != (n,)):
         raise TraceFormatError(
             "trace columns do not line up, or an episode is empty")
+    rank = 2 if data.action_kind == CONTINUOUS_VECTOR else 1
+    if np.ndim(data.actions) != rank:
+        raise TraceFormatError(f"{data.action_kind} actions must be {rank}-D")
 
     columns = [states, data.rewards]
     if data.action_kind != DISCRETE:
-        columns.append(np.asarray(data.actions, dtype=float))
+        try:
+            columns.append(np.asarray(data.actions, dtype=float))
+        except (TypeError, ValueError):
+            raise TraceFormatError("continuous actions must be numeric") from None
     faults = []  # (episode, rank, sample) of each column's first non-finite
     for rank, column in enumerate(columns):
         bad = np.flatnonzero(~np.isfinite(column).reshape(n, -1).all(axis=1))
@@ -168,8 +172,7 @@ class AugmentedDataset:
     successor sample exists in the same episode (``has_deriv`` masks the
     rest; masked rows of ``D`` are zero and must not be read).  ``sigma`` is
     the population standard deviation of each derivative feature over the
-    defined rows.  Immutable after construction, but for the cached
-    ``channel_block`` that growth builds and frees; safe to share between
+    defined rows.  Immutable after construction; safe to share between
     threads.
     """
 
@@ -201,25 +204,6 @@ class AugmentedDataset:
     @property
     def action_kind(self) -> str:
         return self.base.action_kind
-
-    @cached_property
-    def channel_block(self) -> np.ndarray:
-        """The per-sample columns split search scans, as the rows of one
-        C-contiguous (k, n) float block built on first use: a count row per
-        action label (discrete), ``has_deriv``, each action component
-        (continuous), V, and each derivative component times ``has_deriv``.
-        Rows after ``has_deriv`` are the moment rows."""
-        labels = self.action_labels.size if self.action_kind == DISCRETE else 0
-        actions = (np.empty((0, self.n)) if labels
-                   else self.actions.reshape(self.n, -1).T)
-        v = labels + 1 + actions.shape[0]  # V's row
-        block = np.empty((v + 1 + self.d, self.n))
-        block[:labels] = np.arange(labels)[:, None] == self.action_codes
-        block[labels] = self.has_deriv
-        block[labels + 1:v] = actions
-        block[v] = self.V
-        np.multiply(self.D.T, block[labels], out=block[v + 1:])
-        return block
 
 
 def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:

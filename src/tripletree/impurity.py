@@ -8,15 +8,15 @@ once for its impurities, leaf predictions and share of the training losses.
 ``best_split`` scans each feature's stable sort of the members.  Growth
 sorts each feature once, at the root, and a split partitions every sorted
 order for the children, as SLIQ and SPRINT partition their pre-sorted
-attribute lists; a call without orders sorts the members itself.  Per
-feature the scan gathers the dataset's channel block
-(``AugmentedDataset.channel_block``: a count row per action label,
-``has_deriv``, each continuous action component, V and each derivative
-component) in that order once, cumulates it and its squared moment rows in place, and
-scores every cut on row slices of those sums.  A split's quality on a
-channel is the population-weighted impurity reduction; ``hybrid_quality``
-combines the three, each normalised by its root impurity, for split search
-and leaf priority alike.
+attribute lists.  Growth also builds the dataset's ``channel_block`` once
+(a count row per action label, ``has_deriv``, each continuous action
+component, V and each derivative component, with the weights that decode
+them).  Per feature the scan gathers its rows in that order once, cumulates
+them and their squared moment rows in place, and scores every cut on row
+slices of those sums.  A split's quality on a channel is the
+population-weighted impurity reduction; ``combine_qualities`` combines the
+three, each normalised by its root impurity, for split search and leaf
+priority alike.
 """
 
 from __future__ import annotations
@@ -70,20 +70,15 @@ def scaled_sum(var, sigma) -> float:
     return float(np.sum(var[mask] / sigma[mask]))
 
 
-def hybrid_quality(q_triple, root_impurity: ImpurityTriple, theta):
-    """Combine per-channel qualities, root-normalised and theta-weighted.
+def combine_qualities(q_triple, roots, theta):
+    """Combine per-channel qualities, each normalised by its root impurity
+    in ``roots`` and weighted by the validated ``theta``.
 
     Each entry of ``q_triple`` is a scalar or an array of candidates; the
     result has the same shape (a float for scalars).  Channels whose root
     impurity or weight is zero contribute nothing.  A leaf's growth priority
-    is ``n * hybrid_quality(impurity)``.
+    is ``n * combine_qualities(impurity, ...)``.
     """
-    return combine_qualities(q_triple, root_impurity.as_array(),
-                             validate_theta(theta))
-
-
-def combine_qualities(q_triple, roots, theta):
-    """``hybrid_quality`` for root impurities as an array, theta validated."""
     out = np.zeros(np.shape(q_triple[0]))
     for c in range(3):
         if roots[c] > 0 and theta[c] > 0:
@@ -149,36 +144,26 @@ def node_impurity(data, idx) -> ImpurityTriple:
 
 
 def best_split(data, idx, root_impurity: ImpurityTriple, theta,
-               min_leaf: int = 1, orders=None) -> SplitCandidate | None:
+               min_leaf: int = 1, *, orders, block) -> SplitCandidate | None:
     """Search all (feature, threshold) partitions of ``idx`` for the best
     hybrid quality.
 
     Thresholds are midpoints between consecutive distinct sorted feature
     values.  Returns None when no candidate has strictly positive hybrid
     quality.  Ties break toward the lowest feature index, then the lowest
-    threshold.  ``orders``, when given, holds the members in each feature's
-    stable sort, one row per feature, and ``idx`` must then be ascending
-    (``grow`` keeps both); otherwise each feature's members are sorted here.
+    threshold.  ``idx`` is ascending, ``orders`` holds the members in each
+    feature's stable sort, one row per feature, and ``block`` is
+    ``channel_block(data)``; ``grow`` keeps all three.
     """
     theta = validate_theta(theta)
     n = idx.size
     if n < 2 * min_leaf or n < 2:
         return None
     roots = root_impurity.as_array()
-    block = data.channel_block
-    labels = data.action_labels.size if data.action_kind == DISCRETE else 0
-    a_inv = None if labels else _inverse(
-        _UNIT if data.action_sigma is None else data.action_sigma)
-    d_inv = _inverse(data.sigma)
     best = None  # (q_star, feature, tau, triple)
     for f in range(data.d):
-        if orders is None:
-            x = data.states[:, f][idx]
-            order = x.argsort(kind="stable")
-            x, sidx = x[order], idx[order]
-        else:
-            sidx = orders[f]
-            x = data.states[:, f][sidx]
+        sidx = orders[f]
+        x = data.states[:, f][sidx]
         pos = (x[:-1] < x[1:]).nonzero()[0]
         if min_leaf > 1:
             pos = pos[(pos >= min_leaf - 1) & (pos < n - min_leaf)]
@@ -195,7 +180,7 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
         nl = (pos + 1).astype(float)
         nr = n - nl
 
-        qa, qv, qd = _scan(block, sidx, pos, nl, nr, labels, a_inv, d_inv)
+        qa, qv, qd = _scan(block, sidx, pos, nl, nr)
         q_star = combine_qualities((qa, qv, qd), roots, theta)
 
         k = int(q_star.argmax())
@@ -207,14 +192,42 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
         return None
     q_star, f, tau, triple = best
     goes_left = data.states[idx, f] < tau
-    left, right = idx[goes_left], idx[~goes_left]
-    if orders is None:  # idx may come in any order
-        left, right = np.sort(left), np.sort(right)
     return SplitCandidate(feature=f, threshold=tau, quality_triple=triple,
-                          hybrid_quality=q_star, left_idx=left, right_idx=right)
+                          hybrid_quality=q_star, left_idx=idx[goes_left],
+                          right_idx=idx[~goes_left])
+
+
+class ChannelBlock(NamedTuple):
+    """The per-sample columns split search scans, as the rows of one
+    C-contiguous (k, n) float block: a count row per action label
+    (discrete), ``has_deriv``, each action component (continuous), V, and
+    each derivative component times ``has_deriv``.  Rows after
+    ``has_deriv`` are the moment rows."""
+
+    rows: np.ndarray
+    labels: int               # label-count rows; 0 for continuous actions
+    a_inv: np.ndarray | None  # action weights 1/sigma; None when discrete
+    d_inv: np.ndarray         # derivative weights 1/sigma
 
 
 _UNIT = np.ones(1)  # the sigma of a one-column channel
+
+
+def channel_block(data) -> ChannelBlock:
+    """The channel block of an augmented dataset, built once per growth."""
+    n = data.n
+    labels = data.action_labels.size if data.action_kind == DISCRETE else 0
+    actions = np.empty((0, n)) if labels else data.actions.reshape(n, -1).T
+    v = labels + 1 + actions.shape[0]  # V's row
+    rows = np.empty((v + 1 + data.d, n))
+    rows[:labels] = np.arange(labels)[:, None] == data.action_codes
+    rows[labels] = data.has_deriv
+    rows[labels + 1:v] = actions
+    rows[v] = data.V
+    np.multiply(data.D.T, rows[labels], out=rows[v + 1:])
+    a_inv = None if labels else _inverse(
+        _UNIT if data.action_sigma is None else data.action_sigma)
+    return ChannelBlock(rows, labels, a_inv, _inverse(data.sigma))
 
 
 def _inverse(sigma):
@@ -222,16 +235,16 @@ def _inverse(sigma):
     return np.divide(1.0, sigma, out=np.zeros(len(sigma)), where=sigma > 0)
 
 
-def _scan(block, sidx, pos, nl, nr, labels, a_inv, d_inv):
+def _scan(block, sidx, pos, nl, nr):
     """Action, value and derivative qualities of the cuts ``pos`` of the
     members in the sorted order ``sidx``, ``nl``/``nr`` rows each side.
 
-    The rows of ``block`` (``AugmentedDataset.channel_block``) are gathered
-    in that order once; the gathered block and its moment rows' squares are
-    cumulated in place, and only their columns at the cuts and at the end
-    are kept."""
+    The rows of the ``ChannelBlock`` are gathered in that order once; the
+    gathered block and its moment rows' squares are cumulated in place, and
+    only their columns at the cuts and at the end are kept."""
     n = sidx.size
-    C1 = block.take(sidx, axis=1)
+    labels, a_inv = block.labels, block.a_inv
+    C1 = block.rows.take(sidx, axis=1)
     C2 = np.square(C1[labels + 1:])  # action components (continuous), V, D
     np.cumsum(C1, axis=1, out=C1)
     np.cumsum(C2, axis=1, out=C2)
@@ -249,8 +262,9 @@ def _scan(block, sidx, pos, nl, nr, labels, a_inv, d_inv):
     ml, m_tot = C1[labels, :-1], C1[labels, -1]  # rows with a derivative
     if m_tot <= 0:
         return qa, qv, np.zeros(pos.size)
-    return qa, qv, _moment_quality(C1[labels + 2 + v:], C2[v + 1:], d_inv,
-                                   ml, m_tot - ml, m_tot, counted=m_tot < n)
+    return qa, qv, _moment_quality(C1[labels + 2 + v:], C2[v + 1:],
+                                   block.d_inv, ml, m_tot - ml, m_tot,
+                                   counted=m_tot < n)
 
 
 def _gini_quality(counts, nl, nr, n):

@@ -212,6 +212,12 @@ def _nearest_node(grid, x):
     return np.clip(u, 0, grid.size - 1).astype(np.intp)
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise unless a value-iteration tolerance is finite and positive."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ParameterError(f"tolerance {tolerance:g} must be finite and > 0")
+
+
 @np.errstate(over="ignore")  # an overflow ends as a non-finite residual
 def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
              max_iters: int = 200000) -> GridPolicy:
@@ -222,8 +228,7 @@ def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
     Raises on non-convergence, reporting the residual reached, and at the
     first sweep whose residual is not finite (the values overflowed).
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ParameterError(f"tolerance {tolerance:g} must be finite and > 0")
+    check_tolerance(tolerance)
     n_pos, n_speed = config.grid
     pos = np.linspace(config.pos_range[0], config.pos_range[1], n_pos)
     spd = np.linspace(config.speed_range[0], config.speed_range[1], n_speed)

@@ -31,8 +31,9 @@ import numpy as np
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
                       AugmentedDataset)
 from .errors import ParameterError, TraceFormatError
-from .impurity import (ImpurityTriple, best_split, combine_qualities,
-                       node_stats, scaled_sum, validate_theta)
+from .impurity import (ImpurityTriple, best_split, channel_block,
+                       combine_qualities, node_stats, scaled_sum,
+                       validate_theta)
 
 SERIAL_VERSION = 1
 
@@ -262,6 +263,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     # sq: summed squared errors of the current leaves, the training losses
     add_leaf(root, members, orders, sq)
     tree.loss_curve.append(_losses(tree, sq, data.n, root.n_deriv))
+    block = channel_block(data)  # split search's columns, freed on return
 
     while len(tree.leaves) < max_leaves:
         lid = select_best_leaf(queue)
@@ -269,7 +271,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
             break
         members, orders, terms = frontier.pop(lid)
         cand = best_split(data, members, root_imp, theta, min_leaf=min_leaf,
-                          orders=orders)
+                          orders=orders, block=block)
         if cand is None:
             continue  # unsplittable: the leaf stays out of the queue
         goes_left = data.states[orders, cand.feature] < cand.threshold
@@ -291,9 +293,6 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
         sq = tuple(t - p + a + b for t, p, a, b in zip(sq, terms, lterms,
                                                         rterms))
         tree.loss_curve.append(_losses(tree, sq, data.n, root.n_deriv))
-    # split search's cached channel block serves growth only: free it (the
-    # next search rebuilds it), so what runs after growth does not carry it
-    vars(data).pop("channel_block", None)
     return tree
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tripletree.dataset import DISCRETE, AugmentedDataset, augment
-from tripletree.impurity import ImpurityTriple
+from tripletree.impurity import ImpurityTriple, best_split, channel_block
 from tripletree.tree import Box, Leaf, Node, TripleTree
 
 
@@ -56,6 +56,16 @@ def synthetic_aug(states, actions=None, V=None, D=None, has_deriv=None,
         episode_slices=episode_slices or [(0, n, True)],
         action_labels=labels, action_codes=codes, action_sigma=action_sigma,
         feature_names=[f"f{i}" for i in range(d)])
+
+
+def search_split(data, idx, root, theta, min_leaf=1):
+    """``best_split`` of the members ``idx``, in any order, called as growth
+    calls it: the members ascending, their stable sort on every feature and
+    the dataset's channel block."""
+    idx = np.sort(idx)
+    orders = idx[np.argsort(data.states[idx].T, axis=1, kind="stable")]
+    return best_split(data, idx, root, theta, min_leaf, orders=orders,
+                      block=channel_block(data))
 
 
 def build_tree(spec, feature_range, *, sigma=None, gamma=0.9,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import time
 
@@ -279,11 +280,15 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
 UNSOLVABLE_ROADS = {
     "reward-nan": (["--r-left", "nan"], "rewards must be finite"),
     "reward-inf": (["--r-speed", "inf"], "rewards must be finite"),
+    "reward-minus-inf": (["--r-left", "-inf"], "rewards must be finite"),
     "values-overflow": (["--r-speed", "1e308"], "residual inf at sweep"),
     "tol-nan": (["--tol", "nan"], "tolerance nan"),
     "tol-inf": (["--tol", "inf"], "tolerance inf"),
     "tol-zero": (["--tol", "0"], "tolerance 0"),
     "tol-negative": (["--tol", "-0.5"], "tolerance -0.5"),
+    "tol-negative-exponent": (["--tol", "-1e-06"],
+                              "tolerance -1e-06 must be finite and > 0"),
+    "tol-negative-plus-exponent": (["--tol", "-1e+2"], "tolerance -100 "),
 }
 
 
@@ -300,6 +305,43 @@ def test_unsolvable_road_prints_one_usage_error_line_at_once(name, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-road", "sweep-theta"])
+def test_tol_is_checked_when_no_solve_runs(command, workspace, tmp_path,
+                                           capsys):
+    # gen-road on a saved policy and sweep-theta solve nothing, yet a bad
+    # --tol is the same one-line usage error as when dp_solve runs
+    base, data, tree = workspace
+    if command == "gen-road":
+        policy = str(tmp_path / "policy.json")
+        assert run(["dp-solve", *ROAD_FLAGS, "--out", policy]) == 0
+        argv = ["gen-road", "--policy", policy, "--samples", "10"]
+    else:
+        argv = ["sweep-theta", "--data", data, "--max-leaves", "4",
+                "--divisions", "1"]
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run([*argv, "--tol", "nan", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: tolerance nan must be finite and > 0\n"
+    assert not out.exists()
+
+
+def test_negative_numbers_in_scientific_notation_are_flag_values():
+    args = cli.build_parser().parse_args(
+        ["gen-road", "--r-left", "-100", "--r-right", "-1e+2",
+         "--r-speed", "-2.5E-1", "--gamma", "-.5", "--tol", "-1e-06",
+         "--out", "road.csv"])
+    assert (args.r_left, args.r_right, args.r_speed, args.gamma, args.tol) == \
+        (-100.0, -100.0, -0.25, -0.5, -1e-06)
+    args = cli.build_parser().parse_args(
+        ["simulate", "--tree", "t.json", "--min-prob", "-1e-3",
+         "--step-size", "-5e+0", "--tol", "-1e-8", "--out", "p.json"])
+    assert (args.min_prob, args.step_size, args.tol) == (-1e-3, -5.0, -1e-8)
+    args = cli.build_parser().parse_args(
+        ["dp-solve", "--r-left", "-inf", "--r-right", "-NaN", "--out", "p"])
+    assert args.r_left == -math.inf and math.isnan(args.r_right)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TRACES) + ["empty-vectors",

@@ -166,6 +166,26 @@ def test_nonfinite_state_rejected():
             action_kind=ds.DISCRETE, feature_names=["x", "y"])
 
 
+@pytest.mark.parametrize("kind", [ds.DISCRETE, ds.CONTINUOUS_SCALAR])
+def test_hand_built_two_dimensional_actions_rejected_for_one_dimensional_kinds(
+        kind):
+    episode = ds.Episode(states=np.zeros((3, 2)), actions=np.zeros((3, 2)),
+                         rewards=np.zeros(3), terminal=True)
+    with pytest.raises(TraceFormatError, match=f"^{kind} actions must be 1-D$"):
+        ds.TraceDataset.from_episodes([episode], kind, ["x", "y"])
+
+
+@pytest.mark.parametrize("kind,actions", [
+    (ds.CONTINUOUS_SCALAR, np.array(["a", "b", "c"], dtype=object)),
+    (ds.CONTINUOUS_VECTOR, np.array([["a", "0"], ["b", "1"], ["c", "2"]]))])
+def test_hand_built_string_actions_rejected_for_continuous_kinds(kind, actions):
+    episode = ds.Episode(states=np.zeros((3, 1)), actions=actions,
+                         rewards=np.zeros(3), terminal=True)
+    with pytest.raises(TraceFormatError,
+                       match="^continuous actions must be numeric$"):
+        ds.TraceDataset.from_episodes([episode], kind, ["x"])
+
+
 def test_json_length_one_action_vectors_load_like_one_a1_column():
     payload = (b'[{"terminal":true,"steps":['
                b'{"s":[0.0],"a":[0.5],"r":1.0},'

@@ -7,11 +7,11 @@ from tripletree import impurity as imp
 from tripletree.errors import ParameterError
 from tripletree.impurity import ImpurityTriple
 
-from .conftest import synthetic_aug
+from .conftest import search_split, synthetic_aug
 from .reference import (derivative_impurity, exhaustive_best_split, gini,
                         pairwise_deriv_impurity, pairwise_variance,
                         partition_quality, rowwise_best_split,
-                        rowwise_node_stats, variance)
+                        rowwise_hybrid_quality, rowwise_node_stats, variance)
 
 
 def test_gini_examples():
@@ -65,36 +65,36 @@ def test_partition_quality_examples():
     assert partition_quality(pv, (0.0, 2), (0.0, 2)) == pytest.approx(0.25)
 
 
+def _combined(q_triple, root, theta):
+    return imp.combine_qualities(q_triple, root.as_array(),
+                                 imp.validate_theta(theta))
+
+
 def test_hybrid_quality():
     root = ImpurityTriple(0.5, 2.0, 4.0)
-    assert imp.hybrid_quality((0.25, 1.0, 1.0), root, [1, 0, 0]) == \
-        pytest.approx(0.5)
-    assert imp.hybrid_quality((0.5, 2.0, 4.0), root, [1, 1, 1]) == \
-        pytest.approx(3.0)
+    assert _combined((0.25, 1.0, 1.0), root, [1, 0, 0]) == pytest.approx(0.5)
+    assert _combined((0.5, 2.0, 4.0), root, [1, 1, 1]) == pytest.approx(3.0)
     # hand evaluation with uneven weights
     expect = 0.2 * (0.25 / 0.5) + 0.6 * (1.0 / 2.0) + 0.2 * (1.0 / 4.0)
-    assert imp.hybrid_quality((0.25, 1.0, 1.0), root, [0.2, 0.6, 0.2]) == \
+    assert _combined((0.25, 1.0, 1.0), root, [0.2, 0.6, 0.2]) == \
         pytest.approx(expect)
     # zero-impurity channels contribute nothing
     root0 = ImpurityTriple(0.0, 2.0, 0.0)
-    assert imp.hybrid_quality((1.0, 1.0, 1.0), root0, [1, 1, 1]) == \
-        pytest.approx(0.5)
-    # arrays of candidates combine elementwise, like the scalars
+    assert _combined((1.0, 1.0, 1.0), root0, [1, 1, 1]) == pytest.approx(0.5)
+    # arrays of candidates combine elementwise, like the scalars, and as the
+    # row-gather oracle combines them
     q = (np.array([0.25, 0.5]), np.array([1.0, 2.0]), np.array([1.0, 4.0]))
-    got = imp.hybrid_quality(q, root, [0.2, 0.6, 0.2])
+    got = _combined(q, root, [0.2, 0.6, 0.2])
     assert got.shape == (2,)
-    assert got[0] == imp.hybrid_quality((0.25, 1.0, 1.0), root, [0.2, 0.6, 0.2])
-    assert got[1] == imp.hybrid_quality((0.5, 2.0, 4.0), root, [0.2, 0.6, 0.2])
+    assert got[0] == _combined((0.25, 1.0, 1.0), root, [0.2, 0.6, 0.2])
+    assert got[1] == _combined((0.5, 2.0, 4.0), root, [0.2, 0.6, 0.2])
+    assert np.array_equal(got, rowwise_hybrid_quality(q, root, [0.2, 0.6, 0.2]))
 
 
 def test_theta_validation():
-    root = ImpurityTriple(1.0, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        imp.hybrid_quality((0, 0, 0), root, [-0.1, 0.5, 0.6])
-    with pytest.raises(ParameterError):
-        imp.hybrid_quality((0, 0, 0), root, [0, 0, 0])
-    with pytest.raises(ParameterError):
-        imp.hybrid_quality((0, 0, 0), root, [1, 1])
+    for theta in ([-0.1, 0.5, 0.6], [0, 0, 0], [1, 1], [1, np.nan, 1]):
+        with pytest.raises(ParameterError):
+            imp.validate_theta(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_best_split_simple_action_fixture():
     data = synthetic_aug(states=[[1.0], [2.0], [3.0], [4.0]],
                          actions=["a", "a", "b", "b"])
     root = imp.node_impurity(data, np.arange(4))
-    cand = imp.best_split(data, np.arange(4), root, [1, 0, 0])
+    cand = search_split(data, np.arange(4), root, [1, 0, 0])
     assert cand.feature == 0
     assert cand.threshold == pytest.approx(2.5)
     assert sorted(cand.left_idx.tolist()) == [0, 1]
@@ -117,7 +117,7 @@ def test_best_split_all_identical_labels_returns_none():
                          V=[1.0, 1.0, 1.0],
                          D=np.ones((3, 1)), has_deriv=[True, True, False])
     root = imp.node_impurity(data, np.arange(3))
-    assert imp.best_split(data, np.arange(3), root, [1, 1, 1]) is None
+    assert search_split(data, np.arange(3), root, [1, 1, 1]) is None
 
 
 def _random_aug(rng, n, d, kind="discrete"):
@@ -147,7 +147,7 @@ def test_best_split_matches_exhaustive_oracle(kind):
         theta[int(rng.integers(3))] += 0.5  # keep the sum clearly positive
         idx = np.arange(n)
         root = imp.node_impurity(data, idx)
-        got = imp.best_split(data, idx, root, theta)
+        got = search_split(data, idx, root, theta)
         want = exhaustive_best_split(data, idx, root, theta)
         if want is None:
             assert got is None
@@ -157,25 +157,11 @@ def test_best_split_matches_exhaustive_oracle(kind):
             assert got.hybrid_quality == pytest.approx(want[2], abs=1e-9)
 
 
-def test_best_split_permutation_invariance():
-    rng = np.random.default_rng(3)
-    data = _random_aug(rng, 40, 2)
-    idx = np.arange(40)
-    root = imp.node_impurity(data, idx)
-    base = imp.best_split(data, idx, root, [1, 1, 1])
-    for _ in range(5):
-        perm = rng.permutation(40)
-        cand = imp.best_split(data, perm, root, [1, 1, 1])
-        assert (cand.feature, cand.threshold) == (base.feature, base.threshold)
-        assert cand.hybrid_quality == pytest.approx(base.hybrid_quality,
-                                                    abs=1e-12)
-
-
 def test_best_split_respects_min_leaf():
     data = synthetic_aug(states=[[1.0], [2.0], [3.0], [4.0]],
                          actions=["a", "b", "b", "b"])
     root = imp.node_impurity(data, np.arange(4))
-    cand = imp.best_split(data, np.arange(4), root, [1, 0, 0], min_leaf=2)
+    cand = search_split(data, np.arange(4), root, [1, 0, 0], min_leaf=2)
     assert cand.left_idx.size >= 2 and cand.right_idx.size >= 2
 
 
@@ -209,9 +195,9 @@ def test_value_scaling_leaves_argmax_unchanged():
     data = synthetic_aug(states=states, V=V)
     data_scaled = synthetic_aug(states=states, V=100.0 * V)
     idx = np.arange(50)
-    a = imp.best_split(data, idx, imp.node_impurity(data, idx), [0, 1, 0])
-    b = imp.best_split(data_scaled, idx,
-                       imp.node_impurity(data_scaled, idx), [0, 1, 0])
+    a = search_split(data, idx, imp.node_impurity(data, idx), [0, 1, 0])
+    b = search_split(data_scaled, idx,
+                     imp.node_impurity(data_scaled, idx), [0, 1, 0])
     assert (a.feature, a.threshold) == (b.feature, b.threshold)
 
 
@@ -289,8 +275,10 @@ def test_column_scan_is_bitwise_the_row_gather_search(case):
     assert _stats_bits(imp.node_stats(data, idx)) == \
         _stats_bits(rowwise_node_stats(data, idx))
     root = rowwise_node_stats(data, np.arange(data.n)).impurity
-    got = imp.best_split(data, idx, root, theta, min_leaf=min_leaf)
-    want = rowwise_best_split(data, idx, root, theta, min_leaf=min_leaf)
+    # the search takes a node's members ascending, as growth keeps them
+    got = search_split(data, idx, root, theta, min_leaf=min_leaf)
+    want = rowwise_best_split(data, np.sort(idx), root, theta,
+                              min_leaf=min_leaf)
     if want is None:
         assert got is None
         return
@@ -318,7 +306,8 @@ def _candidate_bits(cand):
 def test_inherited_orders_search_is_bitwise_the_sorting_search(case, seed):
     # a random node (its members ascending, as growth keeps them), split on
     # a random feature at one of its own values: each child's orders are the
-    # parent's filtered by the split, as growth hands them down
+    # parent's filtered by the split, as growth hands them down, and its
+    # search is the row-gather oracle's, which sorts the members itself
     data, idx, theta, min_leaf = case
     rng = np.random.default_rng(seed)
     parent = np.sort(idx)
@@ -328,6 +317,7 @@ def test_inherited_orders_search_is_bitwise_the_sorting_search(case, seed):
     left = data.states[parent, f] < tau
     goes_left = data.states[orders, f] < tau
     root = rowwise_node_stats(data, np.arange(data.n)).impurity
+    block = imp.channel_block(data)
     for child, side in ((parent[left], goes_left), (parent[~left], ~goes_left)):
         if child.size == 0:
             continue
@@ -335,8 +325,8 @@ def test_inherited_orders_search_is_bitwise_the_sorting_search(case, seed):
         assert np.array_equal(inherited, child[np.argsort(
             data.states[child].T, axis=1, kind="stable")])
         got = imp.best_split(data, child, root, theta, min_leaf=min_leaf,
-                             orders=inherited)
-        want = imp.best_split(data, child, root, theta, min_leaf=min_leaf)
+                             orders=inherited, block=block)
+        want = rowwise_best_split(data, child, root, theta, min_leaf=min_leaf)
         assert _candidate_bits(got) == _candidate_bits(want)
         if got is not None:
             for members in (got.left_idx, got.right_idx):

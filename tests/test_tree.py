@@ -16,7 +16,7 @@ from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import ImpurityTriple
 
 from . import reference as ref
-from .conftest import random_tree, synthetic_aug
+from .conftest import random_tree, search_split, synthetic_aug
 from .reference import ReferenceActionTree
 
 ROAD_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
@@ -373,8 +373,8 @@ def _reselect_split_log(data, theta, max_leaves, min_leaf):
                 best_id, best_p = lid, p
         if best_id is None or best_p <= 0:
             break
-        cand = imp.best_split(data, members[best_id], ImpurityTriple(*roots),
-                              theta, min_leaf=min_leaf)
+        cand = search_split(data, members[best_id], ImpurityTriple(*roots),
+                            theta, min_leaf=min_leaf)
         if cand is None:
             unsplittable.add(best_id)
             continue
@@ -490,16 +490,19 @@ def test_grow_hands_each_search_the_stable_sorts_of_its_members(monkeypatch):
     data = _labelled_aug(rng, n=300, d=3)
     data.states[:, 1] = rng.choice([-1.0, -0.0, 0.0, 0.5], size=300)
     data.states[:, 2] = rng.integers(0, 4, size=300).astype(float)
-    seen = []
+    seen, blocks = [], []
 
-    def search(data, idx, *args, orders=None, **kwargs):
-        seen.append(orders is not None and np.array_equal(
+    def search(data, idx, *args, orders, block, **kwargs):
+        seen.append(np.array_equal(
             orders, idx[np.argsort(data.states[idx].T, axis=1, kind="stable")]))
-        return imp.best_split(data, idx, *args, orders=orders, **kwargs)
+        blocks.append(block)
+        return imp.best_split(data, idx, *args, orders=orders, block=block,
+                              **kwargs)
 
     monkeypatch.setattr(tr, "best_split", search)
     tree = tr.grow(data, [1, 1, 1], max_leaves=40)
     assert tree.n_leaves == 40 and len(seen) >= 39 and all(seen)
+    assert all(b is blocks[0] for b in blocks)  # one block serves them all
 
 
 def test_road_fit_is_byte_identical_to_recorded_digest(road_fixture):
