@@ -9,12 +9,12 @@ from .explain import (Explanation, counterfactual_action, counterfactual_value,
                       factual, render_json, render_text, temporal)
 from .impurity import ImpurityTriple, SplitCandidate, best_split
 from .road_env import (GridPolicy, RoadConfig, dp_solve, generate_dataset,
-                       step, theta_sweep)
+                       step)
 from .trajectory import (LeafGraph, TrajectoryPath, align_path,
                          build_leaf_graph, most_probable_path, zone_paths)
 from .tree import (Box, Leaf, TripleTree, compute_transitions, deserialize,
                    evaluate_losses, fit, grow, leaf_of, predict,
-                   select_best_leaf, serialize)
+                   select_best_leaf, serialize, theta_sweep)
 from .viz import PlaneSpec, direct_map, ice_slice, pdp_projection, quiver, render_svg
 
 __version__ = "0.1.0"

@@ -389,15 +389,15 @@ def cmd_viz(args) -> int:
 
 
 def cmd_sweep_theta(args) -> int:
-    config = _road_config(args)
+    gamma = _road_config(args).gamma  # road flags and --config may set it
     data = ds.load_trace_path(args.data, action_kind=args.action_kind)
     if args.theta_grid:
         grid = [tuple(_parse_theta(part))
                 for part in args.theta_grid.split(";") if part]
     else:
-        grid = road.simplex_theta_grid(args.divisions)
-    result = road.theta_sweep(config, data, grid, args.max_leaves,
-                              min_leaf=args.min_leaf)
+        grid = tr.simplex_theta_grid(args.divisions)
+    result = tr.theta_sweep(ds.augment(data, gamma), grid, args.max_leaves,
+                            min_leaf=args.min_leaf)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theta_action", "theta_value", "theta_deriv",
@@ -462,13 +462,12 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
-def _add_road_flags(p, with_gamma=True):
+def _add_road_flags(p):
     p.add_argument("--config", help="road config JSON file (overrides flags)")
     p.add_argument("--r-left", type=float, default=-100.0)
     p.add_argument("--r-right", type=float, default=-100.0)
     p.add_argument("--r-speed", type=float, default=1.0)
-    if with_gamma:
-        p.add_argument("--gamma", type=float, default=0.99)
+    p.add_argument("--gamma", type=float, default=0.99)
     p.add_argument("--grid", default="30,30")
     p.add_argument("--tol", type=float, default=1e-6)
 

@@ -1,5 +1,5 @@
 """A 1-D road driving task on a 2-D state space (position, speed), with a
-value-iteration policy solver, trace generation, and a weighting sweep.
+value-iteration policy solver and trace generation.
 
 The vehicle accelerates by a small fixed amount each step; crossing either
 end of the road terminates the episode with that wall's reward, and every
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DISCRETE, TraceDataset, augment
+from .dataset import DISCRETE, TraceDataset
 from .errors import ParameterError, TraceFormatError
-from .tree import evaluate_losses, grow
+from .tree import theta_sweep  # noqa: F401  (perfbench traces it here)
 
 FEATURE_NAMES = ("pos", "speed")
 
@@ -45,6 +45,12 @@ class RoadConfig:
             raise ParameterError("rewards must be finite")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ParameterError("grid must be at least 2x2")
+        # dp_solve's tables of four 8-byte stencil entries per action and
+        # node must fit numpy's np.intp sizes
+        if (32 * len(self.actions) * self.grid[0] * self.grid[1]
+                > np.iinfo(np.intp).max):
+            raise ParameterError(f"grid {self.grid[0]}x{self.grid[1]} is "
+                                 f"too large to solve")
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError("gamma must lie in [0, 1]")
         if not (self.pos_range[0] < self.pos_range[1]
@@ -173,17 +179,18 @@ class GridPolicy:
     @classmethod
     def from_json(cls, doc: dict) -> "GridPolicy":
         """The policy of a JSON document; a missing key, a value of the wrong
-        type, or tables that do not fit the grids raise TraceFormatError."""
+        type (a non-integer action index, an infinite iteration count), or
+        tables that do not fit the grids raise TraceFormatError."""
         try:
             policy = cls(
                 pos_grid=np.asarray(doc["pos_grid"], dtype=float),
                 speed_grid=np.asarray(doc["speed_grid"], dtype=float),
                 value=np.asarray(doc["value"], dtype=float),
-                action_idx=np.asarray(doc["action_idx"], dtype=np.int64),
+                action_idx=np.asarray(doc["action_idx"]),
                 actions=tuple(doc["actions"]),
                 iterations=int(doc.get("iterations", 0)),
                 residual=float(doc.get("residual", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(
                 f"malformed policy: {type(exc).__name__}: {exc}") from None
         shape = (policy.pos_grid.size, policy.speed_grid.size)
@@ -191,12 +198,14 @@ class GridPolicy:
                 and min(shape) >= 2
                 and policy.value.shape == policy.action_idx.shape == shape
                 and all(map(_is_number, policy.actions))
+                and policy.action_idx.dtype.kind == "i"  # JSON integers
                 and np.all(policy.action_idx >= 0)
                 and np.all(policy.action_idx < len(policy.actions))):
             raise TraceFormatError("policy tables do not fit its grids and "
                                    "actions")
         for name in ("pos_grid", "speed_grid"):
-            steps = np.diff(getattr(policy, name))
+            with np.errstate(over="ignore"):  # an overflow is an inf step
+                steps = np.diff(getattr(policy, name))
             if not (np.all(np.isfinite(steps)) and np.all(steps > 0)):
                 raise TraceFormatError(f"policy {name} is not finite and "
                                        f"strictly increasing")
@@ -393,64 +402,6 @@ def _run_episodes(config, policy, starts, steps, out):
         for column, value in zip(columns, values):
             column[at] = value[mask]
     return start[:used], terminal[:used], kept, int(ends[-1])
-
-
-EXCLUSIVE_THETAS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-def theta_sweep(config: RoadConfig, dataset: TraceDataset, theta_grid,
-                max_leaves: int, min_leaf: int = 1) -> dict:
-    """Grow one tree per weighting and score each by its worst loss.
-
-    Each loss column is normalised by the loss the corresponding exclusive
-    weighting achieves at the same leaf budget, making the three losses
-    commensurable; the winner minimises the maximum normalised loss.
-    """
-    if not theta_grid:
-        raise ParameterError("the theta grid is empty")
-    aug = augment(dataset, config.gamma)
-    losses_by_theta = {}
-
-    def losses_for(theta):
-        key = tuple(float(v) for v in theta)
-        if key not in losses_by_theta:
-            tree = grow(aug, np.asarray(key), max_leaves, min_leaf=min_leaf)
-            losses_by_theta[key] = evaluate_losses(tree, aug)
-        return losses_by_theta[key]
-
-    optima = [losses_for(t)[c] for c, t in enumerate(EXCLUSIVE_THETAS)]
-
-    rows = []
-    for theta in theta_grid:
-        key = tuple(float(v) for v in theta)
-        raw = losses_for(key)
-        normalised = []
-        for c in range(3):
-            if optima[c] > 0:
-                normalised.append(raw[c] / optima[c])
-            else:
-                normalised.append(1.0 if raw[c] <= 0 else float("inf"))
-        rows.append({"theta": key,
-                     "action_loss": raw[0], "value_loss": raw[1],
-                     "deriv_loss": raw[2],
-                     "worst_normalised_loss": max(normalised)})
-    best = min(rows, key=lambda r: r["worst_normalised_loss"])
-    return {"rows": rows, "best_theta": best["theta"],
-            "exclusive_optima": {"action": optima[0], "value": optima[1],
-                                 "derivative": optima[2]}}
-
-
-def simplex_theta_grid(divisions: int = 5):
-    """All nonnegative integer weightings i+j+k = divisions, rescaled to
-    sum to one."""
-    if divisions < 1:
-        raise ParameterError("divisions must be >= 1")
-    grid = []
-    for i in range(divisions + 1):
-        for j in range(divisions + 1 - i):
-            k = divisions - i - j
-            grid.append((i / divisions, j / divisions, k / divisions))
-    return grid
 
 
 def save_policy(policy: GridPolicy, path):

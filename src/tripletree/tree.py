@@ -1,5 +1,5 @@
 """The partition tree: best-first growth, prediction, transition statistics,
-loss evaluation, and JSON serialisation.
+loss evaluation, JSON serialisation, and a sweep of fits over weightings.
 
 Growth keeps the leaves in a max-priority queue keyed on the
 population-weighted, root-normalised, theta-weighted impurity (computed once,
@@ -686,3 +686,51 @@ def fit(data: AugmentedDataset, theta, max_leaves: int,
     """Grow a tree and attach transition statistics from the fitting data."""
     tree = grow(data, theta, max_leaves, min_leaf=min_leaf)
     return compute_transitions(tree, data)
+
+
+EXCLUSIVE_THETAS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def theta_sweep(data: AugmentedDataset, theta_grid, max_leaves: int,
+                min_leaf: int = 1) -> dict:
+    """Grow one tree per weighting and score each by its worst loss.
+
+    Each loss column is normalised by the loss the corresponding exclusive
+    weighting achieves at the same leaf budget, making the three losses
+    commensurable; the winner minimises the maximum normalised loss.  Each
+    distinct weighting, the exclusive ones first, is grown once.
+    """
+    if not theta_grid:
+        raise ParameterError("the theta grid is empty")
+    grid = [tuple(map(float, theta)) for theta in theta_grid]
+    losses = {theta: evaluate_losses(grow(data, np.asarray(theta), max_leaves,
+                                          min_leaf=min_leaf), data)
+              for theta in dict.fromkeys((*EXCLUSIVE_THETAS, *grid))}
+    optima = [losses[t][c] for c, t in enumerate(EXCLUSIVE_THETAS)]
+    rows = []
+    for theta in grid:
+        raw = losses[theta]
+        normalised = [raw[c] / optima[c] if optima[c] > 0
+                      else 1.0 if raw[c] <= 0 else math.inf
+                      for c in range(3)]
+        rows.append({"theta": theta,
+                     "action_loss": raw[0], "value_loss": raw[1],
+                     "deriv_loss": raw[2],
+                     "worst_normalised_loss": max(normalised)})
+    best = min(rows, key=lambda r: r["worst_normalised_loss"])
+    return {"rows": rows, "best_theta": best["theta"],
+            "exclusive_optima": {"action": optima[0], "value": optima[1],
+                                 "derivative": optima[2]}}
+
+
+def simplex_theta_grid(divisions: int = 5):
+    """All nonnegative integer weightings i+j+k = divisions, rescaled to
+    sum to one."""
+    if divisions < 1:
+        raise ParameterError("divisions must be >= 1")
+    grid = []
+    for i in range(divisions + 1):
+        for j in range(divisions + 1 - i):
+            k = divisions - i - j
+            grid.append((i / divisions, j / divisions, k / divisions))
+    return grid

@@ -16,7 +16,8 @@ from .conftest import road_setup
 from .test_dataset import (AUGMENT_DIGEST, TRACE_DIGEST, road_augment_digests,
                            road_trace_digests)
 from .test_queries import QUERY_DIGEST, road_query_digests
-from .test_tree import (README_DIGEST, ROAD_DIGEST, readme_tree_digests,
+from .test_tree import (README_DIGEST, ROAD_DIGEST, SWEEP_DIGEST,
+                        readme_tree_digests, road_sweep_digest,
                         road_tree_digests)
 from .test_viz import GOLDEN_DIR, VIEW_DIGEST, quad_tree, road_view_digests
 
@@ -43,6 +44,7 @@ def goldens() -> dict:
 
     aug = road_setup()[3]
     files[ROAD_DIGEST] = road_tree_digests(aug)
+    files[SWEEP_DIGEST] = road_sweep_digest(aug)
     files[QUERY_DIGEST] = road_query_digests(aug)
     files[VIEW_DIGEST] = road_view_digests(aug)
     files[TRACE_DIGEST] = road_trace_digests()

@@ -254,6 +254,7 @@ BAD_ARGS = {
                            "--divisions", "-1"],
     "theta-grid-empty": ["sweep-theta", "--max-leaves", "4",
                          "--theta-grid", ";"],
+    "grid-past-index-range": ["dp-solve", "--grid", "2,1" + "0" * 30],
 }
 
 
@@ -265,7 +266,7 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
     argv = [command, *flags]
     if command in ("eval", "sweep-theta"):
         argv += ["--data", data]
-    elif command != "gen-road":
+    elif command not in ("gen-road", "dp-solve"):
         argv += ["--tree", tree]
     if command != "explain":
         argv += ["--out", str(tmp_path / "out.json")]
@@ -411,6 +412,24 @@ BAD_FILES = {  # flag, file contents (None: a directory), error prefix
         ["gen-road", "--config"],
         '{"r_left": -100, "r_right": -100, "r_speed": 1, "pos_range": [3, 0]}',
         "data error: "),
+    "config-grid-below-2x2": (
+        ["gen-road", "--config"],
+        '{"r_left": -100, "r_right": -100, "r_speed": 1, "grid": [1, 5]}',
+        "data error: "),
+    "config-grid-past-index-range": (
+        ["dp-solve", "--config"],
+        '{"r_left": -100, "r_right": -100, "r_speed": 1, '
+        '"grid": [2, 1%s]}' % ("0" * 30), "data error: "),
+    "policy-iterations-past-float-range": (
+        ["gen-road", "--policy"],
+        json.dumps(POLICY)[:-1] + ', "iterations": 1e400}', "data error: "),
+    "policy-action-index-not-integer": (
+        ["gen-road", "--policy"],
+        json.dumps({**POLICY, "action_idx": [[0, 0.5], [1, 0]]}),
+        "data error: "),
+    "policy-grid-step-past-float-range": (
+        ["gen-road", "--policy"],
+        json.dumps({**POLICY, "pos_grid": [-1e308, 1e308]}), "data error: "),
     "config-integer-past-float-range": (
         ["gen-road", "--config"],
         '{"r_left": -1%s, "r_right": -100, "r_speed": 1}' % ("0" * 400),
@@ -422,6 +441,7 @@ BAD_FILES = {  # flag, file contents (None: a directory), error prefix
 }
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be another line
 @pytest.mark.parametrize("name", list(BAD_FILES))
 def test_faulty_input_file_prints_one_data_or_file_error_line(name, tmp_path,
                                                              capsys):

@@ -23,6 +23,8 @@ ROAD_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                            "road_tree.sha256")
 README_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                              "readme_tree.sha256")
+SWEEP_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
+                            "road_sweep.sha256")
 
 
 def _labelled_aug(rng, n=80, d=2, classes=3):
@@ -322,6 +324,51 @@ def test_vector_action_channel():
 
 
 # ---------------------------------------------------------------------------
+# Weighting sweep
+# ---------------------------------------------------------------------------
+
+def test_theta_sweep_degenerate_grid(road_fixture):
+    aug = road_fixture[3]
+    result = tr.theta_sweep(aug, [(1.0, 0.0, 0.0)], max_leaves=20)
+    assert result["best_theta"] == (1.0, 0.0, 0.0)
+    assert len(result["rows"]) == 1
+
+
+def test_theta_sweep_vertices_minimise_their_own_columns(road_fixture):
+    aug = road_fixture[3]
+    grid = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+            (1 / 3, 1 / 3, 1 / 3)]
+    result = tr.theta_sweep(aug, grid, max_leaves=60)
+    rows = {r["theta"]: r for r in result["rows"]}
+    cols = ["action_loss", "value_loss", "deriv_loss"]
+    for c, vertex in enumerate(tr.EXCLUSIVE_THETAS):
+        own = rows[vertex][cols[c]]
+        assert own <= min(r[cols[c]] for r in result["rows"]) + 1e-12
+        # normalised diagonals are exactly 1 (or 0/0 treated as 1)
+        opt = list(result["exclusive_optima"].values())[c]
+        assert own == pytest.approx(opt)
+
+
+@pytest.mark.xfail(
+    reason="at matched leaf budgets the derivative channel dominates the "
+    "worst-loss minimax on this task, so no weighting with the value "
+    "component strictly largest wins the sweep", strict=False)
+def test_theta_sweep_winner_emphasises_value(road_fixture):
+    aug = road_fixture[3]
+    result = tr.theta_sweep(aug, tr.simplex_theta_grid(5), max_leaves=60)
+    ta, tv, td = result["best_theta"]
+    assert tv > ta and tv > td
+
+
+def test_simplex_grid_covers_vertices():
+    grid = tr.simplex_theta_grid(5)
+    assert len(grid) == 21
+    for vertex in tr.EXCLUSIVE_THETAS:
+        assert vertex in grid
+    assert all(abs(sum(t) - 1.0) < 1e-12 for t in grid)
+
+
+# ---------------------------------------------------------------------------
 # Structure invariants
 # ---------------------------------------------------------------------------
 
@@ -532,6 +579,18 @@ def readme_tree_digests() -> str:
 def test_readme_fit_is_byte_identical_to_recorded_digest():
     with open(README_DIGEST) as fh:
         assert readme_tree_digests() == fh.read()
+
+
+def road_sweep_digest(aug) -> str:
+    """sha256 of the repr of the theta sweep over the 21-point simplex grid
+    at 20 leaves on the road fixture's augmented trace."""
+    result = tr.theta_sweep(aug, tr.simplex_theta_grid(5), max_leaves=20)
+    return f"{hashlib.sha256(repr(result).encode()).hexdigest()}  sweep.repr\n"
+
+
+def test_road_sweep_is_byte_identical_to_recorded_digest(road_fixture):
+    with open(SWEEP_DIGEST) as fh:
+        assert road_sweep_digest(road_fixture[3]) == fh.read()
 
 
 # ---------------------------------------------------------------------------
