@@ -11,10 +11,9 @@ the package normalises by.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -264,12 +263,17 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
 #
 # CSV: header `episode,t,terminal,<f1..fd>,<a or a1..am>,r`, rows sorted by
 # (episode, t), `terminal` 0/1 on the last row of each episode.  Fields read
-# as Python's int() and float() read them.  Loading and writing go a column
-# at a time: the text is tokenised in one step, each column is converted or
-# formatted once, and the row checks are array passes; the row-by-row scan
-# runs only on a trace those passes reject, to name its first faulty row.
+# as Python's int() and float() read them.  Loading goes a block of rows at a
+# time into columns preallocated for every line of the input: each block is
+# tokenised, its columns converted once and its row checks run as array
+# passes, carrying the episode and step of its last row into the next block;
+# the row-by-row scan runs only on a trace those passes reject, to name its
+# first faulty row.  Writing goes an episode at a time, a column at a time.
 # JSON: array of episodes `{terminal: bool, steps: [{s: [..], a: .., r: ..}]}`.
 # ---------------------------------------------------------------------------
+
+_BLOCK_ROWS = 2048  # input lines tokenised and converted at once
+
 
 def load_trace(source, format: str, action_kind: str | None = None) -> TraceDataset:
     """Parse a byte stream (or bytes/str) in the named trace format.
@@ -280,15 +284,11 @@ def load_trace(source, format: str, action_kind: str | None = None) -> TraceData
     as discrete.
     """
     raw = source.read() if hasattr(source, "read") else source
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"trace is not UTF-8 text: {exc}") from None
     if format == "csv":
         return _load_csv(raw, action_kind)
+    text = _text(raw, raw)
     if format == "json":
-        return _load_json(raw, action_kind)
+        return _load_json(text, action_kind)
     raise ParameterError(f"unknown trace format {format!r}")
 
 
@@ -298,16 +298,61 @@ def load_trace_path(path, action_kind: str | None = None) -> TraceDataset:
         return load_trace(fh, fmt, action_kind=action_kind)
 
 
-def _load_csv(text: str, action_kind: str | None) -> TraceDataset:
-    """The CSV trace of ``text``, parsed and checked a column at a time.
+def _text(part, whole, errors: str = "strict") -> str:
+    """``part`` of the input as text.  Bytes are read as UTF-8; when they
+    are not, the error names the first bad byte of ``whole``.  Parts are cut
+    at line ends, and no UTF-8 sequence holds a newline byte."""
+    if isinstance(part, str):
+        return part
+    try:
+        return str(part, "utf-8", errors)
+    except UnicodeDecodeError:
+        try:
+            whole.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"trace is not UTF-8 text: {exc}") from None
+        raise
+
+
+class _RowFault(Exception):
+    """A row check failed; ``_csv_row_fault`` names the row."""
+
+
+def _load_csv(raw, action_kind: str | None) -> TraceDataset:
+    """The CSV trace of ``raw`` (str or UTF-8 bytes), read a block at a time.
+
+    A fault in tokenising (bytes that are not UTF-8, a row ``csv.reader``
+    rejects) is named before any other, wherever it is in the input, as if
+    the whole input were tokenised before any check."""
+    if not raw:
+        raise TraceFormatError("empty CSV trace")
+    errors = "strict"
+    if isinstance(raw, str):  # as bytes that read back as the same text
+        raw, errors = raw.encode("utf-8", "surrogatepass"), "surrogatepass"
+    # where each line ends: the offset just past its newline
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n")) + 1
+    blocks = _csv_blocks(raw, ends, errors)
+    try:
+        return _csv_columns(blocks, len(ends) - raw.endswith(b"\n"), action_kind)
+    except (TraceFormatError, _RowFault) as fault:
+        for _ in blocks:  # a tokenising fault further on is named first
+            pass
+        if isinstance(fault, TraceFormatError):
+            raise
+        raise _csv_row_fault(_text(raw, raw, errors), *fault.args) from None
+
+
+def _csv_columns(blocks, n_max: int, action_kind: str | None) -> TraceDataset:
+    """The dataset of a CSV header and its blocks of rows, from
+    ``_csv_blocks``, converted into columns preallocated for ``n_max`` rows.
 
     Every field is converted with ``int()`` or ``float()`` and every row
-    check runs as an array pass over whole columns.  A trace that fails any
-    of them is read again by ``_csv_row_fault``, the row-by-row loop, only
-    to name its first faulty row; a valid trace never reaches it."""
-    if not text:
-        raise TraceFormatError("empty CSV trace")
-    header, row_numbers, counts, fields = _csv_tokens(text)
+    check runs as an array pass over a block's columns; the first failed
+    check raises ``_RowFault``.  Vector actions and numeric scalar actions
+    are converted a block at a time; from the first scalar action that is
+    not a number, scalar actions are kept as read and parsed once.  An
+    action fault is raised only after every row has passed."""
+    header = next(blocks, [])
     if header[:3] != ["episode", "t", "terminal"] or not header or header[-1] != "r":
         raise TraceFormatError(
             "CSV header must be episode,t,terminal,<features>,<a or a1..am>,r")
@@ -326,77 +371,161 @@ def _load_csv(text: str, action_kind: str | None) -> TraceDataset:
     d = len(feature_names)
     m = len(action_cols)
     width = 3 + d + m + 1
-    n = len(counts)
+
+    states = np.empty((n_max, d))
+    rewards = np.empty(n_max)
+    actions = np.empty((n_max, m) if m > 1 else n_max)
+    raw_actions = None  # scalar actions kept as read
+    action_fault = None
+    row_numbers = np.empty(n_max, dtype=np.int64)
+    starts, terminal = [], []  # terminal: each ended episode's flag
+    n = 0
+    last_id, last_t, last_one = None, -1, False  # the previous block's last row
+    for rows, counts, fields in blocks:
+        b = len(counts)
+        if not b:
+            continue
+        if (counts != width).any():
+            raise _RowFault(width, d)
+        columns = [fields[j::width] for j in range(width)]
+        lo, hi = n, n + b
+        try:
+            episode = _int_column(columns[0])
+            t = _int_column(columns[1])
+            for j in range(d):
+                states[lo:hi, j] = np.fromiter(map(float, columns[3 + j]), float, b)
+            rewards[lo:hi] = np.fromiter(map(float, columns[-1]), float, b)
+        except ValueError:
+            raise _RowFault(width, d) from None
+        flags = list(map(str.strip, columns[2]))
+        # a row starts an episode when its id differs from the previous
+        # row's; each row's t must then be its offset from that start (exact
+        # for ids and steps of any size, where np.diff of int64 could wrap)
+        first = int(episode[0])
+        new = np.empty(b, dtype=bool)
+        new[0] = first != last_id
+        new[1:] = episode[1:] != episode[:-1]
+        begin = np.flatnonzero(new)
+        later = begin[begin > 0]
+        index = np.arange(b)
+        # a block that goes on with an episode counts from its start before
+        offsets = index - np.maximum.accumulate(np.where(new, index, -1 - last_t))
+        if (not {"0", "1"}.issuperset(flags)
+                or (new[0] and last_id is not None and first < last_id)
+                or (episode[later] < episode[later - 1]).any()
+                or (t != offsets).any()):
+            raise _RowFault(width, d)
+
+        starts.append(begin + lo)
+        if new[0] and last_id is not None:
+            terminal.append(last_one)
+        terminal.extend(flags[k] == "1" for k in later - 1)
+        row_numbers[lo:hi] = rows
+        a_columns = columns[3 + d:3 + d + m]
+        if m > 1:
+            if action_fault is None:  # the block holding the first fault names it
+                try:
+                    actions[lo:hi] = _parse_actions(list(zip(*a_columns)), m,
+                                                    action_kind, rows.__getitem__)[1]
+                except TraceFormatError as fault:
+                    action_fault = fault
+        elif raw_actions is None:
+            try:
+                actions[lo:hi] = np.fromiter(map(float, a_columns[0]), float, b)
+            except ValueError:
+                raw_actions = actions[:lo].tolist()  # numeric, as read
+        if raw_actions is not None:
+            raw_actions.extend(a_columns[0])
+        last_id, last_t, last_one = int(episode[-1]), int(t[-1]), flags[-1] == "1"
+        n = hi
     if not n:
         raise TraceFormatError("CSV trace has no data rows")
-    if (counts != width).any():
-        raise _csv_row_fault(text, width, d)
 
-    columns = [fields[j::width] for j in range(width)]
-    del fields
-    try:
-        episode = _int_column(columns[0])
-        t = _int_column(columns[1])
-        states = np.empty((n, d))
-        for j in range(d):
-            states[:, j] = np.fromiter(map(float, columns[3 + j]), float, n)
-        rewards = np.fromiter(map(float, columns[-1]), float, n)
-    except ValueError:
-        raise _csv_row_fault(text, width, d) from None
-    flags = list(map(str.strip, columns[2]))
-    # a row starts an episode when its id differs from the previous row's;
-    # each row's t must then be its offset from that start (exact for ids
-    # and steps of any size, where np.diff of int64 could wrap)
-    new = np.ones(n, dtype=bool)
-    new[1:] = episode[1:] != episode[:-1]
-    starts = np.flatnonzero(new)
-    offsets = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
-    if (not {"0", "1"}.issuperset(flags)
-            or (episode[starts[1:]] < episode[starts[1:] - 1]).any()
-            or (t != offsets).any()):
-        raise _csv_row_fault(text, width, d)
-
-    terminals = [flags[k] == "1" for k in np.append(starts[1:], n) - 1]
-    a_columns = columns[3 + d:3 + d + m]
-    actions = a_columns[0] if m == 1 else list(zip(*a_columns))
-    return _assemble(states, actions, rewards, starts, terminals, m,
-                     action_kind, feature_names, row_numbers.__getitem__)
+    terminal.append(last_one)
+    if action_fault is not None:
+        raise action_fault
+    if m > 1:
+        kind, actions = CONTINUOUS_VECTOR, actions[:n]
+    elif raw_actions is None:
+        kind = action_kind or DISCRETE
+        actions = actions[:n].reshape(-1, 1) if kind == CONTINUOUS_VECTOR \
+            else actions[:n]
+    else:
+        kind, actions = _parse_actions(raw_actions, m, action_kind,
+                                       row_numbers.__getitem__)
+    return TraceDataset(states[:n], actions, rewards[:n],
+                        np.concatenate(starts), terminal, kind, feature_names)
 
 
-def _csv_tokens(text: str):
-    """Tokenise non-empty CSV text in one step: the header's fields, then
-    for every non-blank data row its file row number (blank rows counted)
-    and its field count, and all of those rows' fields in one flat list.
+def _csv_blocks(data: bytes, ends, errors: str):
+    """Tokenise non-empty CSV input, UTF-8 ``data`` whose lines end at
+    ``ends``, a block of ``_BLOCK_ROWS`` lines at a time: yield the header's
+    fields, then for each block the file row numbers of its non-blank rows
+    (blank rows counted), their field counts and all their fields in one
+    flat list.
 
-    Text with no quote, carriage return or NUL and no line longer than
-    ``csv.field_size_limit()`` is cut on newlines and commas, which is what
-    ``csv.reader`` makes of it; any other text goes through ``csv.reader``,
-    and a fault it finds names the row it was reading."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last row
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines)) > csv.field_size_limit()):
-        reader = csv.reader(io.StringIO(text))
+    Input with no quote, carriage return or NUL and no line longer than
+    ``csv.field_size_limit()`` (counted in bytes, which are at least its
+    characters) is cut on newlines and commas, which is what ``csv.reader``
+    makes of it.  Any other input goes through ``csv.reader``, and a fault
+    it finds names the row it was reading."""
+    view = memoryview(data)  # blocks are decoded without a copy of their bytes
+    if (not any(c in data for c in (b'"', b"\r", b"\0"))
+            and np.diff(ends, prepend=0, append=len(data)).max()
+            <= csv.field_size_limit()):
+        cuts = ends[::_BLOCK_ROWS].tolist()  # the header, then each block
+        if not cuts or cuts[-1] < len(data):
+            cuts.append(len(data))
+        pos = line = 0  # where the next block starts, and the lines before it
+        for end in cuts:
+            lines = _text(view[pos:end], data, errors).split("\n")
+            if lines[-1] == "":
+                lines.pop()  # the newline that ends the block's last line
+            if not line:
+                yield lines[0].split(",") if lines[0] else []
+            else:
+                body = list(filter(None, lines))
+                yield (_row_numbers(lines, line),
+                       np.fromiter(map(str.count, body, repeat(",")),
+                                   dtype=int, count=len(body)) + 1,
+                       ",".join(body).split(","))
+            line += len(lines)
+            pos = end
+        return
+    reader = csv.reader(_lines(_text(view, data, errors)))
+    record = 0  # records read so far
+    while True:
         try:
-            rows = list(reader)
+            records = list(islice(reader, _BLOCK_ROWS if record else 1))
         except csv.Error as exc:
             raise TraceFormatError(f"row {reader.line_num}: {exc}") from None
-        header = rows[0]
-        nonblank = np.fromiter(map(bool, rows), dtype=bool, count=len(rows))
-        body = [row for row in rows[1:] if row]
-        counts = np.fromiter(map(len, body), dtype=int, count=len(body))
-        fields = list(chain.from_iterable(body))
-    else:
-        header = lines[0].split(",") if lines[0] else []
-        nonblank = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
-        body = list(filter(None, lines[1:]))
-        counts = np.fromiter(map(str.count, body, repeat(",")), dtype=int,
-                             count=len(body)) + 1
-        joined = ",".join(body)
-        del lines, body  # only the fields are needed from here on
-        fields = joined.split(",")
-    return header, np.flatnonzero(nonblank[1:]) + 2, counts, fields
+        if not records:
+            return
+        if not record:
+            yield records[0]
+        else:
+            body = list(filter(None, records))
+            yield (_row_numbers(records, record),
+                   np.fromiter(map(len, body), dtype=int, count=len(body)),
+                   list(chain.from_iterable(body)))
+        record += len(records)
+
+
+def _lines(text: str):
+    """The lines of ``text``, cut after each newline as ``io.StringIO`` cuts
+    them, one at a time."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
+def _row_numbers(rows, before: int) -> np.ndarray:
+    """The file row numbers of the non-blank ``rows``, which follow
+    ``before`` rows."""
+    return np.flatnonzero(np.fromiter(map(bool, rows), dtype=bool,
+                                      count=len(rows))) + before + 1
 
 
 def _int_column(column) -> np.ndarray:
@@ -412,7 +541,9 @@ def _csv_row_fault(text: str, width: int, d: int) -> TraceFormatError:
     """The error naming the first faulty row of a CSV trace whose column
     checks failed, from the row-by-row checks in row order."""
     cur_ep = prev_t = None
-    for idx, row in enumerate(list(csv.reader(io.StringIO(text)))[1:], start=2):
+    reader = csv.reader(_lines(text))
+    next(reader)  # the header
+    for idx, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != width:
@@ -497,19 +628,10 @@ def _load_json(text: str, action_kind: str | None) -> TraceDataset:
                     f"record {k + 1}: action vector length {len(a)}, expected {m}")
         if m == 1:  # as a CSV with one a1 column
             actions = [a[0] for a in actions]
-    return _assemble(states, actions, rewards, starts, terminals, m,
-                     action_kind, [f"f{k}" for k in range(d)], lambda k: k + 1)
-
-
-def _assemble(states, actions, rewards, starts, terminals, m, action_kind,
-              feature_names, row_of) -> TraceDataset:
-    """The validated dataset from flat per-sample columns, with episodes
-    starting at ``starts``.  ``m`` is the action width (1 for scalar
-    actions); ``row_of(k)`` names sample k's input row in error messages."""
-    kind, actions = _parse_actions(actions, m, action_kind, row_of)
+    kind, actions = _parse_actions(actions, m, action_kind, lambda k: k + 1)
     return TraceDataset(np.asarray(states, dtype=float), actions,
                         np.asarray(rewards, dtype=float), starts, terminals,
-                        kind, feature_names)
+                        kind, [f"f{k}" for k in range(d)])
 
 
 def _numeric(value) -> bool:
@@ -523,7 +645,8 @@ def _numeric(value) -> bool:
 def _parse_actions(raw, m, action_kind, row_of):
     """Decide the action kind and parse the flat action column once: (n, m)
     floats for several columns, else floats when every action is numeric
-    and string labels when none is."""
+    and string labels when none is.  ``row_of(k)`` names sample k's input
+    row in error messages."""
     if m > 1:
         if action_kind not in (None, CONTINUOUS_VECTOR):
             raise TraceFormatError(

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def workspace(tmp_path_factory):
 def test_gen_road_and_fit_artifacts_exist(workspace):
     base, data, tree = workspace
     assert os.path.getsize(data) > 0
-    loaded = tr.deserialize(open(tree, "rb").read())
+    loaded = tr.deserialize(Path(tree).read_bytes())
     assert loaded.n_leaves <= 40
     assert loaded.feature_names == ["pos", "speed"]
     assert all(l.transitions is not None for l in loaded.leaves.values())
@@ -48,18 +49,18 @@ def test_cli_determinism_gen_and_fit(workspace, tmp_path):
     assert run(["gen-road", *ROAD_FLAGS, "--samples", "1200",
                 "--episode-len", "60", "--seed", "3",
                 "--out", other_data]) == 0
-    assert open(other_data, "rb").read() == open(data, "rb").read()
+    assert Path(other_data).read_bytes() == Path(data).read_bytes()
     assert run(["fit", "--data", other_data, "--gamma", "0.99",
                 "--theta", "0.2,0.6,0.2", "--max-leaves", "40",
                 "--out", other_tree]) == 0
-    assert open(other_tree, "rb").read() == open(tree, "rb").read()
+    assert Path(other_tree).read_bytes() == Path(tree).read_bytes()
 
 
 def test_eval_single_tree(workspace, tmp_path, capsys):
     base, data, tree = workspace
     out = str(tmp_path / "losses.json")
     assert run(["eval", "--tree", tree, "--data", data, "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert set(doc) >= {"action_loss", "value_loss", "deriv_loss"}
     assert doc["action_loss"] >= 0
 
@@ -69,7 +70,7 @@ def test_eval_curve(workspace, tmp_path):
     out = str(tmp_path / "curve.csv")
     assert run(["eval", "--data", data, "--curve", "--gamma", "0.99",
                 "--theta", "1,1,1", "--max-leaves", "15", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "leaves,action_loss,value_loss,deriv_loss"
     assert len(lines) == 16  # header + one row per leaf count
     first = lines[1].split(",")
@@ -87,7 +88,7 @@ def test_predict_command(workspace, capsys):
 
 def test_explain_factual_counterfactual_temporal(workspace, capsys):
     base, data, tree = workspace
-    loaded = tr.deserialize(open(tree, "rb").read())
+    loaded = tr.deserialize(Path(tree).read_bytes())
     s = "1.5,0.0"
     assert run(["explain", "--tree", tree, "--state", s]) == 0
     out = capsys.readouterr().out
@@ -112,10 +113,10 @@ def test_simulate_between_states(workspace, tmp_path, capsys):
     assert run(["simulate", "--tree", tree, "--start", "1.5,0.0",
                 "--end", "1.5,0.02", "--out", out, "--svg", svg,
                 "--max-iters", "60"]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     if doc["path"] is not None:
         assert doc["path"]["probability"] > 0
-        assert open(svg).read().startswith("<svg")
+        assert Path(svg).read_text().startswith("<svg")
 
 
 def test_simulate_zone_mode(workspace, tmp_path):
@@ -126,7 +127,7 @@ def test_simulate_zone_mode(workspace, tmp_path):
                 "--end-zone", "0.5,-0.05:2.5,0.05",
                 "--min-prob", "0.2", "--max-iters", "40",
                 "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert isinstance(doc["paths"], list)
     probs = [p["probability"] for p in doc["paths"]]
     assert probs == sorted(probs, reverse=True)
@@ -143,9 +144,9 @@ def test_viz_modes(workspace, tmp_path):
                     "--mode", mode, "--plane", "pos,speed",
                     "--resolution", "24,18", "--out", out,
                     "--svg", svg]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc
-        assert open(svg).read().startswith("<svg")
+        assert Path(svg).read_text().startswith("<svg")
 
 
 def test_viz_direct_on_a_one_feature_tree(tmp_path):
@@ -172,7 +173,7 @@ def test_sweep_theta_command(workspace, tmp_path):
                 "--max-leaves", "12",
                 "--theta-grid", "1,0,0;0,1,0;0,0,1;1,1,1",
                 "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("theta_action,")
     assert sum(line.endswith(",1") for line in lines[1:]) == 1
@@ -481,7 +482,7 @@ def test_gen_road_config_file(tmp_path):
 
 def test_explain_temporal_via_cli(workspace, capsys):
     base, data, tree = workspace
-    loaded = tr.deserialize(open(tree, "rb").read())
+    loaded = tr.deserialize(Path(tree).read_bytes())
     # probe for two states with differing predictions
     import numpy as np
     states = [(p, s) for p in np.linspace(0.2, 2.8, 18)
@@ -531,7 +532,7 @@ def test_tree_series_alias_for_curve(workspace, tmp_path):
                 "--theta", "1,1,1", "--max-leaves", "8", "--out", a]) == 0
     assert run(["eval", "--data", data, "--tree-series", "--gamma", "0.99",
                 "--theta", "1,1,1", "--max-leaves", "8", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_external_vector_action_trace_end_to_end(tmp_path, capsys):
@@ -557,7 +558,7 @@ def test_external_vector_action_trace_end_to_end(tmp_path, capsys):
     out = str(tmp_path / "vec_losses.json")
     assert run(["eval", "--tree", tree, "--data", str(data),
                 "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["action_loss"] >= 0
     capsys.readouterr()
     assert run(["predict", "--tree", tree, "--state", "0.2,0.5,0.5"]) == 0
@@ -570,7 +571,7 @@ def test_external_vector_action_trace_end_to_end(tmp_path, capsys):
     assert run(["viz", "--tree", tree, "--attribute", "action.0",
                 "--mode", "projection", "--plane", "x,y",
                 "--resolution", "12,12", "--out", viz_out]) == 0
-    grid = json.loads(open(viz_out).read())
+    grid = json.loads(Path(viz_out).read_text())
     assert len(grid["values"]) == 12
     slice_out = str(tmp_path / "vec_slice.json")
     assert run(["viz", "--tree", tree, "--attribute", "derivative",

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -511,6 +513,141 @@ def test_lines_past_the_field_size_limit_load_like_reference():
     new, old = _loaders("csv")
     assert _outcome(new, text, None) == _outcome(old, text, None)
     assert ds.load_trace(text, "csv").episodes[0].states[1, 0] == float(digits)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_csv_loader_matches_reference_in_small_blocks(rows):
+    # every trace then spans many blocks, so each row check and each fault
+    # meets the state carried over a block boundary
+    with mock.patch.object(ds, "_BLOCK_ROWS", rows):
+        test_csv_loader_matches_reference()
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_csv_spellings_load_like_reference_in_small_blocks(rows):
+    with mock.patch.object(ds, "_BLOCK_ROWS", rows):
+        test_csv_spellings_load_like_reference()
+
+
+def _block_rows(episode_len: int) -> list[list[str]]:
+    """The data rows of a numeric-action trace of about three loading
+    blocks, in episodes of ``episode_len`` rows."""
+    return [[str(k // episode_len), str(k % episode_len),
+             "1" if k % episode_len == episode_len - 1 else "0",
+             repr(k / 7), "0.5", str(k % 3), "-1.0"]
+            for k in range(ds._BLOCK_ROWS * 5 // 2)]
+
+
+def _block_text(rows) -> str:
+    """The CSV text of ``rows``, with a blank line first: the first block
+    holds one row fewer, and every row is named one line further on."""
+    return "".join(",".join(row) + "\n"
+                   for row in [["episode", "t", "terminal", "x", "y", "a", "r"],
+                               []] + rows)
+
+
+def _relabel(rows, k):
+    """Rows k to the end of their episode move to the episode two before."""
+    episode = rows[k][0]
+    for row in rows[k:]:
+        if row[0] != episode:
+            break
+        row[0] = str(int(episode) - 2)
+
+
+BLOCK_FAULTS = {
+    "none": lambda rows, k: None,
+    "bad-t": lambda rows, k: rows[k].__setitem__(1, str(int(rows[k][1]) + 1)),
+    "episode-out-of-order": _relabel,
+    "bad-flag": lambda rows, k: rows[k].__setitem__(2, "2"),
+    "bad-float": lambda rows, k: rows[k].__setitem__(3, "x"),
+    "label-among-numbers": lambda rows, k: rows[k].__setitem__(5, "go"),
+}
+
+
+@pytest.mark.parametrize("episode_len", [97, ds._BLOCK_ROWS - 1])
+@pytest.mark.parametrize("where", ["last-of-block-1", "first-of-block-2"])
+@pytest.mark.parametrize("fault", BLOCK_FAULTS)
+def test_faults_at_a_block_boundary_load_like_reference(fault, where,
+                                                        episode_len):
+    # episodes of 97 rows run across each block boundary; episodes of a
+    # block less one row end on the first boundary (block 1 holds the blank
+    # line)
+    rows = _block_rows(episode_len)
+    k = ds._BLOCK_ROWS - 2 if where == "last-of-block-1" else ds._BLOCK_ROWS - 1
+    BLOCK_FAULTS[fault](rows, k)
+    text = _block_text(rows)
+    new, old = _loaders("csv")
+    got = _outcome(new, text, None)
+    assert got == _outcome(old, text, None)
+    if fault != "none":
+        assert got[0] == "TraceFormatError" and got[1].startswith("row ")
+
+
+def test_a_row_fault_in_a_later_block_wins_over_an_action_fault():
+    rows = _block_rows(97)
+    rows[5][5] = "go"  # block 1: named only once every row has passed
+    rows[ds._BLOCK_ROWS * 2 + 3][1] = "7"  # block 3
+    text = _block_text(rows)
+    with pytest.raises(TraceFormatError) as err:
+        ds.load_trace(text.encode(), "csv")
+    assert str(err.value) == (f"row {ds._BLOCK_ROWS * 2 + 6}: non-consecutive "
+                              f"t within episode {(ds._BLOCK_ROWS * 2 + 3) // 97}")
+    assert _outcome(ds.load_trace, text.encode(), "csv") == \
+        _outcome(ref.load_csv, text, None)
+
+
+@pytest.mark.parametrize("early", ["none", "bad-float", "bad-header"])
+def test_a_late_non_utf8_byte_is_named_at_its_whole_input_position(early):
+    # the input is decoded a block at a time, yet a bad byte anywhere is
+    # named first and at its offset in the whole input
+    rows = _block_rows(97)
+    rows[ds._BLOCK_ROWS * 2 + 10][5] = "g@"  # block 3
+    if early == "bad-float":
+        rows[3][3] = "x"
+    text = _block_text(rows)
+    if early == "bad-header":
+        text = text.replace("r\n", "reward\n", 1)
+    raw = text.encode().replace(b"@", b"\xff")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        raw.decode("utf-8")
+    with pytest.raises(TraceFormatError) as err:
+        ds.load_trace(raw, "csv")
+    assert str(err.value) == f"trace is not UTF-8 text: {exc.value}"
+    assert f"position {raw.index(0xFF)}" in str(err.value)
+
+
+def test_a_late_csv_reader_fault_wins_over_an_early_row_fault():
+    # quoted input goes through csv.reader a block at a time; a row it
+    # cannot read is still named before any check's fault
+    rows = _block_rows(97)
+    rows[3][3] = "x"
+    rows[ds._BLOCK_ROWS * 2 + 10][5] = '"go"x\r"'
+    text = _block_text(rows)
+    with pytest.raises(csv.Error) as exc:
+        ref.load_csv(text, None)
+    with pytest.raises(TraceFormatError) as err:
+        ds.load_trace(text, "csv")
+    assert str(err.value) == f"row {ds._BLOCK_ROWS * 2 + 13}: {exc.value}"
+
+
+def test_csv_load_peak_is_bounded():
+    # the n=1e5 benchmark trace (7.6 MB of CSV): the load holds one block of
+    # rows as text and fields beside the preallocated columns
+    cfg = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
+                          gamma=0.99, grid=(30, 30))
+    data = road.generate_dataset(cfg, road.dp_solve(cfg, tolerance=1e-6),
+                                 100_000, 100, seed=0)
+    raw = ds.trace_to_csv_bytes(data)
+    del data
+    tracemalloc.start()
+    try:
+        loaded = ds.load_trace(raw, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.n_samples == 100_000
+    assert peak <= 25e6, f"load_trace peaked at {peak / 1e6:.1f} MB"
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
