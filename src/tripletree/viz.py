@@ -10,6 +10,7 @@ SVG colours are one array pass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,21 +135,42 @@ def pdp_projection(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
     cy = (y_edges[:-1] + y_edges[1:]) / 2.0
     # the centres ascend, so the cells a box covers on an axis are the range
     # from its first centre >= lower to its first centre >= upper
-    x0, x1, y0, y1 = (np.searchsorted(c, side[:, f]).tolist()
+    x0, x1, y0, y1 = (np.searchsorted(c, side[:, f])
                       for c, f in ((cx, plane.f_x), (cy, plane.f_y))
                       for side in (t.box.lower, t.box.upper))
+    width, height = np.maximum(x1 - x0, 0), np.maximum(y1 - y0, 0)
+    area = width * height
     w = t.n.astype(float)
+    wv = w * column.astype(float)
     acc = np.zeros((plane.n_y, plane.n_x))
-    wsum = np.zeros((plane.n_y, plane.n_x))
+    wsum = np.zeros_like(acc)
     # leaf by leaf in ascending id order: the order in which overlapping
     # leaves (d >= 3) add up in a cell fixes the rounding of its mean
-    for r, wv in enumerate((w * column.astype(float)).tolist()):
-        acc[y0[r]:y1[r], x0[r]:x1[r]] += wv
-        wsum[y0[r]:y1[r], x0[r]:x1[r]] += w[r]
+    if area.sum() <= acc.size:
+        # at most a plane of cells in all (always at d = 2, where the leaves
+        # partition it): one scatter of each leaf's cells, leaf-major, which
+        # np.add.at adds in index order
+        ys = _ranges(y0, height)
+        cell = _ranges(ys * plane.n_x + np.repeat(x0, height),
+                       np.repeat(width, height))
+        np.add.at(acc.reshape(-1), cell, np.repeat(wv, area))
+        np.add.at(wsum.reshape(-1), cell, np.repeat(w, area))
+    else:
+        x0, x1, y0, y1 = (v.tolist() for v in (x0, x1, y0, y1))
+        for r, v in enumerate(wv.tolist()):
+            acc[y0[r]:y1[r], x0[r]:x1[r]] += v
+            wsum[y0[r]:y1[r], x0[r]:x1[r]] += w[r]
     values = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
     return {"plane": [plane.f_x, plane.f_y],
             "x_edges": x_edges.tolist(), "y_edges": y_edges.tolist(),
             "values": values.tolist()}
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + counts[i] - 1``, concatenated."""
+    ends = np.cumsum(counts)
+    return (np.repeat(starts + counts - ends, counts)
+            + np.arange(ends[-1] if ends.size else 0))
 
 
 def resolve_fixed(tree: TripleTree, plane: PlaneSpec) -> dict:
@@ -227,18 +249,32 @@ _CATEGORICAL = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 def _heat(v) -> np.ndarray:
     """Viridis '#rrggbb' colours of the values ``v`` clipped into [0, 1],
-    in an object array shaped like ``v``."""
+    in an object array shaped like ``v``; each distinct colour is formatted
+    once."""
     x = np.clip(np.asarray(v, dtype=float), 0.0, 1.0) * (len(_VIRIDIS) - 1)
     i = np.minimum(x.astype(int), len(_VIRIDIS) - 2)
     lo, hi = np.array(_VIRIDIS, dtype=float)[np.stack([i, i + 1])]
     rgb = np.rint(lo + (hi - lo) * (x - i)[..., None]).astype(int)
-    codes = rgb @ [65536, 256, 1]
-    return np.array([f"#{c:06x}" for c in codes.ravel().tolist()],
-                    dtype=object).reshape(codes.shape)
+    codes, inverse = np.unique((rgb @ [65536, 256, 1]).ravel(),
+                               return_inverse=True)
+    hexes = np.array([f"#{c:06x}" for c in codes.tolist()], dtype=object)
+    return hexes[inverse].reshape(rgb.shape[:-1])
 
 
 def _f(v: float) -> str:
     return f"{v:.2f}"
+
+
+# the characters XML 1.0 cannot hold, even escaped
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f"
+                      "\ud800-\udfff\ufffe\uffff]")
+
+
+def _text(s) -> str:
+    """``s`` as SVG text content: '&', '<' and '>' escaped, and each
+    character XML cannot hold replaced by U+FFFD."""
+    return _NOT_XML.sub("\ufffd", str(s).replace("&", "&amp;")
+                        .replace("<", "&lt;").replace(">", "&gt;"))
 
 
 class _Canvas:
@@ -323,11 +359,15 @@ def _render_rects(payload, style):
                 for i, l in enumerate(labels)}
         fills = [cmap[str(v)] for v in vals]
         legend = _swatches(canvas, labels, cmap)
-    out = [f'<rect x="{_f(canvas.x(r["x0"]))}" y="{_f(canvas.y(r["y1"]))}" '
-           f'width="{_f(canvas.x(r["x1"]) - canvas.x(r["x0"]))}" '
-           f'height="{_f(canvas.y(r["y0"]) - canvas.y(r["y1"]))}" '
+    # the pixel geometry in one array pass, in the per-rect order of operations
+    corners = [[r["x0"], r["x1"], r["y0"], r["y1"]] for r in payload["rects"]]
+    x0, x1, y0, y1 = np.array(corners, dtype=float).reshape(-1, 4).T
+    x0, x1, y0, y1 = canvas.x(x0), canvas.x(x1), canvas.y(y0), canvas.y(y1)
+    out = [f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
            f'fill="{fill}" stroke="#ffffff" stroke-width="0.3"/>'
-           for r, fill in zip(payload["rects"], fills)]
+           for x, y, w, h, fill in zip(x0.tolist(), y1.tolist(),
+                                       (x1 - x0).tolist(), (y0 - y1).tolist(),
+                                       fills)]
     return out, legend
 
 
@@ -343,7 +383,8 @@ def _render_grid(payload, style):
     cols = [(_f(x), _f(x1 - x)) for x, x1 in zip(xs, xs[1:])]
     rows = [(_f(y), _f(y0 - y)) for y0, y in zip(ys, ys[1:])]
     out = [f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"/>'
-           for (y, h), fill_row in zip(rows, _heat((grid - vmin) / span))
+           for (y, h), fill_row in zip(rows,
+                                       _heat((grid - vmin) / span).tolist())
            for (x, w), fill in zip(cols, fill_row)]
     return out, _colorbar(canvas, vmin, vmax)
 
@@ -364,13 +405,13 @@ def _render_arrows(payload, style):
     out = []
     for px, py, tx, ty, head, lx, ly, rx, ry in zip(*(
             c.tolist() for c in (x, y, tip_x, tip_y, norm > 1e-9, *heads))):
-        out.append(f'<line x1="{_f(px)}" y1="{_f(py)}" x2="{_f(tx)}" '
-                   f'y2="{_f(ty)}" stroke="#202020" stroke-width="1"/>')
+        out.append(f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{tx:.2f}" '
+                   f'y2="{ty:.2f}" stroke="#202020" stroke-width="1"/>')
         if head:
-            out.append(f'<polygon points="{_f(tx)},{_f(ty)} {_f(lx)},'
-                       f'{_f(ly)} {_f(rx)},{_f(ry)}" fill="#202020"/>')
+            out.append(f'<polygon points="{tx:.2f},{ty:.2f} {lx:.2f},'
+                       f'{ly:.2f} {rx:.2f},{ry:.2f}" fill="#202020"/>')
         else:
-            out.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" r="1.5" '
+            out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5" '
                        f'fill="#202020"/>')
     return out, []
 
@@ -402,7 +443,8 @@ def _axis_labels(canvas, style):
     out = []
     if style.get("title"):
         out.append(f'<text x="{_f(canvas.ml)}" y="{_f(canvas.mt - 10)}" '
-                   f'font-family="monospace" font-size="13">{style["title"]}</text>')
+                   f'font-family="monospace" font-size="13">'
+                   f'{_text(style["title"])}</text>')
     out.append(f'<text x="{_f(canvas.ml)}" y="{_f(canvas.mt + canvas.ph + 16)}" '
                f'font-family="monospace" font-size="10">{canvas.x0:.4g}</text>')
     out.append(f'<text x="{_f(canvas.ml + canvas.pw - 30)}" '
@@ -417,10 +459,10 @@ def _axis_labels(canvas, style):
     if xl:
         out.append(f'<text x="{_f(canvas.ml + canvas.pw / 2)}" '
                    f'y="{_f(canvas.mt + canvas.ph + 30)}" '
-                   f'font-family="monospace" font-size="11">{xl}</text>')
+                   f'font-family="monospace" font-size="11">{_text(xl)}</text>')
     if yl:
         out.append(f'<text x="12" y="{_f(canvas.mt + canvas.ph / 2)}" '
-                   f'font-family="monospace" font-size="11">{yl}</text>')
+                   f'font-family="monospace" font-size="11">{_text(yl)}</text>')
     return out
 
 
@@ -445,5 +487,5 @@ def _swatches(canvas, labels, cmap):
         out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="12" height="12" '
                    f'fill="{cmap[label]}"/>')
         out.append(f'<text x="{_f(x + 16)}" y="{_f(y + 10)}" '
-                   f'font-family="monospace" font-size="10">{label}</text>')
+                   f'font-family="monospace" font-size="10">{_text(label)}</text>')
     return out

@@ -7,6 +7,7 @@ and direct formulas, deliberately avoiding the library's vectorised paths.
 from __future__ import annotations
 
 import csv
+import html
 import io
 import json
 
@@ -19,8 +20,8 @@ from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import (ImpurityTriple, NodeStats, SplitCandidate,
                                  validate_theta)
 from tripletree.tree import Box, TripleTree, assign_leaves
-from tripletree.viz import (_CATEGORICAL, _VIRIDIS, PlaneSpec, _axis_labels,
-                            _canvas_for, _f, _render_overlays, _swatches)
+from tripletree.viz import (_CATEGORICAL, _VIRIDIS, PlaneSpec, _canvas_for,
+                            _f, _render_overlays)
 
 
 def pairwise_variance(values):
@@ -1239,6 +1240,57 @@ def _colorbar(canvas, vmin, vmax):
                f'font-family="monospace" font-size="10">{vmin:.4g}</text>')
     out.append(f'<text x="{_f(x + 18)}" y="{_f(canvas.mt + 10)}" '
                f'font-family="monospace" font-size="10">{vmax:.4g}</text>')
+    return out
+
+
+def _svg_text(s):
+    """``s`` HTML-escaped without quotes, each character that XML 1.0 does
+    not allow as U+FFFD."""
+    def allowed(c):
+        o = ord(c)
+        return (o in (0x9, 0xA, 0xD) or 0x20 <= o <= 0xD7FF
+                or 0xE000 <= o <= 0xFFFD or o >= 0x10000)
+    return "".join(c if allowed(c) else "\ufffd"
+                   for c in html.escape(str(s), quote=False))
+
+
+def _axis_labels(canvas, style):
+    out = []
+    if style.get("title"):
+        out.append(f'<text x="{_f(canvas.ml)}" y="{_f(canvas.mt - 10)}" '
+                   f'font-family="monospace" font-size="13">'
+                   f'{_svg_text(style["title"])}</text>')
+    out.append(f'<text x="{_f(canvas.ml)}" y="{_f(canvas.mt + canvas.ph + 16)}" '
+               f'font-family="monospace" font-size="10">{canvas.x0:.4g}</text>')
+    out.append(f'<text x="{_f(canvas.ml + canvas.pw - 30)}" '
+               f'y="{_f(canvas.mt + canvas.ph + 16)}" '
+               f'font-family="monospace" font-size="10">{canvas.x1:.4g}</text>')
+    out.append(f'<text x="{_f(canvas.ml - 40)}" y="{_f(canvas.mt + canvas.ph)}" '
+               f'font-family="monospace" font-size="10">{canvas.y0:.4g}</text>')
+    out.append(f'<text x="{_f(canvas.ml - 40)}" y="{_f(canvas.mt + 10)}" '
+               f'font-family="monospace" font-size="10">{canvas.y1:.4g}</text>')
+    if style.get("xlabel"):
+        out.append(f'<text x="{_f(canvas.ml + canvas.pw / 2)}" '
+                   f'y="{_f(canvas.mt + canvas.ph + 30)}" '
+                   f'font-family="monospace" font-size="11">'
+                   f'{_svg_text(style["xlabel"])}</text>')
+    if style.get("ylabel"):
+        out.append(f'<text x="12" y="{_f(canvas.mt + canvas.ph / 2)}" '
+                   f'font-family="monospace" font-size="11">'
+                   f'{_svg_text(style["ylabel"])}</text>')
+    return out
+
+
+def _swatches(canvas, labels, cmap):
+    x = canvas.ml + canvas.pw + 14
+    out = []
+    for i, label in enumerate(labels):
+        y = canvas.mt + 18 * i
+        out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="12" height="12" '
+                   f'fill="{cmap[label]}"/>')
+        out.append(f'<text x="{_f(x + 16)}" y="{_f(y + 10)}" '
+                   f'font-family="monospace" font-size="10">'
+                   f'{_svg_text(label)}</text>')
     return out
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,30 @@ def test_viz_direct_on_a_one_feature_tree(tmp_path):
                     "--out", out]) == code
     assert run(["viz", "--tree", tree, "--mode", "projection",
                 "--out", out]) == 2
+
+
+def test_svg_text_with_markup_characters_is_escaped(tmp_path):
+    # feature names reach the axis labels and action labels the swatches
+    labels = ["go<", "a&b>", "go\x01"]
+    rows = ["episode,t,terminal,speed&x,pos<y,a,r"] + [
+        f"{e},{t},{int(t == 9)},{(7 * e + 3 * t) % 10 / 10},{t / 10},"
+        f"{labels[(e + t) % 3]},{t}" for e in range(4) for t in range(10)]
+    (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+    tree = str(tmp_path / "tree.json")
+    assert run(["fit", "--data", str(tmp_path / "d.csv"), "--gamma", "0.9",
+                "--theta", "1,1,1", "--max-leaves", "6", "--out", tree]) == 0
+    viz_svg, sim_svg = str(tmp_path / "viz.svg"), str(tmp_path / "sim.svg")
+    assert run(["viz", "--tree", tree, "--attribute", "action", "--mode",
+                "direct", "--out", str(tmp_path / "v.json"),
+                "--svg", viz_svg]) == 0
+    assert run(["simulate", "--tree", tree, "--start", "0.15,0.15",
+                "--end", "0.85,0.85", "--out", str(tmp_path / "p.json"),
+                "--svg", sim_svg]) == 0
+    for svg in (viz_svg, sim_svg):
+        texts = {el.text for el in ET.fromstring(Path(svg).read_text())
+                 if el.tag.endswith("text")}
+        # XML cannot hold a control character, even escaped
+        assert {"speed&x", "pos<y", "go<", "a&b>", "go\ufffd"} <= texts
 
 
 def test_sweep_theta_command(workspace, tmp_path):

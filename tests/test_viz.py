@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import os
+import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -343,13 +345,18 @@ def test_road_views_are_byte_identical_to_recorded_digest(road_fixture):
 
 ATTRIBUTES = ["action", "value", "action_impurity", "value_impurity",
               "derivative_impurity", "density"]
+# weighted sums of these depend on the order of addition: 1e16 + 1 rounds
+# back to 1e16, so overlapping leaves summed in another order differ
+ORDER_SENSITIVE = [1e16, 1.0, -1e16, -0.0]
 
 
 @st.composite
 def view_cases(draw):
     """A grown (or grown and reloaded) tree with d = 1 to 3 of any action
-    kind, an attribute (components one past the last included), and a
-    plane with random features, resolution and fixed values."""
+    kind, labels with XML markup and control characters among the
+    discrete ones, at d = 3 sometimes leaf values from ``ORDER_SENSITIVE``,
+    an attribute (components one past the last included), and a plane with
+    random features, resolution and fixed values."""
     kind, attribute, d = draw(st.sampled_from(list(itertools.product(
         [ds.DISCRETE, ds.CONTINUOUS_SCALAR, ds.CONTINUOUS_VECTOR],
         ATTRIBUTES + ["derivative.", "action."], [1, 2, 3]))))
@@ -357,7 +364,8 @@ def view_cases(draw):
     m, n = draw(st.integers(1, 2)), 80
     states = rng.uniform(0, 1, size=(n, d))
     if kind == ds.DISCRETE:
-        pool = draw(st.sampled_from([["go", "stop"], [0.0, 1.0, 2.0]]))
+        pool = draw(st.sampled_from([["go", "stop"], [0.0, 1.0, 2.0],
+                                     ["go<", "a&b>\x01"]]))
         actions = [pool[k] for k in (states[:, 0] * len(pool)).astype(int)]
     elif kind == ds.CONTINUOUS_SCALAR:
         actions = np.round(states[:, -1] * 3)
@@ -367,6 +375,9 @@ def view_cases(draw):
                          V=rng.normal(size=n), D=rng.normal(size=(n, d)),
                          has_deriv=rng.uniform(size=n) < 0.4, action_kind=kind)
     tree = tr.grow(data, [1, 1, 1], draw(st.integers(2, 24)))
+    if d == 3 and draw(st.booleans()):
+        for leaf in tree.leaves.values():  # the table is not yet built
+            leaf.value_pred = float(rng.choice(ORDER_SENSITIVE))
     if draw(st.booleans()):
         tree = tr.deserialize(tr.serialize(tree))
     if attribute.endswith("."):
@@ -382,12 +393,15 @@ def view_cases(draw):
 
 def _outcome(view, *args):
     """("ok", JSON text and SVG text), ("usage", message), or ("crash",)
-    for an exception other than ParameterError."""
+    for an exception other than ParameterError.  Every SVG must parse as
+    XML."""
     module, name = view
     try:
         payload = getattr(module, name)(*args)
-        return ("ok", json.dumps(payload, sort_keys=True),
-                module.render_svg(payload))
+        svg = module.render_svg(payload, {"title": "<&>\x02",
+                                          "xlabel": "a&b"})
+        ET.fromstring(svg)
+        return "ok", json.dumps(payload, sort_keys=True), svg
     except ParameterError as exc:
         return "usage", str(exc)
     except (ValueError, IndexError):
@@ -410,3 +424,54 @@ def test_views_equal_the_per_leaf_loops_byte_for_byte(case):
             assert got[0] == "usage"
         else:
             assert got == want
+
+
+def test_readme_scale_views_equal_the_per_leaf_loops(road_fixture):
+    """The benchmark's three views at README scale: the action map, the
+    quiver and a 120x120 value projection of a 600-leaf road fit, each
+    with its SVG."""
+    tree = tr.fit(road_fixture[3], [0.2, 0.6, 0.2], max_leaves=600)
+    assert tree.n_leaves == 600
+    calls = [("direct_map", tree, "action"), ("quiver", tree, None, "direct"),
+             ("pdp_projection", tree, PlaneSpec(0, 1, n_x=120, n_y=120),
+              "value")]
+    for name, *args in calls:
+        want = _outcome((ref, name), *args)
+        assert want[0] == "ok"
+        assert _outcome((viz, name), *args) == want
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_d3_projection_peak_is_bounded_by_the_plane():
+    """1600 leaves of 20x20 cells, 16 deep on every cell of a 200x200
+    plane: scattered in one pass they would index 16 planes of cells at
+    once, so they must go leaf by leaf."""
+    rng = np.random.default_rng(5)
+
+    def stripes(f, i0, i1, n, inner):
+        if i1 - i0 == 1:
+            return inner()
+        mid = (i0 + i1) // 2
+        return ("split", f, mid / n, stripes(f, i0, mid, n, inner),
+                stripes(f, mid, i1, n, inner))
+
+    def tile():
+        return ("leaf", {"value": float(rng.normal()),
+                         "n": int(rng.integers(1, 10))})
+
+    tree = build_tree(stripes(2, 0, 16, 16, lambda: stripes(
+        0, 0, 10, 10, lambda: stripes(1, 0, 10, 10, tile))), [[0.0, 1.0]] * 3)
+    plane = PlaneSpec(0, 1, n_x=200, n_y=200)
+    got = viz.pdp_projection(tree, plane, "value")  # builds the leaf table
+    assert got == ref.pdp_projection(tree, plane, "value")
+    peak = _traced_peak(lambda: viz.pdp_projection(tree, plane, "value"))
+    loop = _traced_peak(lambda: ref.pdp_projection(tree, plane, "value"))
+    assert peak <= 2 * loop, f"{peak / 1e6:.2f} MB against {loop / 1e6:.2f} MB"
