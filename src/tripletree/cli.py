@@ -43,10 +43,6 @@ def _write(path: str, payload: bytes) -> None:
         fh.write(payload)
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
 def _load_tree(path: str) -> tr.TripleTree:
     with open(path, "rb") as fh:
         return tr.deserialize(fh.read())
@@ -207,9 +203,10 @@ def cmd_eval(args) -> int:
     if args.curve:
         if args.tree:
             raise ParameterError("--curve grows its own tree; drop --tree")
-        if not (args.gamma is not None and args.theta and args.max_leaves):
+        if (args.gamma is None or not args.theta or args.max_leaves is None
+                or not args.out):
             raise ParameterError(
-                "--curve needs --data, --gamma, --theta and --max-leaves")
+                "--curve needs --data, --gamma, --theta, --max-leaves and --out")
         data = ds.load_trace_path(args.data, action_kind=args.action_kind)
         aug = ds.augment(data, args.gamma)
         curve = tr.grow(aug, _parse_theta(args.theta), args.max_leaves,
@@ -230,7 +227,7 @@ def cmd_eval(args) -> int:
     a, v, d = tr.evaluate_losses(tree, aug)
     doc = {"action_loss": a, "value_loss": v, "deriv_loss": d,
            "leaves": tree.n_leaves, "samples": aug.n}
-    payload = _json_bytes(doc)
+    payload = ds.json_bytes(doc)
     if args.out:
         _write(args.out, payload)
     sys.stdout.write(payload.decode())
@@ -248,7 +245,7 @@ def cmd_predict(args) -> int:
            "derivative": [float(v) for v in pred.derivative],
            "deriv_low_confidence": pred.deriv_low_confidence,
            "leaf": tr.leaf_of(tree, state)}
-    payload = _json_bytes(doc)
+    payload = ds.json_bytes(doc)
     if args.out:
         _write(args.out, payload)
     sys.stdout.write(payload.decode())
@@ -283,7 +280,7 @@ def cmd_explain(args) -> int:
     doc = ex.render_json(expl)
     doc["sentence"] = sentence
     print(sentence)
-    payload = _json_bytes(doc)
+    payload = ds.json_bytes(doc)
     if args.format == "json":
         sys.stdout.write(payload.decode())
     if args.out:
@@ -350,7 +347,7 @@ def cmd_simulate(args) -> int:
             overlays = _overlays([path])
             print(f"path {path.leaves} probability {path.probability:.4g} "
                   f"expected duration {path.expected_duration:.4g}")
-    _write(args.out, _json_bytes(doc))
+    _write(args.out, ds.json_bytes(doc))
     if args.svg:
         if tree.d != 2:
             raise ParameterError("--svg is only available for d=2 trees")
@@ -377,7 +374,7 @@ def cmd_viz(args) -> int:
         payload = viz.ice_slice(tree, plane, args.attribute)
     else:
         raise ParameterError(f"unknown viz mode {args.mode!r}")
-    _write(args.out, _json_bytes(payload))
+    _write(args.out, ds.json_bytes(payload))
     if args.svg:
         fx, fy = payload.get("plane", [0, 1])[:2]
         style = {"title": f"{args.attribute} ({args.mode})",
@@ -434,7 +431,7 @@ def cmd_inspect(args) -> int:
                                for l in tree.leaves.values()),
     }
     if args.format == "json":
-        sys.stdout.write(_json_bytes(doc).decode())
+        sys.stdout.write(ds.json_bytes(doc).decode())
     else:
         print(f"tree over {doc['d']} features {doc['feature_names']}, "
               f"{doc['n_leaves']} leaves, {doc['n_samples']} samples")

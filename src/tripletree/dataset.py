@@ -265,10 +265,11 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
 # (episode, t), `terminal` 0/1 on the last row of each episode.  Fields read
 # as Python's int() and float() read them.  Loading goes a block of rows at a
 # time into columns preallocated for every line of the input: each block is
-# tokenised, its columns converted once and its row checks run as array
-# passes, carrying the episode and step of its last row into the next block;
-# the row-by-row scan runs only on a trace those passes reject, to name its
-# first faulty row.  Writing goes an episode at a time, a column at a time.
+# tokenised and its columns converted once, with the checks of a row on its
+# own; the episode and step checks then run once as array passes over the
+# whole trace.  The row-by-row scan runs only on a trace those passes
+# reject, to name its first faulty row.  Writing goes an episode at a time,
+# a column at a time.
 # JSON: array of episodes `{terminal: bool, steps: [{s: [..], a: .., r: ..}]}`.
 # ---------------------------------------------------------------------------
 
@@ -344,14 +345,13 @@ def _load_csv(raw, action_kind: str | None) -> TraceDataset:
 
 def _csv_columns(blocks, n_max: int, action_kind: str | None) -> TraceDataset:
     """The dataset of a CSV header and its blocks of rows, from
-    ``_csv_blocks``, converted into columns preallocated for ``n_max`` rows.
-
-    Every field is converted with ``int()`` or ``float()`` and every row
-    check runs as an array pass over a block's columns; the first failed
-    check raises ``_RowFault``.  Vector actions and numeric scalar actions
-    are converted a block at a time; from the first scalar action that is
-    not a number, scalar actions are kept as read and parsed once.  An
-    action fault is raised only after every row has passed."""
+    ``_csv_blocks``, in two stages.  Each block's fields are converted with
+    ``int()`` or ``float()`` into columns preallocated for ``n_max`` rows,
+    and its field counts and flags are checked; then the episode order and
+    steps are checked once over the whole trace.  The first failed check
+    raises ``_RowFault``.  Actions are converted as numbers until the first
+    that is not one; from there they are kept as read, and all of them are
+    parsed once, after every row has passed."""
     header = next(blocks, [])
     if header[:3] != ["episode", "t", "terminal"] or not header or header[-1] != "r":
         raise TraceFormatError(
@@ -374,13 +374,12 @@ def _csv_columns(blocks, n_max: int, action_kind: str | None) -> TraceDataset:
 
     states = np.empty((n_max, d))
     rewards = np.empty(n_max)
-    actions = np.empty((n_max, m) if m > 1 else n_max)
-    raw_actions = None  # scalar actions kept as read
-    action_fault = None
+    actions = np.empty((n_max, m))
+    numeric = actions if m > 1 else actions[:, 0]  # the shape actions take
+    raw_actions = None  # actions as read, from the first that is not a number
     row_numbers = np.empty(n_max, dtype=np.int64)
-    starts, terminal = [], []  # terminal: each ended episode's flag
+    ids, steps, ones = [], [], []  # each block's episode, t and flag == "1"
     n = 0
-    last_id, last_t, last_one = None, -1, False  # the previous block's last row
     for rows, counts, fields in blocks:
         b = len(counts)
         if not b:
@@ -390,71 +389,48 @@ def _csv_columns(blocks, n_max: int, action_kind: str | None) -> TraceDataset:
         columns = [fields[j::width] for j in range(width)]
         lo, hi = n, n + b
         try:
-            episode = _int_column(columns[0])
-            t = _int_column(columns[1])
+            ids.append(_int_column(columns[0]))
+            steps.append(_int_column(columns[1]))
             for j in range(d):
                 states[lo:hi, j] = np.fromiter(map(float, columns[3 + j]), float, b)
             rewards[lo:hi] = np.fromiter(map(float, columns[-1]), float, b)
         except ValueError:
             raise _RowFault(width, d) from None
         flags = list(map(str.strip, columns[2]))
-        # a row starts an episode when its id differs from the previous
-        # row's; each row's t must then be its offset from that start (exact
-        # for ids and steps of any size, where np.diff of int64 could wrap)
-        first = int(episode[0])
-        new = np.empty(b, dtype=bool)
-        new[0] = first != last_id
-        new[1:] = episode[1:] != episode[:-1]
-        begin = np.flatnonzero(new)
-        later = begin[begin > 0]
-        index = np.arange(b)
-        # a block that goes on with an episode counts from its start before
-        offsets = index - np.maximum.accumulate(np.where(new, index, -1 - last_t))
-        if (not {"0", "1"}.issuperset(flags)
-                or (new[0] and last_id is not None and first < last_id)
-                or (episode[later] < episode[later - 1]).any()
-                or (t != offsets).any()):
+        if not {"0", "1"}.issuperset(flags):
             raise _RowFault(width, d)
-
-        starts.append(begin + lo)
-        if new[0] and last_id is not None:
-            terminal.append(last_one)
-        terminal.extend(flags[k] == "1" for k in later - 1)
+        ones.append(np.array(flags) == "1")
         row_numbers[lo:hi] = rows
         a_columns = columns[3 + d:3 + d + m]
-        if m > 1:
-            if action_fault is None:  # the block holding the first fault names it
-                try:
-                    actions[lo:hi] = _parse_actions(list(zip(*a_columns)), m,
-                                                    action_kind, rows.__getitem__)[1]
-                except TraceFormatError as fault:
-                    action_fault = fault
-        elif raw_actions is None:
+        if raw_actions is None:
             try:
-                actions[lo:hi] = np.fromiter(map(float, a_columns[0]), float, b)
+                for j, column in enumerate(a_columns):
+                    actions[lo:hi, j] = np.fromiter(map(float, column), float, b)
             except ValueError:
-                raw_actions = actions[:lo].tolist()  # numeric, as read
+                raw_actions = numeric[:lo].tolist()
         if raw_actions is not None:
-            raw_actions.extend(a_columns[0])
-        last_id, last_t, last_one = int(episode[-1]), int(t[-1]), flags[-1] == "1"
+            raw_actions.extend(zip(*a_columns) if m > 1 else a_columns[0])
         n = hi
     if not n:
         raise TraceFormatError("CSV trace has no data rows")
 
-    terminal.append(last_one)
-    if action_fault is not None:
-        raise action_fault
-    if m > 1:
-        kind, actions = CONTINUOUS_VECTOR, actions[:n]
-    elif raw_actions is None:
-        kind = action_kind or DISCRETE
-        actions = actions[:n].reshape(-1, 1) if kind == CONTINUOUS_VECTOR \
-            else actions[:n]
-    else:
-        kind, actions = _parse_actions(raw_actions, m, action_kind,
-                                       row_numbers.__getitem__)
-    return TraceDataset(states[:n], actions, rewards[:n],
-                        np.concatenate(starts), terminal, kind, feature_names)
+    # a row starts an episode when its id differs from the previous row's;
+    # each row's t must then be its offset from that start (exact for ids
+    # and steps of any size, where np.diff of int64 could wrap)
+    episode = np.concatenate(ids)
+    new = np.ones(n, dtype=bool)
+    new[1:] = episode[1:] != episode[:-1]
+    starts = np.flatnonzero(new)
+    offsets = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    if ((episode[starts[1:]] < episode[starts[1:] - 1]).any()
+            or (np.concatenate(steps) != offsets).any()):
+        raise _RowFault(width, d)
+    terminal = np.concatenate(ones)[np.append(starts[1:], n) - 1]
+    kind, actions = _parse_actions(
+        numeric[:n] if raw_actions is None else raw_actions, m, action_kind,
+        row_numbers.__getitem__)
+    return TraceDataset(states[:n], actions, rewards[:n], starts, terminal,
+                        kind, feature_names)
 
 
 def _csv_blocks(data: bytes, ends, errors: str):
@@ -643,29 +619,26 @@ def _numeric(value) -> bool:
 
 
 def _parse_actions(raw, m, action_kind, row_of):
-    """Decide the action kind and parse the flat action column once: (n, m)
+    """Decide the action kind and parse the action column once: (n, m)
     floats for several columns, else floats when every action is numeric
-    and string labels when none is.  ``row_of(k)`` names sample k's input
-    row in error messages."""
-    if m > 1:
-        if action_kind not in (None, CONTINUOUS_VECTOR):
-            raise TraceFormatError(
-                f"multiple action columns are incompatible with {action_kind!r}")
-        try:
-            return CONTINUOUS_VECTOR, np.array([[float(v) for v in a]
-                                                for a in raw])
-        except (TypeError, ValueError):
-            bad = next(k for k, a in enumerate(raw)
-                       if not all(map(_numeric, a)))
+    and string labels when none is.  ``raw`` holds the actions as read (a
+    tuple of them per sample for several columns), or their float array
+    when every one is a number.  ``row_of(k)`` names sample k's input row in
+    error messages."""
+    if m > 1 and action_kind not in (None, CONTINUOUS_VECTOR):
+        raise TraceFormatError(
+            f"multiple action columns are incompatible with {action_kind!r}")
+    kind = CONTINUOUS_VECTOR if m > 1 else action_kind or DISCRETE
+    try:
+        values = raw if isinstance(raw, np.ndarray) else np.array(
+            [[float(v) for v in a] for a in raw] if m > 1
+            else [float(a) for a in raw])
+    except (TypeError, ValueError):
+        numeric = [all(map(_numeric, a)) if m > 1 else _numeric(a) for a in raw]
+        bad = numeric.index(False)
+        if m > 1:
             raise TraceFormatError(
                 f"row {row_of(bad)}: vector action entries must be numeric") from None
-
-    kind = action_kind or DISCRETE
-    try:
-        values = np.array([float(a) for a in raw])
-    except (TypeError, ValueError):
-        numeric = [_numeric(a) for a in raw]
-        bad = numeric.index(False)
         if any(numeric):
             raise TraceFormatError(f"row {row_of(bad)}: non-numeric action "
                                    f"label mixed with numeric actions") from None
@@ -673,7 +646,8 @@ def _parse_actions(raw, m, action_kind, row_of):
             raise TraceFormatError(
                 f"row {row_of(bad)}: continuous actions must be numeric") from None
         return kind, np.array([str(a) for a in raw], dtype=object)
-    return kind, values.reshape(-1, 1) if kind == CONTINUOUS_VECTOR else values
+    return kind, values.reshape(-1, 1) if m == 1 and kind == CONTINUOUS_VECTOR \
+        else values
 
 
 def trace_to_csv_bytes(data: TraceDataset) -> bytes:
@@ -742,4 +716,10 @@ def trace_to_json_bytes(data: TraceDataset) -> bytes:
                        "r": float(r)}
                       for s, a, r in zip(ep.states, ep.actions, ep.rewards)]}
            for ep in data.episodes]
-    return (json.dumps(eps, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return json_bytes(eps)
+
+
+def json_bytes(obj) -> bytes:
+    """``obj`` in the one JSON encoding of every file the package writes:
+    sorted keys, no spaces, and a newline at the end."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DISCRETE, TraceDataset
+from .dataset import DISCRETE, TraceDataset, json_bytes
 from .errors import ParameterError, TraceFormatError
 from .tree import theta_sweep  # noqa: F401  (perfbench traces it here)
 
@@ -406,8 +406,7 @@ def _run_episodes(config, policy, starts, steps, out):
 
 def save_policy(policy: GridPolicy, path):
     with open(path, "wb") as fh:
-        fh.write((json.dumps(policy.to_json(), sort_keys=True,
-                             separators=(",", ":")) + "\n").encode())
+        fh.write(json_bytes(policy.to_json()))
 
 
 def load_policy(path) -> GridPolicy:

@@ -266,6 +266,12 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
     records the accepted steps (``iterations``) and why descent stopped
     (``stop_reason``: ``tol``, ``max_iters`` or ``no_descent``).
     """
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise ParameterError(f"step size {step_size:g} must be finite and > 0")
+    if not max_iters >= 0:
+        raise ParameterError(f"max iters {max_iters} must be >= 0")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tolerance {tol:g} must be finite and >= 0")
     seq = list(leaf_sequence)
     if any(l is END for l in seq):
         raise ParameterError("cannot align a path through the termination sink")

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
-                      AugmentedDataset)
+                      AugmentedDataset, json_bytes)
 from .errors import ParameterError, TraceFormatError
 from .impurity import (ImpurityTriple, best_split, channel_block,
                        combine_qualities, node_stats, scaled_sum,
@@ -521,7 +521,7 @@ def serialize(tree: TripleTree) -> bytes:
                 "density": float(leaf.density),
             }})
     doc = {"version": SERIAL_VERSION, "meta": meta, "nodes": nodes}
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return json_bytes(doc)
 
 
 def deserialize(payload: bytes) -> TripleTree:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from tripletree import cli
+from tripletree import dataset as ds
 from tripletree import tree as tr
 
 from .test_dataset import BAD_TRACES, CSV_READER_FAULTS
@@ -41,6 +42,15 @@ def test_gen_road_and_fit_artifacts_exist(workspace):
     assert loaded.n_leaves <= 40
     assert loaded.feature_names == ["pos", "speed"]
     assert all(l.transitions is not None for l in loaded.leaves.values())
+
+
+def test_gen_road_json_is_the_csv_trace(workspace, tmp_path):
+    base, data, tree = workspace
+    out = tmp_path / "road.json"
+    assert run(["gen-road", *ROAD_FLAGS, "--samples", "1200",
+                "--episode-len", "60", "--seed", "3", "--format", "json",
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == ds.trace_to_json_bytes(ds.load_trace_path(data))
 
 
 def test_cli_determinism_gen_and_fit(workspace, tmp_path):
@@ -229,6 +239,17 @@ def test_exit_codes(workspace, tmp_path, capsys):
                 "--out", str(tmp_path / "t.json")]) == 2
     # unknown flag -> argparse usage error
     assert run(["fit", "--nonsense"]) == 2
+    # eval --curve with no --out, or a zero --max-leaves -> one usage line
+    curve = ["eval", "--curve", "--data", data, "--gamma", "0.9",
+             "--theta", "1,1,1"]
+    capsys.readouterr()
+    assert run([*curve, "--max-leaves", "3"]) == 2
+    assert run([*curve, "--max-leaves", "0",
+                "--out", str(tmp_path / "curve.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --curve needs --data, --gamma, --theta, --max-leaves and --out\n"
+        "error: max_leaves must be >= 1\n")
+    assert not (tmp_path / "curve.csv").exists()
     # corrupt tree payload -> one data error line, exit 1
     bad = tmp_path / "bad.json"
     capsys.readouterr()
@@ -270,6 +291,10 @@ BAD_ARGS = {
     "min-prob-inf": ["simulate", "--start-zone", "1.4,-0.01:1.6,0.01",
                      "--end-zone", "0.5,-0.05:2.5,0.05", "--min-prob", "inf",
                      "--no-align"],
+    "align-step-size-nan": ["simulate", "--start", "1.5,0.0",
+                            "--end", "1.5,0.02", "--step-size", "nan"],
+    "align-max-iters-negative": ["simulate", "--start", "1.5,0.0",
+                                 "--end", "1.5,0.02", "--max-iters", "-5"],
     "eval-without-tree-or-curve": ["eval"],
     "eval-curve-with-tree": ["eval", "--curve", "--tree", "tree.json",
                              "--gamma", "0.9", "--theta", "1,1,1",

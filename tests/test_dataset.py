@@ -529,21 +529,24 @@ def test_csv_spellings_load_like_reference_in_small_blocks(rows):
         test_csv_spellings_load_like_reference()
 
 
-def _block_rows(episode_len: int) -> list[list[str]]:
+def _block_rows(episode_len: int, m: int = 1) -> list[list[str]]:
     """The data rows of a numeric-action trace of about three loading
-    blocks, in episodes of ``episode_len`` rows."""
+    blocks, in episodes of ``episode_len`` rows, with ``m`` action
+    columns."""
     return [[str(k // episode_len), str(k % episode_len),
              "1" if k % episode_len == episode_len - 1 else "0",
-             repr(k / 7), "0.5", str(k % 3), "-1.0"]
+             repr(k / 7), "0.5", str(k % 3), *[repr(k / 5)] * (m - 1), "-1.0"]
             for k in range(ds._BLOCK_ROWS * 5 // 2)]
 
 
 def _block_text(rows) -> str:
     """The CSV text of ``rows``, with a blank line first: the first block
     holds one row fewer, and every row is named one line further on."""
+    m = len(rows[0]) - 6
+    actions = ["a"] if m == 1 else [f"a{j}" for j in range(1, m + 1)]
     return "".join(",".join(row) + "\n"
-                   for row in [["episode", "t", "terminal", "x", "y", "a", "r"],
-                               []] + rows)
+                   for row in [["episode", "t", "terminal", "x", "y", *actions,
+                                "r"], []] + rows)
 
 
 def _relabel(rows, k):
@@ -565,23 +568,35 @@ BLOCK_FAULTS = {
 }
 
 
+# action columns, and the action kind asked for
+BLOCK_ACTIONS = {"a": (1, None), "a1,a2": (2, None),
+                 "a1,a2-discrete": (2, "discrete")}
+
+
 @pytest.mark.parametrize("episode_len", [97, ds._BLOCK_ROWS - 1])
 @pytest.mark.parametrize("where", ["last-of-block-1", "first-of-block-2"])
-@pytest.mark.parametrize("fault", BLOCK_FAULTS)
-def test_faults_at_a_block_boundary_load_like_reference(fault, where,
+@pytest.mark.parametrize("fault,actions", [
+    pytest.param(fault, actions,
+                 id=fault if actions == "a" else f"{fault}-{actions}")
+    for actions in BLOCK_ACTIONS for fault in BLOCK_FAULTS])
+def test_faults_at_a_block_boundary_load_like_reference(fault, actions, where,
                                                         episode_len):
     # episodes of 97 rows run across each block boundary; episodes of a
     # block less one row end on the first boundary (block 1 holds the blank
-    # line)
-    rows = _block_rows(episode_len)
+    # line).  On vector columns a label goes into a1; a discrete kind is
+    # refused for them, but a row fault, in block 2 as well, is named first
+    m, kind = BLOCK_ACTIONS[actions]
+    rows = _block_rows(episode_len, m)
     k = ds._BLOCK_ROWS - 2 if where == "last-of-block-1" else ds._BLOCK_ROWS - 1
     BLOCK_FAULTS[fault](rows, k)
     text = _block_text(rows)
     new, old = _loaders("csv")
-    got = _outcome(new, text, None)
-    assert got == _outcome(old, text, None)
+    got = _outcome(new, text, kind)
+    assert got == _outcome(old, text, kind)
     if fault != "none":
-        assert got[0] == "TraceFormatError" and got[1].startswith("row ")
+        assert got[0] == "TraceFormatError"
+        assert got[1].startswith("row ") or (
+            kind == "discrete" and fault == "label-among-numbers")
 
 
 def test_a_row_fault_in_a_later_block_wins_over_an_action_fault():

@@ -296,6 +296,16 @@ def test_align_requires_recorded_transitions():
         tj.align_path(tree, [99])  # not a leaf id of the tree
 
 
+@pytest.mark.parametrize("opts", [
+    {"step_size": float("nan")}, {"step_size": float("inf")},
+    {"step_size": 0.0}, {"step_size": -1.0}, {"max_iters": -5},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-8}])
+def test_align_rejects_descent_settings_that_cannot_run(opts):
+    # each would return the unaligned path, or run to max_iters, silently
+    with pytest.raises(ParameterError):
+        tj.align_path(right_angle_tree(), [0, 2, 3], **opts)
+
+
 def test_align_handles_zero_derivative():
     spec = ("split", 0, 1.0,
             ("leaf", {"action": "a", "deriv": [0.0, 0.0],
