@@ -303,10 +303,11 @@ def _overlays(paths) -> list:
 def cmd_simulate(args) -> int:
     if not np.isfinite(args.min_prob):
         raise ParameterError(f"--min-prob {args.min_prob} is not finite")
-    tree = _load_tree(args.tree)
-    graph = tj.build_leaf_graph(tree)
     align_opts = {"max_iters": args.max_iters, "step_size": args.step_size,
                   "tol": args.tol}
+    tj.check_align_options(**align_opts)  # also when no path is aligned
+    tree = _load_tree(args.tree)
+    graph = tj.build_leaf_graph(tree)
     overlays = []
     if args.start_zone or args.end_zone:
         if not (args.start_zone and args.end_zone):

@@ -11,16 +11,28 @@ order for the children, as SLIQ and SPRINT partition their pre-sorted
 attribute lists.  Growth also builds the dataset's ``channel_block`` once
 (a count row per action label, ``has_deriv``, each continuous action
 component, V and each derivative component, with the weights that decode
-them).  Per feature the scan gathers its rows in that order once, cumulates
-them and their squared moment rows in place, and scores every cut on row
-slices of those sums.  A split's quality on a channel is the
-population-weighted impurity reduction; ``combine_qualities`` combines the
-three, each normalised by its root impurity, for split search and leaf
-priority alike.
+them).  A split's quality on a channel is the population-weighted impurity
+reduction; ``combine_qualities`` combines the three, each normalised by its
+root impurity, for split search and leaf priority alike.
+
+The scan needs only running sums, as SPRINT's does.  Per feature it gathers
+the block's rows in sorted order ``_CHUNK`` members at a time, cumulates
+them and their squared moment rows in place, carrying the running sums into
+the next chunk, and scores the chunk's cuts on row slices of those sums, so
+every sum and quality is the one a whole-order scan gives.  A node of
+several chunks cumulates them once for its totals, keeping the last, and
+recomputes the others as it scores them.  A channel of several columns (the
+derivatives; vector actions) is the exception: OpenBLAS's gemv rounds a row
+of its weighted variance sum differently for a different number of rows,
+so each side's (cuts x columns) variances are kept for all of the feature's
+cuts and summed at once.  On the n=1e5 benchmark trace the root's scan peaks
+at 8.0 MB under tracemalloc, and a 1000-leaf ``grow`` at 15.2 MB (22.5 and
+29.7 MB with whole-node buffers).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,9 +102,10 @@ def validate_theta(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ParameterError("theta must have exactly three components")
-    if np.any(theta < 0) or not np.all(np.isfinite(theta)):
+    components = theta.tolist()
+    if not all(0 <= c < math.inf for c in components):
         raise ParameterError("theta components must be finite and >= 0")
-    if theta.sum() <= 0:
+    if sum(components) <= 0:
         raise ParameterError("theta must have a positive sum")
     return theta
 
@@ -151,7 +164,9 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
     Thresholds are midpoints between consecutive distinct sorted feature
     values.  Returns None when no candidate has strictly positive hybrid
     quality.  Ties break toward the lowest feature index, then the lowest
-    threshold.  ``idx`` is ascending, ``orders`` holds the members in each
+    threshold, on the qualities as computed in floating point: candidates
+    whose qualities are equal in exact arithmetic may round apart, so either
+    can win.  ``idx`` is ascending, ``orders`` holds the members in each
     feature's stable sort, one row per feature, and ``block`` is
     ``channel_block(data)``; ``grow`` keeps all three.
     """
@@ -162,31 +177,10 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
     roots = root_impurity.as_array()
     best = None  # (q_star, feature, tau, triple)
     for f in range(data.d):
-        sidx = orders[f]
-        x = data.states[:, f][sidx]
-        pos = (x[:-1] < x[1:]).nonzero()[0]
-        if min_leaf > 1:
-            pos = pos[(pos >= min_leaf - 1) & (pos < n - min_leaf)]
-        if pos.size == 0:
-            continue
-        below = x[pos]
-        tau = (below + x[pos + 1]) / 2.0
-        # midpoints that round down to the left value cannot separate the sets
-        keep = tau > below
-        if not keep.all():
-            pos, tau = pos[keep], tau[keep]
-            if pos.size == 0:
-                continue
-        nl = (pos + 1).astype(float)
-        nr = n - nl
-
-        qa, qv, qd = _scan(block, sidx, pos, nl, nr)
-        q_star = combine_qualities((qa, qv, qd), roots, theta)
-
-        k = int(q_star.argmax())
-        if q_star[k] > 0 and (best is None or q_star[k] > best[0]):
-            best = (float(q_star[k]), f, float(tau[k]),
-                    (float(qa[k]), float(qv[k]), float(qd[k])))
+        found = _best_cut(block, data.states[:, f], orders[f], min_leaf,
+                          roots, theta)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], f, *found[1:])
 
     if best is None:
         return None
@@ -235,45 +229,111 @@ def _inverse(sigma):
     return np.divide(1.0, sigma, out=np.zeros(len(sigma)), where=sigma > 0)
 
 
-def _scan(block, sidx, pos, nl, nr):
-    """Action, value and derivative qualities of the cuts ``pos`` of the
-    members in the sorted order ``sidx``, ``nl``/``nr`` rows each side.
+_CHUNK = 8192  # members of a sorted order cumulated and scored at a time
 
-    The rows of the ``ChannelBlock`` are gathered in that order once; the
-    gathered block and its moment rows' squares are cumulated in place, and
-    only their columns at the cuts and at the end are kept."""
+
+def _best_cut(block, x, sidx, min_leaf, roots, theta):
+    """The best cut of the sorted order ``sidx`` of the values ``x``, as
+    (hybrid quality, threshold, quality triple), the lowest threshold on
+    ties; None when no cut has a positive quality."""
+    cuts = [_cuts(x, sidx, a, min_leaf) for a in range(0, sidx.size, _CHUNK)]
+    m = sum(pos.size for pos in cuts)
+    if m == 0:
+        return None
+    qa, qv, qd = _scan(block, sidx, cuts, m)
+    q_star = combine_qualities((qa, qv, qd), roots, theta)
+    k = int(q_star.argmax())
+    if not q_star[k] > 0:
+        return None
+    p = np.concatenate(cuts)[k]
+    return (float(q_star[k]), float((x[sidx[p]] + x[sidx[p + 1]]) / 2.0),
+            (float(qa[k]), float(qv[k]), float(qd[k])))
+
+
+def _cuts(x, sidx, a, min_leaf):
+    """The cuts in the chunk of the sorted order ``sidx`` that starts at
+    ``a``: each position p of it whose value ``x`` is below the next, with a
+    midpoint above it (one that rounds down cannot separate the sets) and
+    ``min_leaf`` members each side."""
+    x = x[sidx[a:a + _CHUNK + 1]]
+    lo, hi = x[:-1], x[1:]
+    pos = ((lo < hi) & ((lo + hi) / 2.0 > lo)).nonzero()[0]
+    if min_leaf > 1:
+        pos = pos[(pos >= min_leaf - 1 - a) & (pos < sidx.size - min_leaf - a)]
+    pos += a
+    return pos
+
+
+def _cumulated(block, members, carry=None):
+    """The block's columns ``members`` and their moment rows' squares, each
+    cumulated along its rows after the running sums ``carry`` of the
+    members before them."""
+    C1 = block.rows.take(members, axis=1)
+    C2 = np.square(C1[block.labels + 1:])
+    if carry is not None:
+        C1[:, 0] += carry[0]
+        C2[:, 0] += carry[1]
+    C1.cumsum(axis=1, out=C1)
+    C2.cumsum(axis=1, out=C2)
+    return C1, C2
+
+
+def _scan(block, sidx, cuts, m):
+    """Action, value and derivative qualities of the ``m`` cuts of the
+    members in the sorted order ``sidx``, one array of positions per
+    ``_CHUNK`` of it, scored a chunk at a time."""
     n = sidx.size
     labels, a_inv = block.labels, block.a_inv
-    C1 = block.rows.take(sidx, axis=1)
-    C2 = np.square(C1[labels + 1:])  # action components (continuous), V, D
-    np.cumsum(C1, axis=1, out=C1)
-    np.cumsum(C2, axis=1, out=C2)
-    if pos.size < n - 1:  # keep each cut's prefix sums, then the totals
-        cuts = np.append(pos, n - 1)
-        C2 = C2.take(cuts, axis=1)
-        C1 = C1.take(cuts, axis=1)
+    starts = range(0, n, _CHUNK)
+    carries = [None]  # the running sums entering each chunk
+    for a in starts[1:]:
+        C1, C2 = _cumulated(block, sidx[a - _CHUNK:a], carries[-1])
+        carries.append((C1[:, -1].copy(), C2[:, -1].copy()))
+    last = _cumulated(block, sidx[starts[-1]:], carries[-1])
+    t1, t2 = last[0][:, -1:], last[1][:, -1:]  # the totals
+
     v = 0 if labels else a_inv.size  # V's row in C2; labels + 1 + v in C1
-    if labels:
-        qa = _gini_quality(C1[:labels], nl, nr, n)
-    else:
-        qa = _moment_quality(C1[1:v + 1], C2[:v], a_inv, nl, nr, n)
-    qv = _moment_quality(C1[labels + 1 + v:labels + 2 + v], C2[v:v + 1],
-                         _UNIT, nl, nr, n)
-    ml, m_tot = C1[labels, :-1], C1[labels, -1]  # rows with a derivative
-    if m_tot <= 0:
-        return qa, qv, np.zeros(pos.size)
-    return qa, qv, _moment_quality(C1[labels + 2 + v:], C2[v + 1:],
-                                   block.d_inv, ml, m_tot - ml, m_tot,
-                                   counted=m_tot < n)
+    gini = np.empty(m) if labels else None
+    action = None if labels else _Moments(t1[1:v + 1], t2[:v], a_inv, n, m)
+    value = _Moments(t1[labels + 1 + v:labels + 2 + v], t2[v:v + 1], _UNIT,
+                     n, m)
+    m_tot = t1[labels, 0]  # rows with a derivative
+    deriv = (_Moments(t1[labels + 2 + v:], t2[v + 1:], block.d_inv, m_tot, m,
+                      counted=m_tot < n) if m_tot > 0 else None)
+    done = 0
+    for a, pos, carry in zip(starts, cuts, carries):
+        if pos.size == 0:
+            continue
+        C1, C2 = (last if a == starts[-1] else
+                  _cumulated(block, sidx[a:a + _CHUNK], carry))
+        if pos[-1] - a >= pos.size:  # not the chunk's first columns
+            at = pos - a
+            C1, C2 = C1.take(at, axis=1), C2.take(at, axis=1)
+        l1, l2 = C1[:, :pos.size], C2[:, :pos.size]
+        s = slice(done, done + pos.size)
+        done = s.stop
+        nl = (pos + 1).astype(float)
+        nr = n - nl
+        if labels:
+            _gini_quality(l1[:labels], t1[:labels], nl, nr, n, out=gini[s])
+        else:
+            action.add(s, l1[1:v + 1], l2[:v], nl, nr)
+        value.add(s, l1[labels + 1 + v:labels + 2 + v], l2[v:v + 1], nl, nr)
+        if deriv is not None:
+            ml = l1[labels]
+            deriv.add(s, l1[labels + 2 + v:], l2[v + 1:], ml, m_tot - ml)
+    return (gini if labels else action.quality(), value.quality(),
+            np.zeros(m) if deriv is None else deriv.quality())
 
 
-def _gini_quality(counts, nl, nr, n):
-    """Gini reduction of the cuts from the cumulated label-count rows."""
-    left, total = counts[:, :-1], counts[:, -1:]
+def _gini_quality(left, total, nl, nr, n, out):
+    """Gini reduction of the cuts, into ``out``, from the cumulated
+    label-count rows at the cuts and at the end."""
     p = total[:, 0] / n
     gini_l = 1.0 - _label_sum((left / nl) ** 2)
     gini_r = 1.0 - _label_sum(((total - left) / nr) ** 2)
-    return (1.0 - (p * p).sum()) - (gini_l * nl + gini_r * nr) / n
+    np.subtract(1.0 - np.add.reduce(p * p), (gini_l * nl + gini_r * nr) / n,
+                out=out)
 
 
 def _label_sum(rows):
@@ -281,36 +341,76 @@ def _label_sum(rows):
     (cuts x labels) block; one or two rows round alike added directly."""
     if len(rows) <= 2:
         return rows[0] + rows[1] if len(rows) == 2 else rows[0]
-    return np.sum(np.ascontiguousarray(rows.T), axis=1)
+    return np.add.reduce(np.ascontiguousarray(rows.T), axis=1)
 
 
-def _moment_quality(c1, c2, inv, ml, mr, m_tot, counted=False):
-    """Quality of the cuts on a channel from its cumulated rows ``c1`` and
-    squared rows ``c2`` (columns at the cuts, then the totals), ``ml``/``mr``
-    rows each side of ``m_tot``: the reduction of their variances summed
-    with weights ``inv``.  On a ``counted`` channel some members lack a
-    derivative, so a side may hold none; its rows are zeros, so it divides
-    by 1 and its variance is 0.
+class _Moments:
+    """A channel's qualities of a feature's ``m`` cuts, scored a chunk of
+    cuts at a time from its cumulated rows: the reduction of the variances
+    of ``m_tot`` rows, summed with weights ``inv``.  ``t1``/``t2`` are the
+    totals of its rows and squared rows (one column each).  On a
+    ``counted`` channel some members lack a derivative, so a side may hold
+    none; its rows are zeros, so it divides by 1 and its variance is 0.
 
     A channel of several columns sums its variances with a matrix product
-    of the (cuts x columns) block.  OpenBLAS's gemv rounds a row of it
-    differently for a different number of rows, so only the kept cuts may
-    be scored.  One column of weight 1 is returned as is."""
-    safe_l, safe_r = ((np.maximum(ml, 1.0), np.maximum(mr, 1.0)) if counted
-                      else (ml, mr))
-    l1, l2, t1, t2 = c1[:, :-1], c2[:, :-1], c1[:, -1:], c2[:, -1:]
-    # each side's variances, computed in place in the rows of a C-contiguous
-    # (cuts x columns) block
-    var_l = np.divide(l2, safe_l, out=np.empty((ml.size, len(inv))).T)
-    var_l -= np.square(l1 / safe_l)
-    var_r = np.subtract(t2, l2, out=np.empty((ml.size, len(inv))).T)
-    var_r /= safe_r
-    var_r -= np.square((t1 - l1) / safe_r)
-    for var in (var_l, var_r):
-        np.maximum(var, 0.0, out=var)
-    mean = t1[:, 0] / m_tot
-    var_n = np.maximum(t2[:, 0] / m_tot - mean * mean, 0.0)
+    of each side's (cuts x columns) block.  OpenBLAS's gemv rounds a row of
+    it differently for a different number of rows, so those blocks hold
+    all ``m`` cuts and are summed once, by ``quality``."""
 
-    il, ir = (var[0] if len(var) == 1 and inv[0] == 1.0 else var.T @ inv
-              for var in (var_l, var_r))
-    return float(var_n @ inv) - (il * ml + ir * mr) / m_tot
+    def __init__(self, t1, t2, inv, m_tot, m, counted=False):
+        self.t1, self.t2, self.inv, self.m_tot = t1, t2, inv, m_tot
+        self.counted = counted
+        mean = t1[:, 0] / m_tot
+        self.var_n = float(np.maximum(t2[:, 0] / m_tot - mean * mean, 0.0)
+                           @ inv)
+        self.blocks = ((np.empty((m, inv.size)), np.empty((m, inv.size)))
+                       if inv.size > 1 else None)
+        self.q = np.empty(m)  # the qualities; the cuts' ml while blocked
+
+    def add(self, s, l1, l2, ml, mr):
+        """Score the cuts ``s`` from their cumulated columns ``l1``/``l2``,
+        ``ml``/``mr`` rows each side."""
+        safe_l, safe_r = ((np.maximum(ml, 1.0), np.maximum(mr, 1.0))
+                          if self.counted else (ml, mr))
+        t1, t2 = self.t1, self.t2
+        # each side's variances, computed in place in the rows of a
+        # C-contiguous (cuts x columns) block
+        if self.blocks:
+            var_l, var_r = self.blocks[0][s].T, self.blocks[1][s].T
+        else:
+            var_l, var_r = np.empty((ml.size, 1)).T, np.empty((ml.size, 1)).T
+        np.divide(l2, safe_l, out=var_l)
+        var_l -= np.square(l1 / safe_l)
+        np.subtract(t2, l2, out=var_r)
+        var_r /= safe_r
+        var_r -= np.square((t1 - l1) / safe_r)
+        np.maximum(var_l, 0.0, out=var_l)
+        np.maximum(var_r, 0.0, out=var_r)
+        if self.blocks:
+            self.q[s] = ml
+        elif self.inv[0] == 1.0:  # one column of weight 1 is taken as is
+            self._reduction(var_l[0], var_r[0], ml, mr, self.q[s])
+        else:
+            self._reduction(var_l.T @ self.inv, var_r.T @ self.inv, ml, mr,
+                            self.q[s])
+
+    def quality(self):
+        """The qualities of all ``m`` cuts, once every chunk is added."""
+        if self.blocks:
+            var_l, var_r = self.blocks
+            self.blocks = None
+            il = var_l @ self.inv
+            del var_l
+            ir = var_r @ self.inv
+            del var_r
+            self._reduction(il, ir, self.q, self.m_tot - self.q, self.q)
+        return self.q
+
+    def _reduction(self, il, ir, ml, mr, out):
+        """Qualities of cuts, into ``out``, from each side's weighted
+        variance sums (overwritten)."""
+        il *= ml
+        ir *= mr
+        il += ir
+        il /= self.m_tot
+        np.subtract(self.var_n, il, out=out)

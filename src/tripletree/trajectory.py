@@ -252,6 +252,16 @@ def _gradient(a: _Angles, v, nv) -> np.ndarray:
     return g
 
 
+def check_align_options(max_iters, step_size, tol) -> None:
+    """Raise ``ParameterError`` unless ``align_path`` can run with these."""
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise ParameterError(f"step size {step_size:g} must be finite and > 0")
+    if not max_iters >= 0:
+        raise ParameterError(f"max iters {max_iters} must be >= 0")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tolerance {tol:g} must be finite and >= 0")
+
+
 def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
                step_size: float = 0.05, tol: float = 1e-8,
                endpoints=None) -> TrajectoryPath:
@@ -266,12 +276,7 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
     records the accepted steps (``iterations``) and why descent stopped
     (``stop_reason``: ``tol``, ``max_iters`` or ``no_descent``).
     """
-    if not (np.isfinite(step_size) and step_size > 0):
-        raise ParameterError(f"step size {step_size:g} must be finite and > 0")
-    if not max_iters >= 0:
-        raise ParameterError(f"max iters {max_iters} must be >= 0")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tolerance {tol:g} must be finite and >= 0")
+    check_align_options(max_iters, step_size, tol)
     seq = list(leaf_sequence)
     if any(l is END for l in seq):
         raise ParameterError("cannot align a path through the termination sink")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,24 @@ def road_setup():
 def road_fixture():
     """``road_setup`` shared by module tests (fast to build)."""
     return road_setup()
+
+
+@pytest.fixture(scope="session")
+def benchmark_trace():
+    """The n=1e5 seed-0 road trace of the ``fit`` benchmark workload."""
+    from tripletree import road_env as road
+    cfg = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
+                          gamma=0.99, grid=(30, 30))
+    return road.generate_dataset(cfg, road.dp_solve(cfg, tolerance=1e-6),
+                                 100_000, 100, seed=0)
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory it allocated, in bytes,
+    under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

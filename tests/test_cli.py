@@ -11,6 +11,7 @@ from tripletree import cli
 from tripletree import dataset as ds
 from tripletree import tree as tr
 
+from .conftest import build_tree
 from .test_dataset import BAD_TRACES, CSV_READER_FAULTS
 
 ROAD_FLAGS = ["--r-left", "-100", "--r-right", "-100", "--r-speed", "1",
@@ -326,6 +327,38 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "out.json")
+
+
+# simulate queries that align no path, each with one bad alignment option:
+# the options are checked before any path work, so each is a usage error
+NO_ALIGNMENT = {
+    "no-align": ["--start", "1.5,0.0", "--end", "1.5,0.02", "--no-align",
+                 "--step-size", "nan"],
+    "no-observed-route": ["--start-leaf", "0", "--end-leaf", "1",
+                          "--max-iters", "-5"],
+    "no-zone-path-above-min-prob": ["--start-zone", "1.4,-0.01:1.6,0.01",
+                                    "--end-zone", "0.5,-0.05:2.5,0.05",
+                                    "--min-prob", "2", "--tol", "nan"],
+}
+
+
+@pytest.mark.parametrize("name", list(NO_ALIGNMENT))
+def test_simulate_checks_alignment_options_before_any_path_work(
+        name, workspace, tmp_path, capsys):
+    base, data, tree = workspace
+    if name == "no-observed-route":
+        # two leaves with no recorded transitions: no route joins them
+        tree = str(tmp_path / "two-leaves.json")
+        Path(tree).write_bytes(tr.serialize(build_tree(
+            ("split", 0, 1.5, ("leaf", {}), ("leaf", {})),
+            [[0.0, 3.0], [-1.0, 1.0]])))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(["simulate", "--tree", tree, *NO_ALIGNMENT[name],
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # road flags that no value iteration can meet, and what the error names

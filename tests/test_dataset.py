@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +16,7 @@ from tripletree import road_env as road
 from tripletree.errors import ParameterError, TraceFormatError
 
 from . import reference as ref
-from .conftest import road_setup
+from .conftest import road_setup, traced_peak
 
 TRACE_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                             "road_traces.sha256")
@@ -646,21 +645,11 @@ def test_a_late_csv_reader_fault_wins_over_an_early_row_fault():
     assert str(err.value) == f"row {ds._BLOCK_ROWS * 2 + 13}: {exc.value}"
 
 
-def test_csv_load_peak_is_bounded():
+def test_csv_load_peak_is_bounded(benchmark_trace):
     # the n=1e5 benchmark trace (7.6 MB of CSV): the load holds one block of
     # rows as text and fields beside the preallocated columns
-    cfg = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
-                          gamma=0.99, grid=(30, 30))
-    data = road.generate_dataset(cfg, road.dp_solve(cfg, tolerance=1e-6),
-                                 100_000, 100, seed=0)
-    raw = ds.trace_to_csv_bytes(data)
-    del data
-    tracemalloc.start()
-    try:
-        loaded = ds.load_trace(raw, "csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    raw = ds.trace_to_csv_bytes(benchmark_trace)
+    loaded, peak = traced_peak(lambda: ds.load_trace(raw, "csv"))
     assert loaded.n_samples == 100_000
     assert peak <= 25e6, f"load_trace peaked at {peak / 1e6:.1f} MB"
 

@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletree import impurity as imp
+from tripletree.dataset import ACTION_KINDS, augment
 from tripletree.errors import ParameterError
 from tripletree.impurity import ImpurityTriple
 
-from .conftest import search_split, synthetic_aug
+from .conftest import search_split, synthetic_aug, traced_peak
 from .reference import (derivative_impurity, exhaustive_best_split, gini,
                         pairwise_deriv_impurity, pairwise_variance,
                         partition_quality, rowwise_best_split,
@@ -224,12 +227,14 @@ def _stats_bits(stats):
 def scan_cases(draw):
     """A dataset of every action kind and derivative mask, with heavily
     duplicated states, a random member subset in random order, theta and
-    min_leaf."""
+    min_leaf.  Up to 5 features and 6 action dimensions: the weighted sums
+    of a multi-column channel are where gemv's rounding depends on the
+    number of rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["discrete", "continuous-scalar",
                                  "continuous-vector"]))
     n = draw(st.integers(2, 70))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
     # a few distinct values per feature, signed zeros among them, with some
     # features continuous
     pools = [np.append(rng.normal(size=draw(st.integers(1, 6))), [0.0, -0.0])
@@ -250,7 +255,7 @@ def scan_cases(draw):
     elif kind == "continuous-scalar":
         actions = rng.normal(scale=draw(st.floats(0.01, 100)), size=n)
     else:
-        actions = rng.normal(size=(n, draw(st.integers(2, 3))))
+        actions = rng.normal(size=(n, draw(st.integers(2, 6))))
         actions[:, int(rng.integers(actions.shape[1]))] = 0.7  # zero sigma
     mode = draw(st.sampled_from(["all", "none", "partial"]))
     has_deriv = {"all": np.ones(n, dtype=bool), "none": np.zeros(n, dtype=bool),
@@ -332,3 +337,49 @@ def test_inherited_orders_search_is_bitwise_the_sorting_search(case, seed):
             for members in (got.left_idx, got.right_idx):
                 assert _stats_bits(imp.node_stats(data, members)) == \
                     _stats_bits(rowwise_node_stats(data, members))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=scan_cases(), chunk=st.integers(1, 7))
+def test_chunked_scan_is_bitwise_the_row_gather_search(case, chunk):
+    # chunks of a few members: nearly every node spans several, and its
+    # running sums are carried from chunk to chunk
+    data, idx, theta, min_leaf = case
+    root = rowwise_node_stats(data, np.arange(data.n)).impurity
+    with mock.patch.object(imp, "_CHUNK", chunk):
+        got = search_split(data, idx, root, theta, min_leaf=min_leaf)
+    want = rowwise_best_split(data, np.sort(idx), root, theta,
+                              min_leaf=min_leaf)
+    assert _candidate_bits(got) == _candidate_bits(want)
+
+
+@pytest.mark.parametrize("kind", ACTION_KINDS)
+@pytest.mark.parametrize("tail", [1, 2])
+def test_last_chunk_of_one_or_two_members_is_scanned_bitwise(kind, tail):
+    # distinct states, so every position is a cut: a last chunk of two
+    # members holds a single cut, one of one member none
+    rng = np.random.default_rng(3)
+    for d in (1, 3):
+        data = _random_aug(rng, 3 * 5 + tail, d, kind)
+        idx = np.arange(data.n)
+        root = rowwise_node_stats(data, idx).impurity
+        for theta in ([1, 1, 1], [0, 0, 1], [0.2, 0.6, 0.2]):
+            with mock.patch.object(imp, "_CHUNK", 5):
+                got = search_split(data, idx, root, theta)
+            want = rowwise_best_split(data, idx, root, theta)
+            assert _candidate_bits(got) == _candidate_bits(want)
+
+
+def test_root_scan_peak_is_bounded(benchmark_trace):
+    # the n=1e5 benchmark trace: the scan holds each feature's per-cut
+    # qualities and variance blocks and one chunk's sums, not whole-node
+    # temporaries for every channel (23 MB before the chunked scan)
+    data = augment(benchmark_trace, 0.99)
+    idx = np.arange(data.n)
+    orders = np.argsort(data.states.T, axis=1, kind="stable")
+    block = imp.channel_block(data)
+    root = imp.node_impurity(data, idx)
+    cand, peak = traced_peak(lambda: imp.best_split(
+        data, idx, root, (0.2, 0.6, 0.2), orders=orders, block=block))
+    assert cand is not None
+    assert peak <= 10e6, f"best_split peaked at {peak / 1e6:.1f} MB"

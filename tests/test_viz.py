@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import os
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -19,7 +18,7 @@ from tripletree.errors import ParameterError
 from tripletree.viz import PlaneSpec
 
 from . import reference as ref
-from .conftest import build_tree, random_tree, synthetic_aug
+from .conftest import build_tree, random_tree, synthetic_aug, traced_peak
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 VIEW_DIGEST = os.path.join(GOLDEN_DIR, "road_views.sha256")
@@ -441,15 +440,6 @@ def test_readme_scale_views_equal_the_per_leaf_loops(road_fixture):
         assert _outcome((viz, name), *args) == want
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_d3_projection_peak_is_bounded_by_the_plane():
     """1600 leaves of 20x20 cells, 16 deep on every cell of a 200x200
     plane: scattered in one pass they would index 16 planes of cells at
@@ -472,6 +462,6 @@ def test_d3_projection_peak_is_bounded_by_the_plane():
     plane = PlaneSpec(0, 1, n_x=200, n_y=200)
     got = viz.pdp_projection(tree, plane, "value")  # builds the leaf table
     assert got == ref.pdp_projection(tree, plane, "value")
-    peak = _traced_peak(lambda: viz.pdp_projection(tree, plane, "value"))
-    loop = _traced_peak(lambda: ref.pdp_projection(tree, plane, "value"))
+    _, peak = traced_peak(lambda: viz.pdp_projection(tree, plane, "value"))
+    _, loop = traced_peak(lambda: ref.pdp_projection(tree, plane, "value"))
     assert peak <= 2 * loop, f"{peak / 1e6:.2f} MB against {loop / 1e6:.2f} MB"
