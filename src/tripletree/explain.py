@@ -210,8 +210,6 @@ def render_text(tree: TripleTree, expl: Explanation) -> str:
         if expl.foil_unreachable:
             return (f"Action = {_fmt_value(expl.foil)} is never predicted "
                     f"by the model (foil unreachable)")
-        if not conds:
-            return f"Action would = {_fmt_value(expl.foil)} with no change in state"
         return f"Action would = {_fmt_value(expl.foil)} if {conds}"
     if expl.kind == "counterfactual_value":
         op, v = expl.foil

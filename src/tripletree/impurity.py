@@ -15,19 +15,20 @@ them).  A split's quality on a channel is the population-weighted impurity
 reduction; ``combine_qualities`` combines the three, each normalised by its
 root impurity, for split search and leaf priority alike.
 
-The scan needs only running sums, as SPRINT's does.  Per feature it gathers
-the block's rows in sorted order ``_CHUNK`` members at a time, cumulates
-them and their squared moment rows in place, carrying the running sums into
-the next chunk, and scores the chunk's cuts on row slices of those sums, so
-every sum and quality is the one a whole-order scan gives.  A node of
-several chunks cumulates them once for its totals, keeping the last, and
-recomputes the others as it scores them.  A channel of several columns (the
-derivatives; vector actions) is the exception: OpenBLAS's gemv rounds a row
-of its weighted variance sum differently for a different number of rows,
-so each side's (cuts x columns) variances are kept for all of the feature's
-cuts and summed at once.  On the n=1e5 benchmark trace the root's scan peaks
-at 8.0 MB under tracemalloc, and a 1000-leaf ``grow`` at 15.2 MB (22.5 and
-29.7 MB with whole-node buffers).
+The scan needs only running sums, as SPRINT's does.  Per feature one mask
+over the sorted values finds every cut.  The block's rows are gathered in
+sorted order ``_CHUNK`` members at a time and cumulated in place with their
+squared moment rows, carrying the running sums into the next chunk, and
+each chunk's slice of the cuts is scored on them, so every sum and quality
+is the one a whole-order scan gives.  A node of several chunks cumulates
+them once for its totals, keeping the last, and recomputes the others as it
+scores them.  A channel of several columns (the derivatives; vector
+actions) is the exception: OpenBLAS's gemv rounds a row of its weighted
+variance sum differently for a different number of rows, so each side's
+(cuts x columns) variances are kept for all of the feature's cuts and
+summed at once.  On the n=1e5 benchmark trace the root's scan peaks at 8.0
+MB under tracemalloc, and a 1000-leaf ``grow`` at 15.2 MB (22.5 and 29.7 MB
+with whole-node buffers).
 """
 
 from __future__ import annotations
@@ -236,31 +237,27 @@ def _best_cut(block, x, sidx, min_leaf, roots, theta):
     """The best cut of the sorted order ``sidx`` of the values ``x``, as
     (hybrid quality, threshold, quality triple), the lowest threshold on
     ties; None when no cut has a positive quality."""
-    cuts = [_cuts(x, sidx, a, min_leaf) for a in range(0, sidx.size, _CHUNK)]
-    m = sum(pos.size for pos in cuts)
-    if m == 0:
+    pos = _cuts(x[sidx], min_leaf)
+    if pos.size == 0:
         return None
-    qa, qv, qd = _scan(block, sidx, cuts, m)
+    qa, qv, qd = _scan(block, sidx, pos)
     q_star = combine_qualities((qa, qv, qd), roots, theta)
     k = int(q_star.argmax())
     if not q_star[k] > 0:
         return None
-    p = np.concatenate(cuts)[k]
+    p = pos[k]
     return (float(q_star[k]), float((x[sidx[p]] + x[sidx[p + 1]]) / 2.0),
             (float(qa[k]), float(qv[k]), float(qd[k])))
 
 
-def _cuts(x, sidx, a, min_leaf):
-    """The cuts in the chunk of the sorted order ``sidx`` that starts at
-    ``a``: each position p of it whose value ``x`` is below the next, with a
-    midpoint above it (one that rounds down cannot separate the sets) and
-    ``min_leaf`` members each side."""
-    x = x[sidx[a:a + _CHUNK + 1]]
-    lo, hi = x[:-1], x[1:]
+def _cuts(xs, min_leaf):
+    """The cuts of the sorted values ``xs``: each position p whose value is
+    below the next, with a midpoint above it (one that rounds down cannot
+    separate the sets) and ``min_leaf`` members each side."""
+    lo, hi = xs[:-1], xs[1:]
     pos = ((lo < hi) & ((lo + hi) / 2.0 > lo)).nonzero()[0]
     if min_leaf > 1:
-        pos = pos[(pos >= min_leaf - 1 - a) & (pos < sidx.size - min_leaf - a)]
-    pos += a
+        pos = pos[(pos >= min_leaf - 1) & (pos < xs.size - min_leaf)]
     return pos
 
 
@@ -278,11 +275,11 @@ def _cumulated(block, members, carry=None):
     return C1, C2
 
 
-def _scan(block, sidx, cuts, m):
-    """Action, value and derivative qualities of the ``m`` cuts of the
-    members in the sorted order ``sidx``, one array of positions per
-    ``_CHUNK`` of it, scored a chunk at a time."""
-    n = sidx.size
+def _scan(block, sidx, pos):
+    """Action, value and derivative qualities of the cuts at the positions
+    ``pos`` of the members in the sorted order ``sidx``, scored ``_CHUNK``
+    members at a time."""
+    n, m = sidx.size, pos.size
     labels, a_inv = block.labels, block.a_inv
     starts = range(0, n, _CHUNK)
     carries = [None]  # the running sums entering each chunk
@@ -300,19 +297,17 @@ def _scan(block, sidx, cuts, m):
     m_tot = t1[labels, 0]  # rows with a derivative
     deriv = (_Moments(t1[labels + 2 + v:], t2[v + 1:], block.d_inv, m_tot, m,
                       counted=m_tot < n) if m_tot > 0 else None)
-    done = 0
-    for a, pos, carry in zip(starts, cuts, carries):
-        if pos.size == 0:
+    first = np.searchsorted(pos, [*starts, n]).tolist()  # chunks' first cuts
+    for a, carry, i, j in zip(starts, carries, first, first[1:]):
+        if i == j:
             continue
+        s, at = slice(i, j), pos[i:j]
         C1, C2 = (last if a == starts[-1] else
                   _cumulated(block, sidx[a:a + _CHUNK], carry))
-        if pos[-1] - a >= pos.size:  # not the chunk's first columns
-            at = pos - a
-            C1, C2 = C1.take(at, axis=1), C2.take(at, axis=1)
-        l1, l2 = C1[:, :pos.size], C2[:, :pos.size]
-        s = slice(done, done + pos.size)
-        done = s.stop
-        nl = (pos + 1).astype(float)
+        if at[-1] - a >= at.size:  # not the chunk's first columns
+            C1, C2 = C1.take(at - a, axis=1), C2.take(at - a, axis=1)
+        l1, l2 = C1[:, :at.size], C2[:, :at.size]
+        nl = (at + 1).astype(float)
         nr = n - nl
         if labels:
             _gini_quality(l1[:labels], t1[:labels], nl, nr, n, out=gini[s])

@@ -43,6 +43,11 @@ class RoadConfig:
         if not all(map(math.isfinite, (self.r_left, self.r_right,
                                        self.r_speed))):
             raise ParameterError("rewards must be finite")
+        if not self.actions:
+            raise ParameterError("actions must not be empty")
+        if not all(map(math.isfinite,
+                       self.actions + self.pos_range + self.speed_range)):
+            raise ParameterError("ranges and actions must be finite")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ParameterError("grid must be at least 2x2")
         # dp_solve's tables of four 8-byte stencil entries per action and

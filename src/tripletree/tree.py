@@ -426,9 +426,13 @@ def evaluate_losses(tree: TripleTree, data: AugmentedDataset):
     RMS error for continuous ones (per-dimension RMS scaled by the model's
     action spreads, summed, for vector actions).  Value loss is the RMS
     error on returns.  Derivative loss sums per-feature RMS error scaled by
-    1/sigma over samples that have a derivative.
+    1/sigma over samples that have a derivative.  Actions of another shape
+    than the tree's are a TraceFormatError.
     """
     t = tree.table
+    if data.actions.shape[1:] != t.action.shape[1:]:
+        raise TraceFormatError(f"actions have shape {data.actions.shape}, but "
+                               f"the tree predicts shape {t.action.shape[1:]}")
     rows = t.rows(assign_leaves(tree, data.states))
     if tree.action_kind == DISCRETE:
         a_sq = float(np.sum(t.action[rows] != data.actions.astype(object)))

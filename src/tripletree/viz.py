@@ -144,22 +144,19 @@ def pdp_projection(tree: TripleTree, plane: PlaneSpec, attribute: str) -> dict:
     wv = w * column.astype(float)
     acc = np.zeros((plane.n_y, plane.n_x))
     wsum = np.zeros_like(acc)
-    # leaf by leaf in ascending id order: the order in which overlapping
-    # leaves (d >= 3) add up in a cell fixes the rounding of its mean
-    if area.sum() <= acc.size:
-        # at most a plane of cells in all (always at d = 2, where the leaves
-        # partition it): one scatter of each leaf's cells, leaf-major, which
-        # np.add.at adds in index order
-        ys = _ranges(y0, height)
-        cell = _ranges(ys * plane.n_x + np.repeat(x0, height),
-                       np.repeat(width, height))
-        np.add.at(acc.reshape(-1), cell, np.repeat(wv, area))
-        np.add.at(wsum.reshape(-1), cell, np.repeat(w, area))
-    else:
-        x0, x1, y0, y1 = (v.tolist() for v in (x0, x1, y0, y1))
-        for r, v in enumerate(wv.tolist()):
-            acc[y0[r]:y1[r], x0[r]:x1[r]] += v
-            wsum[y0[r]:y1[r], x0[r]:x1[r]] += w[r]
+    # leaves add up in a cell in ascending id order, which fixes the rounding
+    # of its mean where they overlap (d >= 3): one leaf-major np.add.at (it
+    # adds in index order) per run of leaves whose cumulative cell count is
+    # in (kP, (k+1)P], P = n_x * n_y, so under two planes; one run at d = 2
+    ends = np.cumsum(area)
+    runs = [0, *np.searchsorted(ends, np.arange(acc.size, ends[-1], acc.size),
+                                side="right").tolist(), area.size]
+    for r in map(slice, runs, runs[1:]):
+        ys = _ranges(y0[r], height[r])
+        cell = _ranges(ys * plane.n_x + np.repeat(x0[r], height[r]),
+                       np.repeat(width[r], height[r]))
+        np.add.at(acc.reshape(-1), cell, np.repeat(wv[r], area[r]))
+        np.add.at(wsum.reshape(-1), cell, np.repeat(w[r], area[r]))
     values = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
     return {"plane": [plane.f_x, plane.f_y],
             "x_edges": x_edges.tolist(), "y_edges": y_edges.tolist(),

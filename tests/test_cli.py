@@ -5,6 +5,7 @@ import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tripletree import cli
@@ -567,7 +568,6 @@ def test_explain_temporal_via_cli(workspace, capsys):
     base, data, tree = workspace
     loaded = tr.deserialize(Path(tree).read_bytes())
     # probe for two states with differing predictions
-    import numpy as np
     states = [(p, s) for p in np.linspace(0.2, 2.8, 18)
               for s in np.linspace(-0.08, 0.08, 18)]
     pair = None
@@ -607,6 +607,34 @@ def test_eval_on_a_trace_of_another_width_is_a_data_error(
     assert "tree has 2 features" in err
 
 
+def _vector_trace(path, width, rng):
+    """A 300-sample trace of 2 features and ``width`` action columns."""
+    names = ",".join(f"a{k + 1}" for k in range(width))
+    rows = [f"episode,t,terminal,x,y,{names},r"]
+    for ep in range(30):
+        for t in range(10):
+            fields = [repr(float(v)) for v in rng.uniform(size=2 + width)]
+            rows.append(f"{ep},{t},{int(t == 9)},{','.join(fields)},0.5")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_eval_on_vector_actions_of_another_width_is_a_data_error(
+        tmp_path, capsys, width):
+    rng = np.random.default_rng(9)
+    tree = str(tmp_path / "tree.json")
+    assert run(["fit", "--data", _vector_trace(tmp_path / "a.csv", 2, rng),
+                "--gamma", "0.9", "--theta", "1,1,1", "--max-leaves", "8",
+                "--out", tree]) == 0
+    other = _vector_trace(tmp_path / "b.csv", width, rng)
+    capsys.readouterr()
+    assert run(["eval", "--tree", tree, "--data", other]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"data error: actions have shape (300, {width}), but the "
+                   f"tree predicts shape (2,)\n")
+
+
 def test_tree_series_alias_for_curve(workspace, tmp_path):
     base, data, tree = workspace
     a = str(tmp_path / "a.csv")
@@ -621,7 +649,6 @@ def test_tree_series_alias_for_curve(workspace, tmp_path):
 def test_external_vector_action_trace_end_to_end(tmp_path, capsys):
     """Traces with multi-dimensional continuous actions (recorded elsewhere)
     fit, evaluate, and visualise through the same pipeline."""
-    import numpy as np
     rng = np.random.default_rng(5)
     rows = ["episode,t,terminal,x,y,z,a1,a2,r"]
     for ep in range(30):

@@ -494,6 +494,28 @@ CSV_READER_FAULTS = {
 }
 
 
+PAST_INT64 = 2**63
+
+
+@pytest.mark.parametrize("rows, fault", [
+    (f"{PAST_INT64},0,0,0.5,u,0\n{PAST_INT64},1,1,0.5,u,0\n"
+     f"{PAST_INT64 + 1},0,1,0.5,u,0\n", None),
+    (f"{PAST_INT64 + 1},0,1,0.5,u,0\n{PAST_INT64},0,1,0.5,u,0\n",
+     "row 3: episodes out of order"),
+    (f"0,0,0,0.5,u,0\n0,{2**64},1,0.5,u,0\n",
+     "row 3: non-consecutive t within episode 0")],
+    ids=["ids-in-order", "ids-out-of-order", "t-past-int64"])
+def test_ids_and_steps_past_int64_are_checked_exactly(rows, fault):
+    # such columns convert to Python ints, which compare without wrapping
+    assert ds._int_column([str(PAST_INT64)]).dtype == object
+    text = "episode,t,terminal,x,a,r\n" + rows
+    if fault is None:
+        assert ds.load_trace(text, "csv").starts.tolist() == [0, 2]
+        return
+    with pytest.raises(TraceFormatError, match=f"^{fault}$"):
+        ds.load_trace(text, "csv")
+
+
 @pytest.mark.parametrize("name", CSV_READER_FAULTS)
 def test_csv_reader_faults_are_trace_format_errors(name):
     text, message = CSV_READER_FAULTS[name]

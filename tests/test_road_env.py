@@ -42,6 +42,24 @@ def test_config_validation():
             road.RoadConfig(r_left=0, r_right=0, r_speed=0, **ranges)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("actions", (), "actions must not be empty"),
+    ("actions", (0.001, math.nan), "ranges and actions must be finite"),
+    ("pos_range", (0.0, math.inf), "ranges and actions must be finite"),
+    ("speed_range", (-math.inf, 0.1), "ranges and actions must be finite")])
+def test_config_rejects_unusable_actions_and_ranges(field, value, message):
+    # each was accepted, and dp_solve then raised a bare ValueError (no
+    # actions) or warned of invalid values in its arithmetic
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        road.RoadConfig(r_left=0, r_right=0, r_speed=0, **{field: value})
+    # a JSON config is checked before it is built, with its own messages
+    doc = {"r_left": 0, "r_right": 0, "r_speed": 0, field: list(value)}
+    want = ("road config 'actions' is not a list of the right numbers"
+            if not value else "road config holds a number that is not finite")
+    with pytest.raises(TraceFormatError, match=f"^{want}$"):
+        road.RoadConfig.from_json(doc)
+
+
 def test_dp_solve_toy_grid_matches_inline_backups():
     cfg = road.RoadConfig(r_left=-4.0, r_right=8.0, r_speed=0.5,
                           gamma=0.5, grid=(2, 2))

@@ -323,6 +323,23 @@ def test_vector_action_channel():
     assert isinstance(leaf.action_pred, np.ndarray)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_losses_on_actions_of_another_width_are_a_data_error(width):
+    # broadcast against the tree's two components, a width of 3 raised a
+    # bare ValueError and a width of 1 gave losses of the wrong shape
+    rng = np.random.default_rng(13)
+    states = rng.uniform(size=(60, 2))
+    fitted = tr.grow(synthetic_aug(states=states,
+                                   actions=rng.normal(size=(60, 2)),
+                                   action_kind=ds.CONTINUOUS_VECTOR),
+                     [1, 0, 0], max_leaves=4)
+    other = synthetic_aug(states=states, actions=rng.normal(size=(60, width)),
+                          action_kind=ds.CONTINUOUS_VECTOR)
+    with pytest.raises(TraceFormatError, match=rf"^actions have shape \(60, "
+                       rf"{width}\), but the tree predicts shape \(2,\)$"):
+        tr.evaluate_losses(fitted, other)
+
+
 # ---------------------------------------------------------------------------
 # Weighting sweep
 # ---------------------------------------------------------------------------

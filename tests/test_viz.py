@@ -4,6 +4,7 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -440,10 +441,31 @@ def test_readme_scale_views_equal_the_per_leaf_loops(road_fixture):
         assert _outcome((viz, name), *args) == want
 
 
+@pytest.mark.parametrize("d, runs", [(2, 1), (3, 2)])
+def test_projection_scatters_a_run_per_plane_of_cells(d, runs):
+    # a 4x4 grid of leaves of 10x10 cells, once per half of the third
+    # feature when d = 3: each run ends at a whole plane of 1600 cells
+    def grid(f, i0, i1):
+        if i1 - i0 == 1:
+            return grid(1, 0, 4) if f == 0 else ("leaf", {"value": i0 / 3})
+        mid = (i0 + i1) // 2
+        return ("split", f, mid / 4, grid(f, i0, mid), grid(f, mid, i1))
+
+    spec = (grid(0, 0, 4) if d == 2 else
+            ("split", 2, 0.5, grid(0, 0, 4), grid(0, 0, 4)))
+    tree = build_tree(spec, [[0.0, 1.0]] * d)
+    plane = PlaneSpec(0, 1, n_x=40, n_y=40)
+    with mock.patch.object(viz, "_ranges", wraps=viz._ranges) as ranges:
+        got = viz.pdp_projection(tree, plane, "value")
+    assert ranges.call_count == 2 * runs  # the rows, then the cells, per run
+    assert got == ref.pdp_projection(tree, plane, "value")
+
+
 def test_d3_projection_peak_is_bounded_by_the_plane():
     """1600 leaves of 20x20 cells, 16 deep on every cell of a 200x200
     plane: scattered in one pass they would index 16 planes of cells at
-    once, so they must go leaf by leaf."""
+    once, so they go in runs of consecutive leaves, each under two planes
+    of cells."""
     rng = np.random.default_rng(5)
 
     def stripes(f, i0, i1, n, inner):
