@@ -210,7 +210,9 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
 
     ``gamma`` must lie in [0, 1].  Returns are computed over the recorded
     remainder of each episode only.  The final sample of every episode has
-    no derivative and is excluded from ``sigma``.
+    no derivative and is excluded from ``sigma``.  A finite trace whose
+    returns, state changes or spreads overflow the float range is a
+    TraceFormatError.
     """
     if not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma!r}")
@@ -221,32 +223,38 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
     starts = data.starts.tolist()
     stops = starts[1:] + [n]
     last = np.subtract(stops, 1)  # each episode's last sample
-    # the one-step change, zeroed on each episode's last sample
-    D = np.empty((n, d))
-    np.subtract(states[1:], states[:-1], out=D[:-1])
-    D[last] = 0.0
     has_deriv = np.ones(n, dtype=bool)
     has_deriv[last] = False
+    D = np.empty((n, d))
     V = np.empty(n)
-    for start, stop in zip(starts, stops):
-        # backwards recurrence V_t = R_t + gamma * V_{t+1}
-        acc = 0.0
-        for t in range(stop - 1, start - 1, -1):
-            acc = rewards[t] + gamma * acc
-            V[t] = acc
-    # population (ddof=0) spread over the defined rows
-    sigma = D[has_deriv].std(axis=0) if has_deriv.any() else np.zeros(d)
-
-    feature_range = np.stack([states.min(axis=0), states.max(axis=0)], axis=1)
-    medians = np.median(states, axis=0)
-
     action_labels = action_codes = action_sigma = None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # the one-step change, zeroed on each episode's last sample
+        np.subtract(states[1:], states[:-1], out=D[:-1])
+        D[last] = 0.0
+        for start, stop in zip(starts, stops):
+            # backwards recurrence V_t = R_t + gamma * V_{t+1}
+            acc = 0.0
+            for t in range(stop - 1, start - 1, -1):
+                acc = rewards[t] + gamma * acc
+                V[t] = acc
+        # population (ddof=0) spread over the defined rows
+        sigma = D[has_deriv].std(axis=0) if has_deriv.any() else np.zeros(d)
+        medians = np.median(states, axis=0)
+        if data.action_kind == CONTINUOUS_VECTOR:
+            action_sigma = actions.std(axis=0)
+    if not np.isfinite(np.concatenate(
+            [V, sigma, medians, [] if action_sigma is None else action_sigma])
+            ).all():
+        raise TraceFormatError("trace statistics overflow the float range: "
+                               "a return, a state change or a spread is not "
+                               "finite")
+    feature_range = np.stack([states.min(axis=0), states.max(axis=0)], axis=1)
+
     if data.action_kind == DISCRETE:
         action_labels, action_codes = np.unique(actions, return_inverse=True)
         action_codes = action_codes.astype(np.int64)
-    elif data.action_kind == CONTINUOUS_VECTOR:
-        action_sigma = actions.std(axis=0)
-    else:
+    elif data.action_kind != CONTINUOUS_VECTOR:
         actions = actions.astype(float)
 
     return AugmentedDataset(
@@ -363,7 +371,8 @@ def _csv_columns(blocks, n_max: int, action_kind: str | None) -> TraceDataset:
     else:
         a_start = next((i for i, name in enumerate(middle) if name == "a1"), len(middle))
         action_cols = middle[a_start:]
-        if action_cols != [f"a{k}" for k in range(1, len(action_cols) + 1)]:
+        if not action_cols or action_cols != [
+                f"a{k}" for k in range(1, len(action_cols) + 1)]:
             raise TraceFormatError("action columns must be named a, or a1..am")
     feature_names = middle[:a_start]
     if not feature_names:

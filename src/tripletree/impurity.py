@@ -80,7 +80,7 @@ def scaled_sum(var, sigma) -> float:
     """Sum of per-dimension values scaled by 1/sigma, skipping sigma == 0."""
     sigma = np.asarray(sigma, dtype=float)
     mask = sigma > 0
-    return float(np.sum(var[mask] / sigma[mask]))
+    return float(np.add.reduce(var[mask] / sigma[mask]))
 
 
 def combine_qualities(q_triple, roots, theta):
@@ -111,38 +111,39 @@ def validate_theta(theta) -> np.ndarray:
     return theta
 
 
+def _moments(x):
+    """Mean, population variance and summed squared deviations along the
+    first axis, the mean and variance as x.mean(axis=0) rounds them: a sum,
+    then a true division."""
+    k = x.shape[0]
+    m = np.add.reduce(x, axis=0) / k
+    var = np.maximum(np.add.reduce(x * x, axis=0) / k - m * m, 0.0)
+    return m, var, np.add.reduce((x - m) ** 2, axis=0)
+
+
 def node_stats(data, idx) -> NodeStats:
     """Statistics of the non-empty sample set ``idx`` of an augmented
     dataset, gathering each channel's members once."""
     n = idx.size
-
-    def moments(x):
-        # mean and population variance as x.mean(axis=0) rounds them: a sum,
-        # then a true division
-        k = x.shape[0]
-        m = np.add.reduce(x, axis=0) / k
-        var = np.maximum(np.add.reduce(x * x, axis=0) / k - m * m, 0.0)
-        return m, var, np.add.reduce((x - m) ** 2, axis=0)
-
     if data.action_kind == DISCRETE:
-        counts = np.bincount(data.action_codes[idx],
+        counts = np.bincount(data.action_codes.take(idx),
                              minlength=data.action_labels.size).astype(float)
         p = counts / n
-        ia = float(1.0 - np.sum(p * p))
-        k = int(np.argmax(counts))
+        ia = float(1.0 - np.add.reduce(p * p))
+        k = int(counts.argmax())
         action = data.action_labels[k]
         action = action.item() if hasattr(action, "item") else action
         a_sq = float(n - counts[k])
     else:
-        action, var, a_sq = moments(np.take(data.actions, idx, axis=0))
+        action, var, a_sq = _moments(data.actions.take(idx, axis=0))
         if data.action_kind == CONTINUOUS_SCALAR:
             ia, action, a_sq = float(var), float(action), float(a_sq)
         else:
             ia = scaled_sum(var, data.action_sigma)
-    value, var_v, v_sq = moments(data.V[idx])
-    D = np.take(data.D, idx[data.has_deriv[idx]], axis=0)
+    value, var_v, v_sq = _moments(data.V.take(idx))
+    D = data.D.take(idx[data.has_deriv.take(idx)], axis=0)
     if D.shape[0] > 0:
-        deriv, var_d, d_sq = moments(D)
+        deriv, var_d, d_sq = _moments(D)
         id_ = scaled_sum(var_d, data.sigma)
     else:
         deriv, id_, d_sq = None, 0.0, np.zeros(data.d)
@@ -169,19 +170,21 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
     whose qualities are equal in exact arithmetic may round apart, so either
     can win.  ``idx`` is ascending, ``orders`` holds the members in each
     feature's stable sort, one row per feature, and ``block`` is
-    ``channel_block(data)``; ``grow`` keeps all three.
+    ``channel_block(data)``; ``grow`` keeps all three.  A node whose orders
+    fit in one chunk scans them all together, a larger one each in turn.
     """
     theta = validate_theta(theta)
     n = idx.size
     if n < 2 * min_leaf or n < 2:
         return None
     roots = root_impurity.as_array()
+    g = data.d if n * data.d <= _CHUNK else 1  # orders scanned together
     best = None  # (q_star, feature, tau, triple)
-    for f in range(data.d):
-        found = _best_cut(block, data.states[:, f], orders[f], min_leaf,
+    for f in range(0, data.d, g):
+        found = _best_cut(block, data.states, orders[f:f + g], f, min_leaf,
                           roots, theta)
         if found is not None and (best is None or found[0] > best[0]):
-            best = (found[0], f, *found[1:])
+            best = found
 
     if best is None:
         return None
@@ -197,12 +200,16 @@ class ChannelBlock(NamedTuple):
     C-contiguous (k, n) float block: a count row per action label
     (discrete), ``has_deriv``, each action component (continuous), V, and
     each derivative component times ``has_deriv``.  Rows after
-    ``has_deriv`` are the moment rows."""
+    ``has_deriv`` are the moment rows: the action's (``v`` of them), V's
+    and the derivative's."""
 
     rows: np.ndarray
-    labels: int               # label-count rows; 0 for continuous actions
-    a_inv: np.ndarray | None  # action weights 1/sigma; None when discrete
-    d_inv: np.ndarray         # derivative weights 1/sigma
+    labels: int       # label-count rows; 0 for continuous actions
+    v: int            # V's moment row
+    inv: np.ndarray   # each moment row's weight: 1/sigma, 1 for V
+    one: slice        # the moment rows of the channels of one unit column
+    wide: tuple       # (channel, moment rows) of the others
+    work: np.ndarray  # one chunk's scan workspace, reused by every search
 
 
 _UNIT = np.ones(1)  # the sigma of a one-column channel
@@ -213,16 +220,22 @@ def channel_block(data) -> ChannelBlock:
     n = data.n
     labels = data.action_labels.size if data.action_kind == DISCRETE else 0
     actions = np.empty((0, n)) if labels else data.actions.reshape(n, -1).T
-    v = labels + 1 + actions.shape[0]  # V's row
-    rows = np.empty((v + 1 + data.d, n))
+    v = actions.shape[0]
+    rows = np.empty((labels + v + 2 + data.d, n))
     rows[:labels] = np.arange(labels)[:, None] == data.action_codes
     rows[labels] = data.has_deriv
-    rows[labels + 1:v] = actions
-    rows[v] = data.V
-    np.multiply(data.D.T, rows[labels], out=rows[v + 1:])
-    a_inv = None if labels else _inverse(
-        _UNIT if data.action_sigma is None else data.action_sigma)
-    return ChannelBlock(rows, labels, a_inv, _inverse(data.sigma))
+    rows[labels + 1:labels + 1 + v] = actions
+    rows[labels + 1 + v] = data.V
+    np.multiply(data.D.T, rows[labels], out=rows[labels + 2 + v:])
+    a_sigma = (_UNIT if data.action_sigma is None else data.action_sigma)
+    inv = _inverse(np.concatenate([a_sigma[:v], _UNIT, data.sigma]))
+    channels = (slice(0, v), slice(v, v + 1), slice(v + 1, inv.size))
+    unit = [r for r in channels if inv[r].tolist() == [1.0]]  # V among them
+    return ChannelBlock(
+        rows, labels, v, inv, slice(unit[0].start, unit[-1].stop),
+        tuple((c, r) for c, r in enumerate(channels)
+              if r.stop > r.start and r not in unit),
+        np.empty((2 * len(rows) + 4 * inv.size + 3) * _CHUNK))
 
 
 def _inverse(sigma):
@@ -230,182 +243,181 @@ def _inverse(sigma):
     return np.divide(1.0, sigma, out=np.zeros(len(sigma)), where=sigma > 0)
 
 
-_CHUNK = 8192  # members of a sorted order cumulated and scored at a time
+_CHUNK = 8192  # members of sorted orders cumulated and scored at a time
 
 
-def _best_cut(block, x, sidx, min_leaf, roots, theta):
-    """The best cut of the sorted order ``sidx`` of the values ``x``, as
-    (hybrid quality, threshold, quality triple), the lowest threshold on
-    ties; None when no cut has a positive quality."""
-    pos = _cuts(x[sidx], min_leaf)
-    if pos.size == 0:
-        return None
-    qa, qv, qd = _scan(block, sidx, pos)
-    q_star = combine_qualities((qa, qv, qd), roots, theta)
-    k = int(q_star.argmax())
-    if not q_star[k] > 0:
-        return None
-    p = pos[k]
-    return (float(q_star[k]), float((x[sidx[p]] + x[sidx[p + 1]]) / 2.0),
-            (float(qa[k]), float(qv[k]), float(qd[k])))
+def _best_cut(block, states, stack, f0, min_leaf, roots, theta):
+    """The best cut of the orders ``stack`` of features f0, f0 + 1, ..., as
+    (hybrid quality, feature, threshold, quality triple), the lowest
+    feature and then threshold on ties; None when no cut has a positive
+    quality.  An order with a NaN quality has no best cut."""
+    g, n = stack.shape
+    features = range(f0, f0 + g)
+    cuts = _cuts(states[stack, np.array(features)[:, None]], min_leaf)
+    ends = np.searchsorted(cuts, np.arange(g + 1) * n).tolist()
+    q = _scan(block, stack, cuts, ends)
+    q_star = combine_qualities(q, roots, theta)
+    best = None
+    for f, i, j in zip(features, ends, ends[1:]):
+        if i < j:
+            k = i + int(q_star[i:j].argmax())
+            if q_star[k] > 0 and (best is None or q_star[k] > best[0]):
+                below, above = stack.flat[cuts[k]], stack.flat[cuts[k] + 1]
+                best = (float(q_star[k]), f,
+                        float((states[below, f] + states[above, f]) / 2.0),
+                        tuple(q[:, k].tolist()))
+    return best
 
 
 def _cuts(xs, min_leaf):
-    """The cuts of the sorted values ``xs``: each position p whose value is
-    below the next, with a midpoint above it (one that rounds down cannot
-    separate the sets) and ``min_leaf`` members each side."""
-    lo, hi = xs[:-1], xs[1:]
-    pos = ((lo < hi) & ((lo + hi) / 2.0 > lo)).nonzero()[0]
+    """The cuts of the rows of sorted values ``xs``, as flat indices into
+    it: each position p whose value is below the next, with a midpoint
+    above it (one that rounds down cannot separate the sets) and
+    ``min_leaf`` members each side."""
+    lo, hi = xs[:, :-1], xs[:, 1:]
+    cut = np.zeros(xs.shape, dtype=bool)
+    np.less(lo, hi, out=cut[:, :-1])
+    cut[:, :-1] &= (lo + hi) / 2.0 > lo
     if min_leaf > 1:
-        pos = pos[(pos >= min_leaf - 1) & (pos < xs.size - min_leaf)]
-    return pos
+        cut[:, :min_leaf - 1] = False
+        cut[:, xs.shape[1] - min_leaf:] = False
+    return np.flatnonzero(cut)
 
 
-def _cumulated(block, members, carry=None):
-    """The block's columns ``members`` and their moment rows' squares, each
-    cumulated along its rows after the running sums ``carry`` of the
-    members before them."""
-    C1 = block.rows.take(members, axis=1)
-    C2 = np.square(C1[block.labels + 1:])
+def _cumulated(block, members, carry, out):
+    """Cumulate the block's columns ``members`` (a row per order) and their
+    moment rows' squares along each order, after the running sums ``carry``
+    of the members before them, into the left half of the workspace sums
+    ``out[0]``; returns the sums at the last member."""
+    S = out[0][0, ..., :members.shape[1]]
+    k = len(block.rows)
+    block.rows.take(members, axis=1, out=S[:k], mode="clip")
+    np.square(S[block.labels + 1:k], out=S[k:])
     if carry is not None:
-        C1[:, 0] += carry[0]
-        C2[:, 0] += carry[1]
-    C1.cumsum(axis=1, out=C1)
-    C2.cumsum(axis=1, out=C2)
-    return C1, C2
+        S[..., :1] += carry
+    S.cumsum(axis=-1, out=S)
+    return S[..., -1:].copy()
 
 
-def _scan(block, sidx, pos):
-    """Action, value and derivative qualities of the cuts at the positions
-    ``pos`` of the members in the sorted order ``sidx``, scored ``_CHUNK``
-    members at a time."""
-    n, m = sidx.size, pos.size
-    labels, a_inv = block.labels, block.a_inv
+def _scan(block, stack, cuts, ends):
+    """Action, value and derivative qualities of the ``cuts`` (flat indices
+    into the (g, n) orders ``stack``; order o's are
+    ``cuts[ends[o]:ends[o + 1]]``), scored ``_CHUNK`` members of an order at
+    a time in the block's workspace.
+
+    A node of several chunks cumulates them in turn for their running sums
+    and totals, scores the last, then recomputes and scores the others.  A
+    channel of several columns sums its variances with a matrix product of
+    each side's (cuts x columns) block per order.  OpenBLAS's gemv rounds a
+    row differently for a different number of rows, so those blocks are
+    kept for all of an order's cuts and summed once."""
+    g, n = stack.shape
+    inv = block.inv
+    # views of the workspace for chunks of c members of the g orders
+    # (g * c <= _CHUNK): each side's sums of the block's rows and of the
+    # moment rows' squares, each side's moment counts, and every position's
+    # qualities
+    c = min(n, _CHUNK)
+    work, at = [], 0
+    for rows in (2 * (len(block.rows) + inv.size), 2 * inv.size, 3):
+        work.append(block.work[at:at + rows * g * c].reshape(-1, g, c))
+        at += rows * g * c
+    work[0] = work[0].reshape(2, -1, g, c)
+    work[1] = work[1].reshape(2, -1, g, c)
     starts = range(0, n, _CHUNK)
-    carries = [None]  # the running sums entering each chunk
-    for a in starts[1:]:
-        C1, C2 = _cumulated(block, sidx[a - _CHUNK:a], carries[-1])
-        carries.append((C1[:, -1].copy(), C2[:, -1].copy()))
-    last = _cumulated(block, sidx[starts[-1]:], carries[-1])
-    t1, t2 = last[0][:, -1:], last[1][:, -1:]  # the totals
-
-    v = 0 if labels else a_inv.size  # V's row in C2; labels + 1 + v in C1
-    gini = np.empty(m) if labels else None
-    action = None if labels else _Moments(t1[1:v + 1], t2[:v], a_inv, n, m)
-    value = _Moments(t1[labels + 1 + v:labels + 2 + v], t2[v:v + 1], _UNIT,
-                     n, m)
-    m_tot = t1[labels, 0]  # rows with a derivative
-    deriv = (_Moments(t1[labels + 2 + v:], t2[v + 1:], block.d_inv, m_tot, m,
-                      counted=m_tot < n) if m_tot > 0 else None)
-    first = np.searchsorted(pos, [*starts, n]).tolist()  # chunks' first cuts
-    for a, carry, i, j in zip(starts, carries, first, first[1:]):
-        if i == j:
-            continue
-        s, at = slice(i, j), pos[i:j]
-        C1, C2 = (last if a == starts[-1] else
-                  _cumulated(block, sidx[a:a + _CHUNK], carry))
-        if at[-1] - a >= at.size:  # not the chunk's first columns
-            C1, C2 = C1.take(at - a, axis=1), C2.take(at - a, axis=1)
-        l1, l2 = C1[:, :at.size], C2[:, :at.size]
-        nl = (at + 1).astype(float)
-        nr = n - nl
-        if labels:
-            _gini_quality(l1[:labels], t1[:labels], nl, nr, n, out=gini[s])
-        else:
-            action.add(s, l1[1:v + 1], l2[:v], nl, nr)
-        value.add(s, l1[labels + 1 + v:labels + 2 + v], l2[v:v + 1], nl, nr)
-        if deriv is not None:
-            ml = l1[labels]
-            deriv.add(s, l1[labels + 2 + v:], l2[v + 1:], ml, m_tot - ml)
-    return (gini if labels else action.quality(), value.quality(),
-            np.zeros(m) if deriv is None else deriv.quality())
-
-
-def _gini_quality(left, total, nl, nr, n, out):
-    """Gini reduction of the cuts, into ``out``, from the cumulated
-    label-count rows at the cuts and at the end."""
-    p = total[:, 0] / n
-    gini_l = 1.0 - _label_sum((left / nl) ** 2)
-    gini_r = 1.0 - _label_sum(((total - left) / nr) ** 2)
-    np.subtract(1.0 - np.add.reduce(p * p), (gini_l * nl + gini_r * nr) / n,
-                out=out)
-
-
-def _label_sum(rows):
-    """Column sums of the label rows as np.sum(axis=1) rounds the contiguous
-    (cuts x labels) block; one or two rows round alike added directly."""
-    if len(rows) <= 2:
-        return rows[0] + rows[1] if len(rows) == 2 else rows[0]
-    return np.add.reduce(np.ascontiguousarray(rows.T), axis=1)
-
-
-class _Moments:
-    """A channel's qualities of a feature's ``m`` cuts, scored a chunk of
-    cuts at a time from its cumulated rows: the reduction of the variances
-    of ``m_tot`` rows, summed with weights ``inv``.  ``t1``/``t2`` are the
-    totals of its rows and squared rows (one column each).  On a
-    ``counted`` channel some members lack a derivative, so a side may hold
-    none; its rows are zeros, so it divides by 1 and its variance is 0.
-
-    A channel of several columns sums its variances with a matrix product
-    of each side's (cuts x columns) block.  OpenBLAS's gemv rounds a row of
-    it differently for a different number of rows, so those blocks hold
-    all ``m`` cuts and are summed once, by ``quality``."""
-
-    def __init__(self, t1, t2, inv, m_tot, m, counted=False):
-        self.t1, self.t2, self.inv, self.m_tot = t1, t2, inv, m_tot
-        self.counted = counted
-        mean = t1[:, 0] / m_tot
-        self.var_n = float(np.maximum(t2[:, 0] / m_tot - mean * mean, 0.0)
-                           @ inv)
-        self.blocks = ((np.empty((m, inv.size)), np.empty((m, inv.size)))
-                       if inv.size > 1 else None)
-        self.q = np.empty(m)  # the qualities; the cuts' ml while blocked
-
-    def add(self, s, l1, l2, ml, mr):
-        """Score the cuts ``s`` from their cumulated columns ``l1``/``l2``,
-        ``ml``/``mr`` rows each side."""
-        safe_l, safe_r = ((np.maximum(ml, 1.0), np.maximum(mr, 1.0))
-                          if self.counted else (ml, mr))
-        t1, t2 = self.t1, self.t2
-        # each side's variances, computed in place in the rows of a
-        # C-contiguous (cuts x columns) block
-        if self.blocks:
-            var_l, var_r = self.blocks[0][s].T, self.blocks[1][s].T
-        else:
-            var_l, var_r = np.empty((ml.size, 1)).T, np.empty((ml.size, 1)).T
-        np.divide(l2, safe_l, out=var_l)
-        var_l -= np.square(l1 / safe_l)
-        np.subtract(t2, l2, out=var_r)
-        var_r /= safe_r
-        var_r -= np.square((t1 - l1) / safe_r)
-        np.maximum(var_l, 0.0, out=var_l)
-        np.maximum(var_r, 0.0, out=var_r)
-        if self.blocks:
-            self.q[s] = ml
-        elif self.inv[0] == 1.0:  # one column of weight 1 is taken as is
-            self._reduction(var_l[0], var_r[0], ml, mr, self.q[s])
-        else:
-            self._reduction(var_l.T @ self.inv, var_r.T @ self.inv, ml, mr,
-                            self.q[s])
-
-    def quality(self):
-        """The qualities of all ``m`` cuts, once every chunk is added."""
-        if self.blocks:
-            var_l, var_r = self.blocks
-            self.blocks = None
-            il = var_l @ self.inv
-            del var_l
-            ir = var_r @ self.inv
-            del var_r
-            self._reduction(il, ir, self.q, self.m_tot - self.q, self.q)
-        return self.q
-
-    def _reduction(self, il, ir, ml, mr, out):
-        """Qualities of cuts, into ``out``, from each side's weighted
-        variance sums (overwritten)."""
-        il *= ml
-        ir *= mr
+    sums = [None]  # the running sums entering each chunk, then the totals
+    for a in starts:
+        sums.append(_cumulated(block, stack[:, a:a + _CHUNK], sums[-1], work))
+    # the qualities (a wide channel's: its left counts until summed) and
+    # each wide channel's side variances
+    q = np.empty((3, cuts.size))
+    blocks = [np.empty((2, cuts.size, rows.stop - rows.start))
+              for _, rows in block.wide]
+    first = np.searchsorted(cuts, [*starts, g * n]).tolist()
+    node = None  # each order's statistics, read off its last position
+    for a, carry, i, j in reversed([*zip(starts, sums, first, first[1:])]):
+        if node is None or i < j:
+            if node is not None:  # the last chunk is still in the workspace
+                _cumulated(block, stack[:, a:a + _CHUNK], carry, work)
+            node = _score_chunk(block, work, sums[-1], node, a, n,
+                                cuts[i:j] - a, q[:, i:j],
+                                [blk[:, i:j] for blk in blocks])
+    var_n, tot = node[:2]
+    for (c, rows), blk in zip(block.wide, blocks):
+        # each order's weighted variance sums, of each side's cuts and of
+        # the node, then the reduction of all the cuts
+        var_o = np.ascontiguousarray(var_n[rows, :, 0].T)
+        sums = np.empty((3, cuts.size))
+        for o, (i, j) in enumerate(zip(ends, ends[1:])):
+            if i < j:  # each side's (cuts x columns) block
+                np.matmul(blk[:, i:j], inv[rows], out=sums[:2, i:j])
+                sums[2, i:j] = var_o[o] @ inv[rows]
+        m_tot = tot[rows.start, 0, 0]
+        il, ir = sums[:2]
+        il *= q[c]
+        ir *= np.subtract(m_tot, q[c], out=q[c])
         il += ir
-        il /= self.m_tot
-        np.subtract(self.var_n, il, out=out)
+        il /= m_tot
+        np.subtract(sums[2], il, out=q[c])
+    return q
+
+
+def _score_chunk(block, work, totals, node, a, n, cuts, q, blocks):
+    """Score the cuts ``cuts`` (flat indices into the (g, C) positions of
+    the chunk from member ``a`` cumulated in ``work``) into ``q``, and each
+    wide channel's side variances into ``blocks``, given each order's
+    ``totals`` and ``node`` statistics; returns those statistics.  With
+    ``node`` None (the last chunk) they are read off the last position,
+    whose left side is the whole node.
+
+    Every position is scored, each side's count floored at 1 (the last
+    position has no right side), then the cuts are taken.  All moment rows
+    are scored together, each side's variances divided by its member count,
+    or by its count of members with a derivative (at least 1)."""
+    S, den, scored = (W[..., :n - a] for W in work)
+    L, v, one, inv = block.labels, block.v, block.one, block.inv
+    np.subtract(totals, S[0], out=S[1])  # the sums after each position
+    den[0, :v + 1] = np.arange(a + 1.0, a + S.shape[-1] + 1.0)
+    np.maximum(n - den[0, 0], 1.0, out=den[1, :v + 1])
+    np.maximum(S[:, L, None], 1.0, out=den[:, v + 1:])
+    if L:  # each side's Gini, then the reduction
+        p = S[:, :L]
+        p /= den[:, :1]
+        gini = np.subtract(1.0, _label_sum(np.square(p, out=p)), out=p[:, 0])
+        gini_n = gini[0, :, -1:].copy() if node is None else node[2]
+        gini *= den[:, 0]
+        np.add(gini[0], gini[1], out=scored[0])
+        scored[0] /= n
+        np.subtract(gini_n, scored[0], out=scored[0])
+    # each side's means and mean squares, then variances
+    M = S[:, L + 1:].reshape(2, 2, *den.shape[1:])
+    M /= den[:, None]
+    var = M[:, 1]
+    var -= np.square(M[:, 0], out=M[:, 0])
+    np.maximum(var, 0.0, out=var)
+    if node is None:
+        node = (var[0, ..., -1:].copy(), den[0, ..., -1:].copy(),
+                gini_n if L else None)
+    var_n, tot = node[:2]
+    il = var[:, one]  # the one-column channels, weighted 1
+    il *= den[:, one]
+    il = np.add(il[0], il[1], out=il[0])
+    il /= tot[one]
+    np.subtract(var_n[one], il, out=scored[one.start - v + 1:one.stop - v + 1])
+    for (c, rows), blk in zip(block.wide, blocks):  # left counts, variances
+        scored[c] = S[0, L] if c else den[0, 0]
+        var[:, rows].reshape(2, blk.shape[2], -1).transpose(0, 2, 1).take(
+            cuts, axis=1, out=blk, mode="clip")
+    scored.reshape(3, -1).take(cuts, axis=1, out=q, mode="clip")
+    return node
+
+
+def _label_sum(p):
+    """Sums over the label rows (axis 1) of each side's ``p`` as
+    np.sum(axis=1) rounds the contiguous (cuts x labels) block; one or two
+    rows round alike added directly."""
+    if p.shape[1] <= 2:
+        return np.add(p[:, 0], p[:, 1], out=p[:, 0]) if p.shape[1] == 2 \
+            else p[:, 0]
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(p, 1, -1)),
+                         axis=-1)

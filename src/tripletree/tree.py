@@ -31,9 +31,8 @@ import numpy as np
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
                       AugmentedDataset, json_bytes)
 from .errors import ParameterError, TraceFormatError
-from .impurity import (ImpurityTriple, best_split, channel_block,
-                       combine_qualities, node_stats, scaled_sum,
-                       validate_theta)
+from .impurity import (ImpurityTriple, best_split, channel_block, node_stats,
+                       scaled_sum, validate_theta)
 
 SERIAL_VERSION = 1
 
@@ -251,14 +250,22 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     # sorted orders and loss terms; every leaf's id is the index of its node
     queue: list = []
     frontier: dict = {}
+    # combine_qualities on Python floats: each weighted channel's
+    # theta * impurity / root, summed in channel order
+    weighted = [(t, r) for t, r in zip(theta.tolist(),
+                                       root_imp.as_array().tolist())]
 
     def add_leaf(leaf, members, orders, loss_terms):
         tree.nodes.append(Node(leaf_id=leaf.id))
         tree.leaves[leaf.id] = leaf
         frontier[leaf.id] = members, orders, loss_terms
-        priority = leaf.n * combine_qualities(leaf.impurity.as_array(),
-                                              root_imp.as_array(), theta)
-        heapq.heappush(queue, (-priority, leaf.id))
+        quality = 0.0
+        for (t, r), i in zip(weighted, (leaf.impurity.action,
+                                        leaf.impurity.value,
+                                        leaf.impurity.derivative)):
+            if r > 0 and t > 0:
+                quality += t * i / r
+        heapq.heappush(queue, (-(leaf.n * quality), leaf.id))
 
     # sq: summed squared errors of the current leaves, the training losses
     add_leaf(root, members, orders, sq)
@@ -311,11 +318,14 @@ def _make_leaf(data, leaf_id, box, members, parent_deriv):
 
 
 def _leaf_density(box, n, feature_range) -> float:
-    clipped = box.clipped(feature_range)
-    widths = feature_range[:, 1] - feature_range[:, 0]
-    lengths = clipped.upper - clipped.lower
-    norm = np.where(widths > 0, lengths / np.where(widths > 0, widths, 1.0), 1.0)
-    volume = float(np.prod(norm))
+    """Samples per unit of the box's volume, clipped to the feature ranges
+    and normalised by their widths (a zero width counts 1), on Python
+    floats in feature order."""
+    volume = 1.0
+    for lo, hi, (a, b) in zip(box.lower.tolist(), box.upper.tolist(),
+                              feature_range.tolist()):
+        if b - a > 0:
+            volume *= (min(hi, b) - max(lo, a)) / (b - a)
     return n / max(volume, 1e-300)
 
 
@@ -617,21 +627,26 @@ def _finite(*values) -> bool:
         [np.asarray(v, dtype=float).ravel() for v in values])).all())
 
 
-def _check_values(tree: TripleTree) -> None:
+def _check_numbers(tree: TripleTree, what: str) -> None:
     """Every number a query reads is finite (``_check_structure`` checks box
-    sides), and each leaf's recorded transitions form a distribution over
-    leaves of the tree and episode end."""
+    sides); ``what`` names the tree in the error."""
     if not _finite(tree.theta, tree.gamma, tree.sigma, tree.feature_range,
                    tree.medians, tree.root_impurity.as_array(),
                    [] if tree.action_sigma is None else tree.action_sigma):
-        raise TraceFormatError("tree payload meta holds a non-finite number")
+        raise TraceFormatError(f"{what} meta holds a non-finite number")
     if not _finite([node.threshold for node in tree.nodes
                     if node.leaf_id is None]):
-        raise TraceFormatError("tree payload holds a non-finite threshold")
+        raise TraceFormatError(f"{what} holds a non-finite threshold")
     t = tree.table
     if not _finite(t.value, t.deriv, t.density, t.impurity,
                    [a for a in t.action if not isinstance(a, str)]):
-        raise TraceFormatError("tree payload leaf holds a non-finite number")
+        raise TraceFormatError(f"{what} leaf holds a non-finite number")
+
+
+def _check_values(tree: TripleTree) -> None:
+    """``_check_numbers``, and each leaf's recorded transitions form a
+    distribution over leaves of the tree and episode end."""
+    _check_numbers(tree, "tree payload")
     for leaf in tree.ordered_leaves():
         if not leaf.transitions:
             continue  # absent or empty: no transition was observed
@@ -687,9 +702,19 @@ def _check_structure(tree: TripleTree) -> None:
 
 def fit(data: AugmentedDataset, theta, max_leaves: int,
         min_leaf: int = 1) -> TripleTree:
-    """Grow a tree and attach transition statistics from the fitting data."""
-    tree = grow(data, theta, max_leaves, min_leaf=min_leaf)
-    return compute_transitions(tree, data)
+    """Grow a tree and attach transition statistics from the fitting data.
+
+    A trace whose leaf statistics overflow the float range (a mean or an
+    impurity of finite returns and changes) is a TraceFormatError, as
+    ``augment`` makes one whose returns or spreads do, so no tree that
+    ``deserialize`` refuses is returned.  Transitions are frequencies of
+    observed runs, a distribution by construction."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        tree = compute_transitions(grow(data, theta, max_leaves,
+                                        min_leaf=min_leaf), data)
+    _check_numbers(tree, "trace statistics overflow the float range: the "
+                         "fitted tree")
+    return tree
 
 
 EXCLUSIVE_THETAS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

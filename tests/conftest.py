@@ -174,6 +174,32 @@ def benchmark_trace():
                                  100_000, 100, seed=0)
 
 
+def vector_trace(seed=0, episodes=50, steps=100):
+    """A seeded trace of the second shape: d=4 states, 2-D continuous
+    actions from a ``tanh`` policy plus noise, ``steps``-step episodes of
+    linear dynamics, about half of them ending in a terminal state."""
+    from tripletree.dataset import CONTINUOUS_VECTOR, TraceDataset
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(2, 4))
+    B = rng.normal(scale=0.2, size=(4, 2))
+    states = np.empty((steps, episodes, 4))
+    actions = np.empty((steps, episodes, 2))
+    s = rng.uniform(-1.0, 1.0, size=(episodes, 4))
+    for t in range(steps):
+        states[t] = s
+        actions[t] = np.tanh(s @ W.T) + rng.normal(scale=0.1, size=(episodes, 2))
+        s = 0.95 * s + actions[t] @ B.T + rng.normal(scale=0.05,
+                                                     size=(episodes, 4))
+    states = states.transpose(1, 0, 2).reshape(-1, 4)
+    actions = actions.transpose(1, 0, 2).reshape(-1, 2)
+    rewards = -np.add.reduce(states * states, axis=1) + rng.normal(
+        scale=0.1, size=states.shape[0])
+    return TraceDataset(states, actions, rewards,
+                        np.arange(episodes) * steps,
+                        rng.uniform(size=episodes) < 0.5, CONTINUOUS_VECTOR,
+                        [f"x{i}" for i in range(4)])
+
+
 def traced_peak(call):
     """``call()``'s result and the peak of the memory it allocated, in bytes,
     under tracemalloc."""

@@ -17,8 +17,8 @@ from .test_dataset import (AUGMENT_DIGEST, TRACE_DIGEST, road_augment_digests,
                            road_trace_digests)
 from .test_queries import QUERY_DIGEST, road_query_digests
 from .test_tree import (README_DIGEST, ROAD_DIGEST, SWEEP_DIGEST,
-                        readme_tree_digests, road_sweep_digest,
-                        road_tree_digests)
+                        VECTOR_DIGEST, readme_tree_digests, road_sweep_digest,
+                        road_tree_digests, vector_tree_digests)
 from .test_viz import GOLDEN_DIR, VIEW_DIGEST, quad_tree, road_view_digests
 
 
@@ -50,6 +50,7 @@ def goldens() -> dict:
     files[TRACE_DIGEST] = road_trace_digests()
     files[AUGMENT_DIGEST] = road_augment_digests()
     files[README_DIGEST] = readme_tree_digests()
+    files[VECTOR_DIGEST] = vector_tree_digests()
     return files
 
 

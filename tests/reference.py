@@ -613,7 +613,8 @@ def load_csv(text: str, action_kind: str | None) -> TraceDataset:
     else:
         a_start = next((i for i, name in enumerate(middle) if name == "a1"), len(middle))
         action_cols = middle[a_start:]
-        if action_cols != [f"a{k}" for k in range(1, len(action_cols) + 1)]:
+        if not action_cols or action_cols != [
+                f"a{k}" for k in range(1, len(action_cols) + 1)]:
             raise TraceFormatError("action columns must be named a, or a1..am")
     feature_names = middle[:a_start]
     if not feature_names:

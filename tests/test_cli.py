@@ -545,6 +545,50 @@ def test_faulty_input_file_prints_one_data_or_file_error_line(name, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", ["episode,t,terminal,x,r",
+                                    "episode,t,terminal,x,y,a0,r"])
+def test_fit_on_a_csv_without_an_action_column_prints_one_line(header,
+                                                                tmp_path,
+                                                                capsys):
+    width = header.count(",") + 1
+    data = tmp_path / "f.csv"
+    data.write_text(f"{header}\n"
+                    + ",".join(["0", "0", "1"] + ["0.5"] * (width - 3)) + "\n")
+    out = tmp_path / "t.json"
+    capsys.readouterr()
+    assert run(["fit", "--data", str(data), "--gamma", "0.9", "--theta",
+                "1,1,1", "--max-leaves", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "data error: action columns must be named a, or a1..am\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be another line
+@pytest.mark.parametrize("scale, reward", [(1e300, 0.0), (1.0, 1.7e308),
+                                           (1.0, 1e200)],
+                         ids=["states-1e300", "rewards-1.7e308",
+                              "rewards-1e200"])
+def test_fit_refuses_a_trace_whose_statistics_overflow(workspace, scale,
+                                                      reward, tmp_path,
+                                                      capsys):
+    # finite values whose spreads, returns or leaf statistics overflow: fit
+    # writes no tree, where it once wrote one that every reader refuses
+    trace = ds.load_trace_path(workspace[1])
+    data = tmp_path / "f.csv"
+    data.write_bytes(ds.trace_to_csv_bytes(ds.TraceDataset(
+        trace.states * scale, trace.actions,
+        np.full(trace.n_samples, reward), trace.starts, trace.terminal,
+        trace.action_kind, trace.feature_names)))
+    out = tmp_path / "t.json"
+    capsys.readouterr()
+    assert run(["fit", "--data", str(data), "--gamma", "0.9", "--theta",
+                "1,1,1", "--max-leaves", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error: trace statistics overflow the float "
+                          "range") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_output_dir_env_var(workspace, tmp_path, monkeypatch):
     base, data, tree = workspace
     monkeypatch.setenv("TRIPLETREE_OUT_DIR", str(tmp_path / "outputs"))

@@ -494,6 +494,34 @@ CSV_READER_FAULTS = {
 }
 
 
+@pytest.mark.parametrize("header", ["episode,t,terminal,x,r",
+                                    "episode,t,terminal,x,y,a0,r"])
+def test_a_csv_header_without_an_action_column_is_refused(header):
+    # no column is named a or a1, so there is no action to read: both
+    # loaders refuse the header rather than read an empty action
+    width = header.count(",") + 1
+    text = f"{header}\n" + ",".join(["0", "0", "1"] + ["0.5"] * (width - 3))
+    for load in (lambda: ds.load_trace(text + "\n", "csv"),
+                 lambda: ref.load_csv(text + "\n", None)):
+        with pytest.raises(TraceFormatError,
+                           match=r"^action columns must be named a, or a1\.\.am$"):
+            load()
+
+
+def test_a_trace_whose_statistics_overflow_is_refused():
+    # finite values whose returns or spreads overflow the float range
+    # give no statistics a fit could use
+    rng = np.random.default_rng(0)
+    states = rng.uniform(size=(6, 2))
+    base = dict(actions=np.zeros(6), starts=[0, 3], terminal=[True, False],
+                action_kind=ds.CONTINUOUS_SCALAR, feature_names=["x", "y"])
+    for trace in (ds.TraceDataset(states * 1e300, rewards=np.zeros(6), **base),
+                  ds.TraceDataset(states, rewards=np.full(6, 1.7e308), **base)):
+        with pytest.raises(TraceFormatError,
+                           match="^trace statistics overflow the float range"):
+            ds.augment(trace, 0.9)
+
+
 PAST_INT64 = 2**63
 
 

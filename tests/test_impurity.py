@@ -353,6 +353,23 @@ def test_chunked_scan_is_bitwise_the_row_gather_search(case, chunk):
     assert _candidate_bits(got) == _candidate_bits(want)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=scan_cases(), offset=st.integers(-3, 3))
+def test_grouped_scan_at_its_boundary_is_bitwise_the_row_gather_search(
+        case, offset):
+    # a chunk of n * d + offset members: from offset 0 up the node's d
+    # orders are scanned together, below it one at a time (in chunks once
+    # it is below n), so either side's sums, cut masks and per-feature gemv
+    # slices must give the row-gather oracle's bits
+    data, idx, theta, min_leaf = case
+    root = rowwise_node_stats(data, np.arange(data.n)).impurity
+    with mock.patch.object(imp, "_CHUNK", max(1, idx.size * data.d + offset)):
+        got = search_split(data, idx, root, theta, min_leaf=min_leaf)
+    want = rowwise_best_split(data, np.sort(idx), root, theta,
+                              min_leaf=min_leaf)
+    assert _candidate_bits(got) == _candidate_bits(want)
+
+
 @pytest.mark.parametrize("kind", ACTION_KINDS)
 @pytest.mark.parametrize("tail", [1, 2])
 def test_last_chunk_of_one_or_two_members_is_scanned_bitwise(kind, tail):

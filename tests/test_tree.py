@@ -16,7 +16,7 @@ from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import ImpurityTriple
 
 from . import reference as ref
-from .conftest import random_tree, search_split, synthetic_aug
+from .conftest import random_tree, search_split, synthetic_aug, vector_trace
 from .reference import ReferenceActionTree
 
 ROAD_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
@@ -25,6 +25,8 @@ README_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                              "readme_tree.sha256")
 SWEEP_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
                             "road_sweep.sha256")
+VECTOR_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
+                             "vector_tree.sha256")
 
 
 def _labelled_aug(rng, n=80, d=2, classes=3):
@@ -596,6 +598,24 @@ def readme_tree_digests() -> str:
 def test_readme_fit_is_byte_identical_to_recorded_digest():
     with open(README_DIGEST) as fh:
         assert readme_tree_digests() == fh.read()
+
+
+def vector_tree_digests() -> str:
+    """sha256 of the ``serialize()`` bytes and of the loss rows' repr of a
+    200-leaf fit, theta (0.2, 0.6, 0.2), of ``vector_trace``: d=4 and 2-D
+    actions, so both multi-column channels are summed over each feature's
+    cuts, on nodes scanned feature by feature and all features together."""
+    aug = ds.augment(vector_trace(), 0.95)
+    tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=200)
+    assert tree.n_leaves == 200
+    rows = [(n,) + losses for n, losses in enumerate(tree.loss_curve, start=1)]
+    return (f"{hashlib.sha256(tr.serialize(tree)).hexdigest()}  tree_vector.json\n"
+            f"{hashlib.sha256(repr(rows).encode()).hexdigest()}  losses_vector.repr\n")
+
+
+def test_vector_fit_is_byte_identical_to_recorded_digest():
+    with open(VECTOR_DIGEST) as fh:
+        assert vector_tree_digests() == fh.read()
 
 
 def road_sweep_digest(aug) -> str:
