@@ -15,20 +15,27 @@ them).  A split's quality on a channel is the population-weighted impurity
 reduction; ``combine_qualities`` combines the three, each normalised by its
 root impurity, for split search and leaf priority alike.
 
-The scan needs only running sums, as SPRINT's does.  Per feature one mask
-over the sorted values finds every cut.  The block's rows are gathered in
-sorted order ``_CHUNK`` members at a time and cumulated in place with their
-squared moment rows, carrying the running sums into the next chunk, and
-each chunk's slice of the cuts is scored on them, so every sum and quality
-is the one a whole-order scan gives.  A node of several chunks cumulates
-them once for its totals, keeping the last, and recomputes the others as it
-scores them.  A channel of several columns (the derivatives; vector
-actions) is the exception: OpenBLAS's gemv rounds a row of its weighted
-variance sum differently for a different number of rows, so each side's
-(cuts x columns) variances are kept for all of the feature's cuts and
-summed at once.  On the n=1e5 benchmark trace the root's scan peaks at 8.0
-MB under tracemalloc, and a 1000-leaf ``grow`` at 15.2 MB (22.5 and 29.7 MB
-with whole-node buffers).
+The scan needs only running sums, as SPRINT's does, and scores all of a
+node's features together when their sorted orders fit in one chunk (n * d
+<= ``_CHUNK``), each feature in turn, a chunk at a time, when they do not.
+One mask over the orders' sorted values finds every cut.  The block's rows
+are gathered in each order ``_CHUNK`` members at a time into a workspace
+the block keeps, and cumulated in place with their squared moment rows,
+carrying the running sums into the next chunk.  Every position of the chunk
+is then scored from those sums and its order's totals, all moment rows
+(continuous action, V, derivatives) together, and the cuts' qualities are
+taken, so every sum and quality is the one a whole-order scan of each
+feature gives.  A node of several chunks cumulates them once for its
+totals, scores the last, then recomputes and scores the others.  The node's
+own variances and Gini are read off its last position, whose left side is
+the whole node.  A channel of several columns, or of one column weighted
+other than 1 (the derivatives; vector actions), sums its weighted variances
+with one gemv per feature over that feature's cuts, and the node's with one
+ddot per feature: OpenBLAS's gemv rounds a row differently for a different
+number of rows, so each side's (cuts x columns) variances are kept for all
+of a feature's cuts.  On the n=1e5 benchmark trace the root's scan peaks at
+8.0 MB under tracemalloc besides the block's 1.8 MB workspace, and a
+1000-leaf ``grow`` at 17.0 MB (22.5 and 29.7 MB with whole-node buffers).
 """
 
 from __future__ import annotations
@@ -207,8 +214,9 @@ class ChannelBlock(NamedTuple):
     labels: int       # label-count rows; 0 for continuous actions
     v: int            # V's moment row
     inv: np.ndarray   # each moment row's weight: 1/sigma, 1 for V
-    one: slice        # the moment rows of the channels of one unit column
-    wide: tuple       # (channel, moment rows) of the others
+    one: slice        # moment rows of the action and V if one column of
+                      # weight 1 each, else of V
+    wide: tuple       # (channel, moment rows) of the others, summed by gemv
     work: np.ndarray  # one chunk's scan workspace, reused by every search
 
 
@@ -229,13 +237,11 @@ def channel_block(data) -> ChannelBlock:
     np.multiply(data.D.T, rows[labels], out=rows[labels + 2 + v:])
     a_sigma = (_UNIT if data.action_sigma is None else data.action_sigma)
     inv = _inverse(np.concatenate([a_sigma[:v], _UNIT, data.sigma]))
-    channels = (slice(0, v), slice(v, v + 1), slice(v + 1, inv.size))
-    unit = [r for r in channels if inv[r].tolist() == [1.0]]  # V among them
+    one = 0 if inv[:v + 1].tolist() == [1.0, 1.0] else v
     return ChannelBlock(
-        rows, labels, v, inv, slice(unit[0].start, unit[-1].stop),
-        tuple((c, r) for c, r in enumerate(channels)
-              if r.stop > r.start and r not in unit),
-        np.empty((2 * len(rows) + 4 * inv.size + 3) * _CHUNK))
+        rows, labels, v, inv, slice(one, v + 1),
+        ((0, slice(0, v)),) * (0 < v == one) + ((2, slice(v + 1, inv.size)),),
+        np.empty((2 * (len(rows) + inv.size) + 3) * _CHUNK))
 
 
 def _inverse(sigma):
@@ -253,7 +259,7 @@ def _best_cut(block, states, stack, f0, min_leaf, roots, theta):
     quality.  An order with a NaN quality has no best cut."""
     g, n = stack.shape
     features = range(f0, f0 + g)
-    cuts = _cuts(states[stack, np.array(features)[:, None]], min_leaf)
+    cuts = _cuts(states[stack, np.arange(f0, f0 + g)[:, None]], min_leaf)
     ends = np.searchsorted(cuts, np.arange(g + 1) * n).tolist()
     q = _scan(block, stack, cuts, ends)
     q_star = combine_qualities(q, roots, theta)
@@ -307,23 +313,18 @@ def _scan(block, stack, cuts, ends):
 
     A node of several chunks cumulates them in turn for their running sums
     and totals, scores the last, then recomputes and scores the others.  A
-    channel of several columns sums its variances with a matrix product of
-    each side's (cuts x columns) block per order.  OpenBLAS's gemv rounds a
-    row differently for a different number of rows, so those blocks are
-    kept for all of an order's cuts and summed once."""
+    wide channel sums its weighted variances with one gemv per order, over
+    each side's (cuts x columns) block of that order's cuts, and the node's
+    with one ddot per order."""
     g, n = stack.shape
-    inv = block.inv
+    L, inv = block.labels, block.inv
     # views of the workspace for chunks of c members of the g orders
     # (g * c <= _CHUNK): each side's sums of the block's rows and of the
-    # moment rows' squares, each side's moment counts, and every position's
-    # qualities
+    # moment rows' squares, and every position's qualities
     c = min(n, _CHUNK)
-    work, at = [], 0
-    for rows in (2 * (len(block.rows) + inv.size), 2 * inv.size, 3):
-        work.append(block.work[at:at + rows * g * c].reshape(-1, g, c))
-        at += rows * g * c
-    work[0] = work[0].reshape(2, -1, g, c)
-    work[1] = work[1].reshape(2, -1, g, c)
+    k = len(block.rows) + inv.size
+    work = (block.work[:2 * k * g * c].reshape(2, k, g, c),
+            block.work[2 * k * g * c:(2 * k + 3) * g * c].reshape(3, g, c))
     starts = range(0, n, _CHUNK)
     sums = [None]  # the running sums entering each chunk, then the totals
     for a in starts:
@@ -342,23 +343,20 @@ def _scan(block, stack, cuts, ends):
             node = _score_chunk(block, work, sums[-1], node, a, n,
                                 cuts[i:j] - a, q[:, i:j],
                                 [blk[:, i:j] for blk in blocks])
-    var_n, tot = node[:2]
     for (c, rows), blk in zip(block.wide, blocks):
-        # each order's weighted variance sums, of each side's cuts and of
-        # the node, then the reduction of all the cuts
-        var_o = np.ascontiguousarray(var_n[rows, :, 0].T)
-        sums = np.empty((3, cuts.size))
+        var_o = np.ascontiguousarray(node[0][rows, :, 0].T)
+        # the channel's members: all n, or those with a derivative (at
+        # least one)
+        m_tot = max(float(sums[-1][L, 0, 0]), 1.0) if c else n
         for o, (i, j) in enumerate(zip(ends, ends[1:])):
-            if i < j:  # each side's (cuts x columns) block
-                np.matmul(blk[:, i:j], inv[rows], out=sums[:2, i:j])
-                sums[2, i:j] = var_o[o] @ inv[rows]
-        m_tot = tot[rows.start, 0, 0]
-        il, ir = sums[:2]
-        il *= q[c]
-        ir *= np.subtract(m_tot, q[c], out=q[c])
-        il += ir
-        il /= m_tot
-        np.subtract(sums[2], il, out=q[c])
+            if i < j:  # each side's weighted variance sums, then the cuts'
+                il, ir = blk[:, i:j] @ inv[rows]  # (cuts x columns) blocks
+                ml = q[c, i:j]
+                il *= ml
+                ir *= np.subtract(m_tot, ml, out=ml)
+                il += ir
+                il /= m_tot
+                np.subtract(var_o[o] @ inv[rows], il, out=ml)
     return q
 
 
@@ -372,42 +370,44 @@ def _score_chunk(block, work, totals, node, a, n, cuts, q, blocks):
 
     Every position is scored, each side's count floored at 1 (the last
     position has no right side), then the cuts are taken.  All moment rows
-    are scored together, each side's variances divided by its member count,
-    or by its count of members with a derivative (at least 1)."""
-    S, den, scored = (W[..., :n - a] for W in work)
-    L, v, one, inv = block.labels, block.v, block.one, block.inv
+    are scored together, each side's divided by its member count, or the
+    derivatives' by its count of members with a derivative (at least 1)."""
+    S, scored = (W[..., :n - a] for W in work)
+    L, v, one = block.labels, block.v, block.one
     np.subtract(totals, S[0], out=S[1])  # the sums after each position
-    den[0, :v + 1] = np.arange(a + 1.0, a + S.shape[-1] + 1.0)
-    np.maximum(n - den[0, 0], 1.0, out=den[1, :v + 1])
-    np.maximum(S[:, L, None], 1.0, out=den[:, v + 1:])
+    counts = np.empty((2, S.shape[-1]))  # members each side
+    counts[0] = np.arange(a + 1.0, a + S.shape[-1] + 1.0)
+    np.maximum(n - counts[0], 1.0, out=counts[1])
     if L:  # each side's Gini, then the reduction
         p = S[:, :L]
-        p /= den[:, :1]
+        p /= counts[:, None, None]
         gini = np.subtract(1.0, _label_sum(np.square(p, out=p)), out=p[:, 0])
-        gini_n = gini[0, :, -1:].copy() if node is None else node[2]
-        gini *= den[:, 0]
+        gini_n = gini[0, :, -1:].copy() if node is None else node[1]
+        gini *= counts[:, None]
         np.add(gini[0], gini[1], out=scored[0])
         scored[0] /= n
         np.subtract(gini_n, scored[0], out=scored[0])
+    for c, _ in block.wide:  # the left counts
+        scored[c] = S[0, L] if c else counts[0]
     # each side's means and mean squares, then variances
-    M = S[:, L + 1:].reshape(2, 2, *den.shape[1:])
-    M /= den[:, None]
+    M = S[:, L + 1:].reshape(2, 2, -1, *S.shape[2:])
+    M[:, :, :v + 1] /= counts[:, None, None, None]
+    M[:, :, v + 1:] /= np.maximum(S[:, L, None, None], 1.0)
     var = M[:, 1]
     var -= np.square(M[:, 0], out=M[:, 0])
     np.maximum(var, 0.0, out=var)
     if node is None:
-        node = (var[0, ..., -1:].copy(), den[0, ..., -1:].copy(),
-                gini_n if L else None)
-    var_n, tot = node[:2]
-    il = var[:, one]  # the one-column channels, weighted 1
-    il *= den[:, one]
+        node = (var[0, ..., -1:].copy(), gini_n if L else None)
+    il = var[:, one]  # the channels of one column weighted 1
+    il *= counts[:, None, None]
     il = np.add(il[0], il[1], out=il[0])
-    il /= tot[one]
-    np.subtract(var_n[one], il, out=scored[one.start - v + 1:one.stop - v + 1])
-    for (c, rows), blk in zip(block.wide, blocks):  # left counts, variances
-        scored[c] = S[0, L] if c else den[0, 0]
-        var[:, rows].reshape(2, blk.shape[2], -1).transpose(0, 2, 1).take(
-            cuts, axis=1, out=blk, mode="clip")
+    il /= n
+    np.subtract(node[0][one], il,
+                out=scored[one.start - v + 1:one.stop - v + 1])
+    for (_, rows), blk in zip(block.wide, blocks):  # each side's variances
+        np.ascontiguousarray(var[:, rows].reshape(2, blk.shape[2], -1)
+                             .transpose(0, 2, 1)).take(cuts, axis=1, out=blk,
+                                                       mode="clip")
     scored.reshape(3, -1).take(cuts, axis=1, out=q, mode="clip")
     return node
 

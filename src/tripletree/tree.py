@@ -220,7 +220,11 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     feature's stable sort.  Only the root's are sorted: a split on (f, tau)
     filters each of the parent's orders by ``state[f] < tau`` and by its
     complement, which keeps their relative order, so every child's order is
-    the one a stable sort of its own members gives.
+    the one a stable sort of its own members gives.  The split search
+    scans all of a leaf's orders together when they fit in one chunk
+    (most leaves of a large fit are small), and sums a channel of several
+    columns with one gemv per feature.  Each new leaf's priority and
+    density are computed on Python floats.
     """
     theta = validate_theta(theta)
     if max_leaves < 1:
@@ -252,8 +256,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     frontier: dict = {}
     # combine_qualities on Python floats: each weighted channel's
     # theta * impurity / root, summed in channel order
-    weighted = [(t, r) for t, r in zip(theta.tolist(),
-                                       root_imp.as_array().tolist())]
+    weighted = list(zip(theta.tolist(), root_imp.as_array().tolist()))
 
     def add_leaf(leaf, members, orders, loss_terms):
         tree.nodes.append(Node(leaf_id=leaf.id))
