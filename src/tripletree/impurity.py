@@ -214,8 +214,7 @@ class ChannelBlock(NamedTuple):
     labels: int       # label-count rows; 0 for continuous actions
     v: int            # V's moment row
     inv: np.ndarray   # each moment row's weight: 1/sigma, 1 for V
-    one: slice        # moment rows of the action and V if one column of
-                      # weight 1 each, else of V
+    one: slice        # moment rows of the channels of one column weighted 1
     wide: tuple       # (channel, moment rows) of the others, summed by gemv
     work: np.ndarray  # one chunk's scan workspace, reused by every search
 
@@ -237,11 +236,13 @@ def channel_block(data) -> ChannelBlock:
     np.multiply(data.D.T, rows[labels], out=rows[labels + 2 + v:])
     a_sigma = (_UNIT if data.action_sigma is None else data.action_sigma)
     inv = _inverse(np.concatenate([a_sigma[:v], _UNIT, data.sigma]))
+    # V's row, and a one-column action's if weighted 1, are reduced as they
+    # are; the other channels are summed by gemv
     one = 0 if inv[:v + 1].tolist() == [1.0, 1.0] else v
-    return ChannelBlock(
-        rows, labels, v, inv, slice(one, v + 1),
-        ((0, slice(0, v)),) * (0 < v == one) + ((2, slice(v + 1, inv.size)),),
-        np.empty((2 * (len(rows) + inv.size) + 3) * _CHUNK))
+    wide = ((0, slice(0, v)),) if 0 < v == one else ()
+    return ChannelBlock(rows, labels, v, inv, slice(one, v + 1),
+                        wide + ((2, slice(v + 1, inv.size)),),
+                        np.empty((2 * (len(rows) + inv.size) + 3) * _CHUNK))
 
 
 def _inverse(sigma):
@@ -259,7 +260,7 @@ def _best_cut(block, states, stack, f0, min_leaf, roots, theta):
     quality.  An order with a NaN quality has no best cut."""
     g, n = stack.shape
     features = range(f0, f0 + g)
-    cuts = _cuts(states[stack, np.arange(f0, f0 + g)[:, None]], min_leaf)
+    cuts = _cuts(states[stack, np.array(features)[:, None]], min_leaf)
     ends = np.searchsorted(cuts, np.arange(g + 1) * n).tolist()
     q = _scan(block, stack, cuts, ends)
     q_star = combine_qualities(q, roots, theta)
