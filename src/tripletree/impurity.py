@@ -13,7 +13,8 @@ attribute lists.  Growth also builds the dataset's ``channel_block`` once
 component, V and each derivative component, with the weights that decode
 them).  A split's quality on a channel is the population-weighted impurity
 reduction; ``combine_qualities`` combines the three, each normalised by its
-root impurity, for split search and leaf priority alike.
+root impurity, for split search, and growth ranks leaves by the same
+formula on Python floats.
 
 The scan needs only running sums, as SPRINT's does, and scores all of a
 node's features together when their sorted orders fit in one chunk (n * d
@@ -34,8 +35,8 @@ with one gemv per feature over that feature's cuts, and the node's with one
 ddot per feature: OpenBLAS's gemv rounds a row differently for a different
 number of rows, so each side's (cuts x columns) variances are kept for all
 of a feature's cuts.  On the n=1e5 benchmark trace the root's scan peaks at
-8.0 MB under tracemalloc besides the block's 1.8 MB workspace, and a
-1000-leaf ``grow`` at 17.0 MB (22.5 and 29.7 MB with whole-node buffers).
+8.0 MB under tracemalloc besides the block's 1.4 MB workspace, and a
+1000-leaf ``grow`` at 16.6 MB (22.5 and 29.7 MB with whole-node buffers).
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def combine_qualities(q_triple, roots, theta):
     Each entry of ``q_triple`` is a scalar or an array of candidates; the
     result has the same shape (a float for scalars).  Channels whose root
     impurity or weight is zero contribute nothing.  A leaf's growth priority
-    is ``n * combine_qualities(impurity, ...)``.
+    is ``n * combine_qualities(impurity, ...)``, which ``grow`` computes on
+    Python floats in the same order.
     """
     out = np.zeros(np.shape(q_triple[0]))
     for c in range(3):
