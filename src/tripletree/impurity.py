@@ -236,7 +236,7 @@ def channel_block(data) -> ChannelBlock:
     rows[labels + 1:labels + 1 + v] = actions
     rows[labels + 1 + v] = data.V
     np.multiply(data.D.T, rows[labels], out=rows[labels + 2 + v:])
-    a_sigma = (_UNIT if data.action_sigma is None else data.action_sigma)
+    a_sigma = _UNIT if data.action_sigma is None else data.action_sigma
     inv = _inverse(np.concatenate([a_sigma[:v], _UNIT, data.sigma]))
     # V's row, and a one-column action's if weighted 1, are reduced as they
     # are; the other channels are summed by gemv
@@ -321,13 +321,13 @@ def _scan(block, stack, cuts, ends):
     with one ddot per order."""
     g, n = stack.shape
     L, inv = block.labels, block.inv
-    # views of the workspace for chunks of c members of the g orders
-    # (g * c <= _CHUNK): each side's sums of the block's rows and of the
-    # moment rows' squares, and every position's qualities
-    c = min(n, _CHUNK)
+    # views of the workspace for a chunk of the g orders (g members times
+    # its length at most _CHUNK): each side's sums of the block's rows and
+    # of the moment rows' squares, and every position's qualities
+    width = g * min(n, _CHUNK)
     k = len(block.rows) + inv.size
-    work = (block.work[:2 * k * g * c].reshape(2, k, g, c),
-            block.work[2 * k * g * c:(2 * k + 3) * g * c].reshape(3, g, c))
+    work = (block.work[:2 * k * width].reshape(2, k, g, -1),
+            block.work[2 * k * width:(2 * k + 3) * width].reshape(3, g, -1))
     starts = range(0, n, _CHUNK)
     sums = [None]  # the running sums entering each chunk, then the totals
     for a in starts:
@@ -419,8 +419,9 @@ def _label_sum(p):
     """Sums over the label rows (axis 1) of each side's ``p`` as
     np.sum(axis=1) rounds the contiguous (cuts x labels) block; one or two
     rows round alike added directly."""
-    if p.shape[1] <= 2:
-        return np.add(p[:, 0], p[:, 1], out=p[:, 0]) if p.shape[1] == 2 \
-            else p[:, 0]
+    if p.shape[1] == 1:
+        return p[:, 0]
+    if p.shape[1] == 2:
+        return np.add(p[:, 0], p[:, 1], out=p[:, 0])
     return np.add.reduce(np.ascontiguousarray(np.moveaxis(p, 1, -1)),
                          axis=-1)

@@ -187,7 +187,8 @@ def vector_trace(seed=0, episodes=50, steps=100):
     s = rng.uniform(-1.0, 1.0, size=(episodes, 4))
     for t in range(steps):
         states[t] = s
-        actions[t] = np.tanh(s @ W.T) + rng.normal(scale=0.1, size=(episodes, 2))
+        actions[t] = np.tanh(s @ W.T) + rng.normal(scale=0.1,
+                                                   size=(episodes, 2))
         s = 0.95 * s + actions[t] @ B.T + rng.normal(scale=0.05,
                                                      size=(episodes, 4))
     states = states.transpose(1, 0, 2).reshape(-1, 4)

@@ -503,9 +503,9 @@ def test_a_csv_header_without_an_action_column_is_refused(header):
     text = f"{header}\n" + ",".join(["0", "0", "1"] + ["0.5"] * (width - 3))
     for load in (lambda: ds.load_trace(text + "\n", "csv"),
                  lambda: ref.load_csv(text + "\n", None)):
-        with pytest.raises(TraceFormatError,
-                           match=r"^action columns must be named a, or a1\.\.am$"):
+        with pytest.raises(TraceFormatError) as err:
             load()
+        assert str(err.value) == "action columns must be named a, or a1..am"
 
 
 def test_a_trace_whose_statistics_overflow_is_refused():
@@ -515,11 +515,13 @@ def test_a_trace_whose_statistics_overflow_is_refused():
     states = rng.uniform(size=(6, 2))
     base = dict(actions=np.zeros(6), starts=[0, 3], terminal=[True, False],
                 action_kind=ds.CONTINUOUS_SCALAR, feature_names=["x", "y"])
-    for trace in (ds.TraceDataset(states * 1e300, rewards=np.zeros(6), **base),
-                  ds.TraceDataset(states, rewards=np.full(6, 1.7e308), **base)):
-        with pytest.raises(TraceFormatError,
-                           match="^trace statistics overflow the float range"):
+    for scale, reward in ((1e300, 0.0), (1.0, 1.7e308)):
+        trace = ds.TraceDataset(states * scale, rewards=np.full(6, reward),
+                                **base)
+        with pytest.raises(TraceFormatError) as err:
             ds.augment(trace, 0.9)
+        assert str(err.value).startswith(
+            "trace statistics overflow the float range")
 
 
 PAST_INT64 = 2**63
