@@ -222,8 +222,8 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     complement, which keeps their relative order, so every child's order is
     the one a stable sort of its own members gives.  The split search
     scans all of a leaf's orders together when they fit in one chunk
-    (most leaves of a large fit are small), and sums a channel of several
-    columns with one gemv per feature.  Each new leaf's priority and
+    (most leaves of a large fit are small), and sums a weighted channel
+    (the derivatives; a vector action) with one gemv per feature.  Each new leaf's priority and
     density are computed on Python floats.
     """
     theta = validate_theta(theta)
