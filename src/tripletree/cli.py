@@ -209,8 +209,8 @@ def cmd_eval(args) -> int:
                 "--curve needs --data, --gamma, --theta, --max-leaves and --out")
         data = ds.load_trace_path(args.data, action_kind=args.action_kind)
         aug = ds.augment(data, args.gamma)
-        curve = tr.grow(aug, _parse_theta(args.theta), args.max_leaves,
-                        min_leaf=args.min_leaf).loss_curve
+        curve = tr.grow_finite(aug, _parse_theta(args.theta), args.max_leaves,
+                               min_leaf=args.min_leaf).loss_curve
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["leaves", "action_loss", "value_loss", "deriv_loss"])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
+from operator import is_
 
 import numpy as np
 
@@ -40,11 +41,20 @@ class Explanation:
 
 
 def factual(tree: TripleTree, state) -> Explanation:
-    """Bounds of the leaf containing the state, omitting unconstrained sides."""
+    """Bounds of the leaf containing the state, omitting unconstrained sides:
+    a new list of the tuples that the leaf's ``tree.factual_memo`` entry
+    keeps from its first query on, as the tree is read-only, and the query
+    action kept with them (a vector as a read-only copy)."""
     lid = leaf_of(tree, state)
-    leaf = tree.leaves[lid]
-    return Explanation(kind="factual", bounds=_box_bounds(leaf.box),
-                       target_leaf=lid, query_action=leaf.action_pred)
+    memo = tree.factual_memo.get(lid)
+    if memo is None:
+        action = predict(tree, state).action  # a vector is a copy
+        if isinstance(action, np.ndarray):
+            action.flags.writeable = False
+        memo = tree.factual_memo[lid] = [_box_bounds(tree.leaves[lid].box),
+                                         action, None]
+    return Explanation(kind="factual", bounds=list(memo[0]), target_leaf=lid,
+                       query_action=memo[1])
 
 
 def _box_bounds(box: Box) -> list:
@@ -126,7 +136,7 @@ def counterfactual_action(tree: TripleTree, state, foil) -> Explanation:
     if eligible[tree.table.rows(lid)]:
         raise ParameterError("foil equals the predicted action at this state")
     return _counterfactual("counterfactual_action", tree, state,
-                           tree.leaves[lid].action_pred, foil, eligible)
+                           predict(tree, state).action, foil, eligible)
 
 
 def counterfactual_value(tree: TripleTree, state, condition) -> Explanation:
@@ -162,7 +172,7 @@ def temporal(tree: TripleTree, s_t, s_next) -> Explanation:
     if is_foil[t.rows(lid_t)]:
         raise ParameterError("actions at s_t and s_next do not differ")
     return _counterfactual(
-        "temporal", tree, s_t, tree.leaves[lid_t].action_pred, a_n, is_foil,
+        "temporal", tree, s_t, predict(tree, s_t).action, a_n, is_foil,
         lambda p: np.all(is_foil[t.box.meets(np.minimum(p, s_next),
                                              np.maximum(p, s_next))]))
 
@@ -200,12 +210,19 @@ def _fmt_bounds(bounds, feature_names) -> str:
 
 
 def render_text(tree: TripleTree, expl: Explanation) -> str:
-    names = tree.feature_names
-    conds = _fmt_bounds(expl.bounds, names)
+    """One sentence.  A factual one still holding its leaf's memo entry (the
+    bound tuples and query action, by identity, as 0.0 == -0.0 prints
+    otherwise) reads the sentence kept since the leaf's first rendering."""
     if expl.kind == "factual":
-        if not conds:
-            return f"Action = {_fmt_value(expl.query_action)} always"
-        return f"Action = {_fmt_value(expl.query_action)} because {conds}"
+        memo = tree.factual_memo.get(expl.target_leaf)
+        if (memo is None or expl.query_action is not memo[1]
+                or len(expl.bounds) != len(memo[0])
+                or not all(map(is_, expl.bounds, memo[0]))):
+            return _factual_text(tree, expl)
+        if memo[2] is None:
+            memo[2] = _factual_text(tree, expl)
+        return memo[2]
+    conds = _fmt_bounds(expl.bounds, tree.feature_names)
     if expl.kind == "counterfactual_action":
         if expl.foil_unreachable:
             return (f"Action = {_fmt_value(expl.foil)} is never predicted "
@@ -222,6 +239,13 @@ def render_text(tree: TripleTree, expl: Explanation) -> str:
         return (f"Action changed {_fmt_value(expl.query_action)} -> "
                 f"{_fmt_value(expl.foil)} because {conds}")
     raise ParameterError(f"unknown explanation kind {expl.kind!r}")
+
+
+def _factual_text(tree: TripleTree, expl: Explanation) -> str:
+    conds = _fmt_bounds(expl.bounds, tree.feature_names)
+    if not conds:
+        return f"Action = {_fmt_value(expl.query_action)} always"
+    return f"Action = {_fmt_value(expl.query_action)} because {conds}"
 
 
 def render_json(expl: Explanation) -> dict:

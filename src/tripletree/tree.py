@@ -13,7 +13,9 @@ what a loaded one does, plus the unserialised ``split_log`` and
 Queries and views that scan every leaf read ``TripleTree.table``: the
 leaves in ascending id order as one structure of arrays (stacked boxes,
 predictions, sample counts, densities and impurities), built once on first
-use, as scikit-learn's ``Tree`` keeps its nodes.
+use, as scikit-learn's ``Tree`` keeps its nodes.  ``TripleTree.factual_memo``
+keeps each leaf's factual bounds and sentence, lazily, from the leaf's first
+explanation.  Both rely on the tree being read-only after growth or loading.
 """
 
 from __future__ import annotations
@@ -195,6 +197,12 @@ class TripleTree:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False  # shared by every reader
         return table
+
+    @cached_property
+    def factual_memo(self) -> dict:
+        """Leaf id -> [bound tuples, query action, sentence or None]: each
+        leaf's factual explanation, filled in by ``explain`` on first use."""
+        return {}
 
 
 def select_best_leaf(queue: list) -> int | None:
@@ -378,8 +386,10 @@ def assign_leaves(tree: TripleTree, states) -> np.ndarray:
 
 def predict(tree: TripleTree, state) -> Prediction:
     leaf = tree.leaves[leaf_of(tree, state)]
-    return Prediction(leaf.action_pred, leaf.value_pred,
-                      leaf.deriv_pred.copy(), leaf.deriv_low_confidence)
+    action = leaf.action_pred
+    return Prediction(  # copies: a change to the result leaves the tree as is
+        action.copy() if isinstance(action, np.ndarray) else action,
+        leaf.value_pred, leaf.deriv_pred.copy(), leaf.deriv_low_confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -703,21 +713,26 @@ def _check_structure(tree: TripleTree) -> None:
             f"tree payload node {seen.index(False)} is unreachable")
 
 
-def fit(data: AugmentedDataset, theta, max_leaves: int,
-        min_leaf: int = 1) -> TripleTree:
-    """Grow a tree and attach transition statistics from the fitting data.
-
-    A trace whose leaf statistics overflow the float range (a mean or an
-    impurity of finite returns and changes) is a TraceFormatError, as
-    ``augment`` makes one whose returns or spreads do, so no tree that
-    ``deserialize`` refuses is returned.  Transitions are frequencies of
-    observed runs, a distribution by construction."""
+def grow_finite(data: AugmentedDataset, theta, max_leaves: int,
+                min_leaf: int = 1) -> TripleTree:
+    """``grow``, where a trace whose leaf statistics overflow the float range
+    (a mean or an impurity of finite returns and changes) is a
+    TraceFormatError, as ``augment`` makes one whose returns or spreads do.
+    So no tree that ``deserialize`` refuses is returned, and no non-finite
+    training loss: the leaves' squared errors sum to at most the root's."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        tree = compute_transitions(grow(data, theta, max_leaves,
-                                        min_leaf=min_leaf), data)
+        tree = grow(data, theta, max_leaves, min_leaf=min_leaf)
     _check_numbers(tree, "trace statistics overflow the float range: the "
                          "fitted tree")
     return tree
+
+
+def fit(data: AugmentedDataset, theta, max_leaves: int,
+        min_leaf: int = 1) -> TripleTree:
+    """``grow_finite``, with transition statistics from the fitting data:
+    frequencies of observed runs, a distribution by construction."""
+    return compute_transitions(grow_finite(data, theta, max_leaves,
+                                           min_leaf=min_leaf), data)
 
 
 EXCLUSIVE_THETAS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -735,8 +750,8 @@ def theta_sweep(data: AugmentedDataset, theta_grid, max_leaves: int,
     if not theta_grid:
         raise ParameterError("the theta grid is empty")
     grid = [tuple(map(float, theta)) for theta in theta_grid]
-    losses = {theta: evaluate_losses(grow(data, np.asarray(theta), max_leaves,
-                                          min_leaf=min_leaf), data)
+    losses = {theta: evaluate_losses(grow_finite(
+        data, np.asarray(theta), max_leaves, min_leaf=min_leaf), data)
               for theta in dict.fromkeys((*EXCLUSIVE_THETAS, *grid))}
     optima = [losses[t][c] for c, t in enumerate(EXCLUSIVE_THETAS)]
     rows = []

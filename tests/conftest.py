@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,22 @@ import pytest
 from tripletree.dataset import DISCRETE, AugmentedDataset, augment
 from tripletree.impurity import ImpurityTriple, best_split, channel_block
 from tripletree.tree import Box, Leaf, Node, TripleTree
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(monkeypatch, name: str):
+    """``perfbench/<name>.py``, loaded from its path without writing
+    bytecode, and in ``sys.modules`` while the test runs: the workloads'
+    dataclasses look their module up there while they are built."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 class FakeBase:

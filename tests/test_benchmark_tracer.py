@@ -3,30 +3,16 @@ each name it lists must stay a function of the package, or its traced runs
 break."""
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 
 from tripletree import tree as tr
 
-from .conftest import synthetic_aug
-
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def load_tracer(monkeypatch):
-    """perfbench/tracer.py, loaded from its path without writing bytecode."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from .conftest import load_perfbench, synthetic_aug
 
 
 def test_every_tracer_target_is_a_function_of_the_package(monkeypatch):
-    tracer = load_tracer(monkeypatch)
+    tracer = load_perfbench(monkeypatch, "tracer")
     assert tracer.TARGETS
     for module, function, _hook in tracer.TARGETS:
         target = getattr(importlib.import_module(f"tripletree.{module}"),
@@ -41,7 +27,7 @@ def test_tracer_hooks_read_a_traced_growth(monkeypatch):
     data = synthetic_aug(states=rng.uniform(size=(60, 2)),
                          actions=rng.integers(0, 3, size=60).astype(float),
                          V=rng.normal(size=60))
-    tracer = load_tracer(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "tracer").Tracer()
     tracer.install()
     try:
         grown = tr.grow(data, [1, 1, 1], max_leaves=5)

@@ -568,25 +568,31 @@ def test_fit_on_a_csv_without_an_action_column_prints_one_line(header,
                                            (1.0, 1e200)],
                          ids=["states-1e300", "rewards-1.7e308",
                               "rewards-1e200"])
-def test_fit_refuses_a_trace_whose_statistics_overflow(workspace, scale,
-                                                      reward, tmp_path,
-                                                      capsys):
-    # finite values whose spreads, returns or leaf statistics overflow: fit
-    # writes no tree, where it once wrote one that every reader refuses
+@pytest.mark.parametrize("argv", [
+    ["fit", "--gamma", "0.9", "--theta", "1,1,1", "--max-leaves", "4"],
+    ["eval", "--curve", "--gamma", "0.9", "--theta", "1,1,1",
+     "--max-leaves", "20"],
+    ["sweep-theta", "--max-leaves", "10", "--divisions", "2"]],
+    ids=["fit", "eval-curve", "sweep-theta"])
+def test_growing_commands_refuse_a_trace_whose_statistics_overflow(
+        workspace, scale, reward, argv, tmp_path, capsys):
+    # finite values whose spreads, returns or leaf statistics overflow: no
+    # command writes a file, where fit once wrote a tree that every reader
+    # refuses and eval --curve and sweep-theta wrote inf and nan losses
     trace = ds.load_trace_path(workspace[1])
     data = tmp_path / "f.csv"
     data.write_bytes(ds.trace_to_csv_bytes(ds.TraceDataset(
         trace.states * scale, trace.actions,
         np.full(trace.n_samples, reward), trace.starts, trace.terminal,
         trace.action_kind, trace.feature_names)))
-    out = tmp_path / "t.json"
+    out = tmp_path / "out"
     capsys.readouterr()
-    assert run(["fit", "--data", str(data), "--gamma", "0.9", "--theta",
-                "1,1,1", "--max-leaves", "4", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("data error: trace statistics overflow the float "
-                          "range") and err.count("\n") == 1
-    assert not out.exists()
+    assert run([*argv, "--data", str(data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: trace statistics overflow "
+                                   "the float range") \
+        and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_output_dir_env_var(workspace, tmp_path, monkeypatch):

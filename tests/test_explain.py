@@ -3,9 +3,11 @@ import pytest
 
 from tripletree import explain as ex
 from tripletree import tree as tr
+from tripletree.dataset import augment
 from tripletree.errors import ParameterError
 
-from .conftest import build_tree, random_tree
+from . import reference as ref
+from .conftest import build_tree, load_perfbench, random_tree, vector_trace
 
 UNIT = [[0.0, 1.0]]
 UNIT2 = [[0.0, 1.0], [0.0, 1.0]]
@@ -268,3 +270,141 @@ def test_counterfactual_value_unreachable():
     assert "never predicted" in ex.render_text(tree, expl)
     with pytest.raises(ParameterError):
         ex.counterfactual_value(tree, [0.2], ("==", 0.5))
+
+
+# ---------------------------------------------------------------------------
+# The per-leaf factual memo
+# ---------------------------------------------------------------------------
+
+def reference_factual_text(tree, leaf) -> str:
+    """The factual sentence of a leaf, from the reference bounds and text."""
+    conds = ref.fmt_bounds(ref.box_bounds(leaf.box), tree.feature_names)
+    action = ref.fmt_value(leaf.action_pred)
+    return f"Action = {action} " + (f"because {conds}" if conds else "always")
+
+
+def inside(tree, leaf):
+    """A state in the leaf: its box's centre, clipped to the data ranges."""
+    state = leaf.box.center(tree.feature_range)
+    assert tr.leaf_of(tree, state) == leaf.id
+    return state
+
+
+@pytest.fixture(scope="module")
+def road_tree(road_fixture):
+    return tr.fit(road_fixture[3], [0.2, 0.6, 0.2], max_leaves=60)
+
+
+@pytest.mark.parametrize("which", ["grown", "reloaded", "vector"])
+def test_factual_text_of_every_leaf_matches_the_reference(which, road_tree):
+    if which == "vector":
+        tree = tr.fit(augment(vector_trace(episodes=10), 0.9), [1, 1, 1], 20)
+    else:
+        tree = road_tree if which == "grown" else tr.deserialize(
+            tr.serialize(road_tree))
+    for leaf in tree.ordered_leaves():
+        want = reference_factual_text(tree, leaf)
+        for _ in range(2):  # the first query fills the memo, the second reads it
+            expl = ex.factual(tree, inside(tree, leaf))
+            assert ex.render_text(tree, expl) == want
+        assert expl.bounds == ref.box_bounds(leaf.box)
+
+
+def test_query_results_do_not_alias_a_leafs_arrays():
+    tree = tr.fit(augment(vector_trace(episodes=10), 0.9), [1, 1, 1], 8)
+    leaf, other = tree.ordered_leaves()[:2]
+    state, elsewhere = inside(tree, leaf), inside(tree, other)
+    want_action, want_text = leaf.action_pred.copy(), ex.render_text(
+        tree, ex.factual(tree, state))
+    pred = tr.predict(tree, state)
+    pred.derivative[0] = 99.0
+    for action in (pred.action,
+                   ex.counterfactual_action(tree, state,
+                                            other.action_pred).query_action,
+                   ex.temporal(tree, state, elsewhere).query_action):
+        action[0] = 99.0
+    expl = ex.factual(tree, state)
+    with pytest.raises(ValueError):  # read-only: the memo shares it
+        expl.query_action[0] = 99.0
+    assert np.array_equal(leaf.action_pred, want_action)
+    assert ex.render_text(tree, ex.factual(tree, state)) == want_text
+    assert np.array_equal(tr.predict(tree, state).action, want_action)
+
+
+def test_a_changed_factual_explanation_renders_from_its_own_fields():
+    tree = build_tree(
+        ("split", 0, 0.0,
+         ("leaf", {"action": "a"}),
+         ("leaf", {"action": "b"})), [[-1.0, 1.0]])
+    assert ex.render_text(tree, ex.factual(tree, [0.5])) == \
+        "Action = b because f0 >= 0"
+    expl = ex.factual(tree, [0.5])
+    expl.bounds[0] = (0, ">=", -0.0)  # == the memo's tuple, printed otherwise
+    assert ex.render_text(tree, expl) == "Action = b because f0 >= -0"
+    expl = ex.factual(tree, [0.5])
+    expl.bounds = [(0, "<", 0.25)]
+    assert ex.render_text(tree, expl) == "Action = b because f0 < 0.25"
+    expl = ex.factual(tree, [0.5])
+    expl.query_action = "a"
+    assert ex.render_text(tree, expl) == "Action = a because f0 >= 0"
+    expl = ex.factual(tree, [0.5])
+    expl.bounds.append((0, "<", 0.75))
+    assert ex.render_text(tree, expl) == "Action = b because f0 in [0, 0.75]"
+    # and the memo is as the first query left it
+    assert ex.render_text(tree, ex.factual(tree, [0.5])) == \
+        "Action = b because f0 >= 0"
+
+
+def test_trees_loaded_from_one_blob_do_not_share_a_memo(road_tree):
+    blob = tr.serialize(road_tree)
+    first, second = tr.deserialize(blob), tr.deserialize(blob)
+    state = inside(first, first.ordered_leaves()[0])
+    expl = ex.factual(first, state)
+    assert ex.render_text(first, expl)
+    assert first.factual_memo and not second.factual_memo
+    # an explanation of one tree is rendered from its fields by the other
+    assert ex.render_text(second, expl) == ex.render_text(
+        second, ex.factual(second, state))
+    assert first.factual_memo[expl.target_leaf] is not \
+        second.factual_memo[expl.target_leaf]
+
+
+def test_factual_bounds_are_formatted_once_per_leaf(monkeypatch):
+    rng = np.random.default_rng(4)
+    tree = random_tree(rng, 2, 20, ["a", "b", "c"])
+    calls, fmt_bounds = [], ex._fmt_bounds
+
+    def counting(bounds, names):
+        calls.append(1)
+        return fmt_bounds(bounds, names)
+
+    monkeypatch.setattr(ex, "_fmt_bounds", counting)
+    states = rng.uniform(size=(1000, 2))
+    texts = [ex.render_text(tree, ex.factual(tree, s)) for s in states]
+    assert len(calls) <= tree.n_leaves
+    assert texts == [reference_factual_text(tree, tree.leaves[
+        tr.leaf_of(tree, s)]) for s in states]
+
+
+def test_explain_benchmark_pass_renders_the_reference_factual_text(
+        monkeypatch):
+    # the traffic the factual memo's speed-up is measured on
+    workload = load_perfbench(monkeypatch, "workloads").Explain()
+    state = workload.setup(0)
+    tree, texts, render = state["tree"], [], workload.factual
+
+    def factual(state, i):
+        text = render(state, i)
+        texts.append((i, text))
+        return text
+
+    monkeypatch.setattr(workload, "factual", factual)
+    out = workload.body(state, 0)
+    assert workload.check(state, out) == []
+    assert len(texts) == workload.per_pass["factual"]
+    want = {}
+    for i, text in texts:
+        leaf = tree.leaves[tr.leaf_of(tree, state["states"][i])]
+        if leaf.id not in want:
+            want[leaf.id] = reference_factual_text(tree, leaf)
+        assert text == want[leaf.id]

@@ -2,11 +2,7 @@
 (``perfbench/walkthrough_digests.json``), so a change to them fails here,
 not only in a benchmark run."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from .conftest import PERFBENCH, load_perfbench
 
 
 class _Spans:
@@ -22,14 +18,7 @@ class _Spans:
 
 def test_walkthrough_outputs_match_the_recorded_digests(monkeypatch,
                                                         tmp_path):
-    # loaded from its path without writing bytecode; its dataclasses look
-    # their module up in sys.modules while they are built
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    walkthrough = workloads.Walkthrough(WORKLOADS.parents[1] / "src", tmp_path)
+    workloads = load_perfbench(monkeypatch, "workloads")
+    walkthrough = workloads.Walkthrough(PERFBENCH.parent / "src", tmp_path)
     out = walkthrough.body(0, 0, tracer=_Spans())
     assert walkthrough.check(0, out) == []
