@@ -7,7 +7,7 @@ from .dataset import (AugmentedDataset, Episode, TraceDataset, augment,
 from .errors import ParameterError, TraceFormatError
 from .explain import (Explanation, counterfactual_action, counterfactual_value,
                       factual, render_json, render_text, temporal)
-from .impurity import ImpurityTriple, SplitCandidate, best_split
+from .impurity import ImpurityTriple, SplitCandidate
 from .road_env import (GridPolicy, RoadConfig, dp_solve, generate_dataset,
                        step)
 from .trajectory import (LeafGraph, TrajectoryPath, align_path,
@@ -23,7 +23,7 @@ __all__ = [
     "AugmentedDataset", "Box", "Episode", "Explanation", "GridPolicy",
     "ImpurityTriple", "Leaf", "LeafGraph", "ParameterError", "PlaneSpec",
     "RoadConfig", "SplitCandidate", "TraceDataset", "TraceFormatError",
-    "TrajectoryPath", "TripleTree", "align_path", "augment", "best_split",
+    "TrajectoryPath", "TripleTree", "align_path", "augment",
     "build_leaf_graph", "compute_transitions", "counterfactual_action",
     "counterfactual_value", "deserialize", "direct_map",
     "dp_solve", "evaluate_losses", "factual", "fit", "generate_dataset",

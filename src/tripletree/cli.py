@@ -79,7 +79,7 @@ def _parse_zone(text: str, d: int) -> tr.Box:
     except ValueError:
         raise ParameterError(
             f"invalid zone {text!r}; expected lo1,..,lod:hi1,..,hid") from None
-    if lo.size != d or hi.size != d or np.any(lo > hi):
+    if lo.size != d or hi.size != d or not np.all(lo <= hi):  # NaN too
         raise ParameterError(f"zone {text!r} is not a valid box for d={d}")
     return tr.Box(lo, hi)
 

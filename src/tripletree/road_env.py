@@ -62,13 +62,6 @@ class RoadConfig:
                 and self.speed_range[0] < self.speed_range[1]):
             raise ParameterError("each range must run from low to high")
 
-    def to_json(self) -> dict:
-        return {"r_left": self.r_left, "r_right": self.r_right,
-                "r_speed": self.r_speed, "gamma": self.gamma,
-                "grid": list(self.grid), "pos_range": list(self.pos_range),
-                "speed_range": list(self.speed_range),
-                "actions": list(self.actions)}
-
     @classmethod
     def from_json(cls, doc: dict) -> "RoadConfig":
         """The config of a JSON document.  A missing reward, a field that is
@@ -168,9 +161,6 @@ class GridPolicy:
         nearest grid node of each, clipped to the grid."""
         return self.action_idx[_nearest_node(self.pos_grid, pos),
                                _nearest_node(self.speed_grid, speed)]
-
-    def action_at(self, state) -> float:
-        return self.actions[int(self.action_indices(*state))]
 
     def to_json(self) -> dict:
         return {"pos_grid": [float(v) for v in self.pos_grid],

@@ -6,10 +6,10 @@ the maximum-probability sequence.  A leaf graph carries the tree's leaf
 table ids and stacked boxes, so ``zone_paths`` finds the leaves meeting a
 zone with one mask.  Alignment runs projected gradient descent on interior
 polyline nodes, each constrained to the boundary face it was initialised
-on.  Each descent step is one array pass over the (k, d) segments for the
-angles, objective and gradient, and one over the stacked face bounds for
-the projection; only the check that a node does not cross its face, which
-depends on the node before it, runs node by node.
+on.  Each descent trial is one array pass over the (k, d) segments, one
+clip onto the stacked face bounds and one crossing test; only when a node
+crosses does the put-back, which depends on the node before it, run node
+by node.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import ParameterError
 from .tree import Box, TripleTree
 
 END = None  # episode-termination sink
+_clip = np._core.umath.clip  # np.clip's ufunc, without the wrapper's checks
 
 
 @dataclass
@@ -204,29 +205,32 @@ def _exit_face(a: Box, target: np.ndarray) -> _Face:
 
 class _Angles(NamedTuple):
     """Per-segment terms of the alignment objective at one set of nodes;
-    ``ok`` marks segments where neither the step nor the derivative is
-    zero, and the other arrays hold those segments only."""
+    ``ok`` selects the segments where neither the step nor the derivative is
+    zero (a slice if that is all), and the other arrays hold those only."""
 
-    ok: np.ndarray
+    ok: np.ndarray | slice
     u: np.ndarray
     nu: np.ndarray
+    nuv: np.ndarray
     cos: np.ndarray
     phi: np.ndarray
 
 
-def _angles(nodes, w, v, nv) -> _Angles:
+def _angles(nodes, w, v, nv, live) -> _Angles:
     """One array pass over the (k, d) segments of a polyline: each rescaled
     step u, its norm, and its cosine and angle with the leaf derivative v.
 
     ``np.vecdot`` reproduces ``np.dot`` and ``np.linalg.norm`` on each row
     bit for bit, where ``einsum`` or ``(u * v).sum(1)`` round differently.
     """
-    u = np.diff(nodes, axis=0) * w
+    u = (nodes[1:] - nodes[:-1]) * w
     nu = np.sqrt(np.vecdot(u, u))
-    ok = (nu != 0) & (nv != 0)
-    u, nu, nuv = u[ok], nu[ok], nu[ok] * nv[ok]
-    cos = np.clip(np.vecdot(u, v[ok]) / nuv, -1.0, 1.0)
-    return _Angles(ok, u, nu, cos, np.arccos(cos))
+    ok = (nu != 0) & live  # live: nv != 0
+    ok = slice(None) if ok.all() else ok
+    u, nu, v, nv = u[ok], nu[ok], v[ok], nv[ok]
+    nuv = nu * nv
+    cos = _clip(np.vecdot(u, v) / nuv, -1.0, 1.0)
+    return _Angles(ok, u, nu, nuv, cos, np.arccos(cos))
 
 
 def _objective(a: _Angles) -> float:
@@ -238,15 +242,14 @@ def _objective(a: _Angles) -> float:
     return total
 
 
-def _gradient(a: _Angles, v, nv) -> np.ndarray:
+def _gradient(a: _Angles, v) -> np.ndarray:
     """Objective gradient with respect to every node of the polyline."""
-    nuv = a.nu * nv[a.ok]
     s = np.maximum(np.sqrt(np.maximum(1.0 - a.cos * a.cos, 0.0)), 1e-12)
-    du = np.zeros((a.ok.size, v.shape[1]))
+    du = np.zeros(v.shape)
     du[a.ok] = -(2.0 * a.phi / s)[:, None] * (
-        v[a.ok] / nuv[:, None]
+        v[a.ok] / a.nuv[:, None]
         - a.cos[:, None] * a.u / (a.nu * a.nu)[:, None])
-    g = np.zeros((a.ok.size + 1, v.shape[1]))
+    g = np.zeros((len(v) + 1, v.shape[1]))
     g[1:] += du
     g[:-1] -= du
     return g
@@ -315,24 +318,24 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
         faces.append(face)
 
     nodes = np.empty((k + 1, tree.d))
-    nodes[0] = p_start
-    nodes[k] = p_end
-    for j, face in enumerate(faces, start=1):
-        nodes[j] = face.init
-    interior = np.arange(1, k)  # node j lies on faces[j - 1]
-    feat = np.array([f.feature for f in faces])
+    nodes[0], nodes[k] = p_start, p_end
+    nodes[1:k] = [f.init for f in faces]
+    # flat index of node j's coordinate on faces[j - 1], and of node j - 1's
+    face = np.arange(1, k) * tree.d + [f.feature for f in faces]
+    prev = face - tree.d
     value = np.array([f.value for f in faces])
-    face_box = Box(np.array([f.lower for f in faces]),
-                   np.array([f.upper for f in faces]))
-    visible = np.sign(nodes[interior, feat] - nodes[interior - 1, feat])
+    lower = np.array([f.lower for f in faces])
+    upper = np.array([f.upper for f in faces])
+    visible = np.sign(nodes.take(face) - nodes.take(prev))
 
     w = np.where(tree.sigma > 0, 1.0 / np.where(tree.sigma > 0, tree.sigma, 1.0),
                  0.0)
     v = tree.table.deriv[rows] * w
     nv = np.sqrt(np.vecdot(v, v))
+    live = nv != 0
     sigma_back = np.where(tree.sigma > 0, tree.sigma, 0.0)
 
-    angles = _angles(nodes, w, v, nv)
+    angles = _angles(nodes, w, v, nv, live)
     obj = _objective(angles)
     history = [obj]
     step = float(step_size)
@@ -340,16 +343,17 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
     it = 0
     while it < max_iters:
         it += 1
-        grad = _gradient(angles, v, nv)[1:k]
+        grad = _gradient(angles, v)[1:k]
+        inner = nodes[1:k]
         accepted = False
         trial_step = step
         for _ in range(40):
             trial = nodes.copy()
-            trial[1:k] = np.clip(nodes[1:k] - trial_step * grad * sigma_back,
-                                 face_box.lower, face_box.upper)
-            trial[interior, feat] = value
-            _reject_crossings(trial, nodes, interior, feat, visible)
-            trial_angles = _angles(trial, w, v, nv)
+            _clip(inner - trial_step * grad * sigma_back, lower, upper,
+                  out=trial[1:k])
+            trial.put(face, value)
+            _reject_crossings(trial, nodes, face, prev, visible)
+            trial_angles = _angles(trial, w, v, nv, live)
             new_obj = _objective(trial_angles)
             if new_obj <= obj:
                 accepted = True
@@ -375,18 +379,20 @@ def align_path(tree: TripleTree, leaf_sequence, max_iters: int = 1000,
         stop_reason=stop_reason)
 
 
-def _reject_crossings(trial, nodes, interior, feat, visible) -> None:
+def _reject_crossings(trial, nodes, face, prev, visible) -> None:
     """Put back, in place, each moved interior node that would cross its
-    face against the side it was first reached from.
+    face (flat index ``face``) against the side it was first reached from.
 
-    Node j's crossing is measured from node j - 1 as it ends up, so the
-    rejections are decided one node after the other.
+    Node j's crossing is measured from node j - 1 (``prev``) as it ends up,
+    so the rejections are decided one node after the other.
     """
-    moved = (trial[interior, feat] - trial[interior - 1, feat]) * visible < 0
-    after_put_back = (trial[interior, feat]
-                      - nodes[interior - 1, feat]) * visible < 0
+    at = trial.take(face)
+    moved = (at - trial.take(prev)) * visible < 0
+    if not moved.any():
+        return
+    after_put_back = (at - nodes.take(prev)) * visible < 0
     reject = False
-    for j, a, b in zip(interior.tolist(), moved.tolist(),
+    for j, a, b in zip(range(1, moved.size + 1), moved.tolist(),
                        after_put_back.tolist()):
         reject = b if reject else a
         if reject:

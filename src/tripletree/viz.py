@@ -252,8 +252,8 @@ def _heat(v) -> np.ndarray:
     i = np.minimum(x.astype(int), len(_VIRIDIS) - 2)
     lo, hi = np.array(_VIRIDIS, dtype=float)[np.stack([i, i + 1])]
     rgb = np.rint(lo + (hi - lo) * (x - i)[..., None]).astype(int)
-    codes, inverse = np.unique((rgb @ [65536, 256, 1]).ravel(),
-                               return_inverse=True)
+    code = rgb[..., 0] << 16 | rgb[..., 1] << 8 | rgb[..., 2]
+    codes, inverse = np.unique(code.ravel(), return_inverse=True)
     hexes = np.array([f"#{c:06x}" for c in codes.tolist()], dtype=object)
     return hexes[inverse].reshape(rgb.shape[:-1])
 
@@ -371,8 +371,9 @@ def _render_rects(payload, style):
 def _render_grid(payload, style):
     canvas = _canvas_for(payload, style)
     grid = np.asarray(payload["values"], dtype=float)
-    flat = grid.ravel().tolist()
-    vmin, vmax = (min(flat), max(flat)) if flat else (0.0, 1.0)
+    flat = grid.ravel()  # the first of equal extremes, as min()/max() keep
+    vmin, vmax = ((flat[flat.argmin()].item(), flat[flat.argmax()].item())
+                  if flat.size else (0.0, 1.0))
     span = (vmax - vmin) or 1.0
     # each column's x and width, and each row's y and height, formatted once
     xs = [canvas.x(v) for v in payload["x_edges"]]
@@ -386,8 +387,15 @@ def _render_grid(payload, style):
     return out, _colorbar(canvas, vmin, vmax)
 
 
+_LINE = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#202020" '
+         'stroke-width="1"/>\n')
+_HEAD = _LINE + '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="#202020"/>'
+_DOT = _LINE + '<circle cx="%.2f" cy="%.2f" r="1.5" fill="#202020"/>'
+
+
 def _render_arrows(payload, style):
-    """Arrows from one array pass, in the per-arrow order of operations."""
+    """Arrows from one array pass, in the per-arrow order of operations, and
+    one format pass over a head or a dot template per arrow."""
     canvas = _canvas_for(payload, style)
     xy = [[a["x"], a["y"], a["dx"], a["dy"]] for a in payload["arrows"]]
     x, y, dx, dy = np.array(xy, dtype=float).reshape(-1, 4).T
@@ -397,20 +405,15 @@ def _render_arrows(payload, style):
     tip_x, tip_y, norm = x + dx, y + dy, np.hypot(dx, dy)
     with np.errstate(divide="ignore", invalid="ignore"):  # read if norm > 1e-9
         ux, uy = dx / norm, dy / norm
-    heads = (tip_x - 4 * ux + 2 * uy, tip_y - 4 * uy - 2 * ux,
-             tip_x - 4 * ux - 2 * uy, tip_y - 4 * uy + 2 * ux)
-    out = []
-    for px, py, tx, ty, head, lx, ly, rx, ry in zip(*(
-            c.tolist() for c in (x, y, tip_x, tip_y, norm > 1e-9, *heads))):
-        out.append(f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{tx:.2f}" '
-                   f'y2="{ty:.2f}" stroke="#202020" stroke-width="1"/>')
-        if head:
-            out.append(f'<polygon points="{tx:.2f},{ty:.2f} {lx:.2f},'
-                       f'{ly:.2f} {rx:.2f},{ry:.2f}" fill="#202020"/>')
-        else:
-            out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5" '
-                       f'fill="#202020"/>')
-    return out, []
+    head = norm > 1e-9
+    # a head reads all ten columns, a dot the first six with (x, y) last
+    numbers = np.stack((x, y, tip_x, tip_y,
+                        np.where(head, tip_x, x), np.where(head, tip_y, y),
+                        tip_x - 4 * ux + 2 * uy, tip_y - 4 * uy - 2 * ux,
+                        tip_x - 4 * ux - 2 * uy, tip_y - 4 * uy + 2 * ux), 1)
+    read = np.arange(10) < np.where(head, 10, 6)[:, None]
+    template = "\n".join([_HEAD if h else _DOT for h in head.tolist()])
+    return [template % tuple(numbers[read].tolist())] if xy else [], []
 
 
 def _render_overlays(canvas, overlays):

@@ -23,7 +23,7 @@ from tripletree.viz import PlaneSpec
 
 from .conftest import build_tree, random_tree, synthetic_aug
 from .reference import (ReferenceActionTree, derivative_impurity,
-                        enumerate_simple_paths, variance)
+                        enumerate_simple_paths, road_action_at, variance)
 from .test_trajectory import independent_objective, right_angle_tree
 
 THETAS = {"action": (1.0, 0.0, 0.0), "value": (0.0, 1.0, 0.0),
@@ -329,7 +329,7 @@ def test_criterion_9_dp_sanity(road_repro):
     cfg, policy = road_repro[0], road_repro[1]
     state = (1.5, 0.0)
     for k in range(100):
-        action = policy.action_at(state)
+        action = road_action_at(policy, state)
         state, _, terminal = road.step(cfg, state, action)
         assert not terminal, f"crashed after {k} steps"
     V = policy.value

@@ -362,6 +362,58 @@ def test_simulate_checks_alignment_options_before_any_path_work(
     assert not out.exists()
 
 
+# simulate queries with a start or end that is missing or malformed, and
+# what the error names
+SIMULATE_USAGE = {
+    "zone-nan-lower-bound": (["--start-zone", "nan,-0.03:0.9,0.0",
+                              "--end-zone", "1.4,0.0:1.7,0.03",
+                              "--min-prob", "0.05"], "is not a valid box"),
+    "zone-nan-upper-bound": (["--start-zone", "0.7,-0.03:0.9,0.0",
+                              "--end-zone", "1.4,0.0:1.7,nan"],
+                             "is not a valid box"),
+    "zone-without-upper-bounds": (["--start-zone", "0.7,-0.03",
+                                   "--end-zone", "1.4,0.0:1.7,0.03"],
+                                  "invalid zone"),
+    "start-zone-alone": (["--start-zone", "0.7,-0.03:0.9,0.0"],
+                         "zone mode needs both --start-zone and --end-zone"),
+    "end-zone-alone": (["--end-zone", "1.4,0.0:1.7,0.03"],
+                       "zone mode needs both --start-zone and --end-zone"),
+    "no-start": (["--end", "1.5,0.02"],
+                 "simulate needs --start or --start-leaf"),
+    "start-without-end": (["--start", "1.5,0.0"],
+                          "simulate needs --end or --end-leaf"),
+}
+
+
+@pytest.mark.parametrize("name", list(SIMULATE_USAGE))
+def test_simulate_without_a_valid_start_and_end_prints_one_usage_line(
+        name, workspace, tmp_path, capsys):
+    base, data, tree = workspace
+    flags, message = SIMULATE_USAGE[name]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(["simulate", "--tree", tree, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_simulate_zone_bounds_may_be_infinite(workspace, tmp_path):
+    # an infinite bound leaves the zone open on that side: the zones below
+    # hold the same leaves as ones bounded past the data range
+    base, data, tree = workspace
+    docs = []
+    for zones in (["-inf,-inf:0.9,inf", "1.4,-inf:inf,inf"],
+                  ["-99,-99:0.9,99", "1.4,-99:99,99"]):
+        out = tmp_path / "zones.json"
+        assert run(["simulate", "--tree", tree, f"--start-zone={zones[0]}",
+                    f"--end-zone={zones[1]}", "--min-prob", "0.01",
+                    "--no-align", "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0] == docs[1] and docs[0]["paths"]
+
+
 # road flags that no value iteration can meet, and what the error names
 UNSOLVABLE_ROADS = {
     "reward-nan": (["--r-left", "nan"], "rewards must be finite"),

@@ -361,9 +361,9 @@ def polylines(draw):
 def test_segment_angles_equal_per_segment_loop(case):
     nodes, derivs, w = case
     nv = np.sqrt(np.vecdot(derivs, derivs))
-    angles = tj._angles(nodes, w, derivs, nv)
+    angles = tj._angles(nodes, w, derivs, nv, nv != 0)
     assert tj._objective(angles) == ref.angle_objective(nodes, derivs, w)
-    assert _same_bytes(tj._gradient(angles, derivs, nv),
+    assert _same_bytes(tj._gradient(angles, derivs),
                        ref.angle_gradient(nodes, derivs, w))
 
 
@@ -391,8 +391,8 @@ def crossing_checks(draw):
 def test_crossing_check_equals_node_by_node_loop(case):
     nodes, trial, feat, visible = case
     want = ref.reject_crossings(trial, nodes, feat, visible)
-    tj._reject_crossings(trial, nodes, np.arange(1, len(nodes) - 1), feat,
-                         visible)
+    face = np.arange(1, len(nodes) - 1) * nodes.shape[1] + feat
+    tj._reject_crossings(trial, nodes, face, face - nodes.shape[1], visible)
     assert _same_bytes(trial, want)
 
 
@@ -404,6 +404,19 @@ def _corner_case():
                        ("leaf", {"action": "a", "deriv": [1.0, 0.0]})),
                       [[0.0, 2.0], [0.0, 1.0]])
     return tree, [0, 1], ((1.0, 0.5), (1.5, 0.8))
+
+
+def _crossing_case():
+    # leaf 0 joins leaf 2 across leaf 1, so node 1 lies on leaf 0's exit
+    # face x = 1 below y = 1.5; leaf 0's derivative lifts it past the face
+    # y = 1.5 that node 2 shares with leaf 3, and descent puts node 2 back
+    leaf = lambda deriv: ("leaf", {"action": "a", "deriv": deriv})
+    tree = build_tree(("split", 0, 1.0, leaf([1.0, 2.0]),
+                       ("split", 0, 2.0, leaf([1.0, 0.0]),
+                        ("split", 1, 1.5, leaf([0.0, 1.0]),
+                         leaf([0.0, 1.0])))),
+                      [[0.0, 3.0], [0.0, 3.0]])
+    return tree, [0, 2, 3], None
 
 
 @st.composite
@@ -422,6 +435,7 @@ def leaf_walks(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=leaf_walks())
 @example(case=_corner_case())
+@example(case=_crossing_case())
 def test_align_path_equals_face_by_face_descent(case):
     tree, seq, endpoints = case
     for a, b in zip(seq, seq[1:]):
@@ -439,6 +453,25 @@ def test_align_path_equals_face_by_face_descent(case):
     assert _same_bytes(got.nodes, nodes)
     assert got.objective == obj
     assert got.objective_history == history
+
+
+def test_crossing_case_puts_a_node_back_on_some_trials(monkeypatch):
+    # so the example above runs the node-by-node put-back, and the trials
+    # that skip it
+    put_back = []
+
+    def spy(trial, nodes, *args):
+        before = trial.copy()
+        reject(trial, nodes, *args)
+        put_back.append(not np.array_equal(before, trial))
+
+    reject = tj._reject_crossings
+    monkeypatch.setattr(tj, "_reject_crossings", spy)
+    tree, seq, _ = _crossing_case()
+    for a, b in zip(seq, seq[1:]):
+        tree.leaves[a].transitions = {b: (1.0, 1.0)}
+    tj.align_path(tree, seq, max_iters=60)
+    assert any(put_back) and not all(put_back)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,39 @@ def test_arrow_svg_equals_the_per_arrow_loop_on_dots_and_odd_values():
         assert viz.render_svg(payload) == ref.render_svg(payload)
 
 
+# arrow components: zero-length arrows (either sign of zero, or under the
+# 1e-9 px head threshold once scaled) and NaN ones, which draw dots, among
+# ordinary ones
+components = st.one_of(st.sampled_from([0.0, -0.0, 1e-14, -1e-300, math.nan]),
+                       st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(-1.0, 1.0),
+                               components, components), max_size=12))
+def test_arrow_svg_equals_the_per_arrow_loop_on_mixed_dots_and_heads(rows):
+    payload = {"arrows": [{"x": x, "y": y, "dx": dx, "dy": dy}
+                          for x, y, dx, dy in rows],
+               "x_range": [0.0, 2.0], "y_range": [-1.0, 1.0]}
+    assert viz.render_svg(payload) == ref.render_svg(payload)
+
+
+@pytest.mark.parametrize("size", [2, 40])
+def test_grid_svg_takes_the_first_of_signed_zero_extremes(size):
+    # min and max of the list keep the first of equal extremes, so 0.0 and
+    # -0.0 print in the colour bar as whichever comes first in the grid
+    n = size * size
+    edges = np.linspace(0.0, 1.0, size + 1).tolist()
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        for fill in (1.0, -1.0):
+            for i, j in ((0, n - 1), (n - 1, 0), (n // 2, 1)):
+                flat = [fill] * n
+                flat[i], flat[j] = first, second
+                payload = {"values": np.reshape(flat, (size, size)).tolist(),
+                           "x_edges": edges, "y_edges": edges}
+                assert viz.render_svg(payload) == ref.render_svg(payload)
+
+
 def test_svg_deterministic_across_calls():
     tree = quad_tree()
     payload = viz.direct_map(tree, "value")
