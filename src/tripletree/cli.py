@@ -371,10 +371,8 @@ def cmd_viz(args) -> int:
         payload = viz.direct_map(tree, args.attribute)
     elif args.mode == "projection":
         payload = viz.pdp_projection(tree, plane, args.attribute)
-    elif args.mode == "slice":
+    else:  # "slice": argparse refuses any other --mode
         payload = viz.ice_slice(tree, plane, args.attribute)
-    else:
-        raise ParameterError(f"unknown viz mode {args.mode!r}")
     _write(args.out, ds.json_bytes(payload))
     if args.svg:
         fx, fy = payload.get("plane", [0, 1])[:2]

@@ -16,27 +16,29 @@ reduction; ``combine_qualities`` combines the three, each normalised by its
 root impurity, for split search, and growth ranks leaves by the same
 formula on Python floats.
 
-The scan needs only running sums, as SPRINT's does, and scores all of a
-node's features together when their sorted orders fit in one chunk (n * d
-<= ``_CHUNK``), each feature in turn, a chunk at a time, when they do not.
-One mask over the orders' sorted values finds every cut.  The block's rows
-are gathered in each order ``_CHUNK`` members at a time into a workspace
-the block keeps, and cumulated in place with their squared moment rows,
-carrying the running sums into the next chunk.  Every position of the chunk
-is then scored from those sums and its order's totals, all moment rows
-(continuous action, V, derivatives) together, and the cuts' qualities are
-taken, so every sum and quality is the one a whole-order scan of each
-feature gives.  A node of several chunks cumulates them once for its
-totals, scores the last, then recomputes and scores the others.  The node's
-own variances and Gini are read off its last position, whose left side is
-the whole node.  A channel of several columns, or of one column weighted
-other than 1 (the derivatives; vector actions), sums its weighted variances
-with one gemv per feature over that feature's cuts, and the node's with one
-ddot per feature: OpenBLAS's gemv rounds a row differently for a different
-number of rows, so each side's (cuts x columns) variances are kept for all
-of a feature's cuts.  On the n=1e5 benchmark trace the root's scan peaks at
-8.0 MB under tracemalloc besides the block's 1.4 MB workspace, and a
-1000-leaf ``grow`` at 16.6 MB (22.5 and 29.7 MB with whole-node buffers).
+The scan needs only running sums, as SPRINT's does.  A leaf's best cut
+does not depend on when it is searched, so a popped leaf not yet searched
+is scanned with every other one whose orders fit in one chunk (n * d <=
+``_CHUNK``): their orders are stacked a row per (leaf, feature), narrowest
+first, padded to the widest, at most ``_CHUNK`` positions a scan.  A larger
+leaf is scanned alone, each feature in turn, a chunk at a time.  One mask
+over the rows' sorted values finds every cut.  The block's rows are
+gathered in each order ``_CHUNK`` members at a time into a workspace the
+block keeps, and cumulated in place with their squared moment rows,
+carrying the running sums into the next chunk.  Every position is then
+scored from those sums and its row's totals, all moment rows (continuous
+action, V, derivatives) together, by elementwise ufuncs that, like the
+row-wise cumsum, round each element alone: every sum and quality is the
+one a lone scan of each feature of each leaf gives.  A row of several
+chunks cumulates them once for its totals, scores the last, then
+recomputes and scores the others.  A leaf's own variances and Gini are read
+off its rows' last members.  A channel of several columns, or of one
+column weighted other than 1 (the derivatives; vector actions), sums its
+weighted variances with one gemv per row over the row's cuts, and the
+leaf's with one ddot per row: OpenBLAS's gemv rounds a row differently for
+a different number of rows.  On the n=1e5 benchmark trace the root's scan
+peaks at 8.0 MB under tracemalloc besides the block's 1.4 MB workspace, and
+a 1000-leaf ``grow`` at 16.6 MB (22.5 and 29.7 MB with whole-node buffers).
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ def node_impurity(data, idx) -> ImpurityTriple:
 
 
 def best_split(data, idx, root_impurity: ImpurityTriple, theta,
-               min_leaf: int = 1, *, orders, block) -> SplitCandidate | None:
+               min_leaf: int = 1, *, orders, block,
+               batch=None) -> SplitCandidate | None:
     """Search all (feature, threshold) partitions of ``idx`` for the best
     hybrid quality.
 
@@ -179,22 +182,20 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
     whose qualities are equal in exact arithmetic may round apart, so either
     can win.  ``idx`` is ascending, ``orders`` holds the members in each
     feature's stable sort, one row per feature, and ``block`` is
-    ``channel_block(data)``; ``grow`` keeps all three.  A node whose orders
-    fit in one chunk scans them all together, a larger one each in turn.
+    ``channel_block(data)``; ``grow`` keeps all three.
+
+    ``batch`` is growth's ``(leaf id, records)``: ``records`` maps each
+    open leaf's id to its orders until it is searched (see ``_search``),
+    then to its found cut, (hybrid quality, feature, threshold, quality
+    triple) or None, and the leaf's record is taken out.  Without ``batch``
+    the leaf is searched as the only open one.
     """
     theta = validate_theta(theta)
-    n = idx.size
-    if n < 2 * min_leaf or n < 2:
-        return None
-    roots = root_impurity.as_array()
-    g = data.d if n * data.d <= _CHUNK else 1  # orders scanned together
-    best = None  # (q_star, feature, tau, triple)
-    for f in range(0, data.d, g):
-        found = _best_cut(block, data.states, orders[f:f + g], f, min_leaf,
-                          roots, theta)
-        if found is not None and (best is None or found[0] > best[0]):
-            best = found
-
+    leaf, records = (None, {None: orders}) if batch is None else batch
+    if isinstance(records[leaf], np.ndarray):  # not searched yet
+        _search(data.states, block, records, leaf, min_leaf,
+                root_impurity.as_array(), theta)
+    best = records.pop(leaf)
     if best is None:
         return None
     q_star, f, tau, triple = best
@@ -253,51 +254,104 @@ def _inverse(sigma):
 
 
 _CHUNK = 8192  # members of sorted orders cumulated and scored at a time
+_SCAN_COST = 1024  # a scan's fixed cost, in the positions it scores
 
 
-def _best_cut(block, states, stack, f0, min_leaf, roots, theta):
-    """The best cut of the orders ``stack`` of features f0, f0 + 1, ..., as
-    (hybrid quality, feature, threshold, quality triple), the lowest
-    feature and then threshold on ties; None when no cut has a positive
-    quality.  An order with a NaN quality has no best cut."""
-    g, n = stack.shape
-    features = range(f0, f0 + g)
-    cuts = _cuts(states[stack, np.array(features)[:, None]], min_leaf)
-    ends = np.searchsorted(cuts, np.arange(g + 1) * n).tolist()
-    q = _scan(block, stack, cuts, ends)
+def _search(states, block, records, leaf, min_leaf, roots, theta):
+    """Search ``leaf`` of ``records`` (see ``best_split``) as the module
+    docstring says, writing each searched leaf's found cut over its orders;
+    a leaf too small to split finds None unscanned."""
+    fewest = max(2, 2 * min_leaf)
+    orders = records[leaf]
+    d, n = orders.shape
+    if n < fewest or orders.size > _CHUNK:  # searched alone
+        records[leaf] = None if n < fewest else max(filter(None, (_best_cuts(
+            block, states, orders[f:f + 1], np.array([[f]]), np.array([n]),
+            min_leaf, roots, theta)[0] for f in range(d))),
+            key=lambda found: found[0], default=None)
+        return
+    scans = [[]]  # each scan's leaves
+    for key, orders in sorted(
+            ((key, o) for key, o in records.items()
+             if isinstance(o, np.ndarray) and o.size <= _CHUNK),
+            key=lambda item: item[1].shape[1]):
+        n = orders.shape[1]
+        if n < fewest:
+            records[key] = None
+            continue
+        rows = d * len(scans[-1])
+        # a wider leaf starts a new scan when the stack would outgrow the
+        # workspace, or pad the rows stacked so far by more than a scan costs
+        if rows and ((rows + d) * n > _CHUNK
+                     or rows * (n - width) > _SCAN_COST):
+            scans.append([])
+        scans[-1].append(key)
+        width = n
+    for keys in filter(None, scans):
+        stacks = [records[key] for key in keys]
+        n = np.repeat([s.shape[1] for s in stacks], d)
+        start = np.cumsum(n) - n  # each row padded with its last member
+        stack = np.concatenate([s.ravel() for s in stacks]).take(
+            np.minimum(np.arange(n[-1]), n[:, None] - 1) + start[:, None])
+        records.update(zip(keys, _best_cuts(
+            block, states, stack, np.tile(np.arange(d), (len(keys), 1)),
+            n, min_leaf, roots, theta)))
+
+
+def _best_cuts(block, states, stack, features, n, min_leaf, roots, theta):
+    """The best cut of each leaf b, whose order of feature ``features[b, i]``
+    is a row of ``stack`` with ``n`` members, as (hybrid quality, feature,
+    threshold, quality triple), the lowest feature and then threshold on
+    ties; None when no cut has a positive quality.  An order with a NaN
+    quality has no best cut."""
+    R, W = stack.shape
+    cuts = _cuts(states[stack, features.reshape(-1, 1)], n, min_leaf)
+    ends = np.searchsorted(cuts, np.arange(R + 1) * W)
+    q = _scan(block, stack, n, cuts, ends.tolist())
     q_star = combine_qualities(q, roots, theta)
-    best = None
-    for f, i, j in zip(features, ends, ends[1:]):
-        if i < j:
-            k = i + int(q_star[i:j].argmax())
-            if q_star[k] > 0 and (best is None or q_star[k] > best[0]):
-                below, above = stack.flat[cuts[k]], stack.flat[cuts[k] + 1]
-                best = (float(q_star[k]), f,
-                        float((states[below, f] + states[above, f]) / 2.0),
-                        tuple(q[:, k].tolist()))
-    return best
+    # each row's best quality (-inf if not positive or NaN), each leaf's
+    # best row and that row's first cut of it
+    sizes = np.diff(ends)
+    top = np.full(R, -np.inf)
+    if cuts.size:
+        top[sizes > 0] = np.maximum.reduceat(q_star, ends[:-1][sizes > 0])
+    top[~(top > 0)] = -np.inf
+    rows = top.reshape(features.shape).argmax(axis=1)
+    rows += np.arange(0, R, features.shape[1])
+    won = np.flatnonzero(top[rows] > 0)
+    rows = rows[won]
+    hits = np.flatnonzero(q_star == top.repeat(sizes))
+    k = hits[np.searchsorted(hits, ends[rows])]
+    f = features.reshape(-1)[rows]
+    at = cuts[k]
+    tau = (states[stack.flat[at], f] + states[stack.flat[at + 1], f]) / 2.0
+    found = [None] * len(features)
+    for b, best in zip(won.tolist(), zip(q_star[k].tolist(), f.tolist(),
+                                         tau.tolist(), q[:, k].T.tolist())):
+        found[b] = (*best[:3], tuple(best[3]))
+    return found
 
 
-def _cuts(xs, min_leaf):
+def _cuts(xs, n, min_leaf):
     """The cuts of the rows of sorted values ``xs``, as flat indices into
     it: each position p whose value is below the next, with a midpoint
     above it (one that rounds down cannot separate the sets) and
-    ``min_leaf`` members each side."""
+    ``min_leaf`` of the row's ``n`` members each side."""
     lo, hi = xs[:, :-1], xs[:, 1:]
     cut = np.zeros(xs.shape, dtype=bool)
     np.less(lo, hi, out=cut[:, :-1])
     cut[:, :-1] &= (lo + hi) / 2.0 > lo
-    if min_leaf > 1:
-        cut[:, :min_leaf - 1] = False
-        cut[:, xs.shape[1] - min_leaf:] = False
+    cut[:, :min_leaf - 1] = False
+    cut &= np.arange(xs.shape[1]) < (n - min_leaf)[:, None]  # not padding
     return np.flatnonzero(cut)
 
 
-def _cumulated(block, members, carry, out):
+def _cumulated(block, members, last, carry, out):
     """Cumulate the block's columns ``members`` (a row per order) and their
     moment rows' squares along each order, after the running sums ``carry``
     of the members before them, into the left half of the workspace sums
-    ``out[0]``; returns the sums at the last member."""
+    ``out[0]``; returns the sums at each row's position ``last``, or at
+    the chunk's end if that is sooner."""
     S = out[0][0, ..., :members.shape[1]]
     k = len(block.rows)
     block.rows.take(members, axis=1, out=S[:k], mode="clip")
@@ -305,88 +359,101 @@ def _cumulated(block, members, carry, out):
     if carry is not None:
         S[..., :1] += carry
     S.cumsum(axis=-1, out=S)
-    return S[..., -1:].copy()
+    return S[:, np.arange(len(last)),
+             np.minimum(last, S.shape[-1] - 1)][..., None]
 
 
-def _scan(block, stack, cuts, ends):
+def _scan(block, stack, n, cuts, ends):
     """Action, value and derivative qualities of the ``cuts`` (flat indices
-    into the (g, n) orders ``stack``; order o's are
-    ``cuts[ends[o]:ends[o + 1]]``), scored ``_CHUNK`` members of an order at
-    a time in the block's workspace.
+    into the (R, W) orders ``stack``, row r's ``n[r]`` members first; its
+    cuts are ``cuts[ends[r]:ends[r + 1]]``), scored ``_CHUNK`` members of
+    an order at a time in the block's workspace.
 
-    A node of several chunks cumulates them in turn for their running sums
+    A row of several chunks cumulates them in turn for their running sums
     and totals, scores the last, then recomputes and scores the others.  A
-    wide channel sums its weighted variances with one gemv per order, over
-    each side's (cuts x columns) block of that order's cuts, and the node's
-    with one ddot per order."""
-    g, n = stack.shape
+    wide channel sums its weighted variances with one gemv per row, over
+    each side's (cuts x columns) block of that row's cuts, and the node's
+    with one ddot per row."""
+    R, W = stack.shape
     L, inv = block.labels, block.inv
-    # views of the workspace for a chunk of the g orders (g members times
+    # views of the workspace for a chunk of the R orders (R members times
     # its length at most _CHUNK): each side's sums of the block's rows and
     # of the moment rows' squares, and every position's qualities
-    width = g * min(n, _CHUNK)
+    width = R * min(W, _CHUNK)
     k = len(block.rows) + inv.size
-    work = (block.work[:2 * k * width].reshape(2, k, g, -1),
-            block.work[2 * k * width:(2 * k + 3) * width].reshape(3, g, -1))
-    starts = range(0, n, _CHUNK)
+    work = (block.work[:2 * k * width].reshape(2, k, R, -1),
+            block.work[2 * k * width:(2 * k + 3) * width].reshape(3, R, -1))
+    starts = range(0, W, _CHUNK)
     sums = [None]  # the running sums entering each chunk, then the totals
     for a in starts:
-        sums.append(_cumulated(block, stack[:, a:a + _CHUNK], sums[-1], work))
+        sums.append(_cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a,
+                               sums[-1], work))
     # the qualities (a wide channel's: its left counts until summed) and
     # each wide channel's side variances
     q = np.empty((3, cuts.size))
     blocks = [np.empty((2, cuts.size, rows.stop - rows.start))
               for _, rows in block.wide]
-    first = np.searchsorted(cuts, [*starts, g * n]).tolist()
+    first = np.searchsorted(cuts, [*starts, R * W]).tolist()
     node = None  # each order's statistics, read off its last position
     for a, carry, i, j in reversed([*zip(starts, sums, first, first[1:])]):
         if node is None or i < j:
             if node is not None:  # the last chunk is still in the workspace
-                _cumulated(block, stack[:, a:a + _CHUNK], carry, work)
-            node = _score_chunk(block, work, sums[-1], node, a, n,
+                _cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a, carry,
+                           work)
+            node = _score_chunk(block, work, sums[-1], node, a, W, n[:, None],
                                 cuts[i:j] - a, q[:, i:j],
                                 [blk[:, i:j] for blk in blocks])
+    # each cut's row (a lone row's values are scalars: a large node's cuts
+    # need no per-cut copies of them)
+    at = np.repeat(np.arange(R), np.diff(ends)) if R > 1 else 0
     for (c, rows), blk in zip(block.wide, blocks):
         var_o = np.ascontiguousarray(node[0][rows, :, 0].T)
+        # each side's weighted variance sums, from one gemv per row over
+        # its (cuts x columns) blocks, and the node's, from one ddot
+        sides, own = np.empty((2, cuts.size)), np.empty(R)
+        for o, (i, j) in enumerate(zip(ends, ends[1:])):
+            if i < j:
+                np.matmul(blk[:, i:j], inv[rows], out=sides[:, i:j])
+                own[o] = var_o[o] @ inv[rows]
         # the channel's members: all n, or those with a derivative (at
         # least one)
-        m_tot = max(float(sums[-1][L, 0, 0]), 1.0) if c else n
-        for o, (i, j) in enumerate(zip(ends, ends[1:])):
-            if i < j:  # each side's weighted variance sums, then the cuts'
-                il, ir = blk[:, i:j] @ inv[rows]  # (cuts x columns) blocks
-                ml = q[c, i:j]
-                il *= ml
-                ir *= np.subtract(m_tot, ml, out=ml)
-                il += ir
-                il /= m_tot
-                np.subtract(var_o[o] @ inv[rows], il, out=ml)
+        m_tot = (np.maximum(sums[-1][L, :, 0], 1.0) if c else n)[at]
+        il, ir = sides
+        ml = q[c]
+        il *= ml
+        ir *= np.subtract(m_tot, ml, out=ml)
+        il += ir
+        il /= m_tot
+        np.subtract(own[at], il, out=ml)
     return q
 
 
-def _score_chunk(block, work, totals, node, a, n, cuts, q, blocks):
-    """Score the cuts ``cuts`` (flat indices into the (g, C) positions of
-    the chunk from member ``a`` cumulated in ``work``) into ``q``, and each
-    wide channel's side variances into ``blocks``, given each order's
-    ``totals`` and ``node`` statistics; returns those statistics.  With
-    ``node`` None (the last chunk) they are read off the last position,
-    whose left side is the whole node.
+def _score_chunk(block, work, totals, node, a, W, n, cuts, q, blocks):
+    """Score the cuts ``cuts`` (flat indices into the (R, C) positions of
+    the chunk from member ``a`` of orders ``W`` wide, cumulated in
+    ``work``) into ``q``, and each wide channel's side variances into
+    ``blocks``, given each row's ``totals``, member count ``n`` (an (R, 1)
+    column) and ``node`` statistics; returns those statistics.  With
+    ``node`` None (the last chunk) they are read off each row's last
+    member, whose left side is the whole node.
 
     Every position is scored, each side's count floored at 1 (the last
     position has no right side), then the cuts are taken.  All moment rows
     are scored together, each side's divided by its member count, or the
     derivatives' by its count of members with a derivative (at least 1)."""
-    S, scored = (W[..., :n - a] for W in work)
+    S, scored = (work_[..., :W - a] for work_ in work)
     L, v, one = block.labels, block.v, block.one
     np.subtract(totals, S[0], out=S[1])  # the sums after each position
-    counts = np.empty((2, S.shape[-1]))  # members each side
+    counts = np.empty((2, *S.shape[2:]))  # members each side
     counts[0] = np.arange(a + 1.0, a + S.shape[-1] + 1.0)
     np.maximum(n - counts[0], 1.0, out=counts[1])
+    last = (np.arange(len(n)), n[:, 0] - 1 - a)
     if L:  # each side's Gini, then the reduction
         p = S[:, :L]
-        p /= counts[:, None, None]
+        p /= counts[:, None]
         gini = np.subtract(1.0, _label_sum(np.square(p, out=p)), out=p[:, 0])
-        gini_n = gini[0, :, -1:].copy() if node is None else node[1]
-        gini *= counts[:, None]
+        gini_n = gini[0][last][:, None] if node is None else node[1]
+        gini *= counts
         np.add(gini[0], gini[1], out=scored[0])
         scored[0] /= n
         np.subtract(gini_n, scored[0], out=scored[0])
@@ -394,15 +461,16 @@ def _score_chunk(block, work, totals, node, a, n, cuts, q, blocks):
         scored[c] = S[0, L] if c else counts[0]
     # each side's means and mean squares, then variances
     M = S[:, L + 1:].reshape(2, 2, -1, *S.shape[2:])
-    M[:, :, :v + 1] /= counts[:, None, None, None]
+    M[:, :, :v + 1] /= counts[:, None, None]
     M[:, :, v + 1:] /= np.maximum(S[:, L, None, None], 1.0)
     var = M[:, 1]
     var -= np.square(M[:, 0], out=M[:, 0])
     np.maximum(var, 0.0, out=var)
     if node is None:
-        node = (var[0, ..., -1:].copy(), gini_n if L else None)
+        node = (var[0][(slice(None), *last)][..., None],
+                gini_n if L else None)
     il = var[:, one]  # the channels of one column weighted 1
-    il *= counts[:, None, None]
+    il *= counts[:, None]
     il = np.add(il[0], il[1], out=il[0])
     il /= n
     np.subtract(node[0][one], il,

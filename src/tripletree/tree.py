@@ -228,11 +228,12 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     feature's stable sort.  Only the root's are sorted: a split on (f, tau)
     filters each of the parent's orders by ``state[f] < tau`` and by its
     complement, which keeps their relative order, so every child's order is
-    the one a stable sort of its own members gives.  The split search
-    scans all of a leaf's orders together when they fit in one chunk
-    (most leaves of a large fit are small), and sums a weighted channel
-    (the derivatives; a vector action) with one gemv per feature.  Each new leaf's priority and
-    density are computed on Python floats.
+    the one a stable sort of its own members gives.  A popped leaf not yet
+    searched is scanned with every other open one whose orders fit in one
+    chunk (most leaves of a large fit are small); each keeps its cut until
+    popped.  A weighted channel (the derivatives; a vector action) takes
+    one gemv and one ddot per (leaf, feature), as a lone search does.  Each
+    new leaf's priority and density are computed on Python floats.
     """
     theta = validate_theta(theta)
     if max_leaves < 1:
@@ -262,6 +263,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     # sorted orders and loss terms; every leaf's id is the index of its node
     queue: list = []
     frontier: dict = {}
+    records: dict = {}  # each open leaf's orders until searched, then its cut
     # combine_qualities on Python floats: each weighted channel's
     # theta * impurity / root, summed in channel order
     weighted = list(zip(theta.tolist(), root_imp.as_array().tolist()))
@@ -270,6 +272,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
         tree.nodes.append(Node(leaf_id=leaf.id))
         tree.leaves[leaf.id] = leaf
         frontier[leaf.id] = members, orders, loss_terms
+        records[leaf.id] = orders
         quality = 0.0
         for (t, r), i in zip(weighted, (leaf.impurity.action,
                                         leaf.impurity.value,
@@ -289,7 +292,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
             break
         members, orders, terms = frontier.pop(lid)
         cand = best_split(data, members, root_imp, theta, min_leaf=min_leaf,
-                          orders=orders, block=block)
+                          orders=orders, block=block, batch=(lid, records))
         if cand is None:
             continue  # unsplittable: the leaf stays out of the queue
         goes_left = data.states[orders, cand.feature] < cand.threshold

@@ -244,6 +244,15 @@ _CATEGORICAL = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                 "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
+def _colour_values(values) -> np.ndarray:
+    """A heat map's values as floats; no colour is defined for NaN or inf."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise ParameterError(f"heat map value {bad} is not finite")
+    return values
+
+
 def _heat(v) -> np.ndarray:
     """Viridis '#rrggbb' colours of the values ``v`` clipped into [0, 1],
     in an object array shaped like ``v``; each distinct colour is formatted
@@ -345,10 +354,11 @@ def _render_rects(payload, style):
     canvas = _canvas_for(payload, style)
     vals = [r["value"] for r in payload["rects"]]
     if not any(isinstance(v, str) for v in vals):
+        values = _colour_values(vals)
         vmin = min(vals) if vals else 0.0
         vmax = max(vals) if vals else 1.0
         span = (vmax - vmin) or 1.0
-        fills = _heat((np.asarray(vals, dtype=float) - vmin) / span)
+        fills = _heat((values - vmin) / span)
         legend = _colorbar(canvas, vmin, vmax)
     else:
         labels = sorted({str(v) for v in vals})
@@ -370,7 +380,7 @@ def _render_rects(payload, style):
 
 def _render_grid(payload, style):
     canvas = _canvas_for(payload, style)
-    grid = np.asarray(payload["values"], dtype=float)
+    grid = _colour_values(payload["values"])
     flat = grid.ravel()  # the first of equal extremes, as min()/max() keep
     vmin, vmax = ((flat[flat.argmin()].item(), flat[flat.argmax()].item())
                   if flat.size else (0.0, 1.0))

@@ -10,6 +10,7 @@ import csv
 import html
 import io
 import json
+import math
 
 import numpy as np
 
@@ -1112,6 +1113,8 @@ def quiver(tree: TripleTree, plane: PlaneSpec | None = None,
 
 
 def _heat(v: float) -> str:
+    if not math.isfinite(v):
+        raise ParameterError(f"heat map value {v} is not finite")
     v = min(max(v, 0.0), 1.0)
     x = v * (len(_VIRIDIS) - 1)
     i = min(int(x), len(_VIRIDIS) - 2)

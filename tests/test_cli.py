@@ -308,6 +308,20 @@ BAD_ARGS = {
     "theta-grid-empty": ["sweep-theta", "--max-leaves", "4",
                          "--theta-grid", ";"],
     "grid-past-index-range": ["dp-solve", "--grid", "2,1" + "0" * 30],
+    "theta-malformed": ["fit", "--gamma", "0.99", "--max-leaves", "4",
+                        "--theta", "1,x,1"],
+    "theta-two-components": ["fit", "--gamma", "0.99", "--max-leaves", "4",
+                             "--theta", "1,1"],
+    "state-malformed": ["predict", "--state", "1.5;0"],
+    "state-nan": ["predict", "--state", "1.5,nan"],
+    "state-too-wide": ["predict", "--state", "1.5,0,0"],
+    "feature-unknown": ["viz", "--mode", "projection", "--plane", "pos,spin"],
+    "feature-index-out-of-range": ["viz", "--mode", "slice", "--plane", "0,2"],
+    "foil-and-value-cond": ["explain", "--state", "1.5,0", "--foil", "0",
+                            "--value-cond", "<=0.3"],
+    "value-cond-and-next-state": ["explain", "--state", "1.5,0",
+                                  "--value-cond", "<=0.3",
+                                  "--next-state", "1.5,0.02"],
 }
 
 
@@ -317,7 +331,7 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
     base, data, tree = workspace
     command, *flags = BAD_ARGS[name]
     argv = [command, *flags]
-    if command in ("eval", "sweep-theta"):
+    if command in ("eval", "sweep-theta", "fit"):
         argv += ["--data", data]
     elif command not in ("gen-road", "dp-solve"):
         argv += ["--tree", tree]
@@ -327,6 +341,7 @@ def test_malformed_argument_prints_one_usage_error_line(name, workspace,
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out.json")
 
 

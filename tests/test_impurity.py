@@ -400,3 +400,92 @@ def test_root_scan_peak_is_bounded(benchmark_trace):
         data, idx, root, (0.2, 0.6, 0.2), orders=orders, block=block))
     assert cand is not None
     assert peak <= 10e6, f"best_split peaked at {peak / 1e6:.1f} MB"
+
+
+@st.composite
+def frontier_cases(draw):
+    """A dataset of every action kind, with tied states and signed zeros,
+    and a frontier of open leaves from one member up to past a chunk of
+    the drawn size ``chunk``, with ``min_leaf`` and theta.  A ``huge``
+    return makes every quality of the leaves holding it NaN; a near-zero
+    derivative sigma overflows the weighted variances of some cuts and not
+    others, so one leaf's orders can have NaN qualities and another not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["discrete", "continuous-scalar",
+                                 "continuous-vector"]))
+    d = draw(st.integers(1, 4))
+    chunk = draw(st.integers(4, 160))
+    n = draw(st.integers(2, chunk // d + 12))
+    pools = [np.append(rng.normal(size=draw(st.integers(1, 4))), [0.0, -0.0])
+             for _ in range(d)]
+    states = np.stack([rng.choice(pool, size=n) if draw(st.booleans())
+                       else rng.uniform(-1, 1, size=n) for pool in pools],
+                      axis=1)
+    if kind == "discrete":
+        actions = rng.integers(0, draw(st.integers(2, 4)), size=n)
+        actions = actions.astype(float)
+    elif kind == "continuous-scalar":
+        actions = rng.normal(size=n)
+    else:
+        actions = rng.normal(size=(n, draw(st.integers(2, 3))))
+    has_deriv = rng.uniform(size=n) > draw(st.sampled_from([0.0, 0.3, 1.0]))
+    D = rng.normal(size=(n, d)) * has_deriv[:, None]
+    V = rng.normal(size=n)
+    sigma = D[has_deriv].std(axis=0) if has_deriv.any() else np.zeros(d)
+    nan = draw(st.sampled_from(["none", "huge", "sigma"]))
+    if nan == "huge":
+        V[int(rng.integers(n))] = 1e200
+    elif nan == "sigma":
+        # a weight of 1e308, so a variance over 1.8 overflows: a node of
+        # both clusters has an infinite impurity, feature 0's cut between
+        # them an infinite quality and the cuts that mix them NaN ones
+        j = int(rng.integers(d))
+        sigma[j] = 1e-308
+        states[:, 0] = rng.integers(2, size=n)
+        D[:, j] = np.where(states[:, 0], 1.5, -1.5) + rng.normal(
+            scale=0.1, size=n)
+    data = synthetic_aug(states=states, actions=actions, V=V, D=D,
+                         has_deriv=has_deriv, sigma=sigma, action_kind=kind)
+    leaves = [np.sort(rng.choice(n, size=draw(st.integers(1, n)),
+                                 replace=False))
+              for _ in range(draw(st.integers(1, 10)))]
+    theta = rng.uniform(size=3) * (rng.uniform(size=3) > 0.3)
+    theta[int(rng.integers(3))] += 0.1
+    root = ImpurityTriple(*rng.uniform(0.5, 2.0, size=3))
+    return data, leaves, root, theta, draw(st.sampled_from([1, 3])), chunk
+
+
+def _found_bits(found):
+    """A found cut's (hybrid quality, feature, threshold, triple), bitwise."""
+    if found is None:
+        return None
+    q_star, f, tau, triple = found
+    return _bits(q_star), f, _bits(tau), [_bits(q) for q in triple]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=frontier_cases())
+def test_batched_search_is_bitwise_each_leafs_lone_search(case):
+    # every open leaf is searched in the first scan that reaches it, with
+    # whichever other leaves are pending, padded to the widest; each must
+    # find the cut its own search finds, bit for bit
+    data, leaves, root, theta, min_leaf, chunk = case
+    orders = [leaf[np.argsort(data.states[leaf].T, axis=1, kind="stable")]
+              for leaf in leaves]
+    with mock.patch.object(imp, "_CHUNK", chunk), \
+            np.errstate(over="ignore", invalid="ignore"):
+        block = imp.channel_block(data)
+        lone = [imp.best_split(data, leaf, root, theta, min_leaf,
+                               orders=order, block=block)
+                for leaf, order in zip(leaves, orders)]
+        records = dict(enumerate(orders))
+        for i, (leaf, order) in enumerate(zip(leaves, orders)):
+            if not isinstance(records[i], np.ndarray):  # found by a batch
+                assert _found_bits(records[i]) == _found_bits(
+                    lone[i] and (lone[i].hybrid_quality, lone[i].feature,
+                                 lone[i].threshold, lone[i].quality_triple))
+            got = imp.best_split(data, leaf, root, theta, min_leaf,
+                                 orders=order, block=block,
+                                 batch=(i, records))
+            assert _candidate_bits(got) == _candidate_bits(lone[i])
+    assert not records

@@ -16,7 +16,8 @@ from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import ImpurityTriple
 
 from . import reference as ref
-from .conftest import random_tree, search_split, synthetic_aug, vector_trace
+from .conftest import (load_perfbench, random_tree, search_split,
+                       synthetic_aug, vector_trace)
 from .reference import ReferenceActionTree
 
 ROAD_DIGEST = os.path.join(os.path.dirname(__file__), "golden",
@@ -551,23 +552,34 @@ def road_tree_digests(aug) -> str:
 def test_grow_hands_each_search_the_stable_sorts_of_its_members(monkeypatch):
     # growth sorts only at the root; every node's orders, partitioned from
     # its parent's, are the stable argsort of its members, ties and signed
-    # zeros included
+    # zeros included: the popped leaf's, and those of every open leaf not
+    # yet searched, which a search scans with it
     rng = np.random.default_rng(4)
     data = _labelled_aug(rng, n=300, d=3)
     data.states[:, 1] = rng.choice([-1.0, -0.0, 0.0, 0.5], size=300)
     data.states[:, 2] = rng.integers(0, 4, size=300).astype(float)
-    seen, blocks = [], []
+    seen, blocks, pending = [], [], []
 
-    def search(data, idx, *args, orders, block, **kwargs):
-        seen.append(np.array_equal(
-            orders, idx[np.argsort(data.states[idx].T, axis=1, kind="stable")]))
+    def stable(idx):
+        return idx[np.argsort(data.states[idx].T, axis=1, kind="stable")]
+
+    def search(data, idx, *args, orders, block, batch, **kwargs):
+        seen.append(np.array_equal(orders, stable(idx)))
         blocks.append(block)
+        lid, records = batch
+        assert records[lid] is orders or not isinstance(records[lid],
+                                                        np.ndarray)
+        for key, record in records.items():
+            if key != lid and isinstance(record, np.ndarray):
+                pending.append(np.array_equal(record,
+                                              stable(np.sort(record[0]))))
         return imp.best_split(data, idx, *args, orders=orders, block=block,
-                              **kwargs)
+                              batch=batch, **kwargs)
 
     monkeypatch.setattr(tr, "best_split", search)
     tree = tr.grow(data, [1, 1, 1], max_leaves=40)
     assert tree.n_leaves == 40 and len(seen) >= 39 and all(seen)
+    assert len(pending) >= 39 and all(pending)
     assert all(b is blocks[0] for b in blocks)  # one block serves them all
 
 
@@ -578,17 +590,22 @@ def test_road_fit_is_byte_identical_to_recorded_digest(road_fixture):
         assert road_tree_digests(road_fixture[3]) == fh.read()
 
 
+def readme_aug():
+    """The README's trace, its ``gen-road`` command's 10^4 samples, through
+    the CSV it writes, augmented."""
+    config = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
+                             gamma=0.99, grid=(30, 30))
+    trace = road.generate_dataset(config, road.dp_solve(config, tolerance=1e-6),
+                                  10_000, 100, seed=0)
+    return ds.augment(ds.load_trace(ds.trace_to_csv_bytes(trace), "csv"), 0.99)
+
+
 def readme_tree_digests() -> str:
     """sha256 of the ``serialize()`` bytes and of the loss rows' repr of a
     1000-leaf fit, theta (0.2, 0.6, 0.2), of the README's trace: its
     ``gen-road`` command's 10^4 samples, through the CSV it writes.  Most of
     this tree's splits are of nodes under 300 samples."""
-    config = road.RoadConfig(r_left=-100.0, r_right=-100.0, r_speed=1.0,
-                             gamma=0.99, grid=(30, 30))
-    trace = road.generate_dataset(config, road.dp_solve(config, tolerance=1e-6),
-                                  10_000, 100, seed=0)
-    aug = ds.augment(ds.load_trace(ds.trace_to_csv_bytes(trace), "csv"), 0.99)
-    tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=1000)
+    tree = tr.fit(readme_aug(), [0.2, 0.6, 0.2], max_leaves=1000)
     assert tree.n_leaves == 1000
     rows = [(n,) + losses for n, losses in enumerate(tree.loss_curve, start=1)]
     return (f"{hashlib.sha256(tr.serialize(tree)).hexdigest()}  tree_readme.json\n"
@@ -598,6 +615,44 @@ def readme_tree_digests() -> str:
 def test_readme_fit_is_byte_identical_to_recorded_digest():
     with open(README_DIGEST) as fh:
         assert readme_tree_digests() == fh.read()
+
+
+def test_readme_fit_searches_each_leaf_once_at_most(monkeypatch):
+    # growth calls best_split once per popped leaf, as the benchmark's
+    # tracer counts it; a call scans the leaf with every other open leaf not
+    # yet searched, so no leaf is scanned twice and no more leaves are
+    # scanned than are created
+    data = readme_aug()
+    tracer = load_perfbench(monkeypatch, "tracer").Tracer()
+    searched, rows = [], [0]
+    scan = imp._scan
+
+    def count_rows(block, stack, *args):
+        rows[0] += len(stack)
+        return scan(block, stack, *args)
+
+    def search(data, idx, *args, batch, **kwargs):
+        records = batch[1]
+        before = [k for k, r in records.items() if isinstance(r, np.ndarray)]
+        cand = imp.best_split(data, idx, *args, batch=batch, **kwargs)
+        searched.extend(k for k in before if k not in records
+                        or not isinstance(records[k], np.ndarray))
+        return cand
+
+    monkeypatch.setattr(imp, "_scan", count_rows)
+    monkeypatch.setattr(tr, "best_split", search)
+    tracer.install()  # wraps impurity.best_split, which search calls
+    try:
+        tree = tr.fit(data, [0.2, 0.6, 0.2], max_leaves=1000)
+    finally:
+        tracer.restore()
+    calls = [s for s in tracer.spans if s[0] == "impurity.best_split"]
+    assert len(calls) == len(tree.split_log) == 999
+    assert len(searched) == len(set(searched)) <= 2 * 999 + 1
+    # a leaf of one member is answered unscanned; a split one had two
+    sizes = {leaf.id: leaf.n for leaf in tree.leaves.values()}
+    scanned = [k for k in searched if sizes.get(k, 2) >= 2]
+    assert rows[0] == data.d * len(scanned)
 
 
 def vector_tree_digests() -> str:

@@ -290,6 +290,19 @@ def test_grid_svg_takes_the_first_of_signed_zero_extremes(size):
                 assert viz.render_svg(payload) == ref.render_svg(payload)
 
 
+@pytest.mark.parametrize("payload", [
+    {"values": [[0.0, math.nan]], "x_edges": [0, 1, 2], "y_edges": [0, 1]},
+    {"rects": [{"x0": 0, "x1": 1, "y0": 0, "y1": 1, "value": math.nan}],
+     "x_range": [0, 1], "y_range": [0, 1]},
+], ids=["grid", "rects"])
+def test_heat_map_of_a_nan_value_is_a_parameter_error(payload):
+    # no colour is defined for NaN: a usage error that names the value, not
+    # an index computed from it
+    for render in (viz.render_svg, ref.render_svg):
+        with pytest.raises(ParameterError, match="heat map value nan"):
+            render(payload)
+
+
 def test_svg_deterministic_across_calls():
     tree = quad_tree()
     payload = viz.direct_map(tree, "value")
