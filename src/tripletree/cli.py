@@ -43,6 +43,12 @@ def _write(path: str, payload: bytes) -> None:
         fh.write(payload)
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    _write(path, buf.getvalue().encode())
+
+
 def _load_tree(path: str) -> tr.TripleTree:
     with open(path, "rb") as fh:
         return tr.deserialize(fh.read())
@@ -211,12 +217,10 @@ def cmd_eval(args) -> int:
         aug = ds.augment(data, args.gamma)
         curve = tr.grow_finite(aug, _parse_theta(args.theta), args.max_leaves,
                                min_leaf=args.min_leaf).loss_curve
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["leaves", "action_loss", "value_loss", "deriv_loss"])
-        for n, (a, v, d) in enumerate(curve, start=1):
-            writer.writerow([n, repr(a), repr(v), repr(d)])
-        _write(args.out, buf.getvalue().encode())
+        _write_csv(args.out, ["leaves", "action_loss", "value_loss",
+                              "deriv_loss"],
+                   ([n, repr(a), repr(v), repr(d)]
+                    for n, (a, v, d) in enumerate(curve, start=1)))
         print(f"wrote loss curve with {len(curve)} rows to {args.out}")
         return 0
     if not args.tree:
@@ -394,19 +398,14 @@ def cmd_sweep_theta(args) -> int:
         grid = tr.simplex_theta_grid(args.divisions)
     result = tr.theta_sweep(ds.augment(data, gamma), grid, args.max_leaves,
                             min_leaf=args.min_leaf)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta_action", "theta_value", "theta_deriv",
-                     "action_loss", "value_loss", "deriv_loss",
-                     "worst_normalised_loss", "is_best"])
-    for row in result["rows"]:
-        ta, tv, td = row["theta"]
-        writer.writerow([repr(ta), repr(tv), repr(td),
-                         repr(row["action_loss"]), repr(row["value_loss"]),
-                         repr(row["deriv_loss"]),
-                         repr(row["worst_normalised_loss"]),
-                         int(row["theta"] == result["best_theta"])])
-    _write(args.out, buf.getvalue().encode())
+    _write_csv(args.out, ["theta_action", "theta_value", "theta_deriv",
+                          "action_loss", "value_loss", "deriv_loss",
+                          "worst_normalised_loss", "is_best"],
+               ([*map(repr, row["theta"]), repr(row["action_loss"]),
+                 repr(row["value_loss"]), repr(row["deriv_loss"]),
+                 repr(row["worst_normalised_loss"]),
+                 int(row["theta"] == result["best_theta"])]
+                for row in result["rows"]))
     print(f"best theta {result['best_theta']} (of {len(result['rows'])} tried)")
     return 0
 

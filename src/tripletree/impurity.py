@@ -13,32 +13,33 @@ attribute lists.  Growth also builds the dataset's ``channel_block`` once
 component, V and each derivative component, with the weights that decode
 them).  A split's quality on a channel is the population-weighted impurity
 reduction; ``combine_qualities`` combines the three, each normalised by its
-root impurity, for split search, and growth ranks leaves by the same
-formula on Python floats.
+root impurity, for split search and for growth's leaf priorities.
 
-The scan needs only running sums, as SPRINT's does.  A leaf's best cut
-does not depend on when it is searched, so a popped leaf not yet searched
-is scanned with every other one whose orders fit in one chunk (n * d <=
-``_CHUNK``): their orders are stacked a row per (leaf, feature), narrowest
-first, padded to the widest, at most ``_CHUNK`` positions a scan.  A larger
-leaf is scanned alone, each feature in turn, a chunk at a time.  One mask
-over the rows' sorted values finds every cut.  The block's rows are
-gathered in each order ``_CHUNK`` members at a time into a workspace the
-block keeps, and cumulated in place with their squared moment rows,
-carrying the running sums into the next chunk.  Every position is then
-scored from those sums and its row's totals, all moment rows (continuous
-action, V, derivatives) together, by elementwise ufuncs that, like the
-row-wise cumsum, round each element alone: every sum and quality is the
-one a lone scan of each feature of each leaf gives.  A row of several
-chunks cumulates them once for its totals, scores the last, then
-recomputes and scores the others.  A leaf's own variances and Gini are read
-off its rows' last members.  A channel of several columns, or of one
-column weighted other than 1 (the derivatives; vector actions), sums its
-weighted variances with one gemv per row over the row's cuts, and the
-leaf's with one ddot per row: OpenBLAS's gemv rounds a row differently for
-a different number of rows.  On the n=1e5 benchmark trace the root's scan
-peaks at 8.0 MB under tracemalloc besides the block's 1.4 MB workspace, and
-a 1000-leaf ``grow`` at 16.6 MB (22.5 and 29.7 MB with whole-node buffers).
+The scan needs only running sums, as SPRINT's does.  A leaf's best cut does
+not depend on when it is searched, so a popped leaf not yet searched whose
+orders fit in one chunk (n * d <= ``_CHUNK``) is searched with every other
+such leaf; a larger popped leaf is searched alone.  One loop packs the
+searched leaves' orders a row per (leaf, feature), narrowest first, into
+scans of at most ``_CHUNK`` positions, each row padded to its scan's
+widest; a row wider than a chunk is a scan of its own, scanned a chunk at a
+time.  Each row's best cut is found, and each leaf keeps its first best row
+in feature order.  One mask over the rows' sorted values finds every cut.
+The block's rows are gathered in each order ``_CHUNK`` members at a time
+into a workspace the block keeps, and cumulated in place with their squared
+moment rows, carrying the running sums into the next chunk.  Every position
+is then scored from those sums and its row's totals, all moment rows
+(continuous action, V, derivatives) together, by elementwise ufuncs that,
+like the row-wise cumsum, round each element alone: every sum and quality
+is the one a scan of that row alone gives.  A row of several chunks
+cumulates them once for its totals, scores the last, then recomputes and
+scores the others.  A leaf's own variances and Gini are read off its rows'
+last members.  A channel of several columns, or of one column weighted
+other than 1 (the derivatives; vector actions), sums its weighted variances
+with one gemv per row over the row's cuts, and the leaf's with one ddot per
+row: OpenBLAS's gemv rounds a row differently for a different number of
+rows.  On the n=1e5 benchmark trace the root's scan peaks at 8.0 MB under
+tracemalloc besides the block's 1.4 MB workspace, and a 1000-leaf ``grow``
+at 16.6 MB (22.5 and 29.7 MB with whole-node buffers).
 """
 
 from __future__ import annotations
@@ -94,20 +95,17 @@ def scaled_sum(var, sigma) -> float:
 
 
 def combine_qualities(q_triple, roots, theta):
-    """Combine per-channel qualities, each normalised by its root impurity
-    in ``roots`` and weighted by the validated ``theta``.
-
-    Each entry of ``q_triple`` is a scalar or an array of candidates; the
-    result has the same shape (a float for scalars).  Channels whose root
-    impurity or weight is zero contribute nothing.  A leaf's growth priority
-    is ``n * combine_qualities(impurity, ...)``, which ``grow`` computes on
-    Python floats in the same order.
-    """
-    out = np.zeros(np.shape(q_triple[0]))
-    for c in range(3):
-        if roots[c] > 0 and theta[c] > 0:
-            out += theta[c] * np.asarray(q_triple[c], dtype=float) / roots[c]
-    return float(out) if out.ndim == 0 else out
+    """Each channel's ``t * q / r``, added in channel order, skipping those
+    of zero weight or root impurity: the qualities ``q_triple`` (floats or
+    arrays of candidates) normalised by their ``roots`` and weighted by the
+    validated ``theta``.  A leaf's growth priority is ``n *
+    combine_qualities(impurity, ...)``."""
+    total = (np.zeros(q_triple[0].shape)
+             if isinstance(q_triple[0], np.ndarray) else 0.0)
+    for t, q, r in zip(theta, q_triple, roots):
+        if r > 0 and t > 0:
+            total += t * q / r
+    return total
 
 
 def validate_theta(theta) -> np.ndarray:
@@ -170,8 +168,7 @@ def node_impurity(data, idx) -> ImpurityTriple:
 
 
 def best_split(data, idx, root_impurity: ImpurityTriple, theta,
-               min_leaf: int = 1, *, orders, block,
-               batch=None) -> SplitCandidate | None:
+               min_leaf: int = 1, *, block, batch) -> SplitCandidate | None:
     """Search all (feature, threshold) partitions of ``idx`` for the best
     hybrid quality.
 
@@ -180,18 +177,16 @@ def best_split(data, idx, root_impurity: ImpurityTriple, theta,
     quality.  Ties break toward the lowest feature index, then the lowest
     threshold, on the qualities as computed in floating point: candidates
     whose qualities are equal in exact arithmetic may round apart, so either
-    can win.  ``idx`` is ascending, ``orders`` holds the members in each
-    feature's stable sort, one row per feature, and ``block`` is
-    ``channel_block(data)``; ``grow`` keeps all three.
+    can win.  ``idx`` is ascending, ``theta`` validated, and ``block`` is
+    ``channel_block(data)``.
 
-    ``batch`` is growth's ``(leaf id, records)``: ``records`` maps each
-    open leaf's id to its orders until it is searched (see ``_search``),
-    then to its found cut, (hybrid quality, feature, threshold, quality
-    triple) or None, and the leaf's record is taken out.  Without ``batch``
-    the leaf is searched as the only open one.
+    ``batch`` is ``(leaf id, records)``: ``records`` maps each open leaf's
+    id to its members in each feature's stable sort, one row per feature,
+    until it is searched (see ``_search``), then to its found cut, (hybrid
+    quality, feature, threshold, quality triple) or None; the leaf's record
+    is taken out.  A lone leaf is the batch ``(key, {key: orders})``.
     """
-    theta = validate_theta(theta)
-    leaf, records = (None, {None: orders}) if batch is None else batch
+    leaf, records = batch
     if isinstance(records[leaf], np.ndarray):  # not searched yet
         _search(data.states, block, records, leaf, min_leaf,
                 root_impurity.as_array(), theta)
@@ -262,73 +257,67 @@ def _search(states, block, records, leaf, min_leaf, roots, theta):
     docstring says, writing each searched leaf's found cut over its orders;
     a leaf too small to split finds None unscanned."""
     fewest = max(2, 2 * min_leaf)
-    orders = records[leaf]
-    d, n = orders.shape
-    if n < fewest or orders.size > _CHUNK:  # searched alone
-        records[leaf] = None if n < fewest else max(filter(None, (_best_cuts(
-            block, states, orders[f:f + 1], np.array([[f]]), np.array([n]),
-            min_leaf, roots, theta)[0] for f in range(d))),
-            key=lambda found: found[0], default=None)
-        return
-    scans = [[]]  # each scan's leaves
-    for key, orders in sorted(
-            ((key, o) for key, o in records.items()
-             if isinstance(o, np.ndarray) and o.size <= _CHUNK),
-            key=lambda item: item[1].shape[1]):
+    d, n = records[leaf].shape
+    keys = [leaf] if d * n > _CHUNK or n < fewest else [
+        key for key, o in records.items()
+        if isinstance(o, np.ndarray) and o.size <= _CHUNK]
+    keys.sort(key=lambda key: records[key].shape[1])
+    scans = [[]]  # each scan's (leaf, feature, order) rows
+    for key in keys:
+        orders, records[key] = records[key], None
         n = orders.shape[1]
-        if n < fewest:
-            records[key] = None
-            continue
-        rows = d * len(scans[-1])
-        # a wider leaf starts a new scan when the stack would outgrow the
-        # workspace, or pad the rows stacked so far by more than a scan costs
-        if rows and ((rows + d) * n > _CHUNK
-                     or rows * (n - width) > _SCAN_COST):
-            scans.append([])
-        scans[-1].append(key)
-        width = n
-    for keys in filter(None, scans):
-        stacks = [records[key] for key in keys]
-        n = np.repeat([s.shape[1] for s in stacks], d)
+        for f in range(d if n >= fewest else 0):
+            stacked = len(scans[-1])
+            # a row starts a new scan when the stack would outgrow a chunk,
+            # or pad the rows stacked so far by more than a scan costs
+            if stacked and ((stacked + 1) * n > _CHUNK
+                            or stacked * (n - width) > _SCAN_COST):
+                scans.append([])
+            scans[-1].append((key, f, orders[f]))
+            width = n
+    for scan in filter(None, scans):
+        leaves, features, rows = zip(*scan)
+        n = np.array([row.size for row in rows])
         start = np.cumsum(n) - n  # each row padded with its last member
-        stack = np.concatenate([s.ravel() for s in stacks]).take(
-            np.minimum(np.arange(n[-1]), n[:, None] - 1) + start[:, None])
-        records.update(zip(keys, _best_cuts(
-            block, states, stack, np.tile(np.arange(d), (len(keys), 1)),
-            n, min_leaf, roots, theta)))
+        stack = rows[0][None] if len(rows) == 1 else np.concatenate(
+            rows).take(np.minimum(np.arange(n[-1]), n[:, None] - 1)
+                       + start[:, None])
+        for key, cut in zip(leaves, _best_cuts(block, states, stack,
+                                               np.array(features), n,
+                                               min_leaf, roots, theta)):
+            # each leaf's first best row in feature order
+            if cut and (records[key] is None or cut[0] > records[key][0]):
+                records[key] = cut
 
 
 def _best_cuts(block, states, stack, features, n, min_leaf, roots, theta):
-    """The best cut of each leaf b, whose order of feature ``features[b, i]``
-    is a row of ``stack`` with ``n`` members, as (hybrid quality, feature,
-    threshold, quality triple), the lowest feature and then threshold on
-    ties; None when no cut has a positive quality.  An order with a NaN
-    quality has no best cut."""
+    """The best cut of each row of ``stack``, the order of feature
+    ``features[r]`` with ``n[r]`` members, as (hybrid quality, feature,
+    threshold, quality triple), the lowest threshold on ties; None when no
+    cut has a positive quality.  An order with a NaN quality has no best
+    cut."""
     R, W = stack.shape
-    cuts = _cuts(states[stack, features.reshape(-1, 1)], n, min_leaf)
+    cuts = _cuts(states[stack, features[:, None]], n, min_leaf)
     ends = np.searchsorted(cuts, np.arange(R + 1) * W)
     q = _scan(block, stack, n, cuts, ends.tolist())
     q_star = combine_qualities(q, roots, theta)
-    # each row's best quality (-inf if not positive or NaN), each leaf's
-    # best row and that row's first cut of it
+    # each row's best quality (NaN if any is), the rows where it is
+    # positive and each one's first cut of it
     sizes = np.diff(ends)
     top = np.full(R, -np.inf)
     if cuts.size:
         top[sizes > 0] = np.maximum.reduceat(q_star, ends[:-1][sizes > 0])
-    top[~(top > 0)] = -np.inf
-    rows = top.reshape(features.shape).argmax(axis=1)
-    rows += np.arange(0, R, features.shape[1])
-    won = np.flatnonzero(top[rows] > 0)
-    rows = rows[won]
+    rows = np.flatnonzero(top > 0)
     hits = np.flatnonzero(q_star == top.repeat(sizes))
     k = hits[np.searchsorted(hits, ends[rows])]
-    f = features.reshape(-1)[rows]
+    f = features[rows]
     at = cuts[k]
     tau = (states[stack.flat[at], f] + states[stack.flat[at + 1], f]) / 2.0
-    found = [None] * len(features)
-    for b, best in zip(won.tolist(), zip(q_star[k].tolist(), f.tolist(),
-                                         tau.tolist(), q[:, k].T.tolist())):
-        found[b] = (*best[:3], tuple(best[3]))
+    found = [None] * R
+    for r, q_r, f_r, tau_r, triple in zip(rows.tolist(), q_star[k].tolist(),
+                                          f.tolist(), tau.tolist(),
+                                          q[:, k].T.tolist()):
+        found[r] = (q_r, f_r, tau_r, tuple(triple))
     return found
 
 

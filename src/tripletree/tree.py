@@ -33,8 +33,9 @@ import numpy as np
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
                       AugmentedDataset, json_bytes)
 from .errors import ParameterError, TraceFormatError
-from .impurity import (ImpurityTriple, best_split, channel_block, node_stats,
-                       scaled_sum, validate_theta)
+from .impurity import (ImpurityTriple, best_split, channel_block,
+                       combine_qualities, node_stats, scaled_sum,
+                       validate_theta)
 
 SERIAL_VERSION = 1
 
@@ -228,12 +229,12 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     feature's stable sort.  Only the root's are sorted: a split on (f, tau)
     filters each of the parent's orders by ``state[f] < tau`` and by its
     complement, which keeps their relative order, so every child's order is
-    the one a stable sort of its own members gives.  A popped leaf not yet
-    searched is scanned with every other open one whose orders fit in one
-    chunk (most leaves of a large fit are small); each keeps its cut until
-    popped.  A weighted channel (the derivatives; a vector action) takes
-    one gemv and one ddot per (leaf, feature), as a lone search does.  Each
-    new leaf's priority and density are computed on Python floats.
+    the one a stable sort of its own members gives.  The open leaves' orders
+    are ``best_split``'s batch records: a popped leaf not yet searched whose
+    orders fit in one chunk is searched with every other such open leaf
+    (most leaves of a large fit are small), a larger one alone, and each
+    keeps its cut until popped.  Each new leaf's priority is
+    ``combine_qualities`` of its impurities on Python floats.
     """
     theta = validate_theta(theta)
     if max_leaves < 1:
@@ -264,21 +265,16 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
     queue: list = []
     frontier: dict = {}
     records: dict = {}  # each open leaf's orders until searched, then its cut
-    # combine_qualities on Python floats: each weighted channel's
-    # theta * impurity / root, summed in channel order
-    weighted = list(zip(theta.tolist(), root_imp.as_array().tolist()))
+    weights, roots = theta.tolist(), root_imp.as_array().tolist()
 
     def add_leaf(leaf, members, orders, loss_terms):
         tree.nodes.append(Node(leaf_id=leaf.id))
         tree.leaves[leaf.id] = leaf
         frontier[leaf.id] = members, orders, loss_terms
         records[leaf.id] = orders
-        quality = 0.0
-        for (t, r), i in zip(weighted, (leaf.impurity.action,
-                                        leaf.impurity.value,
-                                        leaf.impurity.derivative)):
-            if r > 0 and t > 0:
-                quality += t * i / r
+        imp = leaf.impurity
+        quality = combine_qualities((imp.action, imp.value, imp.derivative),
+                                    roots, weights)
         heapq.heappush(queue, (-(leaf.n * quality), leaf.id))
 
     # sq: summed squared errors of the current leaves, the training losses
@@ -292,7 +288,7 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
             break
         members, orders, terms = frontier.pop(lid)
         cand = best_split(data, members, root_imp, theta, min_leaf=min_leaf,
-                          orders=orders, block=block, batch=(lid, records))
+                          block=block, batch=(lid, records))
         if cand is None:
             continue  # unsplittable: the leaf stays out of the queue
         goes_left = data.states[orders, cand.feature] < cand.threshold

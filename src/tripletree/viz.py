@@ -10,6 +10,7 @@ SVG colours are one array pass.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -244,15 +245,6 @@ _CATEGORICAL = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                 "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def _colour_values(values) -> np.ndarray:
-    """A heat map's values as floats; no colour is defined for NaN or inf."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        bad = values[~np.isfinite(values)][0]
-        raise ParameterError(f"heat map value {bad} is not finite")
-    return values
-
-
 def _heat(v) -> np.ndarray:
     """Viridis '#rrggbb' colours of the values ``v`` clipped into [0, 1],
     in an object array shaped like ``v``; each distinct colour is formatted
@@ -265,6 +257,24 @@ def _heat(v) -> np.ndarray:
     codes, inverse = np.unique(code.ravel(), return_inverse=True)
     hexes = np.array([f"#{c:06x}" for c in codes.tolist()], dtype=object)
     return hexes[inverse].reshape(rgb.shape[:-1])
+
+
+def _heat_scale(canvas, values):
+    """Viridis fills of ``values``, from the first colour at the least (the
+    first of equal extremes, as min()/max() keep) to the last at the
+    greatest, and the colour bar; a span that overflows is halved, which
+    scales every fraction exactly.  No colour is defined for NaN or inf."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise ParameterError(f"heat map value {bad} is not finite")
+    flat = values.ravel()
+    vmin, vmax = ((flat[flat.argmin()].item(), flat[flat.argmax()].item())
+                  if flat.size else (0.0, 1.0))
+    k = 0.5 if math.isinf(vmax - vmin) else 1.0
+    span = (vmax * k - vmin * k) or 1.0
+    return (_heat((values * k - vmin * k) / span),
+            _colorbar(canvas, vmin, vmax))
 
 
 def _f(v: float) -> str:
@@ -354,12 +364,7 @@ def _render_rects(payload, style):
     canvas = _canvas_for(payload, style)
     vals = [r["value"] for r in payload["rects"]]
     if not any(isinstance(v, str) for v in vals):
-        values = _colour_values(vals)
-        vmin = min(vals) if vals else 0.0
-        vmax = max(vals) if vals else 1.0
-        span = (vmax - vmin) or 1.0
-        fills = _heat((values - vmin) / span)
-        legend = _colorbar(canvas, vmin, vmax)
+        fills, legend = _heat_scale(canvas, vals)
     else:
         labels = sorted({str(v) for v in vals})
         cmap = {l: _CATEGORICAL[i % len(_CATEGORICAL)]
@@ -380,21 +385,16 @@ def _render_rects(payload, style):
 
 def _render_grid(payload, style):
     canvas = _canvas_for(payload, style)
-    grid = _colour_values(payload["values"])
-    flat = grid.ravel()  # the first of equal extremes, as min()/max() keep
-    vmin, vmax = ((flat[flat.argmin()].item(), flat[flat.argmax()].item())
-                  if flat.size else (0.0, 1.0))
-    span = (vmax - vmin) or 1.0
+    fills, legend = _heat_scale(canvas, payload["values"])
     # each column's x and width, and each row's y and height, formatted once
     xs = [canvas.x(v) for v in payload["x_edges"]]
     ys = [canvas.y(v) for v in payload["y_edges"]]
     cols = [(_f(x), _f(x1 - x)) for x, x1 in zip(xs, xs[1:])]
     rows = [(_f(y), _f(y0 - y)) for y0, y in zip(ys, ys[1:])]
     out = [f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"/>'
-           for (y, h), fill_row in zip(rows,
-                                       _heat((grid - vmin) / span).tolist())
+           for (y, h), fill_row in zip(rows, fills.tolist())
            for (x, w), fill in zip(cols, fill_row)]
-    return out, _colorbar(canvas, vmin, vmax)
+    return out, legend
 
 
 _LINE = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#202020" '

@@ -81,12 +81,12 @@ def synthetic_aug(states, actions=None, V=None, D=None, has_deriv=None,
 
 def search_split(data, idx, root, theta, min_leaf=1):
     """``best_split`` of the members ``idx``, in any order, called as growth
-    calls it: the members ascending, their stable sort on every feature and
-    the dataset's channel block."""
+    calls it: the members ascending, as the only record of a batch holding
+    their stable sort on every feature, and the dataset's channel block."""
     idx = np.sort(idx)
     orders = idx[np.argsort(data.states[idx].T, axis=1, kind="stable")]
-    return best_split(data, idx, root, theta, min_leaf, orders=orders,
-                      block=channel_block(data))
+    return best_split(data, idx, root, theta, min_leaf,
+                      block=channel_block(data), batch=(0, {0: orders}))
 
 
 def build_tree(spec, feature_range, *, sigma=None, gamma=0.9,

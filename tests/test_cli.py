@@ -179,6 +179,22 @@ def test_viz_direct_on_a_one_feature_tree(tmp_path):
                 "--out", out]) == 2
 
 
+def test_viz_of_leaf_values_whose_range_overflows(tmp_path):
+    # -1e308 and 1e308 load as finite values; their heat map's span
+    # overflows, and they take the first and last viridis colours
+    spec = ("split", 0, 1.0, ("leaf", {"action": "a", "value": -1e308}),
+            ("leaf", {"action": "b", "value": 1e308}))
+    tree = tmp_path / "tree.json"
+    tree.write_bytes(tr.serialize(build_tree(spec, [[0.0, 2.0], [0.0, 2.0]])))
+    svg = tmp_path / "v.svg"
+    assert run(["viz", "--tree", str(tree), "--attribute", "value", "--mode",
+                "direct", "--out", str(tmp_path / "v.json"),
+                "--svg", str(svg)]) == 0
+    fills = [el.get("fill") for el in ET.fromstring(svg.read_text())
+             .iter("{http://www.w3.org/2000/svg}rect")]
+    assert fills[1:3] == ["#440154", "#fde725"]
+
+
 def test_svg_text_with_markup_characters_is_escaped(tmp_path):
     # feature names reach the axis labels and action labels the swatches
     labels = ["go<", "a&b>", "go\x01"]

@@ -330,7 +330,7 @@ def test_inherited_orders_search_is_bitwise_the_sorting_search(case, seed):
         assert np.array_equal(inherited, child[np.argsort(
             data.states[child].T, axis=1, kind="stable")])
         got = imp.best_split(data, child, root, theta, min_leaf=min_leaf,
-                             orders=inherited, block=block)
+                             block=block, batch=(0, {0: inherited}))
         want = rowwise_best_split(data, child, root, theta, min_leaf=min_leaf)
         assert _candidate_bits(got) == _candidate_bits(want)
         if got is not None:
@@ -397,7 +397,7 @@ def test_root_scan_peak_is_bounded(benchmark_trace):
     block = imp.channel_block(data)
     root = imp.node_impurity(data, idx)
     cand, peak = traced_peak(lambda: imp.best_split(
-        data, idx, root, (0.2, 0.6, 0.2), orders=orders, block=block))
+        data, idx, root, (0.2, 0.6, 0.2), block=block, batch=(0, {0: orders})))
     assert cand is not None
     assert peak <= 10e6, f"best_split peaked at {peak / 1e6:.1f} MB"
 
@@ -476,8 +476,8 @@ def test_batched_search_is_bitwise_each_leafs_lone_search(case):
             np.errstate(over="ignore", invalid="ignore"):
         block = imp.channel_block(data)
         lone = [imp.best_split(data, leaf, root, theta, min_leaf,
-                               orders=order, block=block)
-                for leaf, order in zip(leaves, orders)]
+                               block=block, batch=(i, {i: order}))
+                for i, (leaf, order) in enumerate(zip(leaves, orders))]
         records = dict(enumerate(orders))
         for i, (leaf, order) in enumerate(zip(leaves, orders)):
             if not isinstance(records[i], np.ndarray):  # found by a batch
@@ -485,7 +485,6 @@ def test_batched_search_is_bitwise_each_leafs_lone_search(case):
                     lone[i] and (lone[i].hybrid_quality, lone[i].feature,
                                  lone[i].threshold, lone[i].quality_triple))
             got = imp.best_split(data, leaf, root, theta, min_leaf,
-                                 orders=order, block=block,
-                                 batch=(i, records))
+                                 block=block, batch=(i, records))
             assert _candidate_bits(got) == _candidate_bits(lone[i])
     assert not records

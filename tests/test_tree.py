@@ -559,22 +559,23 @@ def test_grow_hands_each_search_the_stable_sorts_of_its_members(monkeypatch):
     data.states[:, 1] = rng.choice([-1.0, -0.0, 0.0, 0.5], size=300)
     data.states[:, 2] = rng.integers(0, 4, size=300).astype(float)
     seen, blocks, pending = [], [], []
+    handed = {}  # each leaf's orders, as its record held them before search
 
     def stable(idx):
         return idx[np.argsort(data.states[idx].T, axis=1, kind="stable")]
 
-    def search(data, idx, *args, orders, block, batch, **kwargs):
-        seen.append(np.array_equal(orders, stable(idx)))
-        blocks.append(block)
+    def search(data, idx, *args, block, batch, **kwargs):
         lid, records = batch
-        assert records[lid] is orders or not isinstance(records[lid],
-                                                        np.ndarray)
+        handed.update((key, record) for key, record in records.items()
+                      if isinstance(record, np.ndarray))
+        seen.append(np.array_equal(handed[lid], stable(idx)))
+        blocks.append(block)
         for key, record in records.items():
             if key != lid and isinstance(record, np.ndarray):
                 pending.append(np.array_equal(record,
                                               stable(np.sort(record[0]))))
-        return imp.best_split(data, idx, *args, orders=orders, block=block,
-                              batch=batch, **kwargs)
+        return imp.best_split(data, idx, *args, block=block, batch=batch,
+                              **kwargs)
 
     monkeypatch.setattr(tr, "best_split", search)
     tree = tr.grow(data, [1, 1, 1], max_leaves=40)
@@ -653,6 +654,48 @@ def test_readme_fit_searches_each_leaf_once_at_most(monkeypatch):
     sizes = {leaf.id: leaf.n for leaf in tree.leaves.values()}
     scanned = [k for k in searched if sizes.get(k, 2) >= 2]
     assert rows[0] == data.d * len(scanned)
+
+
+def test_scans_fit_one_chunk_and_a_wide_leaf_scans_alone(monkeypatch,
+                                                         benchmark_trace):
+    # every scan is one row or fits one chunk; a popped leaf wider than a
+    # chunk scans only its own d rows, leaving every other open leaf for a
+    # later search: in the README's 1000-leaf fit and at the n=1e5 root
+    shapes, rows, wide = [], [], []
+    scan = imp._scan
+
+    def record_scan(block, stack, n, *args):
+        shapes.append(stack.shape)
+        rows.extend(row[:m] for row, m in zip(stack, n.tolist()))
+        return scan(block, stack, n, *args)
+
+    def search(data, idx, *args, batch, **kwargs):
+        lid, records = batch
+        orders = records[lid]
+        others = [k for k, r in records.items()
+                  if k != lid and isinstance(r, np.ndarray)]
+        rows.clear()
+        cand = imp.best_split(data, idx, *args, batch=batch, **kwargs)
+        if isinstance(orders, np.ndarray) and orders.size > imp._CHUNK:
+            wide.append(lid)
+            assert len(rows) == data.d
+            assert all(map(np.array_equal, rows, orders))
+            assert all(isinstance(records[k], np.ndarray) for k in others)
+        return cand
+
+    monkeypatch.setattr(imp, "_scan", record_scan)
+    monkeypatch.setattr(tr, "best_split", search)
+    tree = tr.fit(readme_aug(), [0.2, 0.6, 0.2], max_leaves=1000)
+    assert tree.n_leaves == 1000 and len(wide) >= 3
+    data = ds.augment(benchmark_trace, 0.99)
+    orders = np.argsort(data.states.T, axis=1, kind="stable")
+    root = imp.node_impurity(data, np.arange(data.n))
+    assert search(data, np.arange(data.n), root, np.array([0.2, 0.6, 0.2]),
+                  block=imp.channel_block(data),
+                  batch=(0, {0: orders})) is not None
+    assert wide[-1] == 0
+    assert all(R == 1 or R * W <= imp._CHUNK for R, W in shapes)
+    assert any(R > 1 for R, _ in shapes)
 
 
 def vector_tree_digests() -> str:

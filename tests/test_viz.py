@@ -303,6 +303,23 @@ def test_heat_map_of_a_nan_value_is_a_parameter_error(payload):
             render(payload)
 
 
+@pytest.mark.parametrize("payload", [
+    {"values": [[-1e308, 0.0, 1e308]], "x_edges": [0, 1, 2, 3],
+     "y_edges": [0, 1]},
+    {"rects": [{"x0": i, "x1": i + 1, "y0": 0, "y1": 1, "value": v}
+               for i, v in enumerate((-1e308, 0.0, 1e308))],
+     "x_range": [0, 3], "y_range": [0, 1]},
+], ids=["grid", "rects"])
+def test_heat_map_whose_range_overflows_spans_the_scale(payload):
+    # vmax - vmin overflows to inf, yet the least value takes viridis's
+    # first colour, the greatest its last and the midpoint its middle one
+    svg = ET.fromstring(viz.render_svg(payload))
+    fills = [el.get("fill") for el in svg.iter("{http://www.w3.org/2000/svg}rect")]
+    assert fills[1:4] == ["#440154", "#26828e", "#fde725"]
+    labels = [el.text for el in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels[-2:] == ["-1e+308", "1e+308"]
+
+
 def test_svg_deterministic_across_calls():
     tree = quad_tree()
     payload = viz.direct_map(tree, "value")
