@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -50,8 +50,7 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def _load_tree(path: str) -> tr.TripleTree:
-    with open(path, "rb") as fh:
-        return tr.deserialize(fh.read())
+    return tr.deserialize(Path(path).read_bytes())
 
 
 def _parse_theta(text: str) -> np.ndarray:
@@ -153,8 +152,8 @@ def _parse_action(tree: tr.TripleTree, text: str):
 def _road_config(args) -> road.RoadConfig:
     road.check_tolerance(args.tol)  # checked even when no solve runs
     if getattr(args, "config", None):
-        with open(args.config, "rb") as fh:
-            return road.RoadConfig.from_json(json.loads(fh.read().decode()))
+        return road.RoadConfig.from_json(
+            ds.json_document(Path(args.config).read_bytes(), "road config"))
     n_pos, n_speed = _int_pair(args.grid, "--grid")
     return road.RoadConfig(r_left=args.r_left, r_right=args.r_right,
                            r_speed=args.r_speed, gamma=args.gamma,
@@ -168,11 +167,12 @@ def _road_config(args) -> road.RoadConfig:
 def cmd_gen_road(args) -> int:
     config = _road_config(args)
     if args.policy:
-        policy = road.load_policy(args.policy)
+        policy = road.GridPolicy.from_json(
+            ds.json_document(Path(args.policy).read_bytes(), "policy"))
     else:
         policy = road.dp_solve(config, tolerance=args.tol)
     if args.policy_out:
-        road.save_policy(policy, _out_path(args.policy_out))
+        _write(args.policy_out, ds.json_bytes(policy.to_json()))
     data = road.generate_dataset(config, policy, args.samples,
                                  args.episode_len, args.seed)
     if args.format == "json":
@@ -187,7 +187,7 @@ def cmd_gen_road(args) -> int:
 def cmd_dp_solve(args) -> int:
     config = _road_config(args)
     policy = road.dp_solve(config, tolerance=args.tol)
-    road.save_policy(policy, _out_path(args.out))
+    _write(args.out, ds.json_bytes(policy.to_json()))
     print(f"converged in {policy.iterations} sweeps "
           f"(residual {policy.residual:.3g}); wrote {args.out}")
     return 0
@@ -215,8 +215,8 @@ def cmd_eval(args) -> int:
                 "--curve needs --data, --gamma, --theta, --max-leaves and --out")
         data = ds.load_trace_path(args.data, action_kind=args.action_kind)
         aug = ds.augment(data, args.gamma)
-        curve = tr.grow_finite(aug, _parse_theta(args.theta), args.max_leaves,
-                               min_leaf=args.min_leaf).loss_curve
+        curve = tr.grow(aug, _parse_theta(args.theta), args.max_leaves,
+                        min_leaf=args.min_leaf).loss_curve
         _write_csv(args.out, ["leaves", "action_loss", "value_loss",
                               "deriv_loss"],
                    ([n, repr(a), repr(v), repr(d)]
@@ -311,8 +311,10 @@ def cmd_simulate(args) -> int:
                   "tol": args.tol}
     tj.check_align_options(**align_opts)  # also when no path is aligned
     tree = _load_tree(args.tree)
+    if args.svg and tree.d != 2:
+        raise ParameterError("--svg is only available for d=2 trees")
     graph = tj.build_leaf_graph(tree)
-    overlays = []
+    shown = []  # the paths drawn by --svg
     if args.start_zone or args.end_zone:
         if not (args.start_zone and args.end_zone):
             raise ParameterError("zone mode needs both --start-zone and --end-zone")
@@ -323,7 +325,7 @@ def cmd_simulate(args) -> int:
         if args.align:
             paths = [tj.align_path(tree, p.leaves, **align_opts) for p in paths]
         doc = {"paths": [_path_doc(p) for p in paths]}
-        overlays = _overlays(paths)
+        shown = paths
         print(f"{len(paths)} zone paths with probability >= {args.min_prob:g}")
     else:
         if args.start_leaf is not None:
@@ -349,18 +351,16 @@ def cmd_simulate(args) -> int:
             if args.align:
                 path = tj.align_path(tree, path.leaves, **align_opts)
             doc = {"path": _path_doc(path)}
-            overlays = _overlays([path])
+            shown = [path]
             print(f"path {path.leaves} probability {path.probability:.4g} "
                   f"expected duration {path.expected_duration:.4g}")
     _write(args.out, ds.json_bytes(doc))
     if args.svg:
-        if tree.d != 2:
-            raise ParameterError("--svg is only available for d=2 trees")
         base = viz.direct_map(tree, "action")
         svg = viz.render_svg(base, {"title": "simulated trajectories",
                                     "xlabel": tree.feature_names[0],
                                     "ylabel": tree.feature_names[1]},
-                             overlays=overlays)
+                             overlays=_overlays(shown))
         _write(args.svg, svg.encode())
     return 0
 
@@ -379,10 +379,9 @@ def cmd_viz(args) -> int:
         payload = viz.ice_slice(tree, plane, args.attribute)
     _write(args.out, ds.json_bytes(payload))
     if args.svg:
-        fx, fy = payload.get("plane", [0, 1])[:2]
+        names = [tree.feature_names[f] for f in payload["plane"]]
         style = {"title": f"{args.attribute} ({args.mode})",
-                 "xlabel": tree.feature_names[fx],
-                 "ylabel": tree.feature_names[fy] if tree.d > 1 else ""}
+                 "xlabel": names[0], "ylabel": names[1] if tree.d > 1 else ""}
         _write(args.svg, viz.render_svg(payload, style).encode())
     print(f"wrote {args.attribute} {args.mode} view to {args.out}")
     return 0
@@ -592,9 +591,6 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"data error: invalid JSON ({exc})", file=sys.stderr)
         return 1
 
 

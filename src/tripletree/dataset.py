@@ -278,7 +278,8 @@ def augment(data: TraceDataset, gamma: float) -> AugmentedDataset:
 # whole trace.  The row-by-row scan runs only on a trace those passes
 # reject, to name its first faulty row.  Writing goes an episode at a time,
 # a column at a time.
-# JSON: array of episodes `{terminal: bool, steps: [{s: [..], a: .., r: ..}]}`.
+# JSON: array of episodes `{terminal: bool, steps: [{s: [..], a: .., r: ..}]}`,
+# read whole through ``json_document`` as every JSON input of the package is.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ROWS = 2048  # input lines tokenised and converted at once
@@ -295,9 +296,8 @@ def load_trace(source, format: str, action_kind: str | None = None) -> TraceData
     raw = source.read() if hasattr(source, "read") else source
     if format == "csv":
         return _load_csv(raw, action_kind)
-    text = _text(raw, raw)
     if format == "json":
-        return _load_json(text, action_kind)
+        return _load_json(json_document(raw, "trace"), action_kind)
     raise ParameterError(f"unknown trace format {format!r}")
 
 
@@ -307,10 +307,10 @@ def load_trace_path(path, action_kind: str | None = None) -> TraceDataset:
         return load_trace(fh, fmt, action_kind=action_kind)
 
 
-def _text(part, whole, errors: str = "strict") -> str:
+def _text(part, whole, errors: str = "strict", what: str = "trace") -> str:
     """``part`` of the input as text.  Bytes are read as UTF-8; when they
-    are not, the error names the first bad byte of ``whole``.  Parts are cut
-    at line ends, and no UTF-8 sequence holds a newline byte."""
+    are not, the error names ``what`` and the first bad byte of ``whole``.
+    Parts are cut at line ends, and no UTF-8 sequence holds a newline byte."""
     if isinstance(part, str):
         return part
     try:
@@ -319,7 +319,7 @@ def _text(part, whole, errors: str = "strict") -> str:
         try:
             whole.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"trace is not UTF-8 text: {exc}") from None
+            raise TraceFormatError(f"{what} is not UTF-8 text: {exc}") from None
         raise
 
 
@@ -555,11 +555,7 @@ def _csv_row_fault(text: str, width: int, d: int) -> TraceFormatError:
         prev_t = t
 
 
-def _load_json(text: str, action_kind: str | None) -> TraceDataset:
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
-        raise TraceFormatError(f"invalid JSON trace: {exc}") from None
+def _load_json(payload, action_kind: str | None) -> TraceDataset:
     if not isinstance(payload, list) or not payload:
         raise TraceFormatError("JSON trace must be a non-empty array of episodes")
     states, actions, rewards, starts, terminals = [], [], [], [], []
@@ -726,6 +722,18 @@ def trace_to_json_bytes(data: TraceDataset) -> bytes:
                       for s, a, r in zip(ep.states, ep.actions, ep.rewards)]}
            for ep in data.episodes]
     return json_bytes(eps)
+
+
+def json_document(raw, what: str):
+    """The JSON value in ``raw``, UTF-8 bytes or text: the one JSON reader of
+    the package, for traces, trees, road configs and policies.  Bytes that
+    are not UTF-8 and text that is not JSON, nesting past Python's limits
+    included, raise one TraceFormatError naming ``what``."""
+    text = _text(raw, raw, what=what)  # a ValueError too: decoded outside
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
+        raise TraceFormatError(f"invalid JSON {what}: {exc}") from None
 
 
 def json_bytes(obj) -> bytes:

@@ -9,13 +9,12 @@ policies come from value iteration on a regular grid over the state box.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DISCRETE, TraceDataset, json_bytes
+from .dataset import DISCRETE, TraceDataset
 from .errors import ParameterError, TraceFormatError
 from .tree import theta_sweep  # noqa: F401  (perfbench traces it here)
 
@@ -398,12 +397,3 @@ def _run_episodes(config, policy, starts, steps, out):
             column[at] = value[mask]
     return start[:used], terminal[:used], kept, int(ends[-1])
 
-
-def save_policy(policy: GridPolicy, path):
-    with open(path, "wb") as fh:
-        fh.write(json_bytes(policy.to_json()))
-
-
-def load_policy(path) -> GridPolicy:
-    with open(path, "rb") as fh:
-        return GridPolicy.from_json(json.loads(fh.read().decode()))

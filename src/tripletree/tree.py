@@ -21,7 +21,6 @@ explanation.  Both rely on the tree being read-only after growth or loading.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (CONTINUOUS_SCALAR, CONTINUOUS_VECTOR, DISCRETE,
-                      AugmentedDataset, json_bytes)
+                      AugmentedDataset, json_bytes, json_document)
 from .errors import ParameterError, TraceFormatError
 from .impurity import (ImpurityTriple, best_split, channel_block,
                        combine_qualities, node_stats, scaled_sum,
@@ -218,9 +217,16 @@ def select_best_leaf(queue: list) -> int | None:
     return heapq.heappop(queue)[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked before returning
 def grow(data: AugmentedDataset, theta, max_leaves: int,
          min_leaf: int = 1) -> TripleTree:
     """Fit a tree to an augmented dataset under a leaf budget.
+
+    A trace whose leaf statistics overflow the float range (a mean or an
+    impurity of finite returns and changes) is a TraceFormatError, as
+    ``augment`` makes one whose returns or spreads do.  So no tree that
+    ``deserialize`` refuses is returned, and no non-finite training loss:
+    the leaves' squared errors sum to at most the root's.
 
     ``tree.loss_curve[k]`` holds the training losses at k + 1 leaves,
     computed incrementally from leaf statistics.
@@ -310,6 +316,8 @@ def grow(data: AugmentedDataset, theta, max_leaves: int,
         sq = tuple(t - p + a + b for t, p, a, b in zip(sq, terms, lterms,
                                                         rterms))
         tree.loss_curve.append(_losses(tree, sq, data.n, root.n_deriv))
+    _check_numbers(tree, "trace statistics overflow the float range: the "
+                         "fitted tree")
     return tree
 
 
@@ -553,11 +561,7 @@ def serialize(tree: TripleTree) -> bytes:
 def deserialize(payload: bytes) -> TripleTree:
     """Decode ``serialize`` output; any malformed payload raises
     TraceFormatError, a data error like a malformed trace."""
-    try:
-        doc = json.loads(payload.decode("utf-8") if isinstance(payload, bytes)
-                         else payload)
-    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
-        raise TraceFormatError(f"corrupt tree payload: {exc}") from None
+    doc = json_document(payload, "tree")
     if not isinstance(doc, dict) or doc.get("version") != SERIAL_VERSION:
         raise TraceFormatError(
             f"unsupported tree payload version {doc.get('version')!r}"
@@ -712,26 +716,13 @@ def _check_structure(tree: TripleTree) -> None:
             f"tree payload node {seen.index(False)} is unreachable")
 
 
-def grow_finite(data: AugmentedDataset, theta, max_leaves: int,
-                min_leaf: int = 1) -> TripleTree:
-    """``grow``, where a trace whose leaf statistics overflow the float range
-    (a mean or an impurity of finite returns and changes) is a
-    TraceFormatError, as ``augment`` makes one whose returns or spreads do.
-    So no tree that ``deserialize`` refuses is returned, and no non-finite
-    training loss: the leaves' squared errors sum to at most the root's."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        tree = grow(data, theta, max_leaves, min_leaf=min_leaf)
-    _check_numbers(tree, "trace statistics overflow the float range: the "
-                         "fitted tree")
-    return tree
-
-
 def fit(data: AugmentedDataset, theta, max_leaves: int,
         min_leaf: int = 1) -> TripleTree:
-    """``grow_finite``, with transition statistics from the fitting data:
-    frequencies of observed runs, a distribution by construction."""
-    return compute_transitions(grow_finite(data, theta, max_leaves,
-                                           min_leaf=min_leaf), data)
+    """``grow``, refusing a trace whose leaf statistics overflow as it does,
+    with transition statistics from the fitting data: frequencies of
+    observed runs, a distribution by construction."""
+    return compute_transitions(grow(data, theta, max_leaves,
+                                    min_leaf=min_leaf), data)
 
 
 EXCLUSIVE_THETAS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -749,7 +740,7 @@ def theta_sweep(data: AugmentedDataset, theta_grid, max_leaves: int,
     if not theta_grid:
         raise ParameterError("the theta grid is empty")
     grid = [tuple(map(float, theta)) for theta in theta_grid]
-    losses = {theta: evaluate_losses(grow_finite(
+    losses = {theta: evaluate_losses(grow(
         data, np.asarray(theta), max_leaves, min_leaf=min_leaf), data)
               for theta in dict.fromkeys((*EXCLUSIVE_THETAS, *grid))}
     optima = [losses[t][c] for c, t in enumerate(EXCLUSIVE_THETAS)]

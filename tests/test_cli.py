@@ -162,7 +162,8 @@ def test_viz_modes(workspace, tmp_path):
         assert Path(svg).read_text().startswith("<svg")
 
 
-def test_viz_direct_on_a_one_feature_tree(tmp_path):
+def _one_feature_tree(tmp_path) -> str:
+    """A four-leaf tree file over one feature, ``x``."""
     rows = ["episode,t,terminal,x,a,r"] + [
         f"{e},{t},{int(t == 9)},{(7 * e + 3 * t) % 10 / 10},{t % 2},{t}"
         for e in range(4) for t in range(10)]
@@ -170,13 +171,44 @@ def test_viz_direct_on_a_one_feature_tree(tmp_path):
     tree = str(tmp_path / "tree.json")
     assert run(["fit", "--data", str(tmp_path / "d1.csv"), "--gamma", "0.9",
                 "--theta", "1,1,1", "--max-leaves", "4", "--out", tree]) == 0
+    return tree
+
+
+def test_viz_direct_on_a_one_feature_tree(tmp_path):
+    tree = _one_feature_tree(tmp_path)
     out = str(tmp_path / "v.json")
+    svg = tmp_path / "v.svg"
     for flags, code in (([], 0), (["--plane", "0,0"], 0),
+                        (["--svg", str(svg)], 0),
                         (["--resolution=0,5"], 2), (["--fixed", "x=99"], 2)):
         assert run(["viz", "--tree", tree, "--mode", "direct", *flags,
                     "--out", out]) == code
     assert run(["viz", "--tree", tree, "--mode", "projection",
                 "--out", out]) == 2
+    # the SVG labels the x axis with the one feature, and the y axis not
+    assert [el.text for el in ET.fromstring(svg.read_text())
+            .iter("{http://www.w3.org/2000/svg}text")
+            if el.get("font-size") == "11"] == ["x"]
+
+
+@pytest.mark.parametrize("query", [["--start", "0.1", "--end", "0.9"],
+                                   ["--start-zone", "0:0.3",
+                                    "--end-zone", "0.5:1"]],
+                         ids=["point", "zone"])
+def test_simulate_on_a_one_feature_tree(query, tmp_path, capsys):
+    # --svg is refused before any work, aligned or not; without it the
+    # aligned paths of a one-feature tree are written
+    tree = _one_feature_tree(tmp_path)
+    out, svg = tmp_path / "s.json", tmp_path / "s.svg"
+    for align in ([], ["--no-align"]):
+        capsys.readouterr()
+        assert run(["simulate", "--tree", tree, *query, *align,
+                    "--out", str(out), "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --svg is only available for d=2 trees\n"
+        assert not out.exists() and not svg.exists()
+    assert run(["simulate", "--tree", tree, *query, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
 
 
 def test_viz_of_leaf_values_whose_range_overflows(tmp_path):
@@ -538,6 +570,8 @@ POLICY = {"pos_grid": [0.0, 3.0], "speed_grid": [-0.1, 0.1],
           "value": [[0.0, 0.0], [0.0, 0.0]], "action_idx": [[0, 1], [1, 0]],
           "actions": [-0.001, 0.001]}
 
+DEEP = "[" * 100000 + "]" * 100000  # past Python's JSON nesting limit
+
 BAD_FILES = {  # flag, file contents (None: a directory), error prefix
     "config-missing-key": (["gen-road", "--config"], "{}", "data error: "),
     "config-grid-not-a-list": (
@@ -606,6 +640,9 @@ BAD_FILES = {  # flag, file contents (None: a directory), error prefix
                              "--max-leaves", "4", "--data"], None,
                             "file error: "),
     "tree-is-a-directory": (["viz", "--tree"], None, "file error: "),
+    "config-deep-nesting": (["gen-road", "--config"], DEEP, "data error: "),
+    "policy-deep-nesting": (["gen-road", "--policy"], DEEP, "data error: "),
+    "tree-deep-nesting": (["viz", "--tree"], DEEP, "data error: "),
 }
 
 
@@ -625,6 +662,35 @@ def test_faulty_input_file_prints_one_data_or_file_error_line(name, tmp_path,
     assert run([*argv, str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out.exists()
+
+
+UTF16 = ("'utf-8' codec can't decode byte 0xff in position 0: invalid start "
+         "byte")
+
+
+@pytest.mark.parametrize("kind, fault, message", [
+    ("tree", "utf-16", f"tree is not UTF-8 text: {UTF16}"),
+    ("tree", "truncated", "invalid JSON tree: Unterminated string starting "
+                          "at: line 1 column 10 (char 9)"),
+    ("policy", "utf-16", f"policy is not UTF-8 text: {UTF16}"),
+    ("policy", "truncated",
+     "invalid JSON policy: Expecting value: line 1 column 16 (char 15)"),
+], ids=["tree-utf-16", "tree-truncated", "policy-utf-16", "policy-truncated"])
+def test_json_input_faults_read_as_the_reader_names_them(kind, fault, message,
+                                                        tmp_path, capsys):
+    # trees and policies are read as traces are: one message form per fault
+    blob = (tr.serialize(build_tree(("leaf", {}), [[0.0, 1.0]]))
+            if kind == "tree" else ds.json_bytes(POLICY))
+    path = tmp_path / "input.json"
+    path.write_bytes(blob.decode().encode("utf-16") if fault == "utf-16"
+                     else blob[:15])
+    out = tmp_path / "out.csv"
+    argv = (["inspect", "--tree"] if kind == "tree"
+            else ["gen-road", "--out", str(out), "--policy"])
+    capsys.readouterr()
+    assert run([*argv, str(path)]) == 1
+    assert capsys.readouterr().err == f"data error: {message}\n"
     assert not out.exists()
 
 

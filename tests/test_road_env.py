@@ -149,11 +149,10 @@ def test_dp_nonconvergence_raises():
         road.dp_solve(cfg, tolerance=1e-12, max_iters=5)
 
 
-def test_policy_json_round_trip(road_fixture, tmp_path):
+def test_policy_json_round_trip(road_fixture):
     _, policy, _, _ = road_fixture
-    path = tmp_path / "policy.json"
-    road.save_policy(policy, path)
-    back = road.load_policy(path)
+    back = road.GridPolicy.from_json(
+        ds.json_document(ds.json_bytes(policy.to_json()), "policy"))
     assert np.array_equal(back.value, policy.value)
     assert np.array_equal(back.action_idx, policy.action_idx)
     assert back.actions == policy.actions

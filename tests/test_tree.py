@@ -761,6 +761,20 @@ def test_deserialize_rejects_bad_payloads():
         tr.deserialize(b'{"version": 99, "meta": {}, "nodes": []}')
 
 
+@pytest.mark.filterwarnings("error")  # overflow is checked, not warned of
+def test_grow_refuses_a_trace_whose_leaf_statistics_overflow():
+    # finite returns that augment accepts, whose leaf variances overflow:
+    # grow returns no tree that deserialize would refuse
+    trace = ds.TraceDataset(
+        np.random.default_rng(0).uniform(size=(6, 2)), actions=np.zeros(6),
+        rewards=np.full(6, 1e200), starts=[0, 3], terminal=[True, False],
+        action_kind=ds.CONTINUOUS_SCALAR, feature_names=["x", "y"])
+    with pytest.raises(TraceFormatError, match="^trace statistics overflow "
+                                               "the float range: the fitted "
+                                               "tree "):
+        tr.grow(ds.augment(trace, 0.9), [1, 1, 1], max_leaves=4)
+
+
 def _mangled(edit):
     """A valid three-leaf tree payload with ``edit`` applied to its JSON."""
     rng = np.random.default_rng(30)
