@@ -586,6 +586,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a flag value asked for too large an array
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except TraceFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1

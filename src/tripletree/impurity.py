@@ -33,13 +33,14 @@ like the row-wise cumsum, round each element alone: every sum and quality
 is the one a scan of that row alone gives.  A row of several chunks
 cumulates them once for its totals, scores the last, then recomputes and
 scores the others.  A leaf's own variances and Gini are read off its rows'
-last members.  A channel of several columns, or of one column weighted
-other than 1 (the derivatives; vector actions), sums its weighted variances
-with one gemv per row over the row's cuts, and the leaf's with one ddot per
-row: OpenBLAS's gemv rounds a row differently for a different number of
-rows.  On the n=1e5 benchmark trace the root's scan peaks at 8.0 MB under
-tracemalloc besides the block's 1.4 MB workspace, and a 1000-leaf ``grow``
-at 16.6 MB (22.5 and 29.7 MB with whole-node buffers).
+last members.  Every moment channel is scored by one formula: each side's
+variances, and the leaf's, times their 1/sigma weights, are added column by
+column, left to right, by ``_weighted``, and the sums at the cuts are
+combined into the channel's quality.  No BLAS call rounds a sum, so the
+splits do not depend on which CPU's kernels numpy's BLAS picks.  On the
+n=1e5 benchmark trace the root's scan peaks at 6.9 MB under tracemalloc
+besides the block's 1.4 MB workspace, and a 1000-leaf ``grow`` at 15.5 MB
+(22.5 and 29.7 MB with whole-node buffers).
 """
 
 from __future__ import annotations
@@ -212,8 +213,7 @@ class ChannelBlock(NamedTuple):
     labels: int       # label-count rows; 0 for continuous actions
     v: int            # V's moment row
     inv: np.ndarray   # each moment row's weight: 1/sigma, 1 for V
-    one: slice        # moment rows of the channels of one column weighted 1
-    wide: tuple       # (channel, moment rows) of the others, summed by gemv
+    channels: tuple   # each moment channel's (channel, moment rows)
     work: np.ndarray  # one chunk's scan workspace, reused by every search
 
 
@@ -234,12 +234,9 @@ def channel_block(data) -> ChannelBlock:
     np.multiply(data.D.T, rows[labels], out=rows[labels + 2 + v:])
     a_sigma = _UNIT if data.action_sigma is None else data.action_sigma
     inv = _inverse(np.concatenate([a_sigma[:v], _UNIT, data.sigma]))
-    # V's row, and a one-column action's if weighted 1, are reduced as they
-    # are; the other channels are summed by gemv
-    one = 0 if inv[:v + 1].tolist() == [1.0, 1.0] else v
-    wide = ((0, slice(0, v)),) if 0 < v == one else ()
-    return ChannelBlock(rows, labels, v, inv, slice(one, v + 1),
-                        wide + ((2, slice(v + 1, inv.size)),),
+    channels = ((0, slice(0, v)), (1, slice(v, v + 1)),
+                (2, slice(v + 1, inv.size)))  # discrete actions: v = 0
+    return ChannelBlock(rows, labels, v, inv, channels[0 if v else 1:],
                         np.empty((2 * (len(rows) + inv.size) + 3) * _CHUNK))
 
 
@@ -359,10 +356,11 @@ def _scan(block, stack, n, cuts, ends):
     an order at a time in the block's workspace.
 
     A row of several chunks cumulates them in turn for their running sums
-    and totals, scores the last, then recomputes and scores the others.  A
-    wide channel sums its weighted variances with one gemv per row, over
-    each side's (cuts x columns) block of that row's cuts, and the node's
-    with one ddot per row."""
+    and totals, scores the last, then recomputes and scores the others.
+    Each moment channel's weighted variance sums on either side of every
+    cut, and the node's, are then combined into its quality: each side's
+    sum times its member count, added, divided by the node's count and
+    taken from the node's sum."""
     R, W = stack.shape
     L, inv = block.labels, block.inv
     # views of the workspace for a chunk of the R orders (R members times
@@ -377,11 +375,10 @@ def _scan(block, stack, n, cuts, ends):
     for a in starts:
         sums.append(_cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a,
                                sums[-1], work))
-    # the qualities (a wide channel's: its left counts until summed) and
-    # each wide channel's side variances
+    # the qualities (a moment channel's: its left counts until combined)
+    # and each moment channel's weighted variance sums on either side
     q = np.empty((3, cuts.size))
-    blocks = [np.empty((2, cuts.size, rows.stop - rows.start))
-              for _, rows in block.wide]
+    sides = np.empty((len(block.channels), 2, cuts.size))
     first = np.searchsorted(cuts, [*starts, R * W]).tolist()
     node = None  # each order's statistics, read off its last position
     for a, carry, i, j in reversed([*zip(starts, sums, first, first[1:])]):
@@ -390,24 +387,15 @@ def _scan(block, stack, n, cuts, ends):
                 _cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a, carry,
                            work)
             node = _score_chunk(block, work, sums[-1], node, a, W, n[:, None],
-                                cuts[i:j] - a, q[:, i:j],
-                                [blk[:, i:j] for blk in blocks])
+                                cuts[i:j] - a, q[:, i:j], sides[..., i:j])
     # each cut's row (a lone row's values are scalars: a large node's cuts
     # need no per-cut copies of them)
     at = np.repeat(np.arange(R), np.diff(ends)) if R > 1 else 0
-    for (c, rows), blk in zip(block.wide, blocks):
-        var_o = np.ascontiguousarray(node[0][rows, :, 0].T)
-        # each side's weighted variance sums, from one gemv per row over
-        # its (cuts x columns) blocks, and the node's, from one ddot
-        sides, own = np.empty((2, cuts.size)), np.empty(R)
-        for o, (i, j) in enumerate(zip(ends, ends[1:])):
-            if i < j:
-                np.matmul(blk[:, i:j], inv[rows], out=sides[:, i:j])
-                own[o] = var_o[o] @ inv[rows]
+    for (c, rows), (il, ir) in zip(block.channels, sides):
+        own = _weighted(node[0][rows], inv[rows], 0)[:, 0]
         # the channel's members: all n, or those with a derivative (at
         # least one)
-        m_tot = (np.maximum(sums[-1][L, :, 0], 1.0) if c else n)[at]
-        il, ir = sides
+        m_tot = (np.maximum(sums[-1][L, :, 0], 1.0) if c == 2 else n)[at]
         ml = q[c]
         il *= ml
         ir *= np.subtract(m_tot, ml, out=ml)
@@ -417,21 +405,23 @@ def _scan(block, stack, n, cuts, ends):
     return q
 
 
-def _score_chunk(block, work, totals, node, a, W, n, cuts, q, blocks):
+def _score_chunk(block, work, totals, node, a, W, n, cuts, q, sides):
     """Score the cuts ``cuts`` (flat indices into the (R, C) positions of
     the chunk from member ``a`` of orders ``W`` wide, cumulated in
-    ``work``) into ``q``, and each wide channel's side variances into
-    ``blocks``, given each row's ``totals``, member count ``n`` (an (R, 1)
-    column) and ``node`` statistics; returns those statistics.  With
-    ``node`` None (the last chunk) they are read off each row's last
-    member, whose left side is the whole node.
+    ``work``) into ``q`` (the Gini reduction, and each moment channel's
+    left count), and each moment channel's weighted variance sums on
+    either side into ``sides``, given each row's ``totals``, member count
+    ``n`` (an (R, 1) column) and ``node`` statistics; returns those
+    statistics.  With ``node`` None (the last chunk) they are read off each
+    row's last member, whose left side is the whole node.
 
     Every position is scored, each side's count floored at 1 (the last
     position has no right side), then the cuts are taken.  All moment rows
     are scored together, each side's divided by its member count, or the
-    derivatives' by its count of members with a derivative (at least 1)."""
+    derivatives' by its count of members with a derivative (at least 1),
+    and each channel's variances are summed by ``_weighted``."""
     S, scored = (work_[..., :W - a] for work_ in work)
-    L, v, one = block.labels, block.v, block.one
+    L, v = block.labels, block.v
     np.subtract(totals, S[0], out=S[1])  # the sums after each position
     counts = np.empty((2, *S.shape[2:]))  # members each side
     counts[0] = np.arange(a + 1.0, a + S.shape[-1] + 1.0)
@@ -446,8 +436,8 @@ def _score_chunk(block, work, totals, node, a, W, n, cuts, q, blocks):
         np.add(gini[0], gini[1], out=scored[0])
         scored[0] /= n
         np.subtract(gini_n, scored[0], out=scored[0])
-    for c, _ in block.wide:  # the left counts
-        scored[c] = S[0, L] if c else counts[0]
+    for c, _ in block.channels:  # the left counts
+        scored[c] = S[0, L] if c == 2 else counts[0]
     # each side's means and mean squares, then variances
     M = S[:, L + 1:].reshape(2, 2, -1, *S.shape[2:])
     M[:, :, :v + 1] /= counts[:, None, None]
@@ -458,18 +448,22 @@ def _score_chunk(block, work, totals, node, a, W, n, cuts, q, blocks):
     if node is None:
         node = (var[0][(slice(None), *last)][..., None],
                 gini_n if L else None)
-    il = var[:, one]  # the channels of one column weighted 1
-    il *= counts[:, None]
-    il = np.add(il[0], il[1], out=il[0])
-    il /= n
-    np.subtract(node[0][one], il,
-                out=scored[one.start - v + 1:one.stop - v + 1])
-    for (_, rows), blk in zip(block.wide, blocks):  # each side's variances
-        np.ascontiguousarray(var[:, rows].reshape(2, blk.shape[2], -1)
-                             .transpose(0, 2, 1)).take(cuts, axis=1, out=blk,
-                                                       mode="clip")
     scored.reshape(3, -1).take(cuts, axis=1, out=q, mode="clip")
+    for (_, rows), side in zip(block.channels, sides):
+        _weighted(var[:, rows], block.inv[rows], 1).reshape(2, -1).take(
+            cuts, axis=1, out=side, mode="clip")
     return node
+
+
+def _weighted(x, w, axis):
+    """The sum along ``axis`` of ``x`` times the weights ``w``, added left
+    to right into (and returned as) x's first slice: ufuncs round each
+    element alone, for any number of cuts and on every CPU, unlike BLAS."""
+    x = np.moveaxis(x, axis, 0)
+    np.multiply(x[0], w[0], out=x[0])
+    for x_j, w_j in zip(x[1:], w[1:]):
+        x[0] += np.multiply(x_j, w_j, out=x_j)
+    return x[0]
 
 
 def _label_sum(p):

@@ -1535,10 +1535,17 @@ def _vector_moment_quality(M, sigma, defined_mask, pos, nl, nr):
     inv = np.zeros_like(sigma)
     inv[keep] = 1.0 / sigma[keep]
 
+    def weighted(var):
+        # each column's variance times its weight, added left to right
+        total = var[..., 0] * inv[0]
+        for j in range(1, inv.size):
+            total = total + var[..., j] * inv[j]
+        return total
+
     def imp(s1, s2, m):
         safe = np.maximum(m, 1.0)[:, None]
         var = np.maximum(s2 / safe - (s1 / safe) ** 2, 0.0)
-        out = var @ inv
+        out = weighted(var)
         out[m <= 0] = 0.0
         return out
 
@@ -1546,7 +1553,7 @@ def _vector_moment_quality(M, sigma, defined_mask, pos, nl, nr):
     ir = imp(s1r, s2r, np.asarray(mr, dtype=float))
     mean = c1[-1] / m_tot
     var_n = np.maximum(c2[-1] / m_tot - mean * mean, 0.0)
-    i_n = float(var_n @ inv)
+    i_n = float(weighted(var_n))
     ml = np.asarray(ml, dtype=float)
     mr = np.asarray(mr, dtype=float)
     return i_n - (il * ml + ir * mr) / m_tot

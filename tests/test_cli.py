@@ -311,6 +311,34 @@ def test_exit_codes(workspace, tmp_path, capsys):
     assert err.count("data error: ") == 2 and err.count("\n") == 2
 
 
+@pytest.mark.parametrize("command", ["viz", "dp-solve"])
+def test_out_of_memory_prints_one_usage_error_line(command, workspace,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    # a flag value can ask for an array larger than the host holds; the
+    # failing allocation is simulated, as a host that overcommits memory
+    # could grant the real one and run out later
+    base, data, tree = workspace
+    reason = ("Unable to allocate 74.5 GiB for an array with shape "
+              "(100000, 100000) and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(reason)
+
+    if command == "viz":
+        monkeypatch.setattr(cli.viz, "pdp_projection", refuse)
+        argv = ["viz", "--tree", tree, "--mode", "projection",
+                "--resolution", "100000,100000"]
+    else:
+        monkeypatch.setattr(cli.road, "dp_solve", refuse)
+        argv = ["dp-solve", *ROAD_FLAGS, "--grid", "2,100000000"]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {reason}\n"
+    assert not out.exists()
+
+
 BAD_ARGS = {
     "resolution-not-integers": ["viz", "--resolution", "abc"],
     "resolution-negative": ["viz", "--mode", "projection",

@@ -158,6 +158,45 @@ def test_non_utf8_trace_is_a_trace_format_error():
         ds.load_trace(CSV_ONE_EP.replace(b"go", b"g\xff"), "csv")
 
 
+@pytest.mark.parametrize("source, fmt, error, message", [
+    (b"", "csv", TraceFormatError, "empty CSV trace"),
+    (b"episode,t,terminal,x,a,r\n", "csv", TraceFormatError,
+     "CSV trace has no data rows"),
+    (b"episode,t,terminal,a,r\n0,0,1,go,0\n", "csv", TraceFormatError,
+     "CSV trace has no state feature columns"),
+    (b"[]", "json", TraceFormatError,
+     "JSON trace must be a non-empty array of episodes"),
+    (CSV_ONE_EP, "xml", ParameterError, "unknown trace format 'xml'"),
+], ids=["empty-bytes", "header-only", "no-feature-column", "json-no-episodes",
+        "unknown-format"])
+def test_load_trace_refusals_name_the_fault(source, fmt, error, message):
+    with pytest.raises(error) as err:
+        ds.load_trace(source, fmt)
+    assert str(err.value) == message
+
+
+def _episode(steps, d=1, m=None):
+    return ds.Episode(states=np.zeros((steps, d)),
+                      actions=np.zeros(steps if m is None else (steps, m)),
+                      rewards=np.zeros(steps), terminal=True)
+
+
+@pytest.mark.parametrize("episodes, kind, names, message", [
+    ([], ds.DISCRETE, [], "dataset has no episodes"),
+    ([_episode(2)], ds.DISCRETE, ["x", "y"],
+     "2 feature names for 1 state features"),
+    ([_episode(2), _episode(0)], ds.DISCRETE, ["x"], "episode 1 is empty"),
+    ([_episode(2)], ds.CONTINUOUS_VECTOR, ["x"],
+     "episode 0: vector actions must be 2-D"),
+], ids=["no-episodes", "feature-name-count", "empty-episode",
+        "one-dimensional-vector-actions"])
+def test_from_episodes_refusals_name_the_fault(episodes, kind, names,
+                                               message):
+    with pytest.raises(TraceFormatError) as err:
+        ds.TraceDataset.from_episodes(episodes, kind, names)
+    assert str(err.value) == message
+
+
 def test_nonfinite_state_rejected():
     with pytest.raises(TraceFormatError, match="non-finite"):
         ds.TraceDataset.from_episodes(

@@ -252,6 +252,13 @@ def test_temporal_purity_reverified_independently():
     assert checked >= 5
 
 
+def test_render_text_of_an_unknown_kind_is_refused():
+    tree = build_tree(("leaf", {}), [[0.0, 1.0]])
+    with pytest.raises(ParameterError) as err:
+        ex.render_text(tree, ex.Explanation(kind="why"))
+    assert str(err.value) == "unknown explanation kind 'why'"
+
+
 def test_render_json_is_plain_data():
     import json
     tree = two_leaf_1d()

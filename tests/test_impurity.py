@@ -227,9 +227,8 @@ def _stats_bits(stats):
 def scan_cases(draw):
     """A dataset of every action kind and derivative mask, with heavily
     duplicated states, a random member subset in random order, theta and
-    min_leaf.  Up to 5 features and 6 action dimensions: the weighted sums
-    of a multi-column channel are where gemv's rounding depends on the
-    number of rows."""
+    min_leaf.  Up to 5 features and 6 action dimensions: a multi-column
+    channel's weighted sums must add its columns in the oracle's order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["discrete", "continuous-scalar",
                                  "continuous-vector"]))
@@ -359,8 +358,8 @@ def test_grouped_scan_at_its_boundary_is_bitwise_the_row_gather_search(
         case, offset):
     # a chunk of n * d + offset members: from offset 0 up the node's d
     # orders are scanned together, below it one at a time (in chunks once
-    # it is below n), so either side's sums, cut masks and per-feature gemv
-    # slices must give the row-gather oracle's bits
+    # it is below n), so either side's sums, cut masks and weighted
+    # variance sums must give the row-gather oracle's bits
     data, idx, theta, min_leaf = case
     root = rowwise_node_stats(data, np.arange(data.n)).impurity
     with mock.patch.object(imp, "_CHUNK", max(1, idx.size * data.d + offset)):
@@ -389,8 +388,9 @@ def test_last_chunk_of_one_or_two_members_is_scanned_bitwise(kind, tail):
 
 def test_root_scan_peak_is_bounded(benchmark_trace):
     # the n=1e5 benchmark trace: the scan holds each feature's per-cut
-    # qualities and variance blocks and one chunk's sums, not whole-node
-    # temporaries for every channel (23 MB before the chunked scan)
+    # qualities and weighted variance sums and one chunk's sums, not
+    # whole-node temporaries for every channel (23 MB before the chunked
+    # scan, 6.9 MB now)
     data = augment(benchmark_trace, 0.99)
     idx = np.arange(data.n)
     orders = np.argsort(data.states.T, axis=1, kind="stable")

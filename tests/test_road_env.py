@@ -60,6 +60,23 @@ def test_config_rejects_unusable_actions_and_ranges(field, value, message):
         road.RoadConfig.from_json(doc)
 
 
+def _toy_road():
+    cfg = road.RoadConfig(r_left=0, r_right=0, r_speed=0, grid=(2, 2))
+    return cfg, road.dp_solve(cfg)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: road.RoadConfig.from_json([]), TraceFormatError,
+     "road config is not a JSON object"),
+    (lambda: road.generate_dataset(*_toy_road(), 0, 10, seed=0),
+     ParameterError, "n_samples and episode_len must be >= 1"),
+], ids=["config-not-an-object", "no-samples"])
+def test_road_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_dp_solve_toy_grid_matches_inline_backups():
     cfg = road.RoadConfig(r_left=-4.0, r_right=8.0, r_speed=0.5,
                           gamma=0.5, grid=(2, 2))

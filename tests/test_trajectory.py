@@ -286,14 +286,16 @@ def test_align_objective_monotone_and_faces_respected():
         assert np.all(node <= face["upper"] + 1e-9)
 
 
-def test_align_requires_recorded_transitions():
-    tree = right_angle_tree()
-    with pytest.raises(ParameterError):
-        tj.align_path(tree, [0, 3])  # no direct edge 0 -> 3
-    with pytest.raises(ParameterError):
-        tj.align_path(tree, [0, None])
-    with pytest.raises(ParameterError):
-        tj.align_path(tree, [99])  # not a leaf id of the tree
+@pytest.mark.parametrize("leaves, message", [
+    ([0, 3], "no recorded transition 0 -> 3"),
+    ([0, None], "cannot align a path through the termination sink"),
+    ([99], "leaf sequence names a leaf the tree lacks"),
+    ([], "empty leaf sequence"),
+], ids=["no-edge", "through-sink", "unknown-leaf", "empty"])
+def test_align_requires_recorded_transitions(leaves, message):
+    with pytest.raises(ParameterError) as err:
+        tj.align_path(right_angle_tree(), leaves)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("opts", [

@@ -1,6 +1,9 @@
+import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -716,6 +719,46 @@ def test_vector_fit_is_byte_identical_to_recorded_digest():
         assert vector_tree_digests() == fh.read()
 
 
+OPENBLAS = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                   "numpy.libs", "libscipy_openblas*"))
+KERNEL_CHILD = """
+import ctypes, hashlib, sys
+from tripletree import dataset as ds, tree as tr
+aug = ds.augment(ds.load_trace(sys.stdin.buffer.read(), "csv"), 0.95)
+tree = tr.fit(aug, [0.2, 0.6, 0.2], max_leaves=1000)
+blas = ctypes.CDLL(sys.argv[1])
+corename = blas.scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+print(corename().decode(),
+      hashlib.sha256(tr.serialize(tree)).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(OPENBLAS) != 1, reason="numpy bundles no OpenBLAS")
+def test_vector_fit_is_the_same_under_every_blas_kernel():
+    # OPENBLAS_CORETYPE makes numpy's OpenBLAS run another CPU's kernels in
+    # a child process.  The trace is written once, as the fixture's own
+    # matrix products round by kernel; a 1000-leaf fit of it meets near-ties
+    # that a kernel-dependent split search would break differently
+    csv = ds.trace_to_csv_bytes(vector_trace())
+    src = os.path.dirname(os.path.dirname(tr.__file__))
+    found = {}
+    for core in (None, "Haswell", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        out = subprocess.run([sys.executable, "-c", KERNEL_CHILD, OPENBLAS[0]],
+                             input=csv, env=env, capture_output=True,
+                             check=True).stdout.split()
+        found[core] = [word.decode() for word in out]
+    # the kernels were switched (Prescott's reports itself as Katmai) ...
+    assert found["Haswell"][0] == "Haswell"
+    assert found["Prescott"][0] == "Katmai"
+    # ... and every child grew the same tree
+    assert len({digest for _, digest in found.values()}) == 1, found
+
+
 def road_sweep_digest(aug) -> str:
     """sha256 of the repr of the theta sweep over the 21-point simplex grid
     at 20 leaves on the road fixture's augmented trace."""
@@ -813,7 +856,7 @@ def _outside_region(doc):
     _mangled(_set(["meta", "theta"], None)),
     _mangled(_set(["nodes"], [])),
     _mangled(lambda doc: doc["nodes"][0].pop("left")),
-    _mangled(lambda doc: doc["nodes"].append(doc["nodes"][-1])),  # unreachable
+    _mangled(lambda doc: doc["nodes"].append(doc["nodes"][0])),  # unreachable
     _mangled(lambda doc: doc["nodes"][-1]["leaf"].update(
         id=doc["nodes"][-2]["leaf"]["id"])),                     # repeated id
     _mangled(_set(["nodes", 0, "tau"], float("nan"))),
@@ -849,6 +892,15 @@ def _outside_region(doc):
 def test_deserialize_rejects_malformed_structure(payload):
     with pytest.raises(TraceFormatError):
         tr.deserialize(payload)
+
+
+def test_deserialize_names_an_unreachable_node():
+    # a copy of the root split appended after the three-leaf tree's five
+    # nodes: no split points at it
+    payload = _mangled(lambda doc: doc["nodes"].append(doc["nodes"][0]))
+    with pytest.raises(TraceFormatError) as err:
+        tr.deserialize(payload)
+    assert str(err.value) == "tree payload node 5 is unreachable"
 
 
 def test_deserialize_accepts_absent_and_empty_transitions():

@@ -211,6 +211,28 @@ def test_scalar_attribute_lookup_variants():
         viz.leaf_attribute(tree, "nope")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda t: PlaneSpec(1, 1).validate(t), "plane features must differ"),
+    (lambda t: PlaneSpec(0, 2).validate(t), "plane feature 2 out of range"),
+    (lambda t: viz.leaf_attribute(t, "action.0"),
+     "'action.0' needs numeric actions"),
+    (lambda t: viz.pdp_projection(t, PlaneSpec(0, 1), "action"),
+     "projections need numeric attributes"),
+    (lambda t: viz.quiver(t, mode="x"),
+     "quiver mode must be 'direct' or 'slice'"),
+    (lambda t: viz.quiver(t, mode="slice"), "slice quiver needs a plane"),
+    (lambda t: viz.render_svg({}),
+     "payload is not a rects/grid/arrows document"),
+], ids=["equal-plane-features", "plane-feature-out-of-range",
+        "label-component", "label-projection", "unknown-quiver-mode",
+        "slice-quiver-without-plane", "unknown-payload"])
+def test_view_refusals_name_the_fault(call, message):
+    # quad_tree's actions are the string labels 'a' and 'b'
+    with pytest.raises(ParameterError) as err:
+        call(quad_tree())
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # SVG goldens (regenerate with `python -m tests.make_goldens`)
 # ---------------------------------------------------------------------------
