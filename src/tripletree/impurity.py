@@ -23,24 +23,27 @@ searched leaves' orders a row per (leaf, feature), narrowest first, into
 scans of at most ``_CHUNK`` positions, each row padded to its scan's
 widest; a row wider than a chunk is a scan of its own, scanned a chunk at a
 time.  Each row's best cut is found, and each leaf keeps its first best row
-in feature order.  One mask over the rows' sorted values finds every cut.
-The block's rows are gathered in each order ``_CHUNK`` members at a time
-into a workspace the block keeps, and cumulated in place with their squared
-moment rows, carrying the running sums into the next chunk.  Every position
-is then scored from those sums and its row's totals, all moment rows
-(continuous action, V, derivatives) together, by elementwise ufuncs that,
-like the row-wise cumsum, round each element alone: every sum and quality
-is the one a scan of that row alone gives.  A row of several chunks
-cumulates them once for its totals, scores the last, then recomputes and
-scores the others.  A leaf's own variances and Gini are read off its rows'
-last members.  Every moment channel is scored by one formula: each side's
-variances, and the leaf's, times their 1/sigma weights, are added column by
-column, left to right, by ``_weighted``, and the sums at the cuts are
-combined into the channel's quality.  No BLAS call rounds a sum, so the
-splits do not depend on which CPU's kernels numpy's BLAS picks.  On the
-n=1e5 benchmark trace the root's scan peaks at 6.9 MB under tracemalloc
-besides the block's 1.4 MB workspace, and a 1000-leaf ``grow`` at 15.5 MB
-(22.5 and 29.7 MB with whole-node buffers).
+in feature order.  The block's rows are gathered in each order ``_CHUNK``
+members at a time into a workspace the block keeps, and cumulated in place
+with their squared moment rows, carrying the running sums into the next
+chunk.  Every position of a chunk is then scored from those sums and its
+row's totals, all moment rows (continuous action, V, derivatives)
+together, by elementwise ufuncs that, like the row-wise cumsum, round each
+element alone: every sum and quality is the one a scan of that row alone
+gives.  A row of several chunks cumulates them once for its totals, scores
+the last, then recomputes and scores the others, last first.  A leaf's own
+variances and Gini are read off its rows' last members.  Every moment
+channel is scored by one formula: each side's variances, and the leaf's,
+times their 1/sigma weights, are added column by column, left to right, by
+``_weighted``, and combined into the channel's quality at every position.
+A mask of the chunk's sorted values, and the next one, finds its cuts; the
+chunk's first best cut of each order replaces the order's running best if
+it is at least as good, so an earlier chunk wins ties, and a NaN quality
+carries to the end and leaves the order no cut.  No BLAS call rounds a
+sum, so the splits do not depend on which CPU's kernels numpy's BLAS
+picks.  On the n=1e5 benchmark trace the root's scan peaks at 1.0 MB under
+tracemalloc besides the block's 1.4 MB workspace, and a 1000-leaf ``grow``
+at 14.1 MB.
 """
 
 from __future__ import annotations
@@ -279,57 +282,84 @@ def _search(states, block, records, leaf, min_leaf, roots, theta):
         stack = rows[0][None] if len(rows) == 1 else np.concatenate(
             rows).take(np.minimum(np.arange(n[-1]), n[:, None] - 1)
                        + start[:, None])
-        for key, cut in zip(leaves, _best_cuts(block, states, stack,
-                                               np.array(features), n,
-                                               min_leaf, roots, theta)):
+        for key, cut in zip(leaves, _scan(block, stack, n, states,
+                                          np.array(features), min_leaf,
+                                          roots, theta)):
             # each leaf's first best row in feature order
             if cut and (records[key] is None or cut[0] > records[key][0]):
                 records[key] = cut
 
 
-def _best_cuts(block, states, stack, features, n, min_leaf, roots, theta):
-    """The best cut of each row of ``stack``, the order of feature
-    ``features[r]`` with ``n[r]`` members, as (hybrid quality, feature,
-    threshold, quality triple), the lowest threshold on ties; None when no
-    cut has a positive quality.  An order with a NaN quality has no best
-    cut."""
+def _scan(block, stack, n, states, features, min_leaf, roots, theta):
+    """The best cut of each row of the (R, W) orders ``stack``, row r the
+    order of feature ``features[r]`` with its ``n[r]`` members first, as
+    (hybrid quality, feature, threshold, quality triple), the lowest
+    threshold on ties; None when no cut has a positive quality.  An order
+    with a NaN quality has no best cut.
+
+    The orders are scored ``_CHUNK`` members at a time in the block's
+    workspace, the last chunk first, skipping the others' without a cut;
+    each chunk's first best cut of each order (a NaN if it has one)
+    replaces the order's running best where it is at least as good, and
+    ``np.maximum`` carries a NaN."""
     R, W = stack.shape
-    cuts = _cuts(states[stack, features[:, None]], n, min_leaf)
-    ends = np.searchsorted(cuts, np.arange(R + 1) * W)
-    q = _scan(block, stack, n, cuts, ends.tolist())
-    q_star = combine_qualities(q, roots, theta)
-    # each row's best quality (NaN if any is), the rows where it is
-    # positive and each one's first cut of it
-    sizes = np.diff(ends)
-    top = np.full(R, -np.inf)
-    if cuts.size:
-        top[sizes > 0] = np.maximum.reduceat(q_star, ends[:-1][sizes > 0])
+    # views of the workspace for a chunk of the R orders (R members times
+    # its length at most _CHUNK): each side's sums of the block's rows and
+    # of the moment rows' squares, and every position's qualities
+    width = R * min(W, _CHUNK)
+    k = len(block.rows) + block.inv.size
+    work = (block.work[:2 * k * width].reshape(2, k, R, -1),
+            block.work[2 * k * width:(2 * k + 3) * width].reshape(3, R, -1))
+    starts = range(0, W, _CHUNK)
+    sums = [None]  # the running sums entering each chunk, then the totals
+    for a in starts:
+        sums.append(_cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a,
+                               sums[-1], work))
+    each = np.arange(R)
+    top, at, triple = np.full(R, -np.inf), np.zeros(R, int), np.zeros((3, R))
+    node = None  # each order's statistics, read off its last position
+    for a, carry in reversed([*zip(starts, sums)]):
+        # the chunk's cuts, from its sorted values and the next one
+        cut = _cuts(states[stack[:, a:a + _CHUNK + 1], features[:, None]], a,
+                    n, min_leaf)[:, :_CHUNK]
+        if node is not None:  # the last chunk is still in the workspace
+            if not cut.any():
+                continue
+            _cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a, carry, work)
+        node = _score_chunk(block, work, sums[-1], node, a, W, n[:, None])
+        q = work[1][..., :cut.shape[1]]
+        q_star = combine_qualities(q, roots, theta)
+        q_star[~cut] = -np.inf
+        best = q_star.argmax(axis=1)
+        q_best = q_star[each, best]
+        take = q_best >= top
+        top = np.maximum(top, q_best)
+        at = np.where(take, best + a, at)
+        triple = np.where(take, q[:, each, best], triple)
     rows = np.flatnonzero(top > 0)
-    hits = np.flatnonzero(q_star == top.repeat(sizes))
-    k = hits[np.searchsorted(hits, ends[rows])]
     f = features[rows]
-    at = cuts[k]
-    tau = (states[stack.flat[at], f] + states[stack.flat[at + 1], f]) / 2.0
+    at = at[rows]
+    tau = (states[stack[rows, at], f] + states[stack[rows, at + 1], f]) / 2.0
     found = [None] * R
-    for r, q_r, f_r, tau_r, triple in zip(rows.tolist(), q_star[k].tolist(),
-                                          f.tolist(), tau.tolist(),
-                                          q[:, k].T.tolist()):
-        found[r] = (q_r, f_r, tau_r, tuple(triple))
+    for r, q_r, f_r, tau_r, triple_r in zip(rows.tolist(), top[rows].tolist(),
+                                            f.tolist(), tau.tolist(),
+                                            triple[:, rows].T.tolist()):
+        found[r] = (q_r, f_r, tau_r, tuple(triple_r))
     return found
 
 
-def _cuts(xs, n, min_leaf):
-    """The cuts of the rows of sorted values ``xs``, as flat indices into
-    it: each position p whose value is below the next, with a midpoint
-    above it (one that rounds down cannot separate the sets) and
-    ``min_leaf`` of the row's ``n`` members each side."""
+def _cuts(xs, a, n, min_leaf):
+    """Which positions of rows of sorted values ``xs``, from position ``a``
+    on, are cuts: each whose value is below the next, with a midpoint above
+    it (one that rounds down cannot separate the sets) and ``min_leaf`` of
+    the row's ``n`` members each side."""
     lo, hi = xs[:, :-1], xs[:, 1:]
     cut = np.zeros(xs.shape, dtype=bool)
     np.less(lo, hi, out=cut[:, :-1])
     cut[:, :-1] &= (lo + hi) / 2.0 > lo
-    cut[:, :min_leaf - 1] = False
-    cut &= np.arange(xs.shape[1]) < (n - min_leaf)[:, None]  # not padding
-    return np.flatnonzero(cut)
+    pos = np.arange(a, a + xs.shape[1])
+    cut &= (pos >= min_leaf - 1) & (pos < (n - min_leaf)[:, None])
+    return cut
 
 
 def _cumulated(block, members, last, carry, out):
@@ -349,77 +379,21 @@ def _cumulated(block, members, last, carry, out):
              np.minimum(last, S.shape[-1] - 1)][..., None]
 
 
-def _scan(block, stack, n, cuts, ends):
-    """Action, value and derivative qualities of the ``cuts`` (flat indices
-    into the (R, W) orders ``stack``, row r's ``n[r]`` members first; its
-    cuts are ``cuts[ends[r]:ends[r + 1]]``), scored ``_CHUNK`` members of
-    an order at a time in the block's workspace.
+def _score_chunk(block, work, totals, node, a, W, n):
+    """Score every position of the chunk from member ``a`` of orders ``W``
+    wide, cumulated in ``work``, into the workspace's qualities (the Gini
+    reduction, then each moment channel's), given each row's ``totals``,
+    member count ``n`` (an (R, 1) column) and ``node`` statistics; returns
+    those statistics.  With ``node`` None (the last chunk) they are read
+    off each row's last member, whose left side is the whole node.
 
-    A row of several chunks cumulates them in turn for their running sums
-    and totals, scores the last, then recomputes and scores the others.
-    Each moment channel's weighted variance sums on either side of every
-    cut, and the node's, are then combined into its quality: each side's
-    sum times its member count, added, divided by the node's count and
-    taken from the node's sum."""
-    R, W = stack.shape
-    L, inv = block.labels, block.inv
-    # views of the workspace for a chunk of the R orders (R members times
-    # its length at most _CHUNK): each side's sums of the block's rows and
-    # of the moment rows' squares, and every position's qualities
-    width = R * min(W, _CHUNK)
-    k = len(block.rows) + inv.size
-    work = (block.work[:2 * k * width].reshape(2, k, R, -1),
-            block.work[2 * k * width:(2 * k + 3) * width].reshape(3, R, -1))
-    starts = range(0, W, _CHUNK)
-    sums = [None]  # the running sums entering each chunk, then the totals
-    for a in starts:
-        sums.append(_cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a,
-                               sums[-1], work))
-    # the qualities (a moment channel's: its left counts until combined)
-    # and each moment channel's weighted variance sums on either side
-    q = np.empty((3, cuts.size))
-    sides = np.empty((len(block.channels), 2, cuts.size))
-    first = np.searchsorted(cuts, [*starts, R * W]).tolist()
-    node = None  # each order's statistics, read off its last position
-    for a, carry, i, j in reversed([*zip(starts, sums, first, first[1:])]):
-        if node is None or i < j:
-            if node is not None:  # the last chunk is still in the workspace
-                _cumulated(block, stack[:, a:a + _CHUNK], n - 1 - a, carry,
-                           work)
-            node = _score_chunk(block, work, sums[-1], node, a, W, n[:, None],
-                                cuts[i:j] - a, q[:, i:j], sides[..., i:j])
-    # each cut's row (a lone row's values are scalars: a large node's cuts
-    # need no per-cut copies of them)
-    at = np.repeat(np.arange(R), np.diff(ends)) if R > 1 else 0
-    for (c, rows), (il, ir) in zip(block.channels, sides):
-        own = _weighted(node[0][rows], inv[rows], 0)[:, 0]
-        # the channel's members: all n, or those with a derivative (at
-        # least one)
-        m_tot = (np.maximum(sums[-1][L, :, 0], 1.0) if c == 2 else n)[at]
-        ml = q[c]
-        il *= ml
-        ir *= np.subtract(m_tot, ml, out=ml)
-        il += ir
-        il /= m_tot
-        np.subtract(own[at], il, out=ml)
-    return q
-
-
-def _score_chunk(block, work, totals, node, a, W, n, cuts, q, sides):
-    """Score the cuts ``cuts`` (flat indices into the (R, C) positions of
-    the chunk from member ``a`` of orders ``W`` wide, cumulated in
-    ``work``) into ``q`` (the Gini reduction, and each moment channel's
-    left count), and each moment channel's weighted variance sums on
-    either side into ``sides``, given each row's ``totals``, member count
-    ``n`` (an (R, 1) column) and ``node`` statistics; returns those
-    statistics.  With ``node`` None (the last chunk) they are read off each
-    row's last member, whose left side is the whole node.
-
-    Every position is scored, each side's count floored at 1 (the last
-    position has no right side), then the cuts are taken.  All moment rows
-    are scored together, each side's divided by its member count, or the
-    derivatives' by its count of members with a derivative (at least 1),
-    and each channel's variances are summed by ``_weighted``."""
+    Each side's count is floored at 1 (the last position has no right
+    side).  All moment rows are scored together, each side's divided by
+    its member count, or the derivatives' by its count of members with a
+    derivative (at least 1), and each channel's variances are summed by
+    ``_weighted``, then combined into its quality: each side's sum times
+    its member count, added, divided by the node's count and taken from
+    the node's sum."""
     S, scored = (work_[..., :W - a] for work_ in work)
     L, v = block.labels, block.v
     np.subtract(totals, S[0], out=S[1])  # the sums after each position
@@ -445,13 +419,21 @@ def _score_chunk(block, work, totals, node, a, W, n, cuts, q, sides):
     var = M[:, 1]
     var -= np.square(M[:, 0], out=M[:, 0])
     np.maximum(var, 0.0, out=var)
-    if node is None:
-        node = (var[0][(slice(None), *last)][..., None],
-                gini_n if L else None)
-    scored.reshape(3, -1).take(cuts, axis=1, out=q, mode="clip")
-    for (_, rows), side in zip(block.channels, sides):
-        _weighted(var[:, rows], block.inv[rows], 1).reshape(2, -1).take(
-            cuts, axis=1, out=side, mode="clip")
+    if node is None:  # each channel's weighted sum of the node's variances
+        var_n = var[0][(slice(None), *last)][..., None]
+        node = ([_weighted(var_n[rows], block.inv[rows], 0)
+                 for _, rows in block.channels], gini_n if L else None)
+    for (c, rows), own in zip(block.channels, node[0]):
+        il, ir = _weighted(var[:, rows], block.inv[rows], 1)
+        # the channel's members: all n, or those with a derivative (at
+        # least one)
+        m_tot = np.maximum(totals[L], 1.0) if c == 2 else n
+        ml = scored[c]
+        il *= ml
+        ir *= np.subtract(m_tot, ml, out=ml)
+        il += ir
+        il /= m_tot
+        np.subtract(own, il, out=ml)
     return node
 
 

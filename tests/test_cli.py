@@ -119,6 +119,24 @@ def test_explain_factual_counterfactual_temporal(workspace, capsys):
     assert "Value" in capsys.readouterr().out
 
 
+def test_explain_foil_of_a_text_label(tmp_path, capsys):
+    # a CSV trace whose actions are words: the foil is a label, not a number
+    rows = ["episode,t,terminal,x,a,r"]
+    for ep in range(4):
+        for t in range(6):
+            rows.append(f"{ep},{t},{int(t == 5)},{t / 5!r},"
+                        f"{'left' if t < 3 else 'right'},1.0")
+    data = tmp_path / "labels.csv"
+    data.write_text("\n".join(rows) + "\n")
+    tree = str(tmp_path / "labels_tree.json")
+    assert run(["fit", "--data", str(data), "--gamma", "0.9",
+                "--theta", "1,0,0", "--max-leaves", "2", "--out", tree]) == 0
+    capsys.readouterr()
+    assert run(["explain", "--tree", tree, "--state", "0.1",
+                "--foil", "right"]) == 0
+    assert capsys.readouterr().out == "Action would = right if x >= 0.5\n"
+
+
 def test_simulate_between_states(workspace, tmp_path, capsys):
     base, data, tree = workspace
     out = str(tmp_path / "path.json")
@@ -130,6 +148,22 @@ def test_simulate_between_states(workspace, tmp_path, capsys):
     if doc["path"] is not None:
         assert doc["path"]["probability"] > 0
         assert Path(svg).read_text().startswith("<svg")
+
+
+def test_simulate_between_leaves_no_route_joins(tmp_path, capsys):
+    # two leaves with no recorded transitions: the query is answered, with
+    # no path
+    tree = tmp_path / "two-leaves.json"
+    tree.write_bytes(tr.serialize(build_tree(
+        ("split", 0, 1.5, ("leaf", {}), ("leaf", {})),
+        [[0.0, 3.0], [-1.0, 1.0]])))
+    out = tmp_path / "path.json"
+    capsys.readouterr()
+    assert run(["simulate", "--tree", str(tree), "--start-leaf", "0",
+                "--end-leaf", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        "no observed route from leaf 0 to leaf 1\n"
+    assert json.loads(out.read_text()) == {"path": None}
 
 
 def test_simulate_zone_mode(workspace, tmp_path):

@@ -11,10 +11,11 @@ from tripletree.errors import ParameterError
 from tripletree.impurity import ImpurityTriple
 
 from .conftest import search_split, synthetic_aug, traced_peak
-from .reference import (derivative_impurity, exhaustive_best_split, gini,
-                        pairwise_deriv_impurity, pairwise_variance,
-                        partition_quality, rowwise_best_split,
-                        rowwise_hybrid_quality, rowwise_node_stats, variance)
+from .reference import (_vector_moment_quality, derivative_impurity,
+                        exhaustive_best_split, gini, pairwise_deriv_impurity,
+                        pairwise_variance, partition_quality,
+                        rowwise_best_split, rowwise_hybrid_quality,
+                        rowwise_node_stats, variance)
 
 
 def test_gini_examples():
@@ -387,10 +388,9 @@ def test_last_chunk_of_one_or_two_members_is_scanned_bitwise(kind, tail):
 
 
 def test_root_scan_peak_is_bounded(benchmark_trace):
-    # the n=1e5 benchmark trace: the scan holds each feature's per-cut
-    # qualities and weighted variance sums and one chunk's sums, not
-    # whole-node temporaries for every channel (23 MB before the chunked
-    # scan, 6.9 MB now)
+    # the n=1e5 benchmark trace: besides the block's workspace, the scan
+    # holds one chunk's cut mask and hybrid qualities and each order's
+    # running best, no array with an entry per cut (1.0 MB)
     data = augment(benchmark_trace, 0.99)
     idx = np.arange(data.n)
     orders = np.argsort(data.states.T, axis=1, kind="stable")
@@ -399,7 +399,51 @@ def test_root_scan_peak_is_bounded(benchmark_trace):
     cand, peak = traced_peak(lambda: imp.best_split(
         data, idx, root, (0.2, 0.6, 0.2), block=block, batch=(0, {0: orders})))
     assert cand is not None
-    assert peak <= 10e6, f"best_split peaked at {peak / 1e6:.1f} MB"
+    assert peak <= 3e6, f"best_split peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_tied_cuts_in_any_chunks_pick_the_first(chunk):
+    # V = 0, 1, 1, 0 over states 0..3: the cuts at 0.5 and 2.5 both reduce
+    # V's variance from 1/4 by 1/12, to the same float, and the one at 1.5
+    # by nothing; in one chunk, in two, or one position per chunk, the
+    # first wins
+    data = synthetic_aug(states=[0.0, 1.0, 2.0, 3.0], actions=["a"] * 4,
+                         V=[0.0, 1.0, 1.0, 0.0])
+    idx = np.arange(4)
+    root = imp.node_impurity(data, idx)
+    with mock.patch.object(imp, "_CHUNK", chunk):
+        got = search_split(data, idx, root, [0, 1, 0])
+    assert _candidate_bits(got) == _candidate_bits(
+        rowwise_best_split(data, idx, root, [0, 1, 0]))
+    # the oracle's V quality at each position: the tie is exact in floats
+    q = _vector_moment_quality(data.V[:, None], np.ones(1), None,
+                               np.arange(3), np.arange(1.0, 4.0),
+                               np.arange(3.0, 0.0, -1.0))
+    assert got.threshold == 0.5 and q[0] == q[2] == got.quality_triple[1]
+    assert q[1] < q[0] == pytest.approx(1 / 12)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 16])
+def test_a_nan_quality_in_any_chunk_leaves_its_order_no_cut(chunk):
+    # a derivative weight of 1e308: the node's weighted variance overflows,
+    # so a cut whose sides each hold one cluster has an infinite quality
+    # and one that mixes a side a NaN.  Feature 0's cut at 3.5 is infinite
+    # and its others NaN, so it has no cut, even when that cut is a chunk
+    # of its own; feature 1's one cut is infinite
+    states = np.stack([np.arange(8.0), np.repeat([0.0, 1.0], 4)], axis=1)
+    D = np.stack([np.repeat([-1.5, 1.5], 4), np.zeros(8)], axis=1)
+    data = synthetic_aug(states=states, actions=["a"] * 8, D=D,
+                         sigma=[1e-308, 0.0])
+    idx = np.arange(8)
+    root = ImpurityTriple(1.0, 1.0, 1.0)
+    with mock.patch.object(imp, "_CHUNK", chunk), \
+            np.errstate(over="ignore", invalid="ignore"):
+        got = search_split(data, idx, root, [0, 0, 1])
+        want = rowwise_best_split(data, idx, root, [0, 0, 1])
+    assert (got.feature, got.threshold, got.hybrid_quality) == \
+        (1, 0.5, np.inf)
+    assert _candidate_bits(got) == _candidate_bits(want)
 
 
 @st.composite

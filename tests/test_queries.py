@@ -302,6 +302,17 @@ def test_states_not_of_the_tree_width_are_refused():
             tr.assign_leaves(tree, states)
 
 
+def test_assign_leaves_skips_subtrees_no_state_reaches():
+    tree = build_tree(("split", 0, 0.5, ("leaf", {}),
+                       ("split", 1, 0.5, ("leaf", {}), ("leaf", {}))),
+                      [[0.0, 1.0], [0.0, 1.0]])
+    none = tr.assign_leaves(tree, np.zeros((0, 2)))
+    assert none.dtype == np.int64 and none.shape == (0,)
+    # no state goes right of the root
+    assert tr.assign_leaves(tree, [[0.2, 0.9], [0.3, 0.1]]).tolist() == \
+        [tr.leaf_of(tree, [0.2, 0.9])] * 2
+
+
 taus = st.one_of(st.floats(), st.floats(width=32), st.sampled_from(SPECIAL),
                  st.integers(-10 ** 20, 10 ** 20))
 
