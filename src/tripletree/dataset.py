@@ -310,7 +310,8 @@ def load_trace_path(path, action_kind: str | None = None) -> TraceDataset:
 def _text(part, whole, errors: str = "strict", what: str = "trace") -> str:
     """``part`` of the input as text.  Bytes are read as UTF-8; when they
     are not, the error names ``what`` and the first bad byte of ``whole``.
-    Parts are cut at line ends, and no UTF-8 sequence holds a newline byte."""
+    Parts are cut at line ends, and no UTF-8 sequence holds a newline byte,
+    so a part that is not UTF-8 is part of a whole that is not."""
     if isinstance(part, str):
         return part
     try:
@@ -320,7 +321,6 @@ def _text(part, whole, errors: str = "strict", what: str = "trace") -> str:
             whole.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"{what} is not UTF-8 text: {exc}") from None
-        raise
 
 
 class _RowFault(Exception):
@@ -661,38 +661,49 @@ def trace_to_csv_bytes(data: TraceDataset) -> bytes:
     The text is what ``csv.writer`` writes for one row per sample, numbers
     as ``repr(float)`` and a field holding a lone carriage return quoted
     like one holding a newline (so that the reader takes it back).  It is
-    built an episode at a time and, within it, a column at a time: each
-    column is formatted once, and only the header and the string labels go
-    through the writer for its quoting.  Each episode's text is encoded as
-    soon as it is built, so only one episode's columns are held as strings
-    at once."""
-    eps = data.episodes
-    vector = data.action_kind == CONTINUOUS_VECTOR
-    if vector:
-        a_names = [f"a{k}" for k in range(1, eps[0].actions.shape[1] + 1)]
-    else:
-        a_names = ["a"]
-        strings = list({a for ep in eps for a in np.asarray(ep.actions).tolist()
-                        if isinstance(a, str)})
-        quoted = dict(zip(strings, _csv_fields(strings)))
+    built a block of ``_BLOCK_ROWS`` rows at a time and, within it, a
+    column at a time: the episode, step and flag fields come from the
+    episode starts in array passes, and ``_texts`` formats each distinct
+    number or label of a column once.  Each block's text is encoded as soon
+    as it is built, so only one block's fields are held as strings at once."""
+    n, starts = data.n_samples, data.starts
+    states, rewards = np.asarray(data.states, float), np.asarray(data.rewards, float)
+    actions = data.actions.reshape(n, -1)
+    if actions.dtype.kind not in "OU":  # numbers, of any dtype
+        actions = np.asarray(actions, float)
+    a_names = ([f"a{k}" for k in range(1, actions.shape[1] + 1)]
+               if data.action_kind == CONTINUOUS_VECTOR else ["a"])
     header = _csv_fields(["episode", "t", "terminal"] + list(data.feature_names)
                          + a_names + ["r"])
+    last = np.append(starts[1:], n) - 1  # each episode's last sample
 
     chunks = [(",".join(header) + "\n").encode("utf-8")]
-    steps = list(map(str, range(max(map(len, eps)))))
-    for ei, ep in enumerate(eps):
-        T = len(ep)
-        if vector:
-            a_columns = [_float_texts(column) for column in ep.actions.T]
-        else:
-            a_columns = [[quoted[a] if isinstance(a, str) else repr(float(a))
-                          for a in np.asarray(ep.actions).tolist()]]
-        rows = zip(repeat(str(ei), T), steps[:T],
-                   ["0"] * (T - 1) + ["1" if ep.terminal else "0"],
-                   *[_float_texts(column) for column in ep.states.T],
-                   *a_columns, _float_texts(ep.rewards))
-        chunks.append(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, n))
+        episode = np.searchsorted(starts, rows, "right") - 1
+        flag = (rows == last[episode]) & data.terminal[episode]
+        columns = [episode, rows - starts[episode], flag.astype(int),
+                   *states[rows].T, *actions[rows].T, rewards[rows]]
+        chunks.append(("\n".join(map(",".join, zip(*map(_texts, columns))))
+                       + "\n").encode("utf-8"))
     return b"".join(chunks)
+
+
+def _texts(column: np.ndarray) -> list[str]:
+    """Each field of a block's column as written, each distinct value
+    formatted once: ints and floats by ``repr`` (floats told apart by their
+    bits, so that -0.0 and 0.0 keep their own text), string labels quoted
+    by the writer, other labels as ``repr(float)``."""
+    if column.dtype.kind in "OU":
+        values = column.tolist()
+        strings = list({v for v in values if isinstance(v, str)})
+        quoted = dict(zip(strings, _csv_fields(strings)))
+        return [quoted[v] if isinstance(v, str) else repr(float(v))
+                for v in values]
+    keys = column.view(np.int64) if column.dtype == float else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = list(map(repr, distinct.view(column.dtype).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _csv_fields(strings) -> list[str]:
@@ -706,10 +717,6 @@ def _csv_fields(strings) -> list[str]:
                         lineterminator="\r\n")
     writer.writerows([s, ""] for s in strings)
     return [line[:-3] for line in lines]
-
-
-def _float_texts(column) -> list[str]:
-    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
 def trace_to_json_bytes(data: TraceDataset) -> bytes:

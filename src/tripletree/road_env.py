@@ -230,6 +230,10 @@ def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
 
     Raises on non-convergence, reporting the residual reached, and at the
     first sweep whose residual is not finite (the values overflowed).
+
+    The stencil tables are corner-major, (4, actions, pos, speed): a sweep
+    adds the four weighted corners in order, as whole arrays, which is bit
+    for bit the sum ``np.sum`` gives over a last axis of length 4.
     """
     check_tolerance(tolerance)
     n_pos, n_speed = config.grid
@@ -242,31 +246,29 @@ def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
     P, S = np.meshgrid(pos, spd, indexing="ij")
     rewards = np.empty((n_actions, n_pos, n_speed))
     terminal = np.zeros((n_actions, n_pos, n_speed), dtype=bool)
-    corners = np.zeros((n_actions, n_pos, n_speed, 4), dtype=np.int64)
-    weights = np.zeros((n_actions, n_pos, n_speed, 4))
+    corners = np.zeros((4, n_actions, n_pos, n_speed), dtype=np.int64)
+    weights = np.zeros((4, n_actions, n_pos, n_speed))
     for a, acc in enumerate(config.actions):
         pos2, speed2, rewards[a], terminal[a] = _advance(config, P, S, acc)
         ip = np.clip(np.searchsorted(pos, pos2) - 1, 0, n_pos - 2)
         js = np.clip(np.searchsorted(spd, speed2) - 1, 0, n_speed - 2)
         fx = np.clip((pos2 - pos[ip]) / (pos[ip + 1] - pos[ip]), 0.0, 1.0)
         fy = np.clip((speed2 - spd[js]) / (spd[js + 1] - spd[js]), 0.0, 1.0)
-        corners[a, ..., 0] = ip * n_speed + js
-        corners[a, ..., 1] = ip * n_speed + js + 1
-        corners[a, ..., 2] = (ip + 1) * n_speed + js
-        corners[a, ..., 3] = (ip + 1) * n_speed + js + 1
-        weights[a, ..., 0] = (1 - fx) * (1 - fy)
-        weights[a, ..., 1] = (1 - fx) * fy
-        weights[a, ..., 2] = fx * (1 - fy)
-        weights[a, ..., 3] = fx * fy
-        weights[a][terminal[a]] = 0.0
+        corners[:, a] = [ip * n_speed + js, ip * n_speed + js + 1,
+                         (ip + 1) * n_speed + js, (ip + 1) * n_speed + js + 1]
+        weights[:, a] = [(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy),
+                         fx * fy]
+        weights[:, a][:, terminal[a]] = 0.0
+
+    def q_values(V):
+        t = weights * V.ravel()[corners]
+        return rewards + config.gamma * (((t[0] + t[1]) + t[2]) + t[3])
 
     V = np.zeros((n_pos, n_speed))
     residual = np.inf
     history = []
     for it in range(1, max_iters + 1):
-        succ = np.sum(weights * V.ravel()[corners], axis=-1)
-        Q = rewards + config.gamma * succ
-        V_new = Q.max(axis=0)
+        V_new = q_values(V).max(axis=0)
         residual = float(np.max(np.abs(V_new - V)))
         history.append(residual)
         V = V_new
@@ -280,9 +282,7 @@ def dp_solve(config: RoadConfig, tolerance: float = 1e-6,
             f"value iteration did not converge: residual {residual:g} after "
             f"{max_iters} sweeps")
 
-    succ = np.sum(weights * V.ravel()[corners], axis=-1)
-    Q = rewards + config.gamma * succ
-    action_idx = np.argmax(Q, axis=0)
+    action_idx = np.argmax(q_values(V), axis=0)
     return GridPolicy(pos_grid=pos, speed_grid=spd, value=V,
                       action_idx=action_idx, actions=tuple(config.actions),
                       iterations=it, residual=residual,

@@ -20,6 +20,7 @@ from tripletree.dataset import (ACTION_KINDS, CONTINUOUS_SCALAR,
 from tripletree.errors import ParameterError, TraceFormatError
 from tripletree.impurity import (ImpurityTriple, NodeStats, SplitCandidate,
                                  validate_theta)
+from tripletree.road_env import GridPolicy, _advance, check_tolerance
 from tripletree.tree import Box, TripleTree, assign_leaves
 from tripletree.viz import (_CATEGORICAL, _VIRIDIS, PlaneSpec, _canvas_for,
                             _f, _render_overlays)
@@ -863,6 +864,70 @@ def trace_to_json_bytes(data: TraceDataset) -> bytes:
                           "a": a, "r": float(ep.rewards[t])})
         eps.append({"terminal": bool(ep.terminal), "steps": steps})
     return (json.dumps(eps, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+# ---------------------------------------------------------------------------
+# Value iteration: the sweep ``road_env.dp_solve`` made before its stencil
+# tables were corner-major, one (action, pos, speed, corner) table summed over
+# its last axis with ``np.sum``, kept as the bitwise oracle of the solver
+# ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore")
+def dp_solve(config, tolerance: float = 1e-6,
+             max_iters: int = 200000) -> GridPolicy:
+    check_tolerance(tolerance)
+    n_pos, n_speed = config.grid
+    pos = np.linspace(config.pos_range[0], config.pos_range[1], n_pos)
+    spd = np.linspace(config.speed_range[0], config.speed_range[1], n_speed)
+    n_actions = len(config.actions)
+    P, S = np.meshgrid(pos, spd, indexing="ij")
+    rewards = np.empty((n_actions, n_pos, n_speed))
+    terminal = np.zeros((n_actions, n_pos, n_speed), dtype=bool)
+    corners = np.zeros((n_actions, n_pos, n_speed, 4), dtype=np.int64)
+    weights = np.zeros((n_actions, n_pos, n_speed, 4))
+    for a, acc in enumerate(config.actions):
+        pos2, speed2, rewards[a], terminal[a] = _advance(config, P, S, acc)
+        ip = np.clip(np.searchsorted(pos, pos2) - 1, 0, n_pos - 2)
+        js = np.clip(np.searchsorted(spd, speed2) - 1, 0, n_speed - 2)
+        fx = np.clip((pos2 - pos[ip]) / (pos[ip + 1] - pos[ip]), 0.0, 1.0)
+        fy = np.clip((speed2 - spd[js]) / (spd[js + 1] - spd[js]), 0.0, 1.0)
+        corners[a, ..., 0] = ip * n_speed + js
+        corners[a, ..., 1] = ip * n_speed + js + 1
+        corners[a, ..., 2] = (ip + 1) * n_speed + js
+        corners[a, ..., 3] = (ip + 1) * n_speed + js + 1
+        weights[a, ..., 0] = (1 - fx) * (1 - fy)
+        weights[a, ..., 1] = (1 - fx) * fy
+        weights[a, ..., 2] = fx * (1 - fy)
+        weights[a, ..., 3] = fx * fy
+        weights[a][terminal[a]] = 0.0
+
+    V = np.zeros((n_pos, n_speed))
+    residual = np.inf
+    history = []
+    for it in range(1, max_iters + 1):
+        succ = np.sum(weights * V.ravel()[corners], axis=-1)
+        Q = rewards + config.gamma * succ
+        V_new = Q.max(axis=0)
+        residual = float(np.max(np.abs(V_new - V)))
+        history.append(residual)
+        V = V_new
+        if residual < tolerance:
+            break
+        if not math.isfinite(residual):
+            raise ParameterError(f"value iteration diverged: residual "
+                                 f"{residual:g} at sweep {it}")
+    else:
+        raise ParameterError(
+            f"value iteration did not converge: residual {residual:g} after "
+            f"{max_iters} sweeps")
+
+    succ = np.sum(weights * V.ravel()[corners], axis=-1)
+    Q = rewards + config.gamma * succ
+    action_idx = np.argmax(Q, axis=0)
+    return GridPolicy(pos_grid=pos, speed_grid=spd, value=V,
+                      action_idx=action_idx, actions=tuple(config.actions),
+                      iterations=it, residual=residual,
+                      residual_history=history)
 
 
 # ---------------------------------------------------------------------------

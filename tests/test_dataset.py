@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletree import dataset as ds
@@ -702,6 +702,34 @@ def test_a_row_fault_in_a_later_block_wins_over_an_action_fault():
         _outcome(ref.load_csv, text, None)
 
 
+LINES_OF_BYTES = st.lists(st.one_of(
+    st.just(b"\n"), st.text(max_size=4).map(str.encode),
+    st.binary(max_size=4))).map(b"".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw=LINES_OF_BYTES, data=st.data())
+def test_parts_cut_at_newlines_decode_or_name_the_first_bad_byte(raw, data):
+    # no UTF-8 sequence holds a newline byte: cut at any of them, UTF-8
+    # input decodes part by part, and the first part that is not UTF-8
+    # holds the first bad byte of the whole, which the error names
+    newlines = [k + 1 for k, byte in enumerate(raw) if byte == ord("\n")]
+    cuts = data.draw(st.sets(st.sampled_from(newlines))) if newlines else ()
+    bounds = [0, *sorted(cuts), len(raw)]
+    parts = [memoryview(raw)[a:b] for a, b in zip(bounds, bounds[1:])]
+    try:
+        whole = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        texts = []
+        with pytest.raises(TraceFormatError) as err:
+            for part in parts:
+                texts.append(ds._text(part, raw))
+        assert str(err.value) == f"trace is not UTF-8 text: {exc}"
+        assert bounds[len(texts)] <= exc.start < bounds[len(texts) + 1]
+    else:
+        assert "".join(ds._text(part, raw) for part in parts) == whole
+
+
 @pytest.mark.parametrize("early", ["none", "bad-float", "bad-header"])
 def test_a_late_non_utf8_byte_is_named_at_its_whole_input_position(early):
     # the input is decoded a block at a time, yet a bad byte anywhere is
@@ -745,6 +773,14 @@ def test_csv_load_peak_is_bounded(benchmark_trace):
     assert peak <= 25e6, f"load_trace peaked at {peak / 1e6:.1f} MB"
 
 
+def test_csv_write_peak_is_bounded(benchmark_trace):
+    # the n=1e5 benchmark trace: the 7.6 MB of CSV twice, as its blocks'
+    # bytes and their join, beside one block's fields as strings
+    raw, peak = traced_peak(lambda: ds.trace_to_csv_bytes(benchmark_trace))
+    assert len(raw) > 7e6
+    assert peak <= 20e6, f"trace_to_csv_bytes peaked at {peak / 1e6:.1f} MB"
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=json_traces(), kind=KINDS)
 def test_json_loader_matches_reference(case, kind):
@@ -759,22 +795,26 @@ def test_json_loader_matches_reference(case, kind):
 # The column writer against the row writer it replaced
 # ---------------------------------------------------------------------------
 
-ODD_FLOATS = [-0.0, 5e-324, 1e-310, 0.1, 1e300, -2.5]
+ODD_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 0.1, 1e300, -2.5]
+ODD_INTS = [2 ** 53 + 1, -2 ** 53 - 1, 2 ** 63 - 1, -2 ** 63, 0]
 STRING_LABELS = ["go", "a,b", 'say "hi"', "two\nlines", "", "cr\rlf", " pad "]
 FEATURE_NAMES = ["x", "a,b", 'q"t', "two\nlines", "cr\rlf", "", "é"]
 
 
 @st.composite
 def trace_datasets(draw):
-    """A valid trace with odd floats (-0.0, subnormals), string labels that
-    need quoting, numeric, integer or vector actions and feature names that
-    need quoting."""
+    """A valid trace with odd floats (-0.0 and 0.0, subnormals) that repeat,
+    string labels that need quoting, numeric, integer (past 2**53) or vector
+    actions and feature names that need quoting; episodes of up to 12 steps,
+    so that they straddle the writer's blocks when those are short."""
     d = draw(st.integers(1, 3))
     style = draw(st.sampled_from(["labels", "label-array", "numbers", "ints",
                                   "scalar", "vector"]))
     m = draw(st.integers(1, 3))
     value = st.one_of(st.sampled_from(ODD_FLOATS),
                       st.floats(allow_nan=False, allow_infinity=False))
+    integer = st.one_of(st.sampled_from(ODD_INTS),
+                        st.integers(-2 ** 63, 2 ** 63 - 1))
 
     def floats(*shape):
         return np.array([draw(value) for _ in range(int(np.prod(shape)))],
@@ -782,14 +822,14 @@ def trace_datasets(draw):
 
     episodes = []
     for _ in range(draw(st.integers(1, 3))):
-        T = draw(st.integers(1, 4))
+        T = draw(st.integers(1, 12))
         if style in ("labels", "label-array"):
             labels = [draw(st.sampled_from(STRING_LABELS)) for _ in range(T)]
             actions = (np.array(labels, dtype=object) if style == "labels"
                        else np.array(labels))
         elif style == "ints":
-            actions = np.array([draw(st.integers(-2 ** 62, 2 ** 62))
-                                for _ in range(T)])
+            actions = np.array([draw(integer) for _ in range(T)],
+                               dtype=np.int64)
         else:
             actions = floats(T, m) if style == "vector" else floats(T)
         episodes.append(ds.Episode(floats(T, d), actions, floats(T),
@@ -804,6 +844,24 @@ def trace_datasets(draw):
 @given(data=trace_datasets())
 def test_csv_writer_matches_row_writer(data):
     assert ds.trace_to_csv_bytes(data) == ref.trace_to_csv_bytes(data)
+
+
+SIGNED_ZEROS = ds.TraceDataset.from_episodes(
+    [ds.Episode(np.array([[0.0], [-0.0], [0.0]]), np.array([-0.0, 0.0, 0.0]),
+                np.array([0.0, -0.0, 0.0]), False),
+     ds.Episode(np.arange(12.0)[:, None] % 3, np.tile([-0.0, 0.0], 6),
+                np.zeros(12), True)],
+    ds.CONTINUOUS_SCALAR, ["x"])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=trace_datasets())
+@example(data=SIGNED_ZEROS)
+def test_csv_writer_blocks_join_as_the_row_writer_rows(rows, data):
+    # episodes straddle blocks, and a block holds -0.0 beside 0.0
+    with mock.patch.object(ds, "_BLOCK_ROWS", rows):
+        assert ds.trace_to_csv_bytes(data) == ref.trace_to_csv_bytes(data)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

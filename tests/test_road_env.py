@@ -116,6 +116,42 @@ def test_dp_solve_toy_grid_matches_inline_backups():
     assert np.allclose(got.value, V, atol=1e-9)
 
 
+README_ROAD = dict(r_left=-100, r_right=-100, r_speed=1, gamma=0.99,
+                   grid=(30, 30))
+SOLVER_CASES = {
+    "readme": (README_ROAD, 1e-6),
+    "readme-tight": (README_ROAD, 1e-12),
+    "three-actions": (dict(r_left=-100, r_right=50, r_speed=2, gamma=0.95,
+                           grid=(12, 10), actions=(-0.001, 0.0, 0.002)), 1e-9),
+    "wide-speeds": (dict(r_left=-5, r_right=3, r_speed=0.5, gamma=0.9,
+                         grid=(9, 9), pos_range=(0, 1),
+                         speed_range=(-0.3, 0.3), actions=(-0.05, 0.05)),
+                    1e-12),
+    "7x13": (dict(r_left=-1, r_right=2, r_speed=1, gamma=0.9, grid=(7, 13)),
+             1e-12),
+}
+
+
+@pytest.mark.parametrize("kwargs, tolerance", SOLVER_CASES.values(),
+                         ids=SOLVER_CASES)
+def test_dp_solve_is_bitwise_the_summed_stencil_sweep(kwargs, tolerance):
+    cfg = road.RoadConfig(**kwargs)
+    # some successors of the grid cross each end of the road
+    P, S = np.meshgrid(np.linspace(*cfg.pos_range, cfg.grid[0]),
+                       np.linspace(*cfg.speed_range, cfg.grid[1]),
+                       indexing="ij")
+    pos2 = np.array([road._advance(cfg, P, S, a)[0] for a in cfg.actions])
+    assert (pos2 < cfg.pos_range[0]).any() and (pos2 > cfg.pos_range[1]).any()
+
+    got = road.dp_solve(cfg, tolerance)
+    want = ref.dp_solve(cfg, tolerance)
+    assert got.value.tobytes() == want.value.tobytes()
+    assert np.array_equal(got.action_idx, want.action_idx)
+    assert got.iterations == want.iterations
+    assert [r.hex() for r in got.residual_history] == \
+        [r.hex() for r in want.residual_history]
+
+
 def test_dp_mirror_symmetry(road_fixture):
     cfg, policy, _, _ = road_fixture
     V = policy.value

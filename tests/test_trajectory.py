@@ -5,6 +5,7 @@ import pytest
 
 from tripletree import trajectory as tj
 from tripletree.errors import ParameterError
+from tripletree.tree import Box
 from tripletree.trajectory import END, LeafGraph
 
 from .conftest import build_tree, random_tree
@@ -364,6 +365,17 @@ def test_non_adjacent_transition_uses_exit_face():
     assert abs(node[0] - 1.0) <= 1e-9
     assert 0.0 - 1e-9 <= node[1] <= 2.0 + 1e-9
     assert path.objective is not None
+
+
+def test_exit_face_toward_the_box_centre_is_a_finite_face():
+    # no ray leaves the centre toward itself: no face is crossed at a finite
+    # distance, and the first feature's upper face is taken at the centre
+    box = Box(np.array([0.0, -1.0]), np.array([2.0, 3.0]))
+    face = tj._exit_face(box, np.array([1.0, 1.0]))
+    assert (face.feature, face.value) == (0, 2.0)
+    assert np.array_equal(face.init, [2.0, 1.0])
+    for array in (face.lower, face.upper, face.init):
+        assert np.isfinite(array).all()
 
 
 def test_corner_touching_boxes_pin_node_to_the_corner():

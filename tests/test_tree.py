@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import hashlib
 import json
@@ -66,6 +67,14 @@ def test_parameter_errors():
         tr.grow(data, [0, 0, 0], max_leaves=4)
     with pytest.raises(ParameterError):
         tr.grow(data, [1, 1, 1], max_leaves=4, min_leaf=0)
+
+
+def test_grow_refuses_an_empty_dataset():
+    data = _labelled_aug(np.random.default_rng(0), n=10)
+    empty = dataclasses.replace(data, states=data.states[:0])
+    with pytest.raises(ParameterError) as err:
+        tr.grow(empty, [1, 1, 1], max_leaves=4)
+    assert str(err.value) == "cannot grow a tree on an empty dataset"
 
 
 def test_action_only_growth_matches_reference_cart():
