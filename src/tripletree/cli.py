@@ -115,13 +115,13 @@ def _parse_plane(tree, args) -> viz.PlaneSpec | None:
     """The view's plane from ``--plane``, ``--resolution`` and ``--fixed``;
     None for direct views, which draw no plane, once the other flags check."""
     try:
-        fx_tok, fy_tok = (args.plane or "0,1").split(",")
+        fx_tok, fy_tok = args.plane.split(",")
     except ValueError:
         raise ParameterError(
             f"invalid --plane {args.plane!r}; expected fx,fy") from None
     nx, ny = _int_pair(args.resolution, "--resolution")
     fixed = {}
-    if getattr(args, "fixed", None):
+    if args.fixed is not None:
         for pair in args.fixed.split(","):
             name, _, val = pair.partition("=")
             try:
@@ -151,7 +151,7 @@ def _parse_action(tree: tr.TripleTree, text: str):
 
 def _road_config(args) -> road.RoadConfig:
     road.check_tolerance(args.tol)  # checked even when no solve runs
-    if getattr(args, "config", None):
+    if args.config is not None:
         return road.RoadConfig.from_json(
             ds.json_document(Path(args.config).read_bytes(), "road config"))
     n_pos, n_speed = _int_pair(args.grid, "--grid")
@@ -166,12 +166,12 @@ def _road_config(args) -> road.RoadConfig:
 
 def cmd_gen_road(args) -> int:
     config = _road_config(args)
-    if args.policy:
+    if args.policy is not None:
         policy = road.GridPolicy.from_json(
             ds.json_document(Path(args.policy).read_bytes(), "policy"))
     else:
         policy = road.dp_solve(config, tolerance=args.tol)
-    if args.policy_out:
+    if args.policy_out is not None:
         _write(args.policy_out, ds.json_bytes(policy.to_json()))
     data = road.generate_dataset(config, policy, args.samples,
                                  args.episode_len, args.seed)
@@ -207,10 +207,9 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.curve:
-        if args.tree:
+        if args.tree is not None:
             raise ParameterError("--curve grows its own tree; drop --tree")
-        if (args.gamma is None or not args.theta or args.max_leaves is None
-                or not args.out):
+        if None in (args.gamma, args.theta, args.max_leaves, args.out):
             raise ParameterError(
                 "--curve needs --data, --gamma, --theta, --max-leaves and --out")
         data = ds.load_trace_path(args.data, action_kind=args.action_kind)
@@ -223,7 +222,7 @@ def cmd_eval(args) -> int:
                     for n, (a, v, d) in enumerate(curve, start=1)))
         print(f"wrote loss curve with {len(curve)} rows to {args.out}")
         return 0
-    if not args.tree:
+    if args.tree is None:
         raise ParameterError("eval needs --tree, or --curve to grow one")
     tree = _load_tree(args.tree)
     data = ds.load_trace_path(args.data, action_kind=tree.action_kind)
@@ -232,7 +231,7 @@ def cmd_eval(args) -> int:
     doc = {"action_loss": a, "value_loss": v, "deriv_loss": d,
            "leaves": tree.n_leaves, "samples": aug.n}
     payload = ds.json_bytes(doc)
-    if args.out:
+    if args.out is not None:
         _write(args.out, payload)
     sys.stdout.write(payload.decode())
     return 0
@@ -250,7 +249,7 @@ def cmd_predict(args) -> int:
            "deriv_low_confidence": pred.deriv_low_confidence,
            "leaf": tr.leaf_of(tree, state)}
     payload = ds.json_bytes(doc)
-    if args.out:
+    if args.out is not None:
         _write(args.out, payload)
     sys.stdout.write(payload.decode())
     return 0
@@ -259,14 +258,13 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     tree = _load_tree(args.tree)
     state = _parse_state(args.state, tree.d)
-    chosen = [bool(args.foil), bool(args.value_cond), bool(args.next_state)]
-    if sum(chosen) > 1:
+    if (args.foil, args.value_cond, args.next_state).count(None) < 2:
         raise ParameterError(
             "use only one of --foil, --value-cond, --next-state")
-    if args.foil:
+    if args.foil is not None:
         expl = ex.counterfactual_action(tree, state,
                                         _parse_action(tree, args.foil))
-    elif args.value_cond:
+    elif args.value_cond is not None:
         text = args.value_cond.strip()
         try:
             if text[:2] not in ("<=", ">=") or not np.isfinite(float(text[2:])):
@@ -276,7 +274,7 @@ def cmd_explain(args) -> int:
             raise ParameterError(
                 "--value-cond must look like '<=0.3' or '>=1'") from None
         expl = ex.counterfactual_value(tree, state, cond)
-    elif args.next_state:
+    elif args.next_state is not None:
         expl = ex.temporal(tree, state, _parse_state(args.next_state, tree.d))
     else:
         expl = ex.factual(tree, state)
@@ -287,7 +285,7 @@ def cmd_explain(args) -> int:
     payload = ds.json_bytes(doc)
     if args.format == "json":
         sys.stdout.write(payload.decode())
-    if args.out:
+    if args.out is not None:
         _write(args.out, payload)
     return 0
 
@@ -311,12 +309,13 @@ def cmd_simulate(args) -> int:
                   "tol": args.tol}
     tj.check_align_options(**align_opts)  # also when no path is aligned
     tree = _load_tree(args.tree)
-    if args.svg and tree.d != 2:
+    if args.svg is not None and tree.d != 2:
         raise ParameterError("--svg is only available for d=2 trees")
     graph = tj.build_leaf_graph(tree)
     shown = []  # the paths drawn by --svg
-    if args.start_zone or args.end_zone:
-        if not (args.start_zone and args.end_zone):
+    zones = (args.start_zone, args.end_zone)
+    if zones != (None, None):
+        if None in zones:
             raise ParameterError("zone mode needs both --start-zone and --end-zone")
         start_zone = _parse_zone(args.start_zone, tree.d)
         end_zone = _parse_zone(args.end_zone, tree.d)
@@ -330,13 +329,13 @@ def cmd_simulate(args) -> int:
     else:
         if args.start_leaf is not None:
             start = args.start_leaf
-        elif args.start:
+        elif args.start is not None:
             start = tr.leaf_of(tree, _parse_state(args.start, tree.d))
         else:
             raise ParameterError("simulate needs --start or --start-leaf")
         if args.end_leaf is not None:
             end = args.end_leaf
-        elif args.end:
+        elif args.end is not None:
             end = tr.leaf_of(tree, _parse_state(args.end, tree.d))
         else:
             raise ParameterError("simulate needs --end or --end-leaf")
@@ -355,7 +354,7 @@ def cmd_simulate(args) -> int:
             print(f"path {path.leaves} probability {path.probability:.4g} "
                   f"expected duration {path.expected_duration:.4g}")
     _write(args.out, ds.json_bytes(doc))
-    if args.svg:
+    if args.svg is not None:
         base = viz.direct_map(tree, "action")
         svg = viz.render_svg(base, {"title": "simulated trajectories",
                                     "xlabel": tree.feature_names[0],
@@ -378,7 +377,7 @@ def cmd_viz(args) -> int:
     else:  # "slice": argparse refuses any other --mode
         payload = viz.ice_slice(tree, plane, args.attribute)
     _write(args.out, ds.json_bytes(payload))
-    if args.svg:
+    if args.svg is not None:
         names = [tree.feature_names[f] for f in payload["plane"]]
         style = {"title": f"{args.attribute} ({args.mode})",
                  "xlabel": names[0], "ylabel": names[1] if tree.d > 1 else ""}
@@ -390,7 +389,7 @@ def cmd_viz(args) -> int:
 def cmd_sweep_theta(args) -> int:
     gamma = _road_config(args).gamma  # road flags and --config may set it
     data = ds.load_trace_path(args.data, action_kind=args.action_kind)
-    if args.theta_grid:
+    if args.theta_grid is not None:
         grid = [tuple(_parse_theta(part))
                 for part in args.theta_grid.split(";") if part]
     else:
@@ -550,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribute", default="action")
     p.add_argument("--mode", choices=["direct", "projection", "slice"],
                    default="direct")
-    p.add_argument("--plane", help="fx,fy by index or name")
+    p.add_argument("--plane", default="0,1", help="fx,fy by index or name")
     p.add_argument("--resolution", default="200,200")
     p.add_argument("--fixed", help="off-plane values, e.g. speed=0.01")
     p.add_argument("--out", required=True)

@@ -367,13 +367,12 @@ def _csv_columns(blocks, n_max: int, action_kind: str | None) -> TraceDataset:
     middle = header[3:-1]
     if "a" in middle:
         a_start = middle.index("a")
-        action_cols = ["a"]
     else:
         a_start = next((i for i, name in enumerate(middle) if name == "a1"), len(middle))
-        action_cols = middle[a_start:]
-        if not action_cols or action_cols != [
-                f"a{k}" for k in range(1, len(action_cols) + 1)]:
-            raise TraceFormatError("action columns must be named a, or a1..am")
+    action_cols = middle[a_start:]  # a lone a ends the header's middle
+    if not action_cols or action_cols not in (
+            ["a"], [f"a{k}" for k in range(1, len(action_cols) + 1)]):
+        raise TraceFormatError("action columns must be named a, or a1..am")
     feature_names = middle[:a_start]
     if not feature_names:
         raise TraceFormatError("CSV trace has no state feature columns")

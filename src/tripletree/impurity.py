@@ -20,30 +20,30 @@ not depend on when it is searched, so a popped leaf not yet searched whose
 orders fit in one chunk (n * d <= ``_CHUNK``) is searched with every other
 such leaf; a larger popped leaf is searched alone.  One loop packs the
 searched leaves' orders a row per (leaf, feature), narrowest first, into
-scans of at most ``_CHUNK`` positions, each row padded to its scan's
-widest; a row wider than a chunk is a scan of its own, scanned a chunk at a
-time.  Each row's best cut is found, and each leaf keeps its first best row
-in feature order.  The block's rows are gathered in each order ``_CHUNK``
-members at a time into a workspace the block keeps, and cumulated in place
-with their squared moment rows, carrying the running sums into the next
-chunk.  Every position of a chunk is then scored from those sums and its
-row's totals, all moment rows (continuous action, V, derivatives)
-together, by elementwise ufuncs that, like the row-wise cumsum, round each
-element alone: every sum and quality is the one a scan of that row alone
-gives.  A row of several chunks cumulates them once for its totals, scores
-the last, then recomputes and scores the others, last first.  A leaf's own
-variances and Gini are read off its rows' last members.  Every moment
-channel is scored by one formula: each side's variances, and the leaf's,
-times their 1/sigma weights, are added column by column, left to right, by
-``_weighted``, and combined into the channel's quality at every position.
-A mask of the chunk's sorted values, and the next one, finds its cuts; the
-chunk's first best cut of each order replaces the order's running best if
-it is at least as good, so an earlier chunk wins ties, and a NaN quality
-carries to the end and leaves the order no cut.  No BLAS call rounds a
-sum, so the splits do not depend on which CPU's kernels numpy's BLAS
-picks.  On the n=1e5 benchmark trace the root's scan peaks at 1.0 MB under
-tracemalloc besides the block's 1.4 MB workspace, and a 1000-leaf ``grow``
-at 14.1 MB.
+scans of at most ``_CHUNK`` positions; a row wider than a chunk is a scan of
+its own, scanned a chunk at a time.  Each row's best cut is found, and each
+leaf keeps its first best row in feature order.  The block's rows are
+gathered in each order ``_CHUNK`` members at a time into a workspace the
+block keeps, and cumulated in place with their squared moment rows,
+carrying the running sums into the next chunk.  Every position of a chunk
+is then scored from those sums and its row's totals, all moment rows
+(continuous action, V, derivatives) together, by elementwise ufuncs that,
+like the row-wise cumsum, round each element alone: every sum and quality
+is the one a scan of that row alone gives.  A row of several chunks
+cumulates them once for its totals, scores the last, then recomputes and
+scores the others, last first.  Every channel is scored by one formula.
+Each side's impurity is the Gini of its label counts, or its variances
+times their 1/sigma weights, added column by column, left to right, by
+``_weighted``; the leaf's own is the left side's at its rows' last members.
+The channel's quality at every position is the leaf's impurity less the
+sides', each times its member count, over the leaf's count.  A mask of the
+chunk's sorted values, and the next one, finds its cuts; the chunk's first
+best cut of each order replaces the order's running best if it is at least
+as good, so an earlier chunk wins ties, and a NaN quality carries to the end
+and leaves the order no cut.  No BLAS call rounds a sum, so the splits do
+not depend on which CPU's kernels numpy's BLAS picks.  On the n=1e5
+benchmark trace the root's scan peaks at 1.0 MB under tracemalloc besides
+the block's 1.4 MB workspace, and a 1000-leaf ``grow`` at 14.1 MB.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class ChannelBlock(NamedTuple):
     labels: int       # label-count rows; 0 for continuous actions
     v: int            # V's moment row
     inv: np.ndarray   # each moment row's weight: 1/sigma, 1 for V
-    channels: tuple   # each moment channel's (channel, moment rows)
+    channels: tuple   # each channel's (channel, moment rows): none for a Gini
     work: np.ndarray  # one chunk's scan workspace, reused by every search
 
 
@@ -239,7 +239,7 @@ def channel_block(data) -> ChannelBlock:
     inv = _inverse(np.concatenate([a_sigma[:v], _UNIT, data.sigma]))
     channels = ((0, slice(0, v)), (1, slice(v, v + 1)),
                 (2, slice(v + 1, inv.size)))  # discrete actions: v = 0
-    return ChannelBlock(rows, labels, v, inv, channels[0 if v else 1:],
+    return ChannelBlock(rows, labels, v, inv, channels,
                         np.empty((2 * (len(rows) + inv.size) + 3) * _CHUNK))
 
 
@@ -249,7 +249,6 @@ def _inverse(sigma):
 
 
 _CHUNK = 8192  # members of sorted orders cumulated and scored at a time
-_SCAN_COST = 1024  # a scan's fixed cost, in the positions it scores
 
 
 def _search(states, block, records, leaf, min_leaf, roots, theta):
@@ -268,13 +267,10 @@ def _search(states, block, records, leaf, min_leaf, roots, theta):
         n = orders.shape[1]
         for f in range(d if n >= fewest else 0):
             stacked = len(scans[-1])
-            # a row starts a new scan when the stack would outgrow a chunk,
-            # or pad the rows stacked so far by more than a scan costs
-            if stacked and ((stacked + 1) * n > _CHUNK
-                            or stacked * (n - width) > _SCAN_COST):
+            # a row starts a new scan when the stack would outgrow a chunk
+            if stacked and (stacked + 1) * n > _CHUNK:
                 scans.append([])
             scans[-1].append((key, f, orders[f]))
-            width = n
     for scan in filter(None, scans):
         leaves, features, rows = zip(*scan)
         n = np.array([row.size for row in rows])
@@ -317,7 +313,7 @@ def _scan(block, stack, n, states, features, min_leaf, roots, theta):
                                sums[-1], work))
     each = np.arange(R)
     top, at, triple = np.full(R, -np.inf), np.zeros(R, int), np.zeros((3, R))
-    node = None  # each order's statistics, read off its last position
+    node = None  # each order's impurities, read off its last position
     for a, carry in reversed([*zip(starts, sums)]):
         # the chunk's cuts, from its sorted values and the next one
         cut = _cuts(states[stack[:, a:a + _CHUNK + 1], features[:, None]], a,
@@ -381,37 +377,26 @@ def _cumulated(block, members, last, carry, out):
 
 def _score_chunk(block, work, totals, node, a, W, n):
     """Score every position of the chunk from member ``a`` of orders ``W``
-    wide, cumulated in ``work``, into the workspace's qualities (the Gini
-    reduction, then each moment channel's), given each row's ``totals``,
-    member count ``n`` (an (R, 1) column) and ``node`` statistics; returns
-    those statistics.  With ``node`` None (the last chunk) they are read
+    wide, cumulated in ``work``, into the workspace's qualities, one per
+    channel, given each row's ``totals``, member count ``n`` (an (R, 1)
+    column) and ``node`` impurities, one (R, 1) column per channel; returns
+    those impurities.  With ``node`` None (the last chunk) they are read
     off each row's last member, whose left side is the whole node.
 
-    Each side's count is floored at 1 (the last position has no right
-    side).  All moment rows are scored together, each side's divided by
-    its member count, or the derivatives' by its count of members with a
-    derivative (at least 1), and each channel's variances are summed by
-    ``_weighted``, then combined into its quality: each side's sum times
-    its member count, added, divided by the node's count and taken from
-    the node's sum."""
+    Each side's label counts and moment rows are divided by its member
+    count, floored at 1 (the last position has no right side), or the
+    derivatives' by its count of members with a derivative (at least 1).
+    Each channel has two side impurities, the Gini of the label rows or
+    ``_weighted`` of its variances, combined into its quality by one
+    formula: each side's impurity times its member count, added, divided
+    by the node's count and taken from the node's impurity."""
     S, scored = (work_[..., :W - a] for work_ in work)
     L, v = block.labels, block.v
     np.subtract(totals, S[0], out=S[1])  # the sums after each position
-    counts = np.empty((2, *S.shape[2:]))  # members each side
+    counts = np.empty((2, *S.shape[2:]))  # members each side, at least 1
     counts[0] = np.arange(a + 1.0, a + S.shape[-1] + 1.0)
     np.maximum(n - counts[0], 1.0, out=counts[1])
     last = (np.arange(len(n)), n[:, 0] - 1 - a)
-    if L:  # each side's Gini, then the reduction
-        p = S[:, :L]
-        p /= counts[:, None]
-        gini = np.subtract(1.0, _label_sum(np.square(p, out=p)), out=p[:, 0])
-        gini_n = gini[0][last][:, None] if node is None else node[1]
-        gini *= counts
-        np.add(gini[0], gini[1], out=scored[0])
-        scored[0] /= n
-        np.subtract(gini_n, scored[0], out=scored[0])
-    for c, _ in block.channels:  # the left counts
-        scored[c] = S[0, L] if c == 2 else counts[0]
     # each side's means and mean squares, then variances
     M = S[:, L + 1:].reshape(2, 2, -1, *S.shape[2:])
     M[:, :, :v + 1] /= counts[:, None, None]
@@ -419,29 +404,35 @@ def _score_chunk(block, work, totals, node, a, W, n):
     var = M[:, 1]
     var -= np.square(M[:, 0], out=M[:, 0])
     np.maximum(var, 0.0, out=var)
-    if node is None:  # each channel's weighted sum of the node's variances
-        var_n = var[0][(slice(None), *last)][..., None]
-        node = ([_weighted(var_n[rows], block.inv[rows], 0)
-                 for _, rows in block.channels], gini_n if L else None)
-    for (c, rows), own in zip(block.channels, node[0]):
-        il, ir = _weighted(var[:, rows], block.inv[rows], 1)
+    own = [] if node is None else node
+    for c, rows in block.channels:  # each side's impurity, then the quality
+        if c == 0 and L:
+            p = S[:, :L]
+            p /= counts[:, None]
+            il, ir = np.subtract(1.0, _label_sum(np.square(p, out=p)),
+                                 out=p[:, 0])
+        else:
+            il, ir = _weighted(var[:, rows], block.inv[rows])
+        if node is None:
+            own.append(il[last][:, None])
         # the channel's members: all n, or those with a derivative (at
-        # least one)
+        # least one), and the left side's
         m_tot = np.maximum(totals[L], 1.0) if c == 2 else n
+        scored[c] = S[0, L] if c == 2 else counts[0]
         ml = scored[c]
         il *= ml
         ir *= np.subtract(m_tot, ml, out=ml)
         il += ir
         il /= m_tot
-        np.subtract(own, il, out=ml)
-    return node
+        np.subtract(own[c], il, out=ml)
+    return own
 
 
-def _weighted(x, w, axis):
-    """The sum along ``axis`` of ``x`` times the weights ``w``, added left
-    to right into (and returned as) x's first slice: ufuncs round each
-    element alone, for any number of cuts and on every CPU, unlike BLAS."""
-    x = np.moveaxis(x, axis, 0)
+def _weighted(x, w):
+    """The sum over axis 1 of ``x`` times the weights ``w``, added left to
+    right into (and returned as) ``x[:, 0]``: ufuncs round each element
+    alone, for any number of cuts and on every CPU, unlike BLAS."""
+    x = np.moveaxis(x, 1, 0)
     np.multiply(x[0], w[0], out=x[0])
     for x_j, w_j in zip(x[1:], w[1:]):
         x[0] += np.multiply(x_j, w_j, out=x_j)

@@ -89,9 +89,6 @@ def most_probable_path(graph: LeafGraph, start, end) -> TrajectoryPath | None:
     A None result means the end is unreachable from the start under the
     recorded transitions, which is itself informative.
     """
-    if start == end:
-        return TrajectoryPath(leaves=[start], probability=1.0,
-                              expected_duration=0.0)
     dist = {start: 0.0}
     prev: dict = {}
     heap = [(0.0, 0, start)]

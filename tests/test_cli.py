@@ -524,6 +524,90 @@ def test_simulate_without_a_valid_start_and_end_prints_one_usage_line(
     assert not out.exists()
 
 
+# an optional flag given an empty value, and the one error line it gets:
+# the value reaches the code that reads it, as any other value does
+NO_FILE = "file error: [Errno 2] No such file or directory: ''"
+A_DIRECTORY = "file error: [Errno 21] Is a directory: '.'"
+EMPTY_VALUES = {
+    "explain-value-cond": (["explain", "--value-cond="], 2,
+                           "error: --value-cond must look like '<=0.3' "
+                           "or '>=1'"),
+    "explain-next-state": (["explain", "--next-state="], 2,
+                           "error: invalid state ''"),
+    "explain-out": (["explain", "--out="], 1, NO_FILE),
+    "predict-out": (["predict", "--out="], 1, NO_FILE),
+    "eval-out": (["eval", "--out="], 1, NO_FILE),
+    "eval-tree": (["eval", "--tree="], 1, A_DIRECTORY),
+    "eval-curve-tree": (["eval", "--curve", "--gamma", "0.9", "--theta",
+                         "1,1,1", "--max-leaves", "3", "--out", "{out}",
+                         "--tree="], 2,
+                        "error: --curve grows its own tree; drop --tree"),
+    "eval-curve-theta": (["eval", "--curve", "--gamma", "0.9",
+                          "--max-leaves", "3", "--out", "{out}",
+                          "--theta="], 2, "error: invalid theta ''"),
+    "viz-plane": (["viz", "--out", "{out}", "--plane="], 2,
+                  "error: invalid --plane ''; expected fx,fy"),
+    "viz-fixed": (["viz", "--out", "{out}", "--mode", "slice", "--fixed="],
+                  2, "error: invalid --fixed entry ''"),
+    "viz-svg": (["viz", "--out", "{out}", "--resolution", "8,8", "--svg="],
+                1, NO_FILE),
+    "sweep-theta-theta-grid": (["sweep-theta", "--max-leaves", "4",
+                                "--out", "{out}", "--theta-grid="], 2,
+                               "error: the theta grid is empty"),
+    "gen-road-policy": (["gen-road", *ROAD_FLAGS, "--out", "{out}",
+                         "--policy="], 1, A_DIRECTORY),
+    "gen-road-config": (["gen-road", "--out", "{out}", "--config="], 1,
+                        A_DIRECTORY),
+    "gen-road-policy-out": (["gen-road", *ROAD_FLAGS, "--samples", "50",
+                             "--out", "{out}", "--policy-out="], 1, NO_FILE),
+    "simulate-zones": (["simulate", "--out", "{out}", "--start-zone=",
+                        "--end-zone="], 2,
+                       "error: invalid zone ''; expected lo1,..,lod:hi1,..,hid"),
+    "simulate-start": (["simulate", "--out", "{out}", "--start=",
+                        "--end-leaf", "0"], 2, "error: invalid state ''"),
+    "simulate-end": (["simulate", "--out", "{out}", "--start-leaf", "0",
+                      "--end="], 2, "error: invalid state ''"),
+    "simulate-svg": (["simulate", "--out", "{out}", "--start", "1.5,0",
+                      "--end", "1.5,0", "--no-align", "--svg="], 1, NO_FILE),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_VALUES))
+def test_an_empty_flag_value_is_read_as_given(name, workspace, tmp_path,
+                                              capsys):
+    base, data, tree = workspace
+    (command, *flags), code, message = EMPTY_VALUES[name]
+    argv = [command, *(f.format(out=tmp_path / "out.json") for f in flags)]
+    if command in ("eval", "sweep-theta"):
+        argv += ["--data", data]
+    if command in ("explain", "predict", "simulate", "viz") \
+            or name == "eval-out":
+        argv += ["--tree", tree]
+    if command in ("explain", "predict"):
+        argv += ["--state", "1.5,0"]
+    capsys.readouterr()
+    assert run(argv) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_an_empty_foil_is_the_empty_text_label(tmp_path, capsys):
+    # a CSV trace can hold an empty action label, and an empty --foil
+    # names it
+    rows = ["episode,t,terminal,x,a,r"]
+    for ep in range(4):
+        for t in range(6):
+            rows.append(f"{ep},{t},{int(t == 5)},{t / 5!r},"
+                        f"{'left' if t < 3 else ''},1.0")
+    data = tmp_path / "labels.csv"
+    data.write_text("\n".join(rows) + "\n")
+    tree = str(tmp_path / "labels_tree.json")
+    assert run(["fit", "--data", str(data), "--gamma", "0.9",
+                "--theta", "1,0,0", "--max-leaves", "2", "--out", tree]) == 0
+    capsys.readouterr()
+    assert run(["explain", "--tree", tree, "--state", "0.1", "--foil="]) == 0
+    assert capsys.readouterr().out == "Action would =  if x >= 0.5\n"
+
+
 def test_simulate_zone_bounds_may_be_infinite(workspace, tmp_path):
     # an infinite bound leaves the zone open on that side: the zones below
     # hold the same leaves as ones bounded past the data range

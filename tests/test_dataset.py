@@ -534,10 +534,13 @@ CSV_READER_FAULTS = {
 
 
 @pytest.mark.parametrize("header", ["episode,t,terminal,x,r",
-                                    "episode,t,terminal,x,y,a0,r"])
-def test_a_csv_header_without_an_action_column_is_refused(header):
-    # no column is named a or a1, so there is no action to read: both
-    # loaders refuse the header rather than read an empty action
+                                    "episode,t,terminal,x,y,a0,r",
+                                    "episode,t,terminal,x,a,y,r",
+                                    "episode,t,terminal,x,a,a,r"])
+def test_a_csv_header_without_valid_action_columns_is_refused(header):
+    # no column is named a or a1, so there is no action to read, or a
+    # column follows a lone a, which no row could fill as the header says:
+    # both loaders refuse the header rather than read its rows
     width = header.count(",") + 1
     text = f"{header}\n" + ",".join(["0", "0", "1"] + ["0.5"] * (width - 3))
     for load in (lambda: ds.load_trace(text + "\n", "csv"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletree import impurity as imp
+from tripletree import tree as tr
 from tripletree.dataset import ACTION_KINDS, augment
 from tripletree.errors import ParameterError
 from tripletree.impurity import ImpurityTriple
@@ -304,6 +305,40 @@ def _candidate_bits(cand):
     return (cand.feature, _bits(cand.threshold),
             [_bits(q) for q in cand.quality_triple], _bits(cand.hybrid_quality),
             _bits(cand.left_idx), _bits(cand.right_idx))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), labels=st.integers(2, 5),
+       d=st.integers(1, 3), n=st.integers(2, 80), min_leaf=st.integers(1, 3))
+def test_each_splits_action_quality_is_the_leaf_gini_reduction(
+        seed, labels, d, n, min_leaf):
+    # every cut growth takes on a discrete trace: its action quality is
+    # the node's Gini less the children's, each weighted by its share of
+    # the members, bit for bit, with each Gini from node_stats
+    rng = np.random.default_rng(seed)
+    states = np.stack([rng.choice(rng.normal(size=4), size=n)
+                       if rng.uniform() < 0.5 else rng.uniform(size=n)
+                       for _ in range(d)], axis=1)
+    data = synthetic_aug(states=states,
+                         actions=rng.integers(0, labels, size=n),
+                         V=rng.normal(size=n), D=rng.normal(size=(n, d)))
+    found = []
+
+    def search(data, idx, *args, **kwargs):
+        cand = imp.best_split(data, idx, *args, **kwargs)
+        found.append((idx, cand))
+        return cand
+
+    with mock.patch.object(tr, "best_split", search):
+        tr.grow(data, rng.uniform(0.1, 1.0, size=3), n, min_leaf=min_leaf)
+    for idx, cand in found:
+        if cand is None:
+            continue
+        g, gl, gr = (imp.node_stats(data, members).impurity.action
+                     for members in (idx, cand.left_idx, cand.right_idx))
+        nl, nr = cand.left_idx.size, cand.right_idx.size
+        assert _bits(cand.quality_triple[0]) == \
+            _bits(g - (nl * gl + nr * gr) / idx.size)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

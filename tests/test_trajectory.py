@@ -84,6 +84,7 @@ def test_most_probable_path_trivial_and_chain():
     graph = make_graph({0: [(1, 0.5), (2, 0.2)], 1: [(2, 0.5)]})
     same = tj.most_probable_path(graph, 0, 0)
     assert same.leaves == [0] and same.probability == 1.0
+    assert same.expected_duration == 0.0
     path = tj.most_probable_path(graph, 0, 2)
     assert path.leaves == [0, 1, 2]
     assert path.probability == pytest.approx(0.25)
